@@ -55,7 +55,8 @@ class BernsteinTriplet:
             raise ValueError("levy atoms need x > 0 and w >= 0")
         if sorted(xs) != xs:
             raise ValueError("levy atoms must be sorted by x")
-        assert math.isfinite(self.integrability()), "1 ^ x integrability"
+        if not math.isfinite(self.integrability()):
+            raise ValueError("levy atoms must have finite integral of 1 ^ x")
 
     def integrability(self) -> float:
         return math.fsum(w * min(1.0, x) for x, w in self.levy)
@@ -105,13 +106,6 @@ class ExtractReport:
     fit: moments.FitReport
     certificate: classify.Certificate
     nonminimal_mass: float
-
-    def to_dict(self):
-        return {
-            "fit": self.fit.to_dict(),
-            "certificate": self.certificate.to_dict(),
-            "nonminimal_mass": self.nonminimal_mass,
-        }
 
 
 def extract_triplet(phi: FunctionHandle, count: int = 30, grid_m: int = 200,
@@ -166,27 +160,13 @@ class ThetaCheckEntry:
         )
 
     def to_dict(self):
-        return {
-            "c": self.c,
-            "theta_at_zero": self.theta_at_zero,
-            "certificate": self.certificate.to_dict(),
-            "bounded_ok": self.bounded_ok,
-            "sup_estimate": self.sup_estimate,
-            "last_increment": self.last_increment,
-            "passed": self.passed,
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
 class ThetaReport:
     entries: tuple
     overall_pass: bool
-
-    def to_dict(self):
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "overall_pass": self.overall_pass,
-        }
 
 
 def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_THETA_CS,
@@ -250,12 +230,7 @@ class SDTestEntry:
         )
 
     def to_dict(self):
-        return {
-            "label": self.label,
-            "certificate": self.certificate.to_dict(),
-            "minimality": self.minimality.to_dict() if self.minimality else None,
-            "passed": self.passed,
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -269,17 +244,6 @@ class SDReport:
     @property
     def sd_pass(self):
         return self.verdict == classify.PASS
-
-    def to_dict(self):
-        return {
-            "scale_tests": [e.to_dict() for e in self.scale_tests],
-            "derivative_test": self.derivative_test.to_dict()
-            if self.derivative_test
-            else None,
-            "derivative_error": self.derivative_error,
-            "verdict": self.verdict,
-            "caveats": list(self.caveats),
-        }
 
 
 def _default_sd_tol(depth: int, last_value) -> float:

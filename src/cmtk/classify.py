@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CertificationError
-from .scalars import EXACT, FLOAT, scalar_to_json
+from .scalars import EXACT, FLOAT
 from .seqcore import DifferenceTable, Sequence, difference_table
 
 CM = "cm"
@@ -88,18 +88,13 @@ class Certificate:
         return self.verdict == FAIL
 
     def to_dict(self):
-        w = None
-        if self.witness is not None:
-            n, k, v = self.witness
-            w = {"n": n, "k": k, "value": scalar_to_json(v)}
+        w = self.witness
         return {
             "kind": self.kind,
             "depth": self.depth,
             "verdict": self.verdict,
-            "witness": w,
-            "min_margin": scalar_to_json(self.min_margin)
-            if self.min_margin is not None
-            else None,
+            "witness": None if w is None else {"n": w[0], "k": w[1], "value": w[2]},
+            "min_margin": self.min_margin,
             "mode": self.mode,
             "undecidable_entries": self.undecidable,
         }
@@ -160,14 +155,6 @@ class AtomEstimate:
     monotone_ok: bool
     error_bound: float = 0.0
 
-    def to_dict(self):
-        return {
-            "trail": [scalar_to_json(v) for v in self.trail],
-            "estimate": scalar_to_json(self.estimate),
-            "monotone_ok": self.monotone_ok,
-            "error_bound": self.error_bound,
-        }
-
 
 def atom_at_zero(a: Sequence, kind: str, depth=None) -> AtomEstimate:
     """Estimate the representing measure's point mass at zero.
@@ -208,9 +195,6 @@ class MinimalityReport:
     minimal: bool
     atom: AtomEstimate
     tol: float
-
-    def to_dict(self):
-        return {"minimal": self.minimal, "tol": self.tol, "atom": self.atom.to_dict()}
 
 
 def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport:

@@ -9,18 +9,25 @@ One subcommand per library operation, stable exit codes for scripting:
 
 Every run on codes 0-2 writes a JSON report (stdout or --out) echoing the
 resolved parameter set; --no-meta strips the timestamp so identical runs
-produce byte-identical reports.
+produce byte-identical reports.  Library errors map to one place: any
+CmtkError gives code 1 (2 when a function handle ran out of its evaluation
+budget) with a report whose result is {"error": message}, plus the failing
+certificate when the error carries one.  Malformed input, including
+non-finite numbers, gives code 3 and an error line on stderr, with no
+report.  ``evaluate`` reads a bare model file or an
+``invert``/``extend``/``egf`` report.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import sys
 
 from . import bernstein, builtins as handles, classify, funcops, moments, webster
-from .errors import BudgetExceededError, CertificationError, CmtkError, DomainError, NotRepresentableError
+from .errors import BudgetExceededError, CmtkError
 from .scalars import parse_scalar, scalar_to_json
 from .seqcore import Sequence, read_sequence
 from .newton import eval_series, series_from_samples
@@ -60,45 +67,44 @@ def _get_handle(spec: str):
     return handles.get_handle(spec)
 
 
-# -- subcommand implementations; each returns (exit_code, result_dict) ------
+def _to_json(obj):
+    """json.dumps hook: an object's own to_dict, else its dataclass fields
+    (serialized in turn), else the scalar form."""
+    if hasattr(obj, "to_dict"):
+        return obj.to_dict()
+    if dataclasses.is_dataclass(obj):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return scalar_to_json(obj)
+
+
+# -- subcommand implementations; each returns (exit_code, result) -----------
 
 def _cmd_certify(args):
     seq = _load_sequence(args)
     cert = classify.certify(seq, args.kind, args.depth)
-    return _verdict_code(cert.verdict), {"certificate": cert.to_dict()}
+    return _verdict_code(cert.verdict), {"certificate": cert}
 
 
 def _cmd_minimal(args):
     seq = _load_sequence(args)
-    try:
-        rep = classify.is_minimal(seq, args.kind, args.depth, args.tol)
-    except CertificationError as exc:
-        return EXIT_FAIL, {
-            "error": str(exc),
-            "certificate": exc.certificate.to_dict() if exc.certificate else None,
-        }
-    code = EXIT_PASS if rep.minimal else EXIT_FAIL
-    return code, {"minimality": rep.to_dict()}
+    rep = classify.is_minimal(seq, args.kind, args.depth, args.tol)
+    return (EXIT_PASS if rep.minimal else EXIT_FAIL), {"minimality": rep}
 
 
 def _cmd_invert(args):
     seq = _load_sequence(args)
-    try:
-        if args.variant == "cm":
-            model, fit = moments.invert_cm(seq, args.grid, args.tol)
-        else:
-            model, fit = moments.invert_ca(seq, args.grid, args.tol)
-    except (CertificationError, NotRepresentableError) as exc:
-        result = {"error": str(exc)}
-        if isinstance(exc, CertificationError) and exc.certificate:
-            result["certificate"] = exc.certificate.to_dict()
-        return EXIT_FAIL, result
-    return EXIT_PASS, {"model": model.to_dict(), "fit": fit.to_dict()}
+    invert = moments.invert_cm if args.variant == "cm" else moments.invert_ca
+    model, fit = invert(seq, args.grid, args.tol)
+    return EXIT_PASS, {"model": model, "fit": fit}
 
 
 def _cmd_evaluate(args):
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if isinstance(data, dict) and "result" in data:  # a report of invert, extend or egf
+        data = data["result"].get("model")
+    if not isinstance(data, dict) or not {"levy", "atoms"} & data.keys():
+        raise ValueError(f"{args.input}: no measure, triplet or report with a model")
     if "levy" in data:
         t = bernstein.BernsteinTriplet.from_dict(data)
         values = [[lam, bernstein.eval_bernstein(t, lam)] for lam in args.at]
@@ -113,17 +119,11 @@ def _cmd_evaluate(args):
 
 def _cmd_extend(args):
     seq = _load_sequence(args)
-    try:
-        f = moments.extend_from_integer_samples(seq, args.kind, args.grid, args.tol)
-    except (CertificationError, NotRepresentableError) as exc:
-        result = {"error": str(exc)}
-        if isinstance(exc, CertificationError) and exc.certificate:
-            result["certificate"] = exc.certificate.to_dict()
-        return EXIT_FAIL, result
+    f = moments.extend_from_integer_samples(seq, args.kind, args.grid, args.tol)
     return EXIT_PASS, {
         "values": [[lam, f(lam)] for lam in args.at],
-        "fit": f.report.to_dict(),
-        "model": f.model.to_dict(),
+        "fit": f.report,
+        "model": f.model,
     }
 
 
@@ -131,16 +131,9 @@ def _cmd_newton(args):
     seq = _load_sequence(args)
     series = series_from_samples(seq)
     if args.action == "fit":
-        return EXIT_PASS, {"series": series.to_dict()}
-    z = parse_scalar(args.at)
-    out = eval_series(series, z, args.terms)
-    return EXIT_PASS, {
-        "value": scalar_to_json(out.value),
-        "value_float": float(out.value),
-        "tail_estimate": out.tail_estimate,
-        "n_terms": out.n_terms,
-        "warnings": list(out.warnings),
-    }
+        return EXIT_PASS, {"series": series}
+    out = eval_series(series, parse_scalar(args.at), args.terms)
+    return EXIT_PASS, {**vars(out), "value_float": float(out.value)}
 
 
 def _cmd_webster(args):
@@ -156,7 +149,7 @@ def _cmd_webster(args):
     residual = None
     if args.check_grid:
         residual = webster.verify_functional_equation(solution, g, args.check_grid)
-    out = {"solutions": [r.to_dict() for r in results]}
+    out = {"solutions": results}
     if residual is not None:
         out["functional_equation_residual"] = residual
     return EXIT_PASS, out
@@ -170,14 +163,8 @@ def _cmd_operator(args):
 
 def _cmd_decompose(args):
     f = _get_handle(args.builtin)
-    try:
-        if args.variant == "cm":
-            rep = funcops.cm_limit_decompose(f, tuple(args.c), args.nmax)
-        else:
-            rep = funcops.bf_limit_decompose(f, tuple(args.c), args.nmax)
-    except DomainError as exc:
-        return EXIT_FAIL, {"error": str(exc)}
-    return EXIT_PASS, {"decomposition": rep.to_dict()}
+    decompose = funcops.cm_limit_decompose if args.variant == "cm" else funcops.bf_limit_decompose
+    return EXIT_PASS, {"decomposition": decompose(f, tuple(args.c), args.nmax)}
 
 
 def _cmd_lattice(args):
@@ -189,13 +176,13 @@ def _cmd_lattice(args):
         code = EXIT_PASS
     else:
         code = EXIT_FAIL
-    return code, {"lattice": rep.to_dict()}
+    return code, {"lattice": rep}
 
 
 def _cmd_subaffine(args):
     f = _get_handle(args.builtin)
     rep = funcops.subaffine_check(f, args.c[0], args.bound)
-    return (EXIT_PASS if rep.ok else EXIT_FAIL), {"subaffine": rep.to_dict()}
+    return (EXIT_PASS if rep.ok else EXIT_FAIL), {"subaffine": rep}
 
 
 def _cmd_bftheta(args):
@@ -207,27 +194,20 @@ def _cmd_bftheta(args):
         code = EXIT_FAIL
     else:
         code = EXIT_INCONCLUSIVE
-    return code, {"theta_check": rep.to_dict()}
+    return code, {"theta_check": rep}
 
 
 def _cmd_selfdec(args):
     f = _get_handle(args.builtin)
     rep = bernstein.check_selfdecomposable(f, tuple(args.c), args.depth, args.tol)
-    return _verdict_code(rep.verdict), {"selfdecomposable": rep.to_dict()}
+    return _verdict_code(rep.verdict), {"selfdecomposable": rep}
 
 
 def _cmd_egf(args):
     seq = _load_sequence(args)
-    try:
-        triplet, fit = moments.invert_ca(seq, args.grid, args.tol)
-    except (CertificationError, NotRepresentableError) as exc:
-        return EXIT_FAIL, {"error": str(exc)}
+    triplet, fit = moments.invert_ca(seq, args.grid, args.tol)
     residual = bernstein.egf_validate(seq, triplet)
-    return EXIT_PASS, {
-        "egf_residual": residual,
-        "fit": fit.to_dict(),
-        "model": triplet.to_dict(),
-    }
+    return EXIT_PASS, {"egf_residual": residual, "fit": fit, "model": triplet}
 
 
 def build_parser() -> _Parser:
@@ -348,12 +328,7 @@ def build_parser() -> _Parser:
 
 def _resolved_params(args):
     skip = {"fn", "out", "no_meta", "command"}
-    out = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip:
-            continue
-        out[key] = value
-    return out
+    return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
 def main(argv=None) -> int:
@@ -365,15 +340,14 @@ def main(argv=None) -> int:
 
     try:
         code, result = args.fn(args)
-    except (OSError, json.JSONDecodeError, ValueError, ZeroDivisionError) as exc:
+    except (OSError, ValueError, ZeroDivisionError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except BudgetExceededError as exc:
-        print(f"partial: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except CmtkError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        code = EXIT_INCONCLUSIVE if isinstance(exc, BudgetExceededError) else EXIT_FAIL
+        result = {"error": str(exc)}
+        if getattr(exc, "certificate", None):
+            result["certificate"] = exc.certificate
 
     report = {
         "command": args.command,
@@ -385,7 +359,7 @@ def main(argv=None) -> int:
         report["meta"] = {
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()
         }
-    text = json.dumps(report, sort_keys=True, indent=2, default=scalar_to_json)
+    text = json.dumps(report, sort_keys=True, indent=2, default=_to_json)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

@@ -80,13 +80,6 @@ class FunctionHandle:
     def sample(self, points):
         return [self(x) for x in points]
 
-    def sample_integers(self, count, scale=1):
-        """(f(scale * k))_{k=0..count}; integer arguments are passed as ints
-        when scale == 1 so exact-valued handles can stay exact."""
-        if scale == 1:
-            return [self(k) for k in range(count + 1)]
-        return [self(scale * k) for k in range(count + 1)]
-
 
 def make_handle(fn, name="f", open_at_zero=False, derivative=None, budget=None):
     return FunctionHandle(fn, name, open_at_zero, derivative, budget)
@@ -181,16 +174,6 @@ class CMDecomposition:
     cs: tuple
     n_max: int
 
-    def to_dict(self):
-        return {
-            "psi_inf": self.psi_inf,
-            "residual": self.residual,
-            "c_discrepancy": self.c_discrepancy,
-            "cs": list(self.cs),
-            "n_max": self.n_max,
-            "limit_samples": [[l, v] for l, v in self.limit_samples],
-        }
-
 
 def cm_limit_decompose(psi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
                        lam_grid=None) -> CMDecomposition:
@@ -245,18 +228,6 @@ class BFDecomposition:
     c_discrepancy: float
     cs: tuple
     n_max: int
-
-    def to_dict(self):
-        return {
-            "q": self.q,
-            "d": self.d,
-            "residual": self.residual,
-            "telescoping_residual": self.telescoping_residual,
-            "c_discrepancy": self.c_discrepancy,
-            "cs": list(self.cs),
-            "n_max": self.n_max,
-            "theta_samples": [[l, v] for l, v in self.theta_samples],
-        }
 
 
 def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
@@ -319,13 +290,6 @@ class LatticeEntry:
     certificate: classify.Certificate
     minimality: classify.MinimalityReport | None
 
-    def to_dict(self):
-        return {
-            "alpha": self.alpha,
-            "certificate": self.certificate.to_dict(),
-            "minimality": self.minimality.to_dict() if self.minimality else None,
-        }
-
 
 @dataclass(frozen=True)
 class LatticeReport:
@@ -333,14 +297,6 @@ class LatticeReport:
     overall_pass: bool
     all_minimal: bool
     partial: bool = False  # budget ran out before all alphas were checked
-
-    def to_dict(self):
-        return {
-            "entries": [e.to_dict() for e in self.entries],
-            "overall_pass": self.overall_pass,
-            "all_minimal": self.all_minimal,
-            "partial": self.partial,
-        }
 
 
 def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
@@ -396,14 +352,6 @@ class SubaffineReport:
     bound: float
     ok: bool
     arg_sup: float
-
-    def to_dict(self):
-        return {
-            "supremum": self.supremum,
-            "bound": self.bound,
-            "ok": self.ok,
-            "arg_sup": self.arg_sup,
-        }
 
 
 def subaffine_check(phi: FunctionHandle, c: float, bound: float,

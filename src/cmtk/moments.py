@@ -23,7 +23,6 @@ from scipy.optimize import nnls
 
 from . import classify
 from .errors import CertificationError, NotRepresentableError
-from .scalars import scalar_to_json
 from .seqcore import Sequence
 
 DEFAULT_GRID = 200
@@ -102,7 +101,7 @@ class CATriplet:
 
     def to_dict(self):
         return {
-            "q": scalar_to_json(self.q),
+            "q": self.q,
             "d": self.d,
             "atoms": [{"u": u, "w": w} for u, w in self.measure.atoms],
         }
@@ -127,14 +126,8 @@ class FitReport:
     drift_gap: float | None = None
 
     def to_dict(self):
-        out = {
-            "residual": self.residual,
-            "kkt_gap": self.kkt_gap,
-            "grid_size": self.grid_size,
-        }
-        if self.drift_gap is not None:
-            out["drift_gap"] = self.drift_gap
-        return out
+        # drift_gap is left out, not null, when the fit has none
+        return {k: v for k, v in vars(self).items() if v is not None}
 
 
 @dataclass(frozen=True)
@@ -221,6 +214,8 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
     the residual exceeds 100*tol, and CertificationError when the sequence
     fails the CM sign check outright.
     """
+    if grid_m < 1:
+        raise ValueError("grid must have at least one cell")
     _certify_or_raise(a, classify.CM)
     target = np.array(a.as_floats())
     K = a.last_index
@@ -247,8 +242,8 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
 
 def drift_floor_estimate(a: Sequence):
     """Floor estimate of the CA drift: the first difference at the largest
-    index, which decreases to d.  Returns (d_hat, gap to the previous
-    difference, clamped flag)."""
+    index, which decreases to d, clamped at 0.  Returns (d_hat, gap to the
+    previous difference)."""
     K = a.last_index
     if K < 1:
         raise ValueError("drift estimation needs at least two terms")
@@ -256,8 +251,7 @@ def drift_floor_estimate(a: Sequence):
     gap = None
     if K >= 2:
         gap = float(a.values[K - 1] - a.values[K - 2]) - d_hat
-    clamped = d_hat < 0.0
-    return max(d_hat, 0.0), gap, clamped
+    return max(d_hat, 0.0), gap
 
 
 def invert_ca(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL,
@@ -269,11 +263,13 @@ def invert_ca(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL,
     Returns (CATriplet, FitReport); the report's drift_gap records the
     difference between the last two first differences (positive bias scale).
     """
+    if grid_m < 1:
+        raise ValueError("grid must have at least one cell")
     _certify_or_raise(a, classify.CA)
     K = a.last_index
     q = a.values[0]
     if drift is None:
-        d_hat, gap, _ = drift_floor_estimate(a)
+        d_hat, gap = drift_floor_estimate(a)
     else:
         d_hat, gap = max(float(drift), 0.0), None
     target = np.array(a.as_floats()) - float(q) - d_hat * np.arange(K + 1)

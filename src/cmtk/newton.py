@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import EPS, EXACT, FLOAT, is_exact, scalar_to_json
+from .scalars import EPS, EXACT, FLOAT, is_exact
 from .seqcore import Sequence, difference_table
 
 
@@ -120,7 +120,7 @@ class NewtonSeries:
 
     def to_dict(self):
         return {
-            "coefficients": [scalar_to_json(c) for c in self.coeffs],
+            "coefficients": self.coeffs,
             "n_samples": len(self.samples),
             "mode": self.mode,
         }
@@ -169,6 +169,8 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
         raise ValueError(
             f"n_terms {n_terms} exceeds available coefficients {len(series.coeffs)}"
         )
+    if isinstance(z, (float, complex)) and not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got {z!r}")
     warnings = []
     re_z = z.real if isinstance(z, complex) else z
     is_node = not isinstance(z, complex) and z == int(z) and 0 <= z < len(series.samples)
@@ -313,19 +315,6 @@ class GrowthReport:
     first_violation: tuple | None
     C: float
     D: float
-
-    def to_dict(self):
-        fv = None
-        if self.first_violation is not None:
-            x, v = self.first_violation
-            fv = {"x": x, "value": v}
-        return {
-            "ok": self.ok,
-            "worst_log_excess": self.worst_log_excess,
-            "first_violation": fv,
-            "C": self.C,
-            "D": self.D,
-        }
 
 
 def exponential_type_check(xs, values, C: float, D: float) -> GrowthReport:

@@ -8,7 +8,6 @@ once, at sequence construction, and recorded as a mode flag.
 
 from __future__ import annotations
 
-import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -19,10 +18,10 @@ FLOAT = "float"
 
 
 def parse_scalar(text):
-    """Parse one scalar token: "p/q", integer or decimal literal.
+    """Parse one scalar token: "p/q", integer or decimal literal, always as
+    an exact Fraction (decimal literals include exponent notation).
 
-    Rationals and decimal literals (including exponent notation) are exact;
-    only "inf"/"nan"-style tokens fall back to float.
+    Raises ValueError for anything else, "inf" and "nan" included.
     """
     s = text.strip()
     if not s:
@@ -31,10 +30,12 @@ def parse_scalar(text):
         num, _, den = s.partition("/")
         return Fraction(int(num.strip()), int(den.strip()))
     try:
-        return Fraction(Decimal(s))
-    except (InvalidOperation, ValueError):
-        pass
-    return float(s)
+        value = Decimal(s)
+    except InvalidOperation:
+        raise ValueError(f"not a number: {s!r}") from None
+    if not value.is_finite():
+        raise ValueError(f"not a finite number: {s!r}")
+    return Fraction(value)
 
 
 def is_exact(value) -> bool:
@@ -72,11 +73,3 @@ def scalar_to_json(value):
         return value
     return float(value)
 
-
-def scalar_to_float(value) -> float:
-    return float(value)
-
-
-def binomial_row(n: int):
-    """Row n of Pascal's triangle as exact integers."""
-    return [math.comb(n, i) for i in range(n + 1)]

@@ -57,10 +57,6 @@ class Sequence:
             value_bounds = tuple(float(b) for b in value_bounds)
         return cls(vals, step, m, value_bounds)
 
-    @classmethod
-    def from_text(cls, tokens, step=1, mode=None):
-        return cls.from_values([parse_scalar(t) for t in tokens], step, mode)
-
     @property
     def last_index(self) -> int:
         return len(self.values) - 1
@@ -98,7 +94,7 @@ def read_sequence(path, step=1, mode=None) -> Sequence:
                 raise ValueError(f"entry {i}: boolean is not a scalar")
             elif isinstance(item, int):
                 values.append(Fraction(item))
-            elif isinstance(item, float):
+            elif isinstance(item, float) and math.isfinite(item):
                 values.append(item)
             else:
                 raise ValueError(f"entry {i}: cannot parse {item!r}")
@@ -132,20 +128,10 @@ class DifferenceTable:
     depth: int
     last_index: int
 
-    def entry(self, n: int, k: int):
-        return self.rows[n][k]
-
     def error_bound(self, n: int, k: int) -> float:
         if self.bounds is None:
             return 0.0
         return self.bounds[n][k]
-
-    def row(self, n: int):
-        return self.rows[n]
-
-    def column_zero(self):
-        """The k = 0 column (the atom-at-zero trail lives here)."""
-        return [self.rows[n][0] for n in range(self.depth + 1)]
 
 
 def difference_table(a: Sequence, depth: int) -> DifferenceTable:

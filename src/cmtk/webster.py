@@ -44,6 +44,10 @@ class WebsterProblem:
     g_limit_one: bool = False
     concavity_grid: tuple = tuple(0.25 * (i + 1) for i in range(32))
 
+    def __post_init__(self):
+        if self.n_terms < 1:
+            raise ValueError("n_terms must be at least 1")
+
 
 @dataclass(frozen=True)
 class WebsterResult:
@@ -56,19 +60,6 @@ class WebsterResult:
     log_concave_ok: bool
     n_terms: int
     warnings: tuple = ()
-
-    def to_dict(self):
-        return {
-            "value": self.value,
-            "x": self.x,
-            "gamma": self.gamma,
-            "gamma_raw": self.gamma_raw,
-            "last_increment": self.last_increment,
-            "tail_estimate": self.tail_estimate,
-            "log_concave_ok": self.log_concave_ok,
-            "n_terms": self.n_terms,
-            "warnings": list(self.warnings),
-        }
 
 
 class WebsterSolution:
@@ -179,9 +170,6 @@ class WebsterSolution:
 
     def __call__(self, x):
         return self.result(x).value
-
-    def as_handle(self) -> FunctionHandle:
-        return FunctionHandle(self, name="webster-solution", open_at_zero=True)
 
 
 def solve_webster(problem: WebsterProblem, x) -> WebsterResult:

@@ -72,6 +72,11 @@ class TestEval:
         with pytest.raises(DomainError):
             eval_bernstein(BernsteinTriplet(0.0, 1.0, ()), -1.0)
 
+    def test_infinite_levy_weight_rejected(self):
+        # a ValueError, not an assert, so that python -O keeps the check
+        with pytest.raises(ValueError, match="finite"):
+            BernsteinTriplet(0.0, 0.0, ((1.0, math.inf),))
+
     def test_handle_derivative_is_exact(self):
         t = BernsteinTriplet(0.0, 0.5, ((2.0, 1.5),))
         h = triplet_handle(t)

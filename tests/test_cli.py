@@ -1,6 +1,7 @@
 """Command-line interface: exit-code contract, JSON reports, determinism."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -250,3 +251,83 @@ class TestReports:
         margin = report["result"]["certificate"]["min_margin"]
         num, den = margin.split("/")
         assert Fraction(int(num), int(den)) > 0
+
+
+class TestErrorReports:
+    """Every CmtkError becomes a report: exit 1, or 2 for an exhausted
+    evaluation budget, with the failing certificate when there is one."""
+
+    def test_budget_exhausted_is_partial_with_report(self, capsys, monkeypatch):
+        monkeypatch.setenv("CMTK_MAX_EVALS", "5")
+        code, report, err = run(capsys, "selfdec", "--builtin", "log1p")
+        assert code == 2
+        assert report["exit_code"] == 2
+        assert "budget 5 exhausted" in report["result"]["error"]
+        assert err == ""
+
+    def test_egf_on_cm_sequence_carries_failing_certificate(self, capsys, tmp_path):
+        p = tmp_path / "dyadic.csv"
+        p.write_text("".join(f"1/{2 ** k}\n" for k in range(21)))
+        code, report, _ = run(capsys, "egf", str(p))
+        assert code == 1
+        assert "not ca" in report["result"]["error"]
+        assert report["result"]["certificate"]["verdict"] == "fail"
+
+    def test_domain_error_writes_report(self, capsys, tmp_path):
+        p = tmp_path / "triplet.json"
+        p.write_text(json.dumps({"q": 0.0, "d": 1.0, "levy": []}))
+        code, report, _ = run(capsys, "evaluate", str(p), "--at", "-1")
+        assert code == 1
+        assert report["result"] == {"error": "lambda must be nonnegative"}
+
+
+class TestMalformedInput:
+    """Non-finite and out-of-range input: exit 3, one stderr line, no
+    traceback and no warning."""
+
+    @pytest.mark.parametrize("text, argv", [
+        pytest.param("1\ninf\n1/2\n", ["certify", "--kind", "cm"], id="csv-inf"),
+        pytest.param("1\n-Infinity\n", ["certify", "--kind", "cm"], id="csv-minus-infinity"),
+        pytest.param("1\nnan\n", ["minimal", "--kind", "cm"], id="csv-nan"),
+        pytest.param("[1.0, NaN, 0.5]", ["certify", "--kind", "cm"], id="json-nan"),
+        pytest.param("[1.0, Infinity]", ["invert", "cm"], id="json-infinity"),
+        pytest.param("1\n1/2\n1/3\n", ["newton", "eval", "--at", "inf"], id="newton-at-inf"),
+        pytest.param("1\n1/2\n1/3\n", ["newton", "eval", "--at", "nan"], id="newton-at-nan"),
+        pytest.param("1\n1/2\n1/4\n", ["invert", "cm", "--grid", "0"], id="invert-cm-grid-0"),
+        pytest.param("0\n1/2\n2/3\n", ["invert", "ca", "--grid", "0"], id="invert-ca-grid-0"),
+        pytest.param("1\n1/2\n1/4\n", ["extend", "--kind", "cm", "--at", "1", "--grid", "0"],
+                     id="extend-grid-0"),
+        pytest.param("0\n1\n2\n", ["egf", "--grid", "0"], id="egf-grid-0"),
+        pytest.param(None, ["webster", "--terms", "0"], id="webster-terms-0"),
+        pytest.param('{"command": "certify", "result": {"certificate": {}}}',
+                     ["evaluate", "--at", "1"], id="evaluate-report-without-model"),
+        pytest.param("[1, 0.5]", ["evaluate", "--at", "1"], id="evaluate-sequence-file"),
+    ])
+    def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
+        argv = list(argv)
+        if text is not None:
+            p = tmp_path / "seq.txt"
+            p.write_text(text)
+            argv.append(str(p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert len(out.err.strip().splitlines()) == 1
+        assert out.err.startswith("error: ")
+
+
+def test_evaluate_reads_invert_report(capsys, tmp_path, harmonic_csv):
+    """The README chain: cmtk invert --out report.json, then cmtk evaluate
+    report.json gives the values of the model inside the report."""
+    report_path = tmp_path / "report.json"
+    assert main(["invert", "cm", harmonic_csv, "--out", str(report_path)]) == 0
+    code, chained, _ = run(capsys, "evaluate", str(report_path), "--at", "0.5,3")
+    assert code == 0
+    model_path = tmp_path / "measure.json"
+    model_path.write_text(json.dumps(json.loads(report_path.read_text())["result"]["model"]))
+    _, direct, _ = run(capsys, "evaluate", str(model_path), "--at", "0.5,3")
+    assert chained["result"] == direct["result"]
+    assert chained["result"]["values"][0][1] == pytest.approx(2.0 / 3.0, abs=1e-3)

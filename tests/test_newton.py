@@ -200,6 +200,11 @@ class TestEvalSeries:
         expected = 2 ** -(z)
         assert abs(got - expected) <= 1e-10
 
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(0.5, math.inf)])
+    def test_non_finite_z_rejected(self, z):
+        with pytest.raises(ValueError, match="finite"):
+            eval_series(self.geometric_series(10), z)
+
     def test_too_many_terms_rejected(self):
         s = self.geometric_series(10)
         with pytest.raises(ValueError):

@@ -197,6 +197,16 @@ class TestIO:
         with pytest.raises(ValueError, match="line 2"):
             read_sequence(p)
 
+    @pytest.mark.parametrize("text", [
+        "1\ninf\n", "1\n-Infinity\n", "1\nnan\n", '[1, "inf"]', "[1, NaN]", "[1.0, Infinity]",
+        "[1.0, 1e999]",
+    ])
+    def test_non_finite_entries_rejected(self, tmp_path, text):
+        p = tmp_path / "seq.txt"
+        p.write_text(text)
+        with pytest.raises(ValueError):
+            read_sequence(p)
+
     def test_decimal_strings_are_exact(self, tmp_path):
         p = tmp_path / "seq.csv"
         p.write_text("0.05\n")
