@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import classify, moments
 from .errors import CertificationError, DomainError
 from .funcops import FunctionHandle, sampled_sequence
-from .scalars import EPS, is_exact
+from .scalars import EPS
 from .seqcore import Sequence
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
@@ -32,6 +32,9 @@ X_FAR = 46.0
 
 DEFAULT_SD_CS = (0.25, 0.5, 0.75, 0.9)
 DEFAULT_THETA_CS = (1.0, 1.0 / math.sqrt(2.0))
+#: depth of the scale tests (Phi(k) - Phi(ck))_k, kept moderate: float
+#: sampling noise swamps deeper rows
+_SCALE_DEPTH = 15
 HOLOMORPHY_CAVEAT = (
     "holomorphic-extension hypotheses are not checkable numerically; "
     "verdicts are certified to depth/grid only"
@@ -74,7 +77,10 @@ class BernsteinTriplet:
 
     @classmethod
     def from_dict(cls, data):
-        levy = tuple(sorted((a["x"], a["w"]) for a in data.get("levy", [])))
+        try:
+            levy = tuple(sorted((a["x"], a["w"]) for a in data.get("levy", [])))
+        except KeyError as exc:
+            raise ValueError(f"levy atom has no {exc} key") from None
         return cls(float(data.get("q", 0.0)), float(data.get("d", 0.0)), levy)
 
 
@@ -108,32 +114,29 @@ class ExtractReport:
     nonminimal_mass: float
 
 
-def extract_triplet(phi: FunctionHandle, count: int = 30, grid_m: int = 200,
-                    tol: float = 1e-10, depth: int = None,
-                    drift_lambda: float = 1e7):
-    """Sample Phi on 0..count, certify CA, and fit a Bernstein triplet.
+def extract_triplet(phi: FunctionHandle, tol: float = 1e-10):
+    """Sample Phi on 0..30, certify CA, and fit a Bernstein triplet.
 
     q is Phi(0) exactly; d is the far-field first difference
-    Phi(drift_lambda + 1) - Phi(drift_lambda) clamped to >= 0; the Levy
-    atoms come from nonnegative least squares against the kernel 1 - u^k
-    on the uniform u grid, mapped through x = -ln u.  Weight landing on
+    Phi(1e7 + 1) - Phi(1e7) clamped to >= 0; the Levy atoms come from
+    nonnegative least squares against the kernel 1 - u^k on the uniform
+    200-point u grid, mapped through x = -ln u.  Weight landing on
     u = 0 (mass beyond the grid horizon x = ln M, or a genuine non-minimal
     part) is parked at x = X_FAR and also reported separately.
     """
     if phi.open_at_zero:
         raise DomainError("extraction needs the value at 0")
     phi.reset_budget()
-    seq = sampled_sequence(phi, [float(k) for k in range(count + 1)])
+    seq = sampled_sequence(phi, [float(k) for k in range(31)])
     # 15 keeps conclusive verdicts for float samples; deeper rows of bounded
     # sequences sink below the propagated noise
-    depth = classify.default_depth(seq, depth if depth is not None else min(count, 15))
-    cert = classify.certify(seq, classify.CA, depth)
+    cert = classify.certify(seq, classify.CA, 15)
     if cert.failed:
         raise CertificationError("samples are not completely alternating", cert)
 
     q = float(seq.values[0])
-    d = max(0.0, float(phi(drift_lambda + 1.0) - phi(drift_lambda)))
-    triplet, fit = moments.invert_ca(seq, grid_m, tol, drift=d)
+    d = max(0.0, float(phi(1e7 + 1.0) - phi(1e7)))
+    triplet, fit = moments.invert_ca(seq, 200, tol, drift=d)
     exp_measure = moments.to_exponential(triplet.measure)
     atoms = dict(exp_measure.atoms)
     if exp_measure.mass_at_infinity > 0.0:
@@ -170,15 +173,13 @@ class ThetaReport:
 
 
 def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_THETA_CS,
-                       depth: int = 15, count: int = None,
-                       decay_ratio: float = 0.5) -> ThetaReport:
+                       depth: int = 15) -> ThetaReport:
     """Bernstein membership via the theta operator: for each c,
-    theta_c Phi(0) must vanish, its integer samples must certify CA, and
-    the sequence must look bounded (sup approached: the last increment at
-    most decay_ratio times the largest; increments of a CA sequence are
+    theta_c Phi(0) must vanish, its samples at 0..depth + 10 must certify
+    CA, and the sequence must look bounded (sup approached: the last
+    increment at most half the largest; increments of a CA sequence are
     already nonincreasing)."""
-    if count is None:
-        count = depth + 10
+    count = depth + 10
     entries = []
     for c in cs:
         c = float(c)
@@ -186,28 +187,20 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_THETA_CS,
         phi.reset_budget()
         phi_0, phi_c = phi(0), phi(c_exact)
         pairs = [(phi(k), phi(k + c_exact)) for k in range(count + 1)]
-        if is_exact(phi_0) and is_exact(phi_c) and all(
-            is_exact(a) and is_exact(b) for a, b in pairs
-        ):
-            head = phi_c - phi_0
-            seq = Sequence.from_values([head + (a - b) for a, b in pairs])
-        else:
-            # fl(a-b) = -fl(b-a), so head + (phi(0) - phi(c)) is exactly 0.0
-            head = float(phi_c) - float(phi_0)
-            vals = [head + (float(a) - float(b)) for a, b in pairs]
-            scale = abs(float(phi_c)) + abs(float(phi_0))
-            bounds = [
-                2.0 * EPS * (scale + abs(float(a)) + abs(float(b)))
-                for a, b in pairs
-            ]
-            seq = Sequence.from_values(vals, value_bounds=bounds)
+        # in float, fl(a-b) = -fl(b-a), so head + (phi(0) - phi(c)) is exactly 0.0
+        head = phi_c - phi_0
+        scale = abs(phi_c) + abs(phi_0)
+        seq = Sequence.from_values(
+            [head + (a - b) for a, b in pairs],
+            value_bounds=[2.0 * EPS * (scale + abs(a) + abs(b)) for a, b in pairs],
+        )
         samples = seq.values
         at_zero = samples[0]
-        cert = classify.certify(seq, classify.CA, min(depth, count))
+        cert = classify.certify(seq, classify.CA, depth)
         incs = [float(samples[k + 1] - samples[k]) for k in range(count)]
         max_inc = max(incs, default=0.0)
         last_inc = incs[-1] if incs else 0.0
-        bounded = last_inc <= decay_ratio * max_inc + 4 * EPS * abs(float(samples[-1]))
+        bounded = last_inc <= 0.5 * max_inc + 4 * EPS * abs(float(samples[-1]))
         entries.append(
             ThetaCheckEntry(c, float(at_zero), cert, bounded,
                             float(samples[-1]), last_inc)
@@ -274,25 +267,33 @@ def _derivative_samples(phi: FunctionHandle, count: int):
     return vals, errs, max(errs)
 
 
+def _sd_entry(label: str, seq: Sequence, depth: int, tol) -> SDTestEntry:
+    """Certify ``seq`` CA to ``depth`` and, unless that fails, test it for
+    minimality (default tol from the depth and the last value)."""
+    cert = classify.certify(seq, classify.CA, depth)
+    minim = None
+    if not cert.failed:
+        if tol is None:
+            tol = _default_sd_tol(depth, seq.values[-1])
+        minim = classify.is_minimal(seq, classify.CA, depth, tol)
+    return SDTestEntry(label, cert, minim)
+
+
 def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
-                           depth: int = 30, tol: float = None,
-                           scale_depth: int = 15) -> SDReport:
+                           depth: int = 30, tol: float = None) -> SDReport:
     """Self-decomposability suite.
 
     Test (a), spot-checked per c in (0,1): (Phi(k) - Phi(ck))_k certified CA
-    and minimal at scale_depth (kept moderate: float sampling noise swamps
-    deeper rows).  Test (b), authoritative: (k Phi'(k))_k certified CA and
-    minimal at full depth; with an exact derivative the whole test runs in
-    exact arithmetic.  Verdict: pass iff every test passes; fail on any
-    certified violation or non-minimality; inconclusive otherwise.
+    and minimal at depth 15.  Test (b), authoritative: (k Phi'(k))_k
+    certified CA and minimal at full depth; with an exact derivative the
+    whole test runs in exact arithmetic.  Verdict: pass iff every test
+    passes; fail on any certified violation, or non-minimality of a passed
+    certificate; inconclusive otherwise.
     """
     if phi.open_at_zero:
         raise DomainError("self-decomposability tests need the value at 0")
     phi.reset_budget()
     entries = []
-    failed = False
-    undecided = False
-    count_a = scale_depth + 8
     for c in cs:
         c = float(c)
         if not 0.0 < c < 1.0:
@@ -300,27 +301,12 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
         # exact-first: a float c is an exact binary rational, so handles
         # built from plain arithmetic return exact values at these args
         c_exact = Fraction(c)
-        raw = [(phi(k), phi(c_exact * k)) for k in range(count_a + 1)]
-        if all(is_exact(a) and is_exact(b) for a, b in raw):
-            seq = Sequence.from_values([a - b for a, b in raw])
-        else:
-            vals = [float(a) - float(b) for a, b in raw]
-            bounds = [
-                2.0 * EPS * (abs(float(a)) + abs(float(b))) for a, b in raw
-            ]
-            seq = Sequence.from_values(vals, value_bounds=bounds)
-        cert = classify.certify(seq, classify.CA, scale_depth)
-        minim = None
-        if cert.failed:
-            failed = True
-        else:
-            tol_a = tol if tol is not None else _default_sd_tol(scale_depth, seq.values[-1])
-            minim = classify.is_minimal(seq, classify.CA, scale_depth, tol_a)
-            if cert.verdict == classify.INCONCLUSIVE:
-                undecided = True
-            elif not minim.minimal:
-                failed = True
-        entries.append(SDTestEntry(f"phi(k)-phi({c:g}k)", cert, minim))
+        raw = [(phi(k), phi(c_exact * k)) for k in range(_SCALE_DEPTH + 9)]
+        seq = Sequence.from_values(
+            [a - b for a, b in raw],
+            value_bounds=[2.0 * EPS * (abs(a) + abs(b)) for a, b in raw],
+        )
+        entries.append(_sd_entry(f"phi(k)-phi({c:g}k)", seq, _SCALE_DEPTH, tol))
 
     deriv_entry = None
     deriv_err = None
@@ -329,49 +315,34 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
         finite = all(math.isfinite(float(v)) for v in dvals)
     except (OverflowError, ValueError):
         finite = False
-    if not finite:
-        undecided = True
-    else:
+    if finite:
         bvals = [k * dvals[k] for k in range(len(dvals))]
         bounds = None
         if derrs is not None:
             bounds = [k * derrs[k] + EPS * abs(float(bvals[k]))
                       for k in range(len(bvals))]
         bseq = Sequence.from_values(bvals, value_bounds=bounds)
-        cert_b = classify.certify(bseq, classify.CA, depth)
-        minim_b = None
-        if cert_b.failed:
-            failed = True
-        else:
-            tol_b = tol if tol is not None else _default_sd_tol(depth, bvals[-1])
-            minim_b = classify.is_minimal(bseq, classify.CA, depth, tol_b)
-            if cert_b.verdict == classify.INCONCLUSIVE:
-                undecided = True
-            elif not minim_b.minimal:
-                failed = True
-        deriv_entry = SDTestEntry("k*phi'(k)", cert_b, minim_b)
+        deriv_entry = _sd_entry("k*phi'(k)", bseq, depth, tol)
 
-    if failed:
+    tests = entries if deriv_entry is None else [*entries, deriv_entry]
+    if any(e.certificate.failed or (e.certificate.passed and not e.minimality.minimal)
+           for e in tests):
         verdict = classify.FAIL
-    elif undecided or deriv_entry is None:
-        verdict = classify.INCONCLUSIVE
-    else:
+    elif deriv_entry is not None and all(e.passed for e in tests):
         verdict = classify.PASS
+    else:
+        verdict = classify.INCONCLUSIVE
     return SDReport(tuple(entries), deriv_entry, deriv_err, verdict)
 
 
-def egf_validate(a: Sequence, t, t_grid=None) -> float:
+def egf_validate(a: Sequence, t) -> float:
     """Exponential-generating-function identity for a CA fit: compare
     e^{-s} sum_{k<=K} a_k s^k / k!  against  q + d s + sum_j w_j (1 - e^{-s(1-u_j)})
-    over s in [0, 1]; returns the max residual (small up to the EGF
+    over s = 0, 0.05, ..., 1; returns the max residual (small up to the EGF
     truncation tail and the fit residual)."""
-    if t_grid is None:
-        t_grid = [j / 20.0 for j in range(21)]
     vals = a.as_floats()
     worst = 0.0
-    for s in t_grid:
-        if s < 0 or s > 1:
-            raise ValueError("t grid must lie in [0, 1]")
+    for s in (j / 20.0 for j in range(21)):
         lhs = math.exp(-s) * math.fsum(
             v * s**k / math.factorial(k) for k, v in enumerate(vals)
         )

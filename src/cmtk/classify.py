@@ -142,6 +142,16 @@ def certify(a: Sequence, kind: str, depth=None, table: DifferenceTable = None) -
     return Certificate(kind, depth, verdict, witness, min_margin, a.mode, undecidable)
 
 
+def _certified_table(a: Sequence, kind: str, depth: int) -> DifferenceTable:
+    """Build the table of ``a`` once and certify it; raise on a failed
+    certification, else return the table for further reading."""
+    table = difference_table(a, depth)
+    cert = certify(a, kind, depth, table=table)
+    if cert.failed:
+        raise CertificationError(f"sequence failed {kind} certification", cert)
+    return table
+
+
 @dataclass(frozen=True)
 class AtomEstimate:
     """Trail of k = 0 column entries converging down to the mass at zero.
@@ -163,10 +173,7 @@ def atom_at_zero(a: Sequence, kind: str, depth=None) -> AtomEstimate:
     trail is nonincreasing and converges to nu({0}) (CM) or mu({0}) (CA).
     """
     depth = default_depth(a, depth)
-    cert = certify(a, kind, depth)
-    if cert.failed:
-        raise CertificationError(f"sequence failed {kind} certification", cert)
-    table = difference_table(a, depth)
+    table = _certified_table(a, kind, depth)
     if kind == CM:
         ns = range(0, depth + 1)
         trail = [table.rows[n][0] for n in ns]
@@ -223,10 +230,7 @@ def degenerate_classify(a: Sequence, kind: str, depth=None) -> str:
     degenerate verdict of the kind.
     """
     depth = default_depth(a, depth)
-    cert = certify(a, kind, depth)
-    if cert.failed:
-        raise CertificationError(f"sequence failed {kind} certification", cert)
-    table = difference_table(a, depth)
+    table = _certified_table(a, kind, depth)
     degenerate = CONSTANT_TAIL if kind == CM else AFFINE_TAIL
 
     for n in range(1, depth + 1):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 from . import classify
 from .errors import BudgetExceededError, DomainError
+from .scalars import EPS
 from .seqcore import Sequence
 
 DEFAULT_BUDGET = 10**6
@@ -33,12 +34,11 @@ DEFAULT_C_PAIR = (1.0, 1.0 / math.sqrt(2.0))
 
 def _budget_from_env():
     raw = os.environ.get("CMTK_MAX_EVALS")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    if not raw.strip().isdecimal():
+        raise ValueError(f"CMTK_MAX_EVALS must be a nonnegative integer, got {raw!r}")
+    return int(raw)
 
 
 class FunctionHandle:
@@ -140,18 +140,14 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
     return FunctionHandle(fn, name, open_at_zero, base=f, noise_scale=noise)
 
 
-def sampled_sequence(f: FunctionHandle, points, step=1) -> Sequence:
+def sampled_sequence(f: FunctionHandle, points) -> Sequence:
     """Sample a handle into a Sequence, attaching the handle's noise scale
     as per-value input error bounds (exact values stay exact)."""
     values = f.sample(points)
-    from .scalars import EPS, is_exact
-
-    if all(is_exact(v) for v in values):
-        return Sequence.from_values(values, step=step)
     bounds = None
     if f.noise_scale is not None:
         bounds = [EPS * f.noise_scale(x) for x in points]
-    return Sequence.from_values(values, step=step, value_bounds=bounds)
+    return Sequence.from_values(values, value_bounds=bounds)
 
 
 def default_lambda_grid(n_points: int = 64, include_zero: bool = True):
@@ -300,39 +296,36 @@ class LatticeReport:
 
 
 def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
-                  tol=None, extra: int = 5) -> LatticeReport:
+                  tol=None) -> LatticeReport:
     """Certify (f(alpha k))_k (shifted to (k+1)alpha for open-at-zero handles)
-    for each alpha, with minimality, on depth + extra samples.
+    for each finite alpha > 0, with minimality, on depth + 5 samples.
 
     Overall pass requires every per-alpha certificate to pass; budget
     exhaustion yields a partial report over the alphas already done.
     """
-    from .scalars import EPS, is_exact
-
+    alphas = [float(alpha) for alpha in alphas]
+    for alpha in alphas:
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha:g}")
     entries = []
     partial = False
     f.reset_budget()
     for alpha in alphas:
-        alpha = float(alpha)
         try:
-            count = depth + extra
+            count = depth + 5
             if f.open_at_zero:
                 pts = [alpha * (k + 1) for k in range(count + 1)]
             else:
                 pts = [alpha * k for k in range(count + 1)]
-            raw = f.sample(pts)
-            if all(is_exact(v) for v in raw):
-                seq = Sequence.from_values(raw, step=alpha)
-            else:
-                # the rounding of alpha*k shifts the sample point; budget
-                # for it with the local slope estimated from the neighbours
-                vals = [float(v) for v in raw]
-                bounds = []
-                for i, x in enumerate(pts):
-                    lo, hi = vals[max(0, i - 1)], vals[min(len(vals) - 1, i + 1)]
-                    slope = abs(hi - lo) / (2.0 * alpha)
-                    bounds.append(EPS * (abs(vals[i]) + slope * abs(x)))
-                seq = Sequence.from_values(vals, step=alpha, value_bounds=bounds)
+            vals = f.sample(pts)
+            # the rounding of alpha*k shifts the sample point; budget for it
+            # with the local slope estimated from the neighbours
+            bounds = []
+            for i, x in enumerate(pts):
+                lo, hi = vals[max(0, i - 1)], vals[min(len(vals) - 1, i + 1)]
+                slope = abs(hi - lo) / (2.0 * alpha)
+                bounds.append(EPS * (abs(vals[i]) + slope * abs(x)))
+            seq = Sequence.from_values(vals, value_bounds=bounds)
             cert = classify.certify(seq, kind, depth)
             minim = None
             if not cert.failed:

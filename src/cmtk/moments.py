@@ -75,7 +75,11 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(tuple(sorted((float(a["u"]), float(a["w"])) for a in data["atoms"])))
+        try:
+            atoms = [(float(a["u"]), float(a["w"])) for a in data["atoms"]]
+        except KeyError as exc:
+            raise ValueError(f"measure atom has no {exc} key") from None
+        return cls(tuple(sorted(atoms)))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .scalars import EPS, EXACT, FLOAT, coerce_values, parse_scalar
 
 @dataclass(frozen=True)
 class Sequence:
-    """Finite prefix (a_0..a_K) of a real sequence on a lattice of given step.
+    """Finite prefix (a_0..a_K) of a real sequence.
 
     ``value_bounds``, float mode only, carries per-entry absolute input
     error bounds for values that are noisier than correctly rounded
@@ -33,15 +33,12 @@ class Sequence:
     """
 
     values: tuple
-    step: Fraction | float = 1
     mode: str = EXACT
     value_bounds: tuple | None = None
 
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("sequence must be nonempty")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
         if self.value_bounds is not None:
             if self.mode == EXACT:
                 raise ValueError("exact sequences carry no error bounds")
@@ -49,13 +46,13 @@ class Sequence:
                 raise ValueError("value_bounds length mismatch")
 
     @classmethod
-    def from_values(cls, values, step=1, mode=None, value_bounds=None):
+    def from_values(cls, values, mode=None, value_bounds=None):
         vals, m = coerce_values(values, mode)
         if m == EXACT:
             value_bounds = None
         elif value_bounds is not None:
             value_bounds = tuple(float(b) for b in value_bounds)
-        return cls(vals, step, m, value_bounds)
+        return cls(vals, m, value_bounds)
 
     @property
     def last_index(self) -> int:
@@ -70,13 +67,13 @@ class Sequence:
     def shift(self, j: int = 1) -> "Sequence":
         """Drop the first j terms: (a_{k+j})_k."""
         bounds = self.value_bounds[j:] if self.value_bounds else None
-        return Sequence(self.values[j:], self.step, self.mode, bounds)
+        return Sequence(self.values[j:], self.mode, bounds)
 
     def as_floats(self):
         return [float(v) for v in self.values]
 
 
-def read_sequence(path, step=1, mode=None) -> Sequence:
+def read_sequence(path, mode=None) -> Sequence:
     """Read a sequence from CSV (one value per line) or a JSON array.
 
     CSV cells accept "p/q" rationals and decimal literals.  A file whose
@@ -111,7 +108,7 @@ def read_sequence(path, step=1, mode=None) -> Sequence:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     if not values:
         raise ValueError("no values found in input")
-    return Sequence.from_values(values, step, mode)
+    return Sequence.from_values(values, mode)
 
 
 @dataclass(frozen=True)
@@ -187,9 +184,7 @@ def closed_form_entry(a: Sequence, n: int, k: int):
 def binomial_transform(a: Sequence) -> Sequence:
     """b_n = (-1)^n Delta^n a(0) = sum_i C(n,i)(-1)^i a_i.  Involutive."""
     table = difference_table(a, a.last_index)
-    return Sequence(
-        tuple(table.rows[n][0] for n in range(a.last_index + 1)), a.step, a.mode
-    )
+    return Sequence(tuple(table.rows[n][0] for n in range(a.last_index + 1)), a.mode)
 
 
 def euler_transform(a: Sequence) -> Sequence:
@@ -199,7 +194,7 @@ def euler_transform(a: Sequence) -> Sequence:
     for n in range(a.last_index + 1):
         v = table.rows[n][0]
         out.append(-v if n % 2 else v)
-    return Sequence(tuple(out), a.step, a.mode)
+    return Sequence(tuple(out), a.mode)
 
 
 def inverse_euler_transform(e: Sequence) -> Sequence:
@@ -208,4 +203,4 @@ def inverse_euler_transform(e: Sequence) -> Sequence:
     for n in range(e.last_index + 1):
         terms = [math.comb(n, i) * e.values[i] for i in range(n + 1)]
         vals.append(sum(terms, Fraction(0)) if e.mode == EXACT else math.fsum(terms))
-    return Sequence(tuple(vals), e.step, e.mode)
+    return Sequence(tuple(vals), e.mode)

@@ -22,6 +22,7 @@ from .errors import DomainError
 from .funcops import FunctionHandle
 
 DEFAULT_N = 100_000
+_CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
 
 
 def _central_derivative(g, x, n):
@@ -42,7 +43,6 @@ class WebsterProblem:
     n_terms: int = DEFAULT_N
     acceleration: str = "aitken"  # "aitken" | "none"
     g_limit_one: bool = False
-    concavity_grid: tuple = tuple(0.25 * (i + 1) for i in range(32))
 
     def __post_init__(self):
         if self.n_terms < 1:
@@ -88,7 +88,7 @@ class WebsterSolution:
         g.reset_budget()
 
         self.log_concave_ok = True
-        for t in p.concavity_grid:
+        for t in _CONCAVITY_GRID:
             lo, mid, hi = g(t), g(1.5 * t), g(2.0 * t)
             if min(lo, mid, hi) <= 0:
                 raise DomainError("g must be positive on the sampled points")

@@ -77,6 +77,10 @@ class TestEval:
         with pytest.raises(ValueError, match="finite"):
             BernsteinTriplet(0.0, 0.0, ((1.0, math.inf),))
 
+    def test_from_dict_names_missing_key(self):
+        with pytest.raises(ValueError, match="'w'"):
+            BernsteinTriplet.from_dict({"levy": [{"x": 1}]})
+
     def test_handle_derivative_is_exact(self):
         t = BernsteinTriplet(0.0, 0.5, ((2.0, 1.5),))
         h = triplet_handle(t)

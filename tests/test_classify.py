@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmtk.classify import (
@@ -28,7 +28,7 @@ from cmtk.classify import (
     is_minimal,
 )
 from cmtk.errors import CertificationError
-from cmtk.seqcore import Sequence
+from cmtk.seqcore import Sequence, difference_table
 
 
 def exact(values):
@@ -123,6 +123,54 @@ class TestCertify:
     def test_ca_soundness_on_discrete_models(self, q, d, atoms, K):
         a = ca_model(q, d, dict(atoms).items(), K)
         assert certify(a, CA, K).verdict == PASS
+
+
+#: float data for the soundness oracle: zeros, subnormals and magnitudes up
+#: to 1e300 (a table of at most 12 terms stays below 2^11 * 1e300, no overflow)
+oracle_floats = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=-2.2250738585072009e-308, max_value=2.2250738585072009e-308),
+    st.floats(min_value=-1e300, max_value=1e300),
+)
+
+
+@st.composite
+def floats_with_bounds(draw):
+    """A float list and either None or nonnegative input bounds for it."""
+    values = draw(st.lists(oracle_floats, min_size=1, max_size=12))
+    bounds = draw(st.none() | st.lists(st.floats(min_value=0.0, max_value=1e300),
+                                       min_size=len(values), max_size=len(values)))
+    return values, bounds
+
+
+class TestFloatSoundnessOracle:
+    """Any float list is also exact data, Fraction(v) for each v.  The float
+    table built by Sequence.from_values must enclose the table of that exact
+    twin within its bounds, and a float pass or fail must be the exact
+    verdict."""
+
+    @given(floats_with_bounds())
+    # fl(2^59 + 128 - 255) = 2^59 - 128, so the float second difference is
+    # 0 where the exact one is -1 (CM) or +1 (CA): only the bound keeps the
+    # float verdict from a false pass
+    @example(([2.0**60, 2.0**59 + 128, 255.0], None))
+    @example(([-(2.0**60), -(2.0**59 + 128), -255.0], None))
+    @settings(max_examples=150, deadline=None)
+    def test_float_table_and_verdicts_agree_with_exact_twin(self, case):
+        values, bounds = case
+        a = Sequence.from_values(values, value_bounds=bounds)
+        twin = Sequence.from_values([Fraction(v) for v in values])
+        assert (a.mode, twin.mode) == ("float", "exact")
+        depth = a.last_index
+        table, exact_table = difference_table(a, depth), difference_table(twin, depth)
+        for n in range(depth + 1):
+            for k, v in enumerate(table.rows[n]):
+                err = abs(Fraction(v) - exact_table.rows[n][k])
+                assert err <= Fraction(table.error_bound(n, k)), (n, k)
+        for kind in (CM, CA):
+            verdict = certify(a, kind, depth).verdict
+            if verdict != INCONCLUSIVE:
+                assert verdict == certify(twin, kind, depth).verdict, kind
 
 
 class TestAtomAtZero:

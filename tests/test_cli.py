@@ -302,6 +302,14 @@ class TestMalformedInput:
         pytest.param('{"command": "certify", "result": {"certificate": {}}}',
                      ["evaluate", "--at", "1"], id="evaluate-report-without-model"),
         pytest.param("[1, 0.5]", ["evaluate", "--at", "1"], id="evaluate-sequence-file"),
+        pytest.param('{"atoms": [{"w": 1}]}', ["evaluate", "--at", "1"],
+                     id="evaluate-atom-without-u"),
+        pytest.param(None, ["lattice", "--kind", "cm", "--builtin", "exp-decay", "--alpha", "-1"],
+                     id="lattice-alpha-negative"),
+        pytest.param(None, ["lattice", "--kind", "cm", "--builtin", "exp-decay", "--alpha", "0"],
+                     id="lattice-alpha-0"),
+        pytest.param("1\n1/2\n1/4\n", ["extend", "--kind", "cm", "--at", "inf"],
+                     id="extend-at-inf-argparse"),
     ])
     def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
         argv = list(argv)
@@ -317,6 +325,25 @@ class TestMalformedInput:
         assert out.out == ""
         assert len(out.err.strip().splitlines()) == 1
         assert out.err.startswith("error: ")
+
+    def _one_line_exit_3(self, capsys, argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        assert code == 3
+        assert out.out == ""
+        assert len(out.err.strip().splitlines()) == 1
+        return out.err
+
+    def test_triplet_atom_without_weight(self, capsys, tmp_path):
+        p = tmp_path / "triplet.json"
+        p.write_text('{"levy": [{"x": 1}]}')
+        err = self._one_line_exit_3(capsys, ["bftheta", "--builtin", f"triplet:{p}"])
+        assert "'w'" in err
+
+    def test_malformed_max_evals(self, capsys, monkeypatch):
+        monkeypatch.setenv("CMTK_MAX_EVALS", "abc")
+        err = self._one_line_exit_3(capsys, ["lattice", "--kind", "cm", "--builtin", "exp-decay"])
+        assert "CMTK_MAX_EVALS" in err
 
 
 def test_evaluate_reads_invert_report(capsys, tmp_path, harmonic_csv):

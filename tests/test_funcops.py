@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +99,12 @@ class TestOperators:
         monkeypatch.setenv("CMTK_MAX_EVALS", "7")
         f = handle(lambda x: x)
         assert f.budget == 7
+
+    @pytest.mark.parametrize("raw", ["abc", "-5", "2.5"])
+    def test_budget_env_must_be_a_nonnegative_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("CMTK_MAX_EVALS", raw)
+        with pytest.raises(ValueError, match="CMTK_MAX_EVALS"):
+            handle(lambda x: x)
 
 
 class TestCMDecompose:
@@ -208,6 +215,19 @@ class TestLattice:
         rep = lattice_check(f, "cm", [1.0, 0.5], depth=40)
         assert rep.partial
         assert not rep.overall_pass
+
+    def test_exact_samples_stay_exact(self):
+        f = handle(lambda x: Fraction(1) / (1 + Fraction(x)))
+        rep = lattice_check(f, "cm", [0.5], depth=12)
+        cert = rep.entries[0].certificate
+        assert (cert.mode, cert.verdict, cert.undecidable) == ("exact", "pass", 0)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_alpha_not_positive_and_finite(self, alpha):
+        f = handle(lambda x: math.exp(-x))
+        with pytest.raises(ValueError, match="alpha"):
+            lattice_check(f, "cm", [1.0, alpha], depth=10)
+        assert f.calls == 0  # checked before any sampling
 
 
 class TestSubaffine:

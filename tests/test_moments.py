@@ -161,6 +161,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(m, -0.5)
 
+    def test_from_dict_names_missing_key(self):
+        with pytest.raises(ValueError, match="'u'"):
+            DiscreteMeasure.from_dict({"atoms": [{"w": 1}]})
+
     def test_inverted_harmonic_at_three(self):
         a = seq_of(lambda k: Fraction(1, k + 1), 20)
         measure, _ = invert_cm(a)
