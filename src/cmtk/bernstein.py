@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import classify, moments
 from .errors import CertificationError, DomainError
 from .funcops import FunctionHandle, sampled_sequence
-from .scalars import EPS
+from .scalars import EPS, json_field
 from .seqcore import Sequence
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
@@ -77,11 +77,11 @@ class BernsteinTriplet:
 
     @classmethod
     def from_dict(cls, data):
-        try:
-            levy = tuple(sorted((a["x"], a["w"]) for a in data.get("levy", [])))
-        except KeyError as exc:
-            raise ValueError(f"levy atom has no {exc} key") from None
-        return cls(float(data.get("q", 0.0)), float(data.get("d", 0.0)), levy)
+        q = json_field(data, "q", "triplet", 0.0)
+        d = json_field(data, "d", "triplet", 0.0)
+        levy = tuple(sorted((json_field(a, "x", "levy atom"), json_field(a, "w", "levy atom"))
+                            for a in json_field(data, "levy", "triplet", [], list)))
+        return cls(q, d, levy)
 
 
 def eval_bernstein(t: BernsteinTriplet, lam) -> float:
@@ -270,13 +270,9 @@ def _derivative_samples(phi: FunctionHandle, count: int):
 def _sd_entry(label: str, seq: Sequence, depth: int, tol) -> SDTestEntry:
     """Certify ``seq`` CA to ``depth`` and, unless that fails, test it for
     minimality (default tol from the depth and the last value)."""
-    cert = classify.certify(seq, classify.CA, depth)
-    minim = None
-    if not cert.failed:
-        if tol is None:
-            tol = _default_sd_tol(depth, seq.values[-1])
-        minim = classify.is_minimal(seq, classify.CA, depth, tol)
-    return SDTestEntry(label, cert, minim)
+    if tol is None:
+        tol = _default_sd_tol(depth, seq.values[-1])
+    return SDTestEntry(label, *classify._certify_minimal(seq, classify.CA, depth, tol))
 
 
 def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
@@ -313,6 +309,8 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
     try:
         dvals, derrs, deriv_err = _derivative_samples(phi, depth + 8)
         finite = all(math.isfinite(float(v)) for v in dvals)
+    except DomainError:  # also a ValueError, but a report, not a non-finite sample
+        raise
     except (OverflowError, ValueError):
         finite = False
     if finite:

@@ -30,26 +30,19 @@ FLOAT_DEPTH_CAP = 40
 _OK, _VIOLATION, _UNDECIDABLE = 0, 1, 2
 
 
-def _entry_status(kind, n, value, bound):
+def _entry_status(kind, value, bound):
     """Classify one table entry against the sign condition of its kind.
 
     A zero bound (exact mode, or float entries with no accumulated error)
     decides by the sign alone; float arithmetic never touches exact values.
     """
+    if kind == CA:  # rows n >= 1 must be <= 0; rounding is symmetric in sign
+        value = -value
     if bound == 0.0:
-        if kind == CM:
-            return _OK if value >= 0 else _VIOLATION
-        return _OK if value <= 0 else _VIOLATION
-    if kind == CM:
-        if value - bound >= 0:
-            return _OK
-        if value + bound < 0:
-            return _VIOLATION
-        return _UNDECIDABLE
-    # CA: rows n >= 1 must be <= 0
-    if value + bound <= 0:
+        return _OK if value >= 0 else _VIOLATION
+    if value - bound >= 0:
         return _OK
-    if value - bound > 0:
+    if value + bound < 0:
         return _VIOLATION
     return _UNDECIDABLE
 
@@ -89,15 +82,10 @@ class Certificate:
 
     def to_dict(self):
         w = self.witness
-        return {
-            "kind": self.kind,
-            "depth": self.depth,
-            "verdict": self.verdict,
-            "witness": None if w is None else {"n": w[0], "k": w[1], "value": w[2]},
-            "min_margin": self.min_margin,
-            "mode": self.mode,
-            "undecidable_entries": self.undecidable,
-        }
+        return {"kind": self.kind, "depth": self.depth, "verdict": self.verdict,
+                "witness": None if w is None else {"n": w[0], "k": w[1], "value": w[2]},
+                "min_margin": self.min_margin, "mode": self.mode,
+                "undecidable_entries": self.undecidable}
 
 
 def certify(a: Sequence, kind: str, depth=None, table: DifferenceTable = None) -> Certificate:
@@ -114,31 +102,30 @@ def certify(a: Sequence, kind: str, depth=None, table: DifferenceTable = None) -
     if table is None or table.depth < depth:
         table = difference_table(a, depth)
 
-    witness = None
-    undecidable = 0
-    min_margin = None
-    n_start = 0 if kind == CM else 1
-    for n in range(n_start, depth + 1):
-        row = table.rows[n]
-        for k in range(len(row)):
-            v = row[k]
+    witness, undecidable, margin = None, 0, None
+    for n in range(0 if kind == CM else 1, depth + 1):
+        row = table.scaled[n]
+        if table.bounds is None:
+            # an exact row that holds its sign is decided by one min or max,
+            # which is also its least |entry|
+            m = min(row) if kind == CM else -max(row)
+            if m >= 0:
+                margin = m if margin is None else min(margin, m)
+                continue
+        for k, v in enumerate(row):
             m = -v if v < 0 else v
-            if min_margin is None or m < min_margin:
-                min_margin = m
-            status = _entry_status(kind, n, v, table.error_bound(n, k))
+            if margin is None or m < margin:
+                margin = m
+            status = _entry_status(kind, v, table.error_bound(n, k))
             if status == _VIOLATION and witness is None:
-                witness = (n, k, v)
+                witness = (n, k, table.unscale(v))
             elif status == _UNDECIDABLE:
                 undecidable += 1
         if witness is not None:
             break
 
-    if witness is not None:
-        verdict = FAIL
-    elif undecidable:
-        verdict = INCONCLUSIVE
-    else:
-        verdict = PASS
+    verdict = FAIL if witness else INCONCLUSIVE if undecidable else PASS
+    min_margin = None if margin is None else table.unscale(margin)
     return Certificate(kind, depth, verdict, witness, min_margin, a.mode, undecidable)
 
 
@@ -173,28 +160,26 @@ def atom_at_zero(a: Sequence, kind: str, depth=None) -> AtomEstimate:
     trail is nonincreasing and converges to nu({0}) (CM) or mu({0}) (CA).
     """
     depth = default_depth(a, depth)
-    table = _certified_table(a, kind, depth)
+    return _atom(_certified_table(a, kind, depth), kind, depth)
+
+
+def _atom(table: DifferenceTable, kind: str, depth: int) -> AtomEstimate:
     if kind == CM:
         ns = range(0, depth + 1)
-        trail = [table.rows[n][0] for n in ns]
+        trail = [table.scaled[n][0] for n in ns]
     else:
         if depth < 2:
             raise ValueError("depth too small: CA atom trail needs depth >= 2")
         ns = range(2, depth + 1)
-        trail = [-table.rows[n][0] for n in ns]
-    if table.bounds is None:
-        monotone_ok = all(
-            trail[i + 1] <= trail[i] for i in range(len(trail) - 1)
-        )
-        last_bound = 0.0
-    else:
-        bounds = [table.error_bound(n, 0) for n in ns]
-        monotone_ok = all(
-            trail[i + 1] <= trail[i] + bounds[i] + bounds[i + 1]
-            for i in range(len(trail) - 1)
-        )
-        last_bound = bounds[-1]
-    return AtomEstimate(tuple(trail), trail[-1], monotone_ok, last_bound)
+        trail = [-table.scaled[n][0] for n in ns]
+    # int zeros in exact mode keep the scaled ints out of float arithmetic
+    bounds = [table.bounds[n][0] for n in ns] if table.bounds else [0] * len(ns)
+    monotone_ok = all(
+        trail[i + 1] <= trail[i] + bounds[i] + bounds[i + 1]
+        for i in range(len(trail) - 1)
+    )
+    trail = tuple(map(table.unscale, trail))
+    return AtomEstimate(trail, trail[-1], monotone_ok, float(bounds[-1]))
 
 
 @dataclass(frozen=True)
@@ -210,11 +195,24 @@ def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport
     Default tol is 1e-6 in exact mode and max(1e-6, 10x the accumulated
     error bound of the trail end) in float mode.
     """
-    atom = atom_at_zero(a, kind, depth)
+    depth = default_depth(a, depth)
+    return _minimality(_certified_table(a, kind, depth), kind, depth, tol)
+
+
+def _minimality(table: DifferenceTable, kind: str, depth: int, tol) -> MinimalityReport:
+    atom = _atom(table, kind, depth)
     if tol is None:
-        tol = 1e-6 if a.mode == EXACT else max(1e-6, 10.0 * atom.error_bound)
+        tol = 1e-6 if table.mode == EXACT else max(1e-6, 10.0 * atom.error_bound)
     minimal = bool(atom.estimate <= tol and atom.monotone_ok)
     return MinimalityReport(minimal, atom, float(tol))
+
+
+def _certify_minimal(a: Sequence, kind: str, depth: int, tol):
+    """certify, then is_minimal unless the certificate failed, from one table;
+    returns (certificate, MinimalityReport or None)."""
+    table = difference_table(a, depth)
+    cert = certify(a, kind, depth, table=table)
+    return cert, None if cert.failed else _minimality(table, kind, depth, tol)
 
 
 STRICT = "strict"
@@ -234,21 +232,18 @@ def degenerate_classify(a: Sequence, kind: str, depth=None) -> str:
     degenerate = CONSTANT_TAIL if kind == CM else AFFINE_TAIL
 
     for n in range(1, depth + 1):
-        row = table.rows[n]
-        for k in range(len(row)):
-            if table.bounds is None:
-                if row[k] == 0:
-                    return degenerate
-            elif abs(row[k]) <= table.error_bound(n, k):
+        row = table.scaled[n]
+        if table.bounds is None:
+            if 0 in row:
                 return degenerate
+        elif any(map(lambda v, e: abs(v) <= e, row, table.bounds[n])):
+            return degenerate
 
     vals = a.values
-    if kind == CM:
-        if len(vals) >= 3 and all(v == vals[1] for v in vals[2:]):
+    if kind == CM and len(vals) >= 3 and all(v == vals[1] for v in vals[2:]):
+        return degenerate
+    if kind == CA and len(vals) >= 4:
+        d = vals[2] - vals[1]
+        if all(vals[k] == vals[1] + (k - 1) * d for k in range(3, len(vals))):
             return degenerate
-    else:
-        if len(vals) >= 4:
-            d = vals[2] - vals[1]
-            if all(vals[k] == vals[1] + (k - 1) * d for k in range(3, len(vals))):
-                return degenerate
     return STRICT

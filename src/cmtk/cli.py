@@ -339,14 +339,14 @@ def main(argv=None) -> int:
 
     try:
         code, result = args.fn(args)
-    except (OSError, ValueError, ZeroDivisionError) as exc:  # JSONDecodeError is a ValueError
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except CmtkError as exc:
+    except CmtkError as exc:  # before ValueError: a DomainError is both
         code = EXIT_INCONCLUSIVE if isinstance(exc, BudgetExceededError) else EXIT_FAIL
         result = {"error": str(exc)}
         if getattr(exc, "certificate", None):
             result["certificate"] = exc.certificate
+    except (OSError, ValueError, ZeroDivisionError) as exc:  # JSONDecodeError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     report = {
         "command": args.command,

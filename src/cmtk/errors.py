@@ -29,5 +29,9 @@ class BudgetExceededError(CmtkError):
     """A function handle ran out of its evaluation budget."""
 
 
-class DomainError(CmtkError):
-    """Argument outside the domain a handle or operator supports."""
+class DomainError(CmtkError, ValueError):
+    """Argument outside the domain a handle or operator supports.
+
+    Also a ValueError, the type of a bad argument; the CLI reports it as a
+    CmtkError (exit 1).
+    """

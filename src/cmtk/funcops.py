@@ -326,11 +326,7 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
                 slope = abs(hi - lo) / (2.0 * alpha)
                 bounds.append(EPS * (abs(vals[i]) + slope * abs(x)))
             seq = Sequence.from_values(vals, value_bounds=bounds)
-            cert = classify.certify(seq, kind, depth)
-            minim = None
-            if not cert.failed:
-                minim = classify.is_minimal(seq, kind, depth, tol)
-            entries.append(LatticeEntry(alpha, cert, minim))
+            entries.append(LatticeEntry(alpha, *classify._certify_minimal(seq, kind, depth, tol)))
         except BudgetExceededError:
             partial = True
             break

@@ -22,7 +22,8 @@ import numpy as np
 from scipy.optimize import nnls
 
 from . import classify
-from .errors import CertificationError, NotRepresentableError
+from .errors import CertificationError, DomainError, NotRepresentableError
+from .scalars import json_field, parse_scalar
 from .seqcore import Sequence
 
 DEFAULT_GRID = 200
@@ -75,10 +76,8 @@ class DiscreteMeasure:
 
     @classmethod
     def from_dict(cls, data):
-        try:
-            atoms = [(float(a["u"]), float(a["w"])) for a in data["atoms"]]
-        except KeyError as exc:
-            raise ValueError(f"measure atom has no {exc} key") from None
+        atoms = [(json_field(a, "u", "measure atom"), json_field(a, "w", "measure atom"))
+                 for a in json_field(data, "atoms", "measure", kind=list)]
         return cls(tuple(sorted(atoms)))
 
 
@@ -112,11 +111,10 @@ class CATriplet:
 
     @classmethod
     def from_dict(cls, data):
-        from .scalars import parse_scalar
-
-        q = data.get("q", 0)
-        q = parse_scalar(q) if isinstance(q, str) else q
-        return cls(q, float(data.get("d", 0.0)), DiscreteMeasure.from_dict(data))
+        d = json_field(data, "d", "CA triplet", 0.0)
+        q = data.get("q")
+        q = parse_scalar(q) if isinstance(q, str) else json_field(data, "q", "CA triplet", 0.0)
+        return cls(q, d, DiscreteMeasure.from_dict(data))
 
 
 @dataclass(frozen=True)
@@ -145,7 +143,7 @@ class ExponentialMeasure:
     def laplace(self, lam: float) -> float:
         """integral e^{-lam x}; the infinity atom counts only at lam = 0."""
         if lam < 0:
-            raise ValueError("lambda must be nonnegative")
+            raise DomainError("lambda must be nonnegative")
         val = math.fsum(w * math.exp(-lam * x) for x, w in self.atoms)
         if lam == 0:
             val += self.mass_at_infinity
@@ -155,7 +153,7 @@ class ExponentialMeasure:
         """q + d*lam + integral (1 - e^{-lam x}); infinity atom contributes
         its full mass for lam > 0 and nothing at lam = 0."""
         if lam < 0:
-            raise ValueError("lambda must be nonnegative")
+            raise DomainError("lambda must be nonnegative")
         val = float(q) + d * lam + math.fsum(
             w * -math.expm1(-lam * x) for x, w in self.atoms
         )
@@ -325,7 +323,7 @@ def evaluate(m, lam) -> float:
     """
     lam = float(lam)
     if lam < 0:
-        raise ValueError("lambda must be nonnegative")
+        raise DomainError("lambda must be nonnegative")
     if isinstance(m, ExponentialTriplet):
         return m.measure.bernstein(lam, m.q, m.d)
     if isinstance(m, CATriplet):

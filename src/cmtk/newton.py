@@ -131,11 +131,11 @@ def series_from_samples(samples: Sequence) -> NewtonSeries:
     N = samples.last_index
     table = difference_table(samples, N)
     coeffs = []
-    for n in range(N + 1):
-        delta = table.rows[n][0] * (-1 if n % 2 else 1)  # undo the sign fold
+    for n, row in enumerate(table.scaled):
+        delta = -row[0] if n % 2 else row[0]  # undo the sign fold
         fact = math.factorial(n)
         if samples.mode == EXACT:
-            coeffs.append(delta / Fraction(fact))
+            coeffs.append(Fraction(delta, table.scale * fact))
         else:
             coeffs.append(delta / fact)
     return NewtonSeries(tuple(coeffs), samples.values, samples.mode)

@@ -73,3 +73,28 @@ def scalar_to_json(value):
         return value
     return float(value)
 
+
+def json_field(data, key, where, default=None, kind=float):
+    """data[key] for a field of the JSON object ``data``, read as a float
+    (``kind=float``) or a list (``kind=list``); ``default`` when the key is
+    absent and a default is given.
+
+    Raises a ValueError that names the field when ``data`` is not an object
+    or the field is missing or of the wrong kind.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    if key not in data:
+        if default is None:
+            raise ValueError(f"{where} has no {key!r} key")
+        return default
+    value = data[key]
+    if kind is list and isinstance(value, list):
+        return value
+    if kind is float:
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    what = "a list" if kind is list else "a number"
+    raise ValueError(f"{where} field {key!r} is not {what}: {value!r:.40}")

@@ -5,10 +5,11 @@ The central object is the sign-folded difference table
     D[n][k] = (-1)^n Delta^n a(k),   n + k <= K,
 
 built by the recurrence D[n][k] = D[n-1][k] - D[n-1][k+1].  Entries are
-exact when the sequence is exact; in float mode every entry carries a
-running error bound (inputs assumed correctly rounded, half an ulp each,
-plus one rounding per subtraction) so that sign decisions downstream can
-distinguish "certified" from "undecidable".
+exact when the sequence is exact (the recurrence runs on Python ints: the
+sequence times the lcm of its denominators); in float mode every entry
+carries a running error bound (inputs assumed correctly rounded, half an
+ulp each, plus one rounding per subtraction) so that sign decisions
+downstream can distinguish "certified" from "undecidable".
 """
 
 from __future__ import annotations
@@ -16,7 +17,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .scalars import EPS, EXACT, FLOAT, coerce_values, parse_scalar
@@ -115,20 +118,32 @@ def read_sequence(path, mode=None) -> Sequence:
 class DifferenceTable:
     """Triangular array rows[n][k] = (-1)^n Delta^n a(k), n <= depth, n+k <= K.
 
-    ``bounds`` mirrors ``rows`` with per-entry absolute error bounds in float
-    mode and is None in exact mode.
+    ``scaled`` holds the entries times ``scale``: in exact mode Python ints
+    and L, the lcm of the input denominators (L > 0 keeps signs and order,
+    so verdicts are read off the ints; ``unscale`` gives x / L); in float
+    mode the float entries and 1, with per-entry absolute error bounds in
+    ``bounds`` (None in exact mode).
     """
 
-    rows: tuple
+    scaled: tuple
     bounds: tuple | None
     mode: str
     depth: int
     last_index: int
+    scale: int = 1
+
+    @cached_property
+    def rows(self):
+        """The entries themselves: Fractions in exact mode, built on first use."""
+        if self.mode != EXACT:
+            return self.scaled
+        return tuple(tuple(map(self.unscale, row)) for row in self.scaled)
+
+    def unscale(self, x):
+        return Fraction(x, self.scale) if self.mode == EXACT else x
 
     def error_bound(self, n: int, k: int) -> float:
-        if self.bounds is None:
-            return 0.0
-        return self.bounds[n][k]
+        return 0.0 if self.bounds is None else self.bounds[n][k]
 
 
 def difference_table(a: Sequence, depth: int) -> DifferenceTable:
@@ -140,29 +155,21 @@ def difference_table(a: Sequence, depth: int) -> DifferenceTable:
         raise ValueError(
             f"insufficient data: depth {depth} exceeds last index {K}"
         )
-    rows = [list(a.values)]
     if a.mode == EXACT:
-        for n in range(1, depth + 1):
-            prev = rows[-1]
-            rows.append([prev[k] - prev[k + 1] for k in range(K - n + 1)])
-        return DifferenceTable(tuple(map(tuple, rows)), None, EXACT, depth, K)
-
-    if a.value_bounds is not None:
-        bounds = [list(a.value_bounds)]
+        scale = math.lcm(*(v.denominator for v in a.values))
+        rows = [tuple([v.numerator * (scale // v.denominator) for v in a.values])]
     else:
-        bounds = [[EPS * abs(v) for v in rows[0]]]
-    for n in range(1, depth + 1):
-        prev, eprev = rows[-1], bounds[-1]
-        row, erow = [], []
-        for k in range(K - n + 1):
-            v = prev[k] - prev[k + 1]
-            row.append(v)
-            erow.append(eprev[k] + eprev[k + 1] + EPS * abs(v))
-        rows.append(row)
-        bounds.append(erow)
-    return DifferenceTable(
-        tuple(map(tuple, rows)), tuple(map(tuple, bounds)), FLOAT, depth, K
-    )
+        rows = [tuple(a.values)]
+    for _ in range(depth):  # via a list: a tuple grown from an iterator fragments the heap
+        rows.append(tuple(list(map(operator.sub, rows[-1], rows[-1][1:]))))
+    if a.mode == EXACT:
+        return DifferenceTable(tuple(rows), None, EXACT, depth, K, scale)
+
+    bounds = [a.value_bounds or tuple([EPS * abs(v) for v in a.values])]
+    for row in rows[1:]:  # the bounds of the two operands plus one rounding
+        prev = bounds[-1]
+        bounds.append(tuple([x + y + EPS * abs(v) for x, y, v in zip(prev, prev[1:], row)]))
+    return DifferenceTable(tuple(rows), tuple(bounds), FLOAT, depth, K)
 
 
 def closed_form_entry(a: Sequence, n: int, k: int):
@@ -184,17 +191,14 @@ def closed_form_entry(a: Sequence, n: int, k: int):
 def binomial_transform(a: Sequence) -> Sequence:
     """b_n = (-1)^n Delta^n a(0) = sum_i C(n,i)(-1)^i a_i.  Involutive."""
     table = difference_table(a, a.last_index)
-    return Sequence(tuple(table.rows[n][0] for n in range(a.last_index + 1)), a.mode)
+    return Sequence(tuple(table.unscale(row[0]) for row in table.scaled), a.mode)
 
 
 def euler_transform(a: Sequence) -> Sequence:
     """(Delta^n a(0))_n.  One-to-one with ``a`` (inverse below)."""
     table = difference_table(a, a.last_index)
-    out = []
-    for n in range(a.last_index + 1):
-        v = table.rows[n][0]
-        out.append(-v if n % 2 else v)
-    return Sequence(tuple(out), a.mode)
+    out = (-row[0] if n % 2 else row[0] for n, row in enumerate(table.scaled))
+    return Sequence(tuple(map(table.unscale, out)), a.mode)
 
 
 def inverse_euler_transform(e: Sequence) -> Sequence:

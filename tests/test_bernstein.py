@@ -24,7 +24,7 @@ from cmtk.builtins import (
     sqrt_triplet_handle,
     square_handle,
 )
-from cmtk.errors import CertificationError
+from cmtk.errors import CertificationError, DomainError
 from cmtk.funcops import make_handle
 from cmtk.moments import invert_ca
 from cmtk.seqcore import Sequence
@@ -80,6 +80,17 @@ class TestEval:
     def test_from_dict_names_missing_key(self):
         with pytest.raises(ValueError, match="'w'"):
             BernsteinTriplet.from_dict({"levy": [{"x": 1}]})
+
+    @pytest.mark.parametrize("data, field", [
+        ([{"x": 1, "w": 1}], "triplet must be a JSON object"),
+        ({"levy": [{"x": None, "w": 1}]}, "'x'"),
+        ({"levy": [[1, 1]]}, "levy atom must be a JSON object"),
+        ({"levy": 3}, "'levy'"),
+        ({"q": None}, "'q'"),
+    ])
+    def test_from_dict_names_malformed_field(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            BernsteinTriplet.from_dict(data)
 
     def test_handle_derivative_is_exact(self):
         t = BernsteinTriplet(0.0, 0.5, ((2.0, 1.5),))
@@ -216,6 +227,16 @@ class TestSelfDecomposable:
     def test_caveat_always_present(self):
         rep = check_selfdecomposable(linear_handle())
         assert any("holomorphic" in c for c in rep.caveats)
+
+    def test_domain_error_of_the_derivative_propagates(self):
+        # a DomainError is also a ValueError; it must not read as a
+        # non-finite derivative sample that skips the derivative test
+        def derivative(lam):
+            raise DomainError("derivative undefined here")
+
+        phi = make_handle(math.log1p, "log1p", derivative=derivative)
+        with pytest.raises(DomainError, match="derivative undefined"):
+            check_selfdecomposable(phi, depth=12)
 
     def test_central_difference_fallback(self):
         phi = make_handle(lambda lam: math.log1p(lam), "log1p-noderiv")

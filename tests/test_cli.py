@@ -280,6 +280,17 @@ class TestErrorReports:
         assert code == 1
         assert report["result"] == {"error": "lambda must be nonnegative"}
 
+    @pytest.mark.parametrize("model", [
+        {"atoms": [{"u": 0.5, "w": 1.0}]},
+        {"q": 1, "d": 0.5, "atoms": [{"u": 0.5, "w": 1.0}]},
+    ], ids=["measure", "ca-triplet"])
+    def test_negative_lambda_writes_report_for_every_model(self, capsys, tmp_path, model):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(model))
+        code, report, _ = run(capsys, "evaluate", str(p), "--at", "-1")
+        assert code == 1
+        assert report["result"] == {"error": "lambda must be nonnegative"}
+
 
 class TestMalformedInput:
     """Non-finite and out-of-range input: exit 3, one stderr line, no
@@ -310,6 +321,9 @@ class TestMalformedInput:
                      id="lattice-alpha-0"),
         pytest.param("1\n1/2\n1/4\n", ["extend", "--kind", "cm", "--at", "inf"],
                      id="extend-at-inf-argparse"),
+        pytest.param('{"atoms": [1]}', ["evaluate", "--at", "1"], id="evaluate-atom-not-object"),
+        pytest.param('{"q": 1, "atoms": [{"u": null, "w": 1}]}', ["evaluate", "--at", "1"],
+                     id="evaluate-ca-atom-null"),
     ])
     def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
         argv = list(argv)
@@ -339,6 +353,17 @@ class TestMalformedInput:
         p.write_text('{"levy": [{"x": 1}]}')
         err = self._one_line_exit_3(capsys, ["bftheta", "--builtin", f"triplet:{p}"])
         assert "'w'" in err
+
+    @pytest.mark.parametrize("text, field", [
+        pytest.param('[{"x": 1, "w": 1}]', "triplet", id="array"),
+        pytest.param('{"levy": [{"x": null, "w": 1}]}', "'x'", id="null-x"),
+        pytest.param('{"levy": {"x": 1, "w": 1}}', "'levy'", id="levy-not-list"),
+    ])
+    def test_triplet_file_malformed(self, capsys, tmp_path, text, field):
+        p = tmp_path / "triplet.json"
+        p.write_text(text)
+        err = self._one_line_exit_3(capsys, ["bftheta", "--builtin", f"triplet:{p}"])
+        assert field in err
 
     def test_malformed_max_evals(self, capsys, monkeypatch):
         monkeypatch.setenv("CMTK_MAX_EVALS", "abc")

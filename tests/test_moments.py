@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from cmtk.errors import CertificationError, NotRepresentableError
+from cmtk.errors import CertificationError, DomainError, NotRepresentableError
 from cmtk.moments import (
     CATriplet,
     DiscreteMeasure,
@@ -164,6 +164,33 @@ class TestEvaluate:
     def test_from_dict_names_missing_key(self):
         with pytest.raises(ValueError, match="'u'"):
             DiscreteMeasure.from_dict({"atoms": [{"w": 1}]})
+
+    def test_negative_lambda_is_a_domain_error(self):
+        m = DiscreteMeasure(((0.0, 0.0), (1.0, 1.0)))
+        with pytest.raises(DomainError):
+            evaluate(m, -0.5)
+        with pytest.raises(DomainError):
+            evaluate(CATriplet(0, 1.0, DiscreteMeasure(((0.5, 1.0),))), -0.5)
+
+    @pytest.mark.parametrize("data, field", [
+        ({"atoms": [1]}, "measure atom must be a JSON object"),
+        ({"atoms": 5}, "'atoms'"),
+        ({"atoms": [{"u": None, "w": 1}]}, "'u'"),
+        ({"atoms": [{"u": 0.5, "w": [1]}]}, "'w'"),
+        ({}, "'atoms'"),
+    ])
+    def test_from_dict_names_malformed_field(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            DiscreteMeasure.from_dict(data)
+
+    @pytest.mark.parametrize("data, field", [
+        ({"q": None, "atoms": []}, "'q'"),
+        ({"d": "x", "atoms": []}, "'d'"),
+        ([1, 2], "CA triplet must be a JSON object"),
+    ])
+    def test_ca_triplet_from_dict_names_malformed_field(self, data, field):
+        with pytest.raises(ValueError, match=field):
+            CATriplet.from_dict(data)
 
     def test_inverted_harmonic_at_three(self):
         a = seq_of(lambda k: Fraction(1, k + 1), 20)

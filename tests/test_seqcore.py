@@ -211,3 +211,166 @@ class TestIO:
         p = tmp_path / "seq.csv"
         p.write_text("0.05\n")
         assert read_sequence(p).values[0] == Fraction(1, 20)
+
+
+# -- the integer-scaled exact kernel against plain Fraction arithmetic ---------
+
+def fraction_rows(values, depth):
+    """Plain Fraction recurrence D[n][k] = D[n-1][k] - D[n-1][k+1]."""
+    rows = [list(values)]
+    for _ in range(depth):
+        prev = rows[-1]
+        rows.append([prev[k] - prev[k + 1] for k in range(len(prev) - 1)])
+    return rows
+
+
+def fraction_certify(values, kind, depth):
+    """Plain Fraction sign scan: (verdict, witness, min_margin), row-major,
+    stopping after the row that holds the first violation."""
+    rows = fraction_rows(values, depth)
+    witness, margin = None, None
+    for n in range(0 if kind == "cm" else 1, depth + 1):
+        for k, v in enumerate(rows[n]):
+            if margin is None or abs(v) < margin:
+                margin = abs(v)
+            if witness is None and (v < 0 if kind == "cm" else v > 0):
+                witness = (n, k, v)
+        if witness is not None:
+            break
+    return ("fail" if witness else "pass"), witness, margin
+
+
+def degenerate_tail(values, kind):
+    """Constant from index 1 (CM) or affine from index 1 (CA)."""
+    if kind == "cm":
+        return len(values) >= 3 and all(v == values[1] for v in values[2:])
+    d = values[2] - values[1] if len(values) >= 4 else None
+    return d is not None and all(values[k] == values[1] + (k - 1) * d
+                                 for k in range(3, len(values)))
+
+
+FIRST_60_PRIMES = [p for p in range(2, 282) if all(p % d for d in range(2, p))]
+
+big_rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-50, 50).map(Fraction),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**12)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.sampled_from(FIRST_60_PRIMES)),
+)
+
+
+@st.composite
+def exact_cases(draw):
+    values = draw(st.lists(big_rationals, min_size=1, max_size=18))
+    return values, draw(st.integers(0, len(values) - 1))
+
+
+class TestIntegerScaledKernel:
+    """The exact table runs on ints scaled by the lcm of the denominators;
+    every entry, verdict, witness and margin it reports must be the one that
+    plain Fraction arithmetic gives."""
+
+    def check(self, values, depth):
+        from cmtk.classify import CA, CM, atom_at_zero, certify, degenerate_classify
+        from cmtk.errors import CertificationError
+        from cmtk.newton import series_from_samples
+
+        a = Sequence.from_values(values)
+        assert a.mode == "exact"
+        rows = fraction_rows(a.values, depth)
+        table = difference_table(a, depth)
+        assert table.scale == math.lcm(*(v.denominator for v in a.values))
+        assert [list(r) for r in table.rows] == rows
+        for n, row in enumerate(table.scaled):
+            assert all(type(x) is int for x in row)
+            assert [Fraction(x, table.scale) for x in row] == rows[n]
+        for kind in (CM, CA):
+            cert = certify(a, kind, depth)
+            assert (cert.verdict, cert.witness, cert.min_margin) == \
+                fraction_certify(a.values, kind, depth)
+            assert cert.undecidable == 0
+            if kind == CA and depth < 2:
+                continue
+            if cert.failed:
+                with pytest.raises(CertificationError):
+                    atom_at_zero(a, kind, depth)
+                continue
+            zero = any(0 in rows[n] for n in range(1, depth + 1))
+            assert (degenerate_classify(a, kind, depth) != "strict") == \
+                (zero or degenerate_tail(a.values, kind))
+            ns = range(depth + 1) if kind == CM else range(2, depth + 1)
+            trail = [rows[n][0] if kind == CM else -rows[n][0] for n in ns]
+            est = atom_at_zero(a, kind, depth)
+            assert est.trail == tuple(trail)
+            assert est.estimate == trail[-1]
+            assert est.monotone_ok == all(y <= x for x, y in zip(trail, trail[1:]))
+            assert est.error_bound == 0.0
+        full = fraction_rows(a.values, a.last_index)
+        coeffs = [(-1) ** n * full[n][0] / math.factorial(n) for n in range(len(values))]
+        series = series_from_samples(a)
+        assert list(series.coeffs) == coeffs
+        assert all(type(c) is Fraction for c in series.coeffs)
+        assert binomial_transform(a).values == tuple(r[0] for r in full)
+
+    @given(exact_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_arithmetic(self, case):
+        self.check(*case)
+
+    def test_first_60_prime_denominators(self):
+        # L is the product of the first 60 primes, a 350-bit int
+        values = [Fraction((-1) ** (k // 7) * (k + 1), p) for k, p in enumerate(FIRST_60_PRIMES)]
+        assert len(values) == 60
+        self.check(values, 59)
+        assert difference_table(Sequence.from_values(values), 3).scale == math.prod(FIRST_60_PRIMES)
+
+    def test_ca_at_depth_zero_scans_nothing(self):
+        from cmtk.classify import CA, certify
+
+        cert = certify(Sequence.from_values([Fraction(1, 3), Fraction(5, 7)]), CA, 0)
+        assert (cert.verdict, cert.witness, cert.min_margin, cert.depth) == ("pass", None, None, 0)
+
+
+def reference_float_table(values, value_bounds, depth):
+    """The float table and bounds as the per-entry loop computes them."""
+    eps = 2.0 ** -52
+    rows = [list(values)]
+    if value_bounds is not None:
+        bounds = [list(value_bounds)]
+    else:
+        bounds = [[eps * abs(v) for v in rows[0]]]
+    for n in range(1, depth + 1):
+        prev, eprev = rows[-1], bounds[-1]
+        row, erow = [], []
+        for k in range(len(values) - n):
+            v = prev[k] - prev[k + 1]
+            row.append(v)
+            erow.append(eprev[k] + eprev[k + 1] + eps * abs(v))
+        rows.append(row)
+        bounds.append(erow)
+    return rows, bounds
+
+
+def bits(rows):
+    """Entries as hex strings, which tell -0.0 from 0.0 and match nan to nan."""
+    return [[x.hex() for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("with_bounds", [False, True], ids=["ulp-bounds", "value-bounds"])
+def test_float_table_is_bit_identical_to_the_loop(seed, with_bounds):
+    rng = random.Random(seed)
+    size = rng.randint(1, 40)
+    pick = [lambda: rng.uniform(-2.0, 2.0), lambda: rng.uniform(-1e300, 1e300),
+            lambda: rng.uniform(-1e-310, 1e-310), lambda: 0.0, lambda: -0.0,
+            lambda: 1.0 / (rng.randint(1, 10**6))]
+    values = [rng.choice(pick)() for _ in range(size)]
+    bounds = [abs(rng.gauss(0.0, 1e-12)) for _ in range(size)] if with_bounds else None
+    a = Sequence.from_values(values, value_bounds=bounds)
+    assert a.mode == "float"
+    depth = rng.randint(0, size - 1)
+    table = difference_table(a, depth)
+    rows, ebounds = reference_float_table(values, bounds, depth)
+    assert bits(table.rows) == bits(rows)
+    assert bits(table.bounds) == bits(ebounds)
+    assert table.scale == 1 and table.scaled is table.rows
