@@ -8,15 +8,7 @@ sums can be accelerated.
 
 from fractions import Fraction
 
-from cmtk import (
-    Sequence,
-    basis_convert,
-    eval_series,
-    exponential_type_check,
-    extrapolate_series,
-    falling_factorial,
-    series_from_samples,
-)
+from cmtk import Sequence, eval_series, extrapolate_series, series_from_samples
 
 # 2^-z: forward differences (-1/2)^k, so terms shrink geometrically.
 geometric = Sequence.from_values([Fraction(1, 2**k) for k in range(60)])
@@ -51,17 +43,6 @@ print(f"1/(1+z)^2 at z=1/2: partial sum error {abs(float(x.partial.value) - 4 / 
       f"extrapolated error {abs(float(x.value) - 4 / 9):.1e} "
       f"(estimate {x.error_estimate:.1e})")
 
-# Falling factorials and the Stirling change of basis.
-print("falling_factorial(5, 3) =", falling_factorial(5, 3))
-print("z^3 in the falling basis:", basis_convert([0, 0, 0, 1], "power-to-falling"))
-print("and back:", basis_convert(
-    basis_convert([0, 0, 0, 1], "power-to-falling"), "falling-to-power"))
-
 # Off the right half-plane the series has no business converging.
 warned = eval_series(s_geo, -2.5)
 print("warnings at z=-2.5:", warned.warnings)
-
-# Norlund's growth condition |f(x)| <= C e^{D|x|}, spot-checked on samples.
-xs = [0.1 * i for i in range(1, 500)]
-ok = exponential_type_check(xs, [x**0.5 for x in xs], C=1.0, D=1.0)
-print("sqrt is exponential type (C=1, D=1):", ok.ok)

@@ -55,12 +55,8 @@ from .moments import (
 from .newton import (
     NewtonSeries,
     ExtrapolatedValue,
-    StirlingTable,
-    basis_convert,
     eval_series,
-    exponential_type_check,
     extrapolate_series,
-    falling_factorial,
     series_from_samples,
 )
 from .seqcore import (

@@ -23,7 +23,7 @@ from . import classify, moments
 from .errors import CertificationError, DomainError
 from .funcops import FunctionHandle, sampled_sequence
 from .scalars import EPS, json_field
-from .seqcore import Sequence
+from .seqcore import Sequence, difference_table
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
 #: arguments 1 - e^{-k X_FAR} is 1 to double precision, matching the u = 0
@@ -128,15 +128,18 @@ def extract_triplet(phi: FunctionHandle, tol: float = 1e-10):
         raise DomainError("extraction needs the value at 0")
     phi.reset_budget()
     seq = sampled_sequence(phi, [float(k) for k in range(31)])
-    # 15 keeps conclusive verdicts for float samples; deeper rows of bounded
-    # sequences sink below the propagated noise
-    cert = classify.certify(seq, classify.CA, 15)
+    # one table serves the reported certificate and the fit's full-depth
+    # one; 15 keeps conclusive verdicts for float samples, as deeper rows of
+    # bounded sequences sink below the propagated noise
+    table = difference_table(seq, classify.default_depth(seq))
+    cert = classify.certify(seq, classify.CA, 15, table)
     if cert.failed:
         raise CertificationError("samples are not completely alternating", cert)
 
     q = float(seq.values[0])
     d = max(0.0, float(phi(1e7 + 1.0) - phi(1e7)))
-    triplet, fit = moments.invert_ca(seq, 200, tol, drift=d)
+    moments._certify_or_raise(seq, classify.CA, table)
+    triplet, fit = moments._fit_ca(seq, 200, tol, d)
     exp_measure = moments.to_exponential(triplet.measure)
     atoms = dict(exp_measure.atoms)
     if exp_measure.mass_at_infinity > 0.0:
@@ -183,6 +186,8 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_THETA_CS,
     entries = []
     for c in cs:
         c = float(c)
+        if c <= 0:
+            raise ValueError("c must be positive")
         c_exact = Fraction(c)
         phi.reset_budget()
         phi_0, phi_c = phi(0), phi(c_exact)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .bernstein import BernsteinTriplet, triplet_handle
 from .funcops import FunctionHandle
-from .scalars import is_exact
+from .scalars import is_exact, parse_scalar
 
 
 def _reciprocal(x):
@@ -147,7 +147,11 @@ def webster_identity(budget=None):
 
 def webster_constant(c, budget=None):
     """g = e^c: the solution is e^{c(x-1)}."""
-    g = math.exp(c)
+    try:
+        c = float(c)
+        g = math.exp(c)
+    except OverflowError:
+        raise ValueError(f"constant:{c!s:.40}: e^c is beyond float range") from None
     return FunctionHandle(
         lambda x: g, f"g-constant({c:g})", False,
         derivative=lambda x: 0.0, budget=budget,
@@ -172,7 +176,7 @@ WEBSTER_BUILTINS = {
 
 def get_webster_g(name: str, budget=None) -> FunctionHandle:
     if name.startswith("constant:"):
-        return webster_constant(float(name.partition(":")[2]), budget)
+        return webster_constant(parse_scalar(name.partition(":")[2]), budget)
     try:
         factory = WEBSTER_BUILTINS[name]
     except KeyError:

@@ -28,7 +28,7 @@ import sys
 
 from . import bernstein, builtins as handles, classify, funcops, moments, webster
 from .errors import BudgetExceededError, CmtkError
-from .scalars import parse_scalar, scalar_to_json
+from .scalars import FLOAT, coerce_values, parse_scalar, scalar_to_json
 from .seqcore import Sequence, read_sequence
 from .newton import eval_series, series_from_samples
 
@@ -41,8 +41,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _float(text):
+    """Type of every float option: parse_scalar's grammar (finite numbers
+    only) within float range."""
+    return coerce_values([parse_scalar(text)], FLOAT)[0][0]
+
+
+def _scalar(text):
+    """Type of an exact scalar option: checked as _float, kept as text."""
+    _float(text)
+    return text
+
+
 def _floats(text):
-    return [float(parse_scalar(tok)) for tok in text.split(",") if tok.strip()]
+    values = [_float(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError("expected at least one number")
+    return values
 
 
 def _verdict_code(verdict):
@@ -105,15 +120,12 @@ def _cmd_evaluate(args):
     if not isinstance(data, dict) or not {"levy", "atoms"} & data.keys():
         raise ValueError(f"{args.input}: no measure, triplet or report with a model")
     if "levy" in data:
-        t = bernstein.BernsteinTriplet.from_dict(data)
-        values = [[lam, bernstein.eval_bernstein(t, lam)] for lam in args.at]
+        model, value = bernstein.BernsteinTriplet.from_dict(data), bernstein.eval_bernstein
     elif "q" in data or "d" in data:
-        t = moments.CATriplet.from_dict(data)
-        values = [[lam, moments.evaluate(t, lam)] for lam in args.at]
+        model, value = moments.CATriplet.from_dict(data), moments.evaluate
     else:
-        m = moments.DiscreteMeasure.from_dict(data)
-        values = [[lam, moments.evaluate(m, lam)] for lam in args.at]
-    return EXIT_PASS, {"values": values}
+        model, value = moments.DiscreteMeasure.from_dict(data), moments.evaluate
+    return EXIT_PASS, {"values": [[lam, value(model, lam)] for lam in args.at]}
 
 
 def _cmd_extend(args):
@@ -144,13 +156,10 @@ def _cmd_webster(args):
         g_limit_one=args.g_limit_one or args.g == "exp-neg-cm",
     )
     solution = webster.WebsterSolution(problem)
-    results = [solution.result(x) for x in args.at]
-    residual = None
+    out = {"solutions": [solution.result(x) for x in args.at]}
     if args.check_grid:
-        residual = webster.verify_functional_equation(solution, g, args.check_grid)
-    out = {"solutions": results}
-    if residual is not None:
-        out["functional_equation_residual"] = residual
+        out["functional_equation_residual"] = webster.verify_functional_equation(
+            solution, g, args.check_grid)
     return EXIT_PASS, out
 
 
@@ -225,7 +234,7 @@ def build_parser() -> _Parser:
             sp.add_argument("--kind", choices=[classify.CM, classify.CA], required=True)
         if grid:
             sp.add_argument("--grid", type=int, default=moments.DEFAULT_GRID)
-            sp.add_argument("--tol", type=float, default=moments.DEFAULT_TOL)
+            sp.add_argument("--tol", type=_float, default=moments.DEFAULT_TOL)
         if c_default is not None:
             sp.add_argument("--c", type=_floats, default=list(c_default))
 
@@ -237,7 +246,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("minimal", help="atom-at-zero / minimality check")
     common(sp, seq=True, kind=True)
     sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_float, default=None)
     sp.set_defaults(fn=_cmd_minimal)
 
     sp = sub.add_parser("invert", help="moment inversion")
@@ -259,7 +268,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("newton", help="Gregory-Newton series")
     sp.add_argument("action", choices=["fit", "eval"])
     common(sp, seq=True)
-    sp.add_argument("--at", default="0.5", help="evaluation point (eval only)")
+    sp.add_argument("--at", type=_scalar, default="0.5", help="evaluation point (eval only)")
     sp.add_argument("--terms", type=int, default=None)
     sp.set_defaults(fn=_cmd_newton)
 
@@ -296,13 +305,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--builtin", required=True)
     sp.add_argument("--alpha", type=_floats, default=[1.0, 0.5])
     sp.add_argument("--depth", type=int, default=20)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_float, default=None)
     sp.set_defaults(fn=_cmd_lattice)
 
     sp = sub.add_parser("subaffine", help="bounded-increment check")
     common(sp, c_default=(1.0,))
     sp.add_argument("--builtin", required=True)
-    sp.add_argument("--bound", type=float, required=True)
+    sp.add_argument("--bound", type=_float, required=True)
     sp.set_defaults(fn=_cmd_subaffine)
 
     sp = sub.add_parser("bftheta", help="Bernstein membership via theta")
@@ -315,7 +324,7 @@ def build_parser() -> _Parser:
     common(sp, c_default=bernstein.DEFAULT_SD_CS)
     sp.add_argument("--builtin", required=True)
     sp.add_argument("--depth", type=int, default=30)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_float, default=None)
     sp.set_defaults(fn=_cmd_selfdec)
 
     sp = sub.add_parser("egf", help="EGF identity residual for a CA fit")

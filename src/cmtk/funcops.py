@@ -159,6 +159,27 @@ def default_lambda_grid(n_points: int = 64, include_zero: bool = True):
     return ([0.0] if include_zero else []) + grid
 
 
+def _probed_cs(c, n_max):
+    """The probed c values of a limit decomposition; checks c > 0, n_max >= 1."""
+    cs = tuple(c) if isinstance(c, (tuple, list)) else (float(c),)
+    if any(cj <= 0 for cj in cs):
+        raise ValueError("c must be positive")
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
+    return cs
+
+
+def _c_discrepancy(per_c):
+    """Sup gap of each later c from the first: of the leading scalar
+    (Psi(inf) or the drift) and of the limit samples."""
+    head0, samples0 = per_c[0]
+    disc = 0.0
+    for head, samples in per_c[1:]:
+        disc = max(disc, abs(head - head0))
+        disc = max(disc, max(abs(s - s0) for (_, s), (_, s0) in zip(samples, samples0)))
+    return disc
+
+
 @dataclass(frozen=True)
 class CMDecomposition:
     """Psi(lam) ~ psi_inf + (-delta_{n_max c}) Psi(lam), per probed c."""
@@ -179,7 +200,7 @@ def cm_limit_decompose(psi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     limit function must not depend on c; the discrepancy across the probed
     c values is reported.
     """
-    cs = tuple(c) if isinstance(c, (tuple, list)) else (float(c),)
+    cs = _probed_cs(c, n_max)
     psi.reset_budget()
     if lam_grid is None:
         lam_grid = default_lambda_grid(include_zero=not psi.open_at_zero)
@@ -200,15 +221,8 @@ def cm_limit_decompose(psi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
         )
         residual = max(residual, res_j)
         per_c.append((inf_j, samples))
-    disc = 0.0
-    for inf_j, samples in per_c[1:]:
-        disc = max(disc, abs(inf_j - per_c[0][0]))
-        disc = max(
-            disc,
-            max(abs(s - s0) for (_, s), (_, s0) in zip(samples, per_c[0][1])),
-        )
     return CMDecomposition(
-        per_c[0][0], tuple(per_c[0][1]), residual, disc, cs, n_max
+        per_c[0][0], tuple(per_c[0][1]), residual, _c_discrepancy(per_c), cs, n_max
     )
 
 
@@ -236,7 +250,7 @@ def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     """
     if phi.open_at_zero:
         raise DomainError("decomposition needs the value at 0")
-    cs = tuple(c) if isinstance(c, (tuple, list)) else (float(c),)
+    cs = _probed_cs(c, n_max)
     phi.reset_budget()
     if lam_grid is None:
         lam_grid = default_lambda_grid()
@@ -268,15 +282,8 @@ def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
             rhs = math.fsum(th_1(lam + k * cj) - th_1(k * cj) for k in range(m))
             tele = max(tele, abs(th_m(lam) - rhs))
 
-    disc = 0.0
-    for d_j, samples in per_c[1:]:
-        disc = max(disc, abs(d_j - per_c[0][0]))
-        disc = max(
-            disc,
-            max(abs(s - s0) for (_, s), (_, s0) in zip(samples, per_c[0][1])),
-        )
     return BFDecomposition(
-        q, per_c[0][0], tuple(per_c[0][1]), residual, tele, disc, cs, n_max
+        q, per_c[0][0], tuple(per_c[0][1]), residual, tele, _c_discrepancy(per_c), cs, n_max
     )
 
 
@@ -353,12 +360,11 @@ def subaffine_check(phi: FunctionHandle, c: float, bound: float,
     phi.reset_budget()
     if x_grid is None:
         x_grid = default_lambda_grid(include_zero=not phi.open_at_zero)
-    eps = 2.0 ** -52
     sup, arg, slack = -math.inf, float("nan"), 0.0
     for x in x_grid:
         hi, lo = phi(x + c), phi(x)
         inc = abs(hi - lo)
         if inc > sup:
             sup, arg = inc, x
-        slack = max(slack, 4.0 * eps * max(abs(hi), abs(lo)))
+        slack = max(slack, 4.0 * EPS * max(abs(hi), abs(lo)))
     return SubaffineReport(sup, float(bound), sup <= bound + slack, arg)

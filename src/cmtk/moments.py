@@ -61,10 +61,6 @@ class DiscreteMeasure:
     def weight_at_zero(self):
         return math.fsum(w for u, w in self.atoms if u == 0.0)
 
-    @property
-    def weight_at_one(self):
-        return math.fsum(w for u, w in self.atoms if u == 1.0)
-
     def moment(self, k: int) -> float:
         """a_k = integral u^k; at k = 0 this is the total mass."""
         if k == 0:
@@ -178,8 +174,11 @@ class ExponentialTriplet:
     measure: ExponentialMeasure
 
 
-def _solve_nnls(kernel: np.ndarray, target: np.ndarray):
-    """Column-scaled NNLS; returns weights, residual and scaled-system KKT gap."""
+def _solve_nnls(kernel: np.ndarray, target: np.ndarray, tol: float):
+    """Column-scaled NNLS; returns weights, residual and scaled-system KKT gap.
+
+    Raises NotRepresentableError when the residual exceeds
+    RESIDUAL_FACTOR * tol."""
     scale = np.linalg.norm(kernel, axis=0)
     scale[scale == 0.0] = 1.0
     scaled = kernel / scale
@@ -193,16 +192,18 @@ def _solve_nnls(kernel: np.ndarray, target: np.ndarray):
         kkt = float(np.max(np.abs(grad[active])))
     if (~active).any():
         kkt = max(kkt, float(np.max(np.maximum(0.0, -grad[~active]))))
-    return w, float(np.linalg.norm(mismatch)), kkt
+    residual = float(np.linalg.norm(mismatch))
+    threshold = RESIDUAL_FACTOR * tol
+    if residual > threshold:
+        raise NotRepresentableError(f"not representable at this grid: residual "
+                                    f"{residual:.3e} > {threshold:.3e}", residual, threshold)
+    return w, residual, kkt
 
 
-def _certify_or_raise(a: Sequence, kind: str):
-    cert = classify.certify(a, kind, classify.default_depth(a))
+def _certify_or_raise(a: Sequence, kind: str, table=None):
+    cert = classify.certify(a, kind, classify.default_depth(a), table)
     if cert.failed:
-        raise CertificationError(
-            f"sequence is not {kind} to depth {cert.depth}", cert
-        )
-    return cert
+        raise CertificationError(f"sequence is not {kind} to depth {cert.depth}", cert)
 
 
 def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL):
@@ -226,19 +227,9 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
     V[0, :] = 1.0
     for k in range(1, K + 1):
         V[k, :] = u**k
-    w, residual, kkt = _solve_nnls(V, target)
-    threshold = RESIDUAL_FACTOR * tol
-    if residual > threshold:
-        raise NotRepresentableError(
-            f"not representable at this grid: residual {residual:.3e} > {threshold:.3e}",
-            residual,
-            threshold,
-        )
-    atoms = [
-        (float(u[j]), float(w[j]))
-        for j in range(grid_m + 1)
-        if w[j] > 0.0 or j in (0, grid_m)
-    ]
+    w, residual, kkt = _solve_nnls(V, target, tol)
+    atoms = [(float(u[j]), float(w[j])) for j in range(grid_m + 1)
+             if w[j] > 0.0 or j in (0, grid_m)]
     return DiscreteMeasure(tuple(atoms)), FitReport(residual, kkt, grid_m)
 
 
@@ -268,6 +259,11 @@ def invert_ca(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL,
     if grid_m < 1:
         raise ValueError("grid must have at least one cell")
     _certify_or_raise(a, classify.CA)
+    return _fit_ca(a, grid_m, tol, drift)
+
+
+def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
+    """The fit of ``invert_ca`` on a sequence already certified CA."""
     K = a.last_index
     q = a.values[0]
     if drift is None:
@@ -280,14 +276,7 @@ def invert_ca(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL,
     B[0, :] = 0.0
     for k in range(1, K + 1):
         B[k, :] = 1.0 - u**k
-    w, residual, kkt = _solve_nnls(B, target)
-    threshold = RESIDUAL_FACTOR * tol
-    if residual > threshold:
-        raise NotRepresentableError(
-            f"not representable at this grid: residual {residual:.3e} > {threshold:.3e}",
-            residual,
-            threshold,
-        )
+    w, residual, kkt = _solve_nnls(B, target, tol)
     atoms = [
         (float(u[j]), float(w[j])) for j in range(grid_m) if w[j] > 0.0 or j == 0
     ]

@@ -1,10 +1,8 @@
 """Gregory-Newton interpolation machinery.
 
-Falling factorials, Stirling-number basis conversion between power and
-falling-factorial coefficients, series construction from integer samples
-(coefficients Delta^k f(0) / k!), truncated evaluation with a heuristic
-tail estimate, convergence acceleration of the partial sums by Levin's
-u-transform, and the exponential-type growth check on the real axis.
+Series construction from integer samples (coefficients Delta^k f(0) / k!),
+truncated evaluation with a heuristic tail estimate, and convergence
+acceleration of the partial sums by Levin's u-transform.
 """
 
 from __future__ import annotations
@@ -16,89 +14,6 @@ from fractions import Fraction
 
 from .scalars import EPS, EXACT, FLOAT, is_exact
 from .seqcore import Sequence, difference_table
-
-
-def falling_factorial(z, k: int):
-    """z(z-1)...(z-k+1); equals 1 for k = 0.  Generic over int, Fraction,
-    float and complex."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    out = 1
-    for i in range(k):
-        out = out * (z - i)
-    return out
-
-
-class StirlingTable:
-    """Signed Stirling numbers of the first kind and Stirling numbers of the
-    second kind, grown on demand.
-
-    first[n][k] = s(n, k) with s(n+1, k) = s(n, k-1) - n s(n, k), so that
-    z^{falling n} = sum_k s(n, k) z^k; second[n][k] = S(n, k) with
-    S(n+1, k) = k S(n, k) + S(n, k-1), so that z^n = sum_k S(n, k) z^{falling k}.
-    """
-
-    def __init__(self, size: int = 0):
-        self.first = [[1]]
-        self.second = [[1]]
-        self.extend(size)
-
-    @property
-    def size(self) -> int:
-        return len(self.first) - 1
-
-    def extend(self, size: int):
-        while self.size < size:
-            n = self.size
-            srow, Srow = self.first[n], self.second[n]
-            self.first.append(
-                [
-                    (srow[k - 1] if k >= 1 else 0) - n * (srow[k] if k <= n else 0)
-                    for k in range(n + 2)
-                ]
-            )
-            self.second.append(
-                [
-                    k * (Srow[k] if k <= n else 0) + (Srow[k - 1] if k >= 1 else 0)
-                    for k in range(n + 2)
-                ]
-            )
-
-    def bell_numbers(self):
-        """Row sums of the second kind (a cross-check on the recurrences)."""
-        return [sum(row) for row in self.second]
-
-
-_SHARED_TABLE = StirlingTable(0)
-
-
-def basis_convert(coeffs, direction: str, table: StirlingTable = None):
-    """Convert polynomial coefficients between the power basis and the
-    falling-factorial basis (index = degree).  Exact both ways; the two
-    directions are mutually inverse.
-
-    direction: "power-to-falling" or "falling-to-power".
-    """
-    coeffs = list(coeffs)
-    deg = len(coeffs) - 1
-    if deg < 0:
-        raise ValueError("empty coefficient list")
-    if table is None:
-        table = _SHARED_TABLE
-    table.extend(deg)
-    out = [0] * (deg + 1)
-    if direction == "power-to-falling":
-        conv = table.second
-    elif direction == "falling-to-power":
-        conv = table.first
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    for n, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        for k in range(n + 1):
-            out[k] = out[k] + c * conv[n][k]
-    return out
 
 
 @dataclass(frozen=True)
@@ -113,10 +28,6 @@ class NewtonSeries:
 
     def __len__(self):
         return len(self.coeffs)
-
-    def forward_differences(self):
-        """(Delta^k f(0))_k, i.e. coefficients times k!."""
-        return [c * math.factorial(k) for k, c in enumerate(self.coeffs)]
 
     def to_dict(self):
         return {
@@ -155,6 +66,15 @@ class SeriesValue:
         return float(self.value)
 
 
+def _terms(series: NewtonSeries, z, n_terms: int, exact: bool):
+    """The terms c_k z^{falling k}, k < n_terms, in exact or float/complex
+    arithmetic."""
+    ff = Fraction(1) if exact else (1.0 + 0.0j if isinstance(z, complex) else 1.0)
+    for k in range(n_terms):
+        yield series.coeffs[k] * ff
+        ff = ff * (z - k)
+
+
 def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
     """Partial sum  sum_{k < n_terms} c_k z^{falling k}.
 
@@ -165,10 +85,8 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
     """
     if n_terms is None:
         n_terms = len(series.coeffs)
-    if n_terms > len(series.coeffs):
-        raise ValueError(
-            f"n_terms {n_terms} exceeds available coefficients {len(series.coeffs)}"
-        )
+    if not 1 <= n_terms <= len(series.coeffs):
+        raise ValueError(f"n_terms must lie in 1..{len(series.coeffs)}, got {n_terms}")
     if isinstance(z, (float, complex)) and not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
     warnings = []
@@ -179,12 +97,10 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
 
     exact = series.mode == EXACT and is_exact(z)
     total = Fraction(0) if exact else 0.0
-    ff = Fraction(1) if exact else (1.0 + 0.0j if isinstance(z, complex) else 1.0)
     mags = []
     growth = 0
     diverging = False
-    for k in range(n_terms):
-        term = series.coeffs[k] * ff
+    for k, term in enumerate(_terms(series, z, n_terms, exact)):
         total = total + term
         mags.append(float(abs(term)))
         if k >= 1 and mags[-1] > mags[-2] > 0:
@@ -196,7 +112,6 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
                 )
         else:
             growth = 0
-        ff = ff * (z - k)
     tail = max(mags[-3:], default=0.0)
     return SeriesValue(total, tail, n_terms, tuple(warnings))
 
@@ -289,11 +204,7 @@ def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
 
     exact = series.mode == EXACT and is_exact(z)
     k = min(_LEVIN_ORDER[EXACT if exact else FLOAT], n_terms - 1)
-    terms = []
-    ff = Fraction(1) if exact else 1.0
-    for j in range(n_terms):
-        terms.append(series.coeffs[j] * ff)
-        ff = ff * (z - j)
+    terms = list(_terms(series, z, n_terms, exact))
     if k < 2 or any(a == 0 for a in terms[n_terms - 1 - k:]):
         return unchanged()
     eps = 0 if exact else EPS
@@ -304,32 +215,3 @@ def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
     if not exact and not (cmath.isfinite(high) and cmath.isfinite(low)):
         return unchanged(("non-finite terms: extrapolation skipped",))
     return ExtrapolatedValue(high, float(abs(high - low)), k, partial, warnings)
-
-
-@dataclass(frozen=True)
-class GrowthReport:
-    """Pointwise exponential-type check |f(x_i)| <= C e^{D |x_i|}."""
-
-    ok: bool
-    worst_log_excess: float
-    first_violation: tuple | None
-    C: float
-    D: float
-
-
-def exponential_type_check(xs, values, C: float, D: float) -> GrowthReport:
-    """Check the growth bound at the sample points (a necessary-condition
-    surrogate on the real axis: the genuine condition is complex-analytic)."""
-    if C <= 0 or D < 0:
-        raise ValueError("need C > 0 and D >= 0")
-    worst = -math.inf
-    first = None
-    logC = math.log(C)
-    for x, v in zip(xs, values):
-        av = abs(float(v))
-        excess = (math.log(av) if av > 0 else -math.inf) - (logC + D * abs(float(x)))
-        if excess > worst:
-            worst = excess
-        if excess > 0 and first is None:
-            first = (float(x), float(v))
-    return GrowthReport(first is None, worst, first, C, D)

@@ -21,14 +21,17 @@ def parse_scalar(text):
     """Parse one scalar token: "p/q", integer or decimal literal, always as
     an exact Fraction (decimal literals include exponent notation).
 
-    Raises ValueError for anything else, "inf" and "nan" included.
+    Raises ValueError for anything else, "inf", "nan" and a zero
+    denominator included.
     """
     s = text.strip()
     if not s:
         raise ValueError("empty scalar token")
     if "/" in s:
         num, _, den = s.partition("/")
-        return Fraction(int(num.strip()), int(den.strip()))
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {s!r}")
+        return Fraction(int(num), int(den))
     try:
         value = Decimal(s)
     except InvalidOperation:
@@ -46,7 +49,8 @@ def coerce_values(values, mode=None):
     """Normalize a list of scalars to one mode.
 
     With ``mode=None`` the mode is inferred: exact iff every entry is an
-    int or Fraction.  Returns ``(tuple_of_values, mode)``.
+    int or Fraction.  Returns ``(tuple_of_values, mode)``.  Raises a
+    ValueError naming the entry when one overflows a float.
     """
     vals = list(values)
     if not vals:
@@ -61,7 +65,13 @@ def coerce_values(values, mode=None):
             out.append(Fraction(v))
         return tuple(out), EXACT
     if mode == FLOAT:
-        return tuple(float(v) for v in vals), FLOAT
+        out = []
+        for k, v in enumerate(vals):
+            try:
+                out.append(float(v))
+            except OverflowError:
+                raise ValueError(f"entry {k} is beyond float range: {v!s:.40}") from None
+        return tuple(out), FLOAT
     raise ValueError(f"unknown mode {mode!r}")
 
 

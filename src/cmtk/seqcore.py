@@ -107,7 +107,7 @@ def read_sequence(path, mode=None) -> Sequence:
                 raise ValueError(f"line {lineno}: expected one value per line")
             try:
                 values.append(parse_scalar(cells[0]))
-            except (ValueError, ZeroDivisionError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from exc
     if not values:
         raise ValueError("no values found in input")

@@ -3,6 +3,7 @@ self-decomposability suite and the EGF identity."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -24,10 +25,11 @@ from cmtk.builtins import (
     sqrt_triplet_handle,
     square_handle,
 )
+from cmtk.classify import CA, certify
 from cmtk.errors import CertificationError, DomainError
-from cmtk.funcops import make_handle
+from cmtk.funcops import make_handle, sampled_sequence
 from cmtk.moments import invert_ca
-from cmtk.seqcore import Sequence
+from cmtk.seqcore import Sequence, difference_table
 
 
 def random_triplet(rng, max_atoms=8, x_range=(0.1, 3.0)):
@@ -127,6 +129,24 @@ class TestExtract:
     def test_rejects_non_ca(self):
         with pytest.raises(CertificationError):
             extract_triplet(square_handle())
+
+    def test_builds_one_table(self, monkeypatch):
+        # the reported depth-15 certificate and the fit's depth-30 one are
+        # read from the same table
+        seq = sampled_sequence(ratio_bf_handle(), [float(k) for k in range(31)])
+        expected = certify(seq, CA, 15)
+        built = []
+
+        def counting(a, depth):
+            built.append(depth)
+            return difference_table(a, depth)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cmtk") and vars(module).get("difference_table") is difference_table:
+                monkeypatch.setattr(module, "difference_table", counting)
+        t, rep = extract_triplet(ratio_bf_handle(), tol=1e-6)
+        assert built == [30]
+        assert rep.certificate == expected
 
     def test_roundtrip_ensemble(self):
         # sample -> extract -> evaluate on the integer lattice in [0, 20]:

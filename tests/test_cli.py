@@ -324,6 +324,44 @@ class TestMalformedInput:
         pytest.param('{"atoms": [1]}', ["evaluate", "--at", "1"], id="evaluate-atom-not-object"),
         pytest.param('{"q": 1, "atoms": [{"u": null, "w": 1}]}', ["evaluate", "--at", "1"],
                      id="evaluate-ca-atom-null"),
+        pytest.param("1\n1/2\n1/3\n", ["minimal", "--kind", "cm", "--tol", "inf"],
+                     id="minimal-tol-inf"),
+        pytest.param("1\n1/2\n1/3\n", ["invert", "cm", "--tol", "nan"], id="invert-tol-nan"),
+        pytest.param(None, ["subaffine", "--builtin", "sqrt", "--bound", "inf"],
+                     id="subaffine-bound-inf"),
+        pytest.param(None, ["selfdec", "--builtin", "log1p", "--tol", "inf"], id="selfdec-tol-inf"),
+        pytest.param('{"atoms": [{"u": 1, "w": 1}]}', ["evaluate", "--at", "1e400"],
+                     id="evaluate-at-overflow"),
+        pytest.param("1\n1/2\n1/4\n", ["extend", "--kind", "cm", "--at", "1e400"],
+                     id="extend-at-overflow"),
+        pytest.param("1\n1/2\n1/3\n", ["newton", "eval", "--at", "1e400"],
+                     id="newton-at-overflow"),
+        pytest.param(None, ["operator", "--builtin", "exp-decay", "--op", "sigma", "--c", "1e400",
+                            "--at", "1"], id="operator-c-overflow"),
+        pytest.param(None, ["lattice", "--kind", "cm", "--builtin", "exp-decay", "--alpha", "1e309"],
+                     id="lattice-alpha-overflow"),
+        pytest.param("1\n1e400\n", ["certify", "--kind", "cm", "--mode", "float"],
+                     id="csv-float-overflow"),
+        pytest.param(None, ["operator", "--builtin", "exp-decay", "--op", "sigma", "--c", "1/0",
+                            "--at", "1"], id="operator-c-zero-denominator"),
+        pytest.param(None, ["decompose", "cm", "--builtin", "exp-decay", "--c", ","],
+                     id="decompose-c-empty"),
+        pytest.param(None, ["bftheta", "--builtin", "log1p", "--c", "0"], id="bftheta-c-0"),
+        pytest.param(None, ["decompose", "cm", "--builtin", "exp-decay", "--c", "0"],
+                     id="decompose-cm-c-0"),
+        pytest.param(None, ["decompose", "cm", "--builtin", "exp-decay", "--nmax", "0"],
+                     id="decompose-cm-nmax-0"),
+        pytest.param(None, ["decompose", "cm", "--builtin", "exp-decay", "--nmax", "-1"],
+                     id="decompose-cm-nmax-negative"),
+        pytest.param(None, ["decompose", "bf", "--builtin", "log1p", "--c", "0"],
+                     id="decompose-bf-c-0"),
+        pytest.param(None, ["decompose", "bf", "--builtin", "log1p", "--nmax", "-2"],
+                     id="decompose-bf-nmax-negative"),
+        pytest.param(None, ["webster", "--g", "constant:inf"], id="webster-constant-inf"),
+        pytest.param(None, ["webster", "--g", "constant:1000"], id="webster-constant-overflow"),
+        pytest.param("1\n1/2\n1/3\n", ["newton", "eval", "--terms", "-1"],
+                     id="newton-terms-negative"),
+        pytest.param("1\n1/2\n1/3\n", ["newton", "eval", "--terms", "0"], id="newton-terms-0"),
     ])
     def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
         argv = list(argv)

@@ -1,9 +1,8 @@
-"""Gregory-Newton machinery: falling factorials, Stirling conversion,
-series construction, evaluation and extrapolation, growth check.
+"""Gregory-Newton machinery: series construction, evaluation and
+extrapolation.
 
-Stirling oracles are the recurrences themselves plus the Bell-number row
-sums; series coefficients are checked against brute-force forward
-differences computed independently.
+Series coefficients are checked against brute-force forward differences
+computed independently.
 """
 
 import math
@@ -14,12 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtk.newton import (
-    StirlingTable,
-    basis_convert,
     eval_series,
-    exponential_type_check,
     extrapolate_series,
-    falling_factorial,
     series_from_samples,
 )
 from cmtk.seqcore import Sequence, euler_transform
@@ -27,70 +22,6 @@ from cmtk.seqcore import Sequence, euler_transform
 
 def brute_forward_difference(values, n):
     return sum(math.comb(n, i) * (-1) ** (n - i) * values[i] for i in range(n + 1))
-
-
-class TestFallingFactorial:
-    def test_integers(self):
-        assert falling_factorial(5, 3) == 60
-
-    def test_half(self):
-        assert falling_factorial(0.5, 2) == -0.25
-
-    def test_full_factorial(self):
-        for n in range(8):
-            assert falling_factorial(n, n) == math.factorial(n)
-
-    def test_complex(self):
-        z = 1 + 2j
-        assert falling_factorial(z, 2) == z * (z - 1)
-
-
-class TestStirling:
-    def test_second_kind_small(self):
-        t = StirlingTable(4)
-        assert t.second[2] == [0, 1, 1]
-        assert t.second[3] == [0, 1, 3, 1]
-        assert t.second[4] == [0, 1, 7, 6, 1]
-
-    def test_bell_row_sums(self):
-        t = StirlingTable(8)
-        assert t.bell_numbers() == [1, 1, 2, 5, 15, 52, 203, 877, 4140]
-
-    def test_signed_first_kind_recurrence(self):
-        t = StirlingTable(6)
-        for n in range(5):
-            for k in range(1, n + 1):
-                assert t.first[n + 1][k] == t.first[n][k - 1] - n * t.first[n][k]
-
-    def test_falling_expansion_matches_product(self):
-        # z^{falling n} = sum_k s(n,k) z^k at a few sample points
-        t = StirlingTable(6)
-        for n in range(7):
-            for z in (Fraction(1, 2), 3, Fraction(-5, 3)):
-                direct = falling_factorial(z, n)
-                expanded = sum(t.first[n][k] * z**k for k in range(n + 1))
-                assert direct == expanded
-
-
-class TestBasisConvert:
-    def test_square(self):
-        assert basis_convert([0, 0, 1], "power-to-falling") == [0, 1, 1]
-
-    def test_cube(self):
-        assert basis_convert([0, 0, 0, 1], "power-to-falling") == [0, 1, 3, 1]
-
-    @given(st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=9))
-    @settings(max_examples=80, deadline=None)
-    def test_round_trip(self, coeffs):
-        there = basis_convert(coeffs, "power-to-falling")
-        back = basis_convert(there, "falling-to-power")
-        assert back == coeffs
-
-    def test_table_extends_on_demand(self):
-        t = StirlingTable(2)
-        out = basis_convert([0] * 10 + [1], "power-to-falling", t)
-        assert t.size >= 10
-        assert out[10] == 1
 
 
 class TestSeries:
@@ -142,7 +73,7 @@ class TestSeries:
         # coefficients times k! equal the Euler transform entrywise
         seq = Sequence.from_values([Fraction(v) for v in vals])
         s = series_from_samples(seq)
-        assert tuple(s.forward_differences()) == euler_transform(seq).values
+        assert tuple(c * math.factorial(k) for k, c in enumerate(s.coeffs)) == euler_transform(seq).values
 
 
 class TestEvalSeries:
@@ -294,23 +225,3 @@ class TestExtrapolateSeries:
         out = extrapolate_series(series_from_samples(Sequence.from_values(samples)), z)
         assert out.value == out.partial.value
         assert any("denominator" in w for w in out.warnings)
-
-
-class TestGrowthCheck:
-    def test_bounded_function_passes(self):
-        xs = list(range(51))
-        rep = exponential_type_check(xs, [2.0 ** -x for x in xs], C=1.0, D=0.0)
-        assert rep.ok
-
-    def test_gaussian_growth_fails(self):
-        # super-exponential growth escapes C e^{Dx} once x > D
-        xs = [0.5 * i for i in range(41)]
-        rep = exponential_type_check(xs, [math.exp(x * x) for x in xs], C=100.0, D=10.0)
-        assert not rep.ok
-        assert rep.first_violation is not None
-        assert rep.first_violation[0] > 10.0
-
-    def test_sqrt_is_exponential_type(self):
-        xs = [0.01 * i for i in range(1, 10001)]
-        rep = exponential_type_check(xs, [math.sqrt(x) for x in xs], C=1.0, D=1.0)
-        assert rep.ok
