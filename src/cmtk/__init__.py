@@ -39,7 +39,6 @@ from .funcops import (
     bf_limit_decompose,
     cm_limit_decompose,
     lattice_check,
-    make_handle,
     subaffine_check,
 )
 from .moments import (

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import classify, moments
 from .errors import CertificationError, DomainError
-from .funcops import FunctionHandle, sampled_sequence
+from .funcops import FunctionHandle, _richardson_derivative, sampled_sequence
 from .scalars import EPS, json_field
 from .seqcore import Sequence, difference_table
 
@@ -94,7 +94,7 @@ def eval_bernstein(t: BernsteinTriplet, lam) -> float:
     )
 
 
-def triplet_handle(t: BernsteinTriplet, name="triplet", budget=None) -> FunctionHandle:
+def triplet_handle(t: BernsteinTriplet, name="triplet") -> FunctionHandle:
     """Function handle for the triplet, with its exact derivative
     Phi'(lam) = d + sum w_j x_j e^{-lam x_j}."""
 
@@ -103,7 +103,7 @@ def triplet_handle(t: BernsteinTriplet, name="triplet", budget=None) -> Function
         return t.d + math.fsum(w * x * math.exp(-lam * x) for x, w in t.levy)
 
     return FunctionHandle(
-        lambda lam: eval_bernstein(t, lam), name, False, derivative, budget
+        lambda lam: eval_bernstein(t, lam), name, False, derivative
     )
 
 
@@ -262,13 +262,9 @@ def _derivative_samples(phi: FunctionHandle, count: int):
     vals, errs = [], []
     for k in range(count + 1):
         h = 1e-6 * max(1.0, float(k))
-        lo = max(0.0, k - h)
-        d1 = (phi(k + h) - phi(lo)) / (k + h - lo)
-        d2 = (phi(k + h / 2) - phi(max(0.0, k - h / 2))) / (
-            k + h / 2 - max(0.0, k - h / 2)
-        )
-        vals.append((4.0 * d2 - d1) / 3.0)
-        errs.append(abs(d2 - d1) / 3.0 + EPS * abs(phi(float(k))) / h)
+        value, spread = _richardson_derivative(phi, k, h)
+        vals.append(value)
+        errs.append(spread + EPS * abs(phi(float(k))) / h)
     return vals, errs, max(errs)
 
 

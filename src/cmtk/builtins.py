@@ -25,10 +25,11 @@ def _ratio_bf(x):
     return x / (1.0 + x)
 
 
-def _sqrt_triplet(n_atoms=240, x_lo=1e-4, x_hi=60.0):
-    """Quadrature approximation of sqrt(lam) = (2 sqrt(pi))^{-1}
-    integral (1 - e^{-lam x}) x^{-3/2} dx on a log grid; a genuine finite
-    triplet, hence exactly a Bernstein function."""
+def sqrt_triplet_handle():
+    """Handle of the quadrature approximation of sqrt(lam) = (2 sqrt(pi))^{-1}
+    integral (1 - e^{-lam x}) x^{-3/2} dx on a 240-cell log grid over
+    [1e-4, 60]: a genuine finite triplet, hence exactly a Bernstein function."""
+    n_atoms, x_lo, x_hi = 240, 1e-4, 60.0
     ratio = (x_hi / x_lo) ** (1.0 / n_atoms)
     atoms = []
     edge = x_lo
@@ -41,65 +42,58 @@ def _sqrt_triplet(n_atoms=240, x_lo=1e-4, x_hi=60.0):
         edge = nxt
     # small-x remainder contributes drift ~ integral_0^{x_lo} x * x^{-3/2} dx
     d = 2.0 * math.sqrt(x_lo) / (2.0 * math.sqrt(math.pi))
-    return BernsteinTriplet(0.0, d, tuple(atoms))
+    return triplet_handle(BernsteinTriplet(0.0, d, tuple(atoms)), "sqrt-triplet")
 
 
-def exp_decay_handle(budget=None):
+def exp_decay_handle():
     return FunctionHandle(
         lambda x: math.exp(-x), "exp-decay", False,
-        derivative=lambda x: -math.exp(-x), budget=budget,
+        derivative=lambda x: -math.exp(-x),
     )
 
 
-def reciprocal_handle(budget=None):
-    return FunctionHandle(_reciprocal, "reciprocal", False, budget=budget)
+def reciprocal_handle():
+    return FunctionHandle(_reciprocal, "reciprocal", False)
 
 
-def sqrt_handle(budget=None):
+def sqrt_handle():
     return FunctionHandle(
         lambda x: math.sqrt(x), "sqrt", False,
         derivative=lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf,
-        budget=budget,
     )
 
 
-def sqrt_triplet_handle(budget=None):
-    h = triplet_handle(_sqrt_triplet(), "sqrt-triplet", budget)
-    return h
-
-
-def log1p_handle(budget=None):
+def log1p_handle():
     return FunctionHandle(
         lambda x: math.log1p(x), "log1p", False,
-        derivative=_reciprocal, budget=budget,
+        derivative=_reciprocal,
     )
 
 
-def one_minus_exp_handle(budget=None):
+def one_minus_exp_handle():
     return FunctionHandle(
         lambda x: -math.expm1(-x), "one-minus-exp", False,
-        derivative=lambda x: math.exp(-x), budget=budget,
+        derivative=lambda x: math.exp(-x),
     )
 
 
-def linear_handle(budget=None):
+def linear_handle():
     return FunctionHandle(
         lambda x: x, "linear", False, derivative=lambda x: 1 if is_exact(x) else 1.0,
-        budget=budget,
     )
 
 
-def square_handle(budget=None):
+def square_handle():
     return FunctionHandle(
         lambda x: x * x, "square", False,
-        derivative=lambda x: 2 * x, budget=budget,
+        derivative=lambda x: 2 * x,
     )
 
 
-def ratio_bf_handle(budget=None):
+def ratio_bf_handle():
     return FunctionHandle(
         _ratio_bf, "bf-ratio", False,
-        derivative=lambda x: _reciprocal(x) ** 2, budget=budget,
+        derivative=lambda x: _reciprocal(x) ** 2,
     )
 
 
@@ -109,8 +103,8 @@ def _abs_sin_pi(x):
     return 0.0 if v < 1e-9 else v
 
 
-def abs_sin_pi_handle(budget=None):
-    return FunctionHandle(_abs_sin_pi, "abs-sin-pi", False, budget=budget)
+def abs_sin_pi_handle():
+    return FunctionHandle(_abs_sin_pi, "abs-sin-pi", False)
 
 
 BUILTIN_HANDLES = {
@@ -127,25 +121,25 @@ BUILTIN_HANDLES = {
 }
 
 
-def get_handle(name: str, budget=None) -> FunctionHandle:
+def get_handle(name: str) -> FunctionHandle:
     try:
         factory = BUILTIN_HANDLES[name]
     except KeyError:
         known = ", ".join(sorted(BUILTIN_HANDLES))
         raise ValueError(f"unknown builtin {name!r}; known: {known}") from None
-    return factory(budget)
+    return factory()
 
 
 # Webster right-hand sides -------------------------------------------------
 
-def webster_identity(budget=None):
+def webster_identity():
     """g(x) = x: the solution is the gamma function."""
     return FunctionHandle(
-        lambda x: x, "g-identity", True, derivative=lambda x: 1.0, budget=budget
+        lambda x: x, "g-identity", True, derivative=lambda x: 1.0
     )
 
 
-def webster_constant(c, budget=None):
+def webster_constant(c):
     """g = e^c: the solution is e^{c(x-1)}."""
     try:
         c = float(c)
@@ -154,17 +148,16 @@ def webster_constant(c, budget=None):
         raise ValueError(f"constant:{c!s:.40}: e^c is beyond float range") from None
     return FunctionHandle(
         lambda x: g, f"g-constant({c:g})", False,
-        derivative=lambda x: 0.0, budget=budget,
+        derivative=lambda x: 0.0,
     )
 
 
-def webster_exp_neg_cm(budget=None):
+def webster_exp_neg_cm():
     """g(x) = exp(-e^{-x}) (log g completely monotone in reverse sign;
     lim g = 1): the solution is exp((e^{-x} - e^{-1}) / (1 - e^{-1}))."""
     return FunctionHandle(
         lambda x: math.exp(-math.exp(-x)), "g-exp-neg-cm", False,
         derivative=lambda x: math.exp(-x) * math.exp(-math.exp(-x)),
-        budget=budget,
     )
 
 
@@ -174,12 +167,12 @@ WEBSTER_BUILTINS = {
 }
 
 
-def get_webster_g(name: str, budget=None) -> FunctionHandle:
+def get_webster_g(name: str) -> FunctionHandle:
     if name.startswith("constant:"):
-        return webster_constant(parse_scalar(name.partition(":")[2]), budget)
+        return webster_constant(parse_scalar(name.partition(":")[2]))
     try:
         factory = WEBSTER_BUILTINS[name]
     except KeyError:
         known = ", ".join(sorted(WEBSTER_BUILTINS) + ["constant:<c>"])
         raise ValueError(f"unknown webster builtin {name!r}; known: {known}") from None
-    return factory(budget)
+    return factory()

@@ -200,6 +200,8 @@ def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport
 
 
 def _minimality(table: DifferenceTable, kind: str, depth: int, tol) -> MinimalityReport:
+    if tol is not None and tol < 0:
+        raise ValueError("tol must be nonnegative")
     atom = _atom(table, kind, depth)
     if tol is None:
         tol = 1e-6 if table.mode == EXACT else max(1e-6, 10.0 * atom.error_bound)

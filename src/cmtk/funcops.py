@@ -81,8 +81,14 @@ class FunctionHandle:
         return [self(x) for x in points]
 
 
-def make_handle(fn, name="f", open_at_zero=False, derivative=None, budget=None):
-    return FunctionHandle(fn, name, open_at_zero, derivative, budget)
+def _richardson_derivative(f, x, h):
+    """f'(x) by central differences at steps h and h/2 and one Richardson step
+    (a step that would cross 0 is cut at 0); returns the value and the
+    heuristic error estimate |D(h/2) - D(h)| / 3."""
+    lo, lo_half = max(0.0, x - h), max(0.0, x - h / 2)
+    d1 = (f(x + h) - f(lo)) / (x + h - lo)
+    d2 = (f(x + h / 2) - f(lo_half)) / (x + h / 2 - lo_half)
+    return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
 
 
 def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionHandle:
@@ -150,11 +156,11 @@ def sampled_sequence(f: FunctionHandle, points) -> Sequence:
     return Sequence.from_values(values, value_bounds=bounds)
 
 
-def default_lambda_grid(n_points: int = 64, include_zero: bool = True):
-    """Geometric grid on (0, 10], optionally with 0 prepended."""
+def default_lambda_grid(include_zero: bool = True):
+    """Geometric grid of 64 points on (0, 10], optionally with 0 prepended."""
     lo, hi = 1e-3, 10.0
-    ratio = (hi / lo) ** (1.0 / (n_points - 1))
-    grid = [lo * ratio**i for i in range(n_points)]
+    ratio = (hi / lo) ** (1.0 / 63)
+    grid = [lo * ratio**i for i in range(64)]
     grid[-1] = hi
     return ([0.0] if include_zero else []) + grid
 
@@ -241,7 +247,7 @@ class BFDecomposition:
 
 
 def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
-                       lam_grid=None, telescope_n: int = 5) -> BFDecomposition:
+                       lam_grid=None) -> BFDecomposition:
     """Read off q = Phi(0), the drift d as the far first difference
     (Phi((n+1)c) - Phi(nc))/c, and theta_{nc} Phi samples; verify the
     reconstruction and the telescoping identity
@@ -272,10 +278,10 @@ def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
         residual = max(residual, res_j)
         per_c.append((d_j, samples))
 
-    # telescoping identity at a small iterate count m = telescope_n
+    # telescoping identity at a small iterate count m
     tele = 0.0
+    m = min(5, n_max)
     for cj in cs:
-        m = min(telescope_n, n_max)
         th_m = apply_operator(phi, "theta", cj * m)
         th_1 = apply_operator(phi, "theta", cj)
         for lam in lam_grid:

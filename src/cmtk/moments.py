@@ -167,18 +167,13 @@ class ExponentialMeasure:
         return DiscreteMeasure(tuple(sorted(merged.items())))
 
 
-@dataclass(frozen=True)
-class ExponentialTriplet:
-    q: object
-    d: float
-    measure: ExponentialMeasure
-
-
 def _solve_nnls(kernel: np.ndarray, target: np.ndarray, tol: float):
     """Column-scaled NNLS; returns weights, residual and scaled-system KKT gap.
 
     Raises NotRepresentableError when the residual exceeds
-    RESIDUAL_FACTOR * tol."""
+    RESIDUAL_FACTOR * tol, and ValueError when tol is negative."""
+    if tol < 0:
+        raise ValueError("tol must be nonnegative")
     scale = np.linalg.norm(kernel, axis=0)
     scale[scale == 0.0] = 1.0
     scaled = kernel / scale
@@ -284,14 +279,11 @@ def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
     return CATriplet(q, d_hat, measure), FitReport(residual, kkt, grid_m, gap)
 
 
-def to_exponential(m):
+def to_exponential(m: DiscreteMeasure) -> ExponentialMeasure:
     """Map support through x = -ln u (u = 0 becomes the infinity atom).
 
-    DiscreteMeasure -> ExponentialMeasure; CATriplet -> ExponentialTriplet.
     Round-tripping with u = e^{-x} is the identity up to float rounding.
     """
-    if isinstance(m, CATriplet):
-        return ExponentialTriplet(m.q, m.d, to_exponential(m.measure))
     mass_inf = 0.0
     atoms = []
     for u, w in m.atoms:
@@ -313,8 +305,6 @@ def evaluate(m, lam) -> float:
     lam = float(lam)
     if lam < 0:
         raise DomainError("lambda must be nonnegative")
-    if isinstance(m, ExponentialTriplet):
-        return m.measure.bernstein(lam, m.q, m.d)
     if isinstance(m, CATriplet):
         return to_exponential(m.measure).bernstein(lam, m.q, m.d)
     if isinstance(m, ExponentialMeasure):
@@ -338,12 +328,10 @@ def extend_from_integer_samples(samples: Sequence, kind: str,
         model, report = invert_ca(samples, grid_m, tol)
     else:
         raise ValueError(f"kind must be {classify.CM!r} or {classify.CA!r}")
-    exponential = to_exponential(model)
 
     def interpolant(lam):
-        return evaluate(exponential, lam)
+        return evaluate(model, lam)
 
     interpolant.model = model
     interpolant.report = report
-    interpolant.kind = kind
     return interpolant

@@ -18,12 +18,11 @@ from .seqcore import Sequence, difference_table
 
 @dataclass(frozen=True)
 class NewtonSeries:
-    """Gregory-Newton coefficients c_k = Delta^k f(0) / k!, with the origin
-    samples retained for audit (c_0 = f(0); the partial sums interpolate
-    every retained sample index exactly)."""
+    """Gregory-Newton coefficients c_k = Delta^k f(0) / k! of the samples
+    f(0), ..., f(N), one per sample (c_0 = f(0); the partial sums
+    interpolate every sample index exactly)."""
 
     coeffs: tuple
-    samples: tuple
     mode: str = EXACT
 
     def __len__(self):
@@ -32,7 +31,7 @@ class NewtonSeries:
     def to_dict(self):
         return {
             "coefficients": self.coeffs,
-            "n_samples": len(self.samples),
+            "n_samples": len(self.coeffs),
             "mode": self.mode,
         }
 
@@ -49,7 +48,7 @@ def series_from_samples(samples: Sequence) -> NewtonSeries:
             coeffs.append(Fraction(delta, table.scale * fact))
         else:
             coeffs.append(delta / fact)
-    return NewtonSeries(tuple(coeffs), samples.values, samples.mode)
+    return NewtonSeries(tuple(coeffs), samples.mode)
 
 
 @dataclass(frozen=True)
@@ -61,9 +60,6 @@ class SeriesValue:
     tail_estimate: float
     n_terms: int
     warnings: tuple = ()
-
-    def __float__(self):
-        return float(self.value)
 
 
 def _terms(series: NewtonSeries, z, n_terms: int, exact: bool):
@@ -91,7 +87,7 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
         raise ValueError(f"z must be finite, got {z!r}")
     warnings = []
     re_z = z.real if isinstance(z, complex) else z
-    is_node = not isinstance(z, complex) and z == int(z) and 0 <= z < len(series.samples)
+    is_node = not isinstance(z, complex) and z == int(z) and 0 <= z < len(series.coeffs)
     if re_z <= 0 and not is_node:
         warnings.append("outside half-plane Re(z) > 0: convergence not expected")
 
@@ -102,7 +98,10 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
     diverging = False
     for k, term in enumerate(_terms(series, z, n_terms, exact)):
         total = total + term
-        mags.append(float(abs(term)))
+        try:
+            mags.append(float(abs(term)))
+        except OverflowError:
+            raise ValueError(f"term {k} at z = {z!s:.40} is beyond float range") from None
         if k >= 1 and mags[-1] > mags[-2] > 0:
             growth += 1
             if growth >= 5 and not diverging:

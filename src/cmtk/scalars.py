@@ -8,6 +8,7 @@ once, at sequence construction, and recorded as a mode flag.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -90,7 +91,8 @@ def json_field(data, key, where, default=None, kind=float):
     absent and a default is given.
 
     Raises a ValueError that names the field when ``data`` is not an object
-    or the field is missing or of the wrong kind.
+    or the field is missing or of the wrong kind, or is a number that is not
+    finite or overflows a float.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
@@ -103,8 +105,9 @@ def json_field(data, key, where, default=None, kind=float):
         return value
     if kind is float:
         try:
-            return float(value)
-        except (TypeError, ValueError):
+            if math.isfinite(number := float(value)):
+                return number
+        except (TypeError, ValueError, OverflowError):
             pass
-    what = "a list" if kind is list else "a number"
+    what = "a list" if kind is list else "a finite number"
     raise ValueError(f"{where} field {key!r} is not {what}: {value!r:.40}")

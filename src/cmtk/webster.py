@@ -19,18 +19,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .funcops import FunctionHandle
+from .funcops import FunctionHandle, _richardson_derivative
 
 DEFAULT_N = 100_000
 _CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
-
-
-def _central_derivative(g, x, n):
-    """Central difference with one Richardson step (h = max(1e-6, 1e-8 n))."""
-    h = max(1e-6, 1e-8 * n)
-    d1 = (g(x + h) - g(x - h)) / (2.0 * h)
-    d2 = (g(x + h / 2) - g(x - h / 2)) / h
-    return (4.0 * d2 - d1) / 3.0
 
 
 @dataclass
@@ -79,7 +71,7 @@ class WebsterSolution:
         g = self.problem.g
         if g.derivative is not None:
             return g.derivative(n) / g(n)
-        return _central_derivative(g, n, n) / g(n)
+        return _richardson_derivative(g, n, max(1e-6, 1e-8 * n))[0] / g(n)
 
     def _prepare(self):
         if self._prepared:
@@ -87,7 +79,6 @@ class WebsterSolution:
         p, g, N = self.problem, self.problem.g, self.problem.n_terms
         g.reset_budget()
 
-        self.log_concave_ok = True
         for t in _CONCAVITY_GRID:
             lo, mid, hi = g(t), g(1.5 * t), g(2.0 * t)
             if min(lo, mid, hi) <= 0:
@@ -100,21 +91,16 @@ class WebsterSolution:
         for n in range(1, N + 1):
             self.log_g[n] = math.log(g(n))
 
-        self.gamma = None
-        self.gamma_raw = None
-        self.a = None
-        self.sum_a = 0.0
         if not p.g_limit_one:
-            self.a = [0.0] * (N + 1)
             checkpoints = sorted({max(1, N // 4), max(1, N // 2), N})
             partials = {}
             run = 0.0
             for n in range(1, N + 1):
-                self.a[n] = float(self._derivative_ratio(n))
-                run += self.a[n]
+                a_n = float(self._derivative_ratio(n))
+                run += a_n
                 if n in checkpoints:
                     partials[n] = run - self.log_g[n]
-            self.sum_a = run
+            self.sum_a, self.a_N = run, a_n  # a_N = g'(N)/g(N) enters the last increment
             self.gamma_raw = partials[N]
             if p.acceleration == "aitken" and len(partials) == 3:
                 s0, s1, s2 = (partials[c] for c in checkpoints)
@@ -138,7 +124,7 @@ class WebsterSolution:
             last = terms[-1] if terms else 0.0
         else:
             head = -self.gamma * b - math.log(g(b)) + self.sum_a * b
-            last = (terms[-1] + self.a[N] * b) if terms else 0.0
+            last = (terms[-1] + self.a_N * b) if terms else 0.0
         value = math.exp(head + math.fsum(terms))
         out = (value, abs(last))
         self._base_cache[b] = out

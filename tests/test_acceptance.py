@@ -34,7 +34,7 @@ from cmtk.builtins import (
     webster_identity,
 )
 from cmtk.classify import atom_at_zero, certify
-from cmtk.funcops import bf_limit_decompose, lattice_check, make_handle
+from cmtk.funcops import FunctionHandle, bf_limit_decompose, lattice_check
 from cmtk.moments import evaluate, invert_cm
 from cmtk.newton import eval_series, extrapolate_series, series_from_samples
 from cmtk.seqcore import (
@@ -239,7 +239,7 @@ def test_criterion_8_theta_characterization():
     ok &= entry.certificate.failed and entry.certificate.witness[0] == 1
 
     tele = bf_limit_decompose(
-        one_minus_exp_handle(), c=1.0, n_max=50, telescope_n=5
+        one_minus_exp_handle(), c=1.0, n_max=50
     ).telescoping_residual
     ok &= tele <= 1e-13
     sw.check()
@@ -269,7 +269,7 @@ def test_criterion_9_self_decomposability():
 def test_criterion_10_lattice_characterizations():
     sw = Stopwatch(5.0)
     rep = lattice_check(
-        make_handle(lambda x: math.exp(-x), "exp-decay"),
+        FunctionHandle(lambda x: math.exp(-x), "exp-decay"),
         "cm",
         [1.0, 0.5, 1.0 / 3.0],
         depth=18,

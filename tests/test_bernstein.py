@@ -27,7 +27,7 @@ from cmtk.builtins import (
 )
 from cmtk.classify import CA, certify
 from cmtk.errors import CertificationError, DomainError
-from cmtk.funcops import make_handle, sampled_sequence
+from cmtk.funcops import FunctionHandle, sampled_sequence
 from cmtk.moments import invert_ca
 from cmtk.seqcore import Sequence, difference_table
 
@@ -112,7 +112,7 @@ class TestExtract:
         assert sum(near) == pytest.approx(1.0, abs=2e-2)
 
     def test_affine(self):
-        phi = make_handle(lambda lam: 2.0 + 3.0 * lam, "affine")
+        phi = FunctionHandle(lambda lam: 2.0 + 3.0 * lam, "affine")
         t, rep = extract_triplet(phi)
         assert t.q == 2.0
         assert t.d == pytest.approx(3.0, abs=1e-6)
@@ -254,12 +254,12 @@ class TestSelfDecomposable:
         def derivative(lam):
             raise DomainError("derivative undefined here")
 
-        phi = make_handle(math.log1p, "log1p", derivative=derivative)
+        phi = FunctionHandle(math.log1p, "log1p", derivative=derivative)
         with pytest.raises(DomainError, match="derivative undefined"):
             check_selfdecomposable(phi, depth=12)
 
     def test_central_difference_fallback(self):
-        phi = make_handle(lambda lam: math.log1p(lam), "log1p-noderiv")
+        phi = FunctionHandle(lambda lam: math.log1p(lam), "log1p-noderiv")
         rep = check_selfdecomposable(phi, depth=12, tol=0.2)
         assert rep.derivative_test is not None
         assert rep.derivative_error is not None and rep.derivative_error < 1e-6

@@ -362,6 +362,15 @@ class TestMalformedInput:
         pytest.param("1\n1/2\n1/3\n", ["newton", "eval", "--terms", "-1"],
                      id="newton-terms-negative"),
         pytest.param("1\n1/2\n1/3\n", ["newton", "eval", "--terms", "0"], id="newton-terms-0"),
+        pytest.param('{"atoms": [{"u": 0.5, "w": 1e400}]}', ["evaluate", "--at", "1"],
+                     id="evaluate-weight-1e400"),
+        pytest.param('{"atoms": [{"u": 0.5, "w": 1%s}]}' % ("0" * 400), ["evaluate", "--at", "1"],
+                     id="evaluate-weight-401-digits"),
+        pytest.param("1\n1/2\n1/3\n", ["newton", "eval", "--at", "1e200"],
+                     id="newton-exact-term-overflow"),
+        pytest.param("1\n1/2\n1/3\n", ["invert", "cm", "--tol", "-1"], id="invert-tol-negative"),
+        pytest.param("1\n1/2\n1/3\n", ["minimal", "--kind", "cm", "--tol", "-1"],
+                     id="minimal-tol-negative"),
     ])
     def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
         argv = list(argv)

@@ -6,20 +6,21 @@ from fractions import Fraction
 
 import pytest
 
+from cmtk.builtins import BUILTIN_HANDLES, WEBSTER_BUILTINS, get_handle, get_webster_g
 from cmtk.errors import BudgetExceededError, DomainError
 from cmtk.funcops import (
+    FunctionHandle,
     apply_operator,
     bf_limit_decompose,
     cm_limit_decompose,
     default_lambda_grid,
     lattice_check,
-    make_handle,
     subaffine_check,
 )
 
 
 def handle(fn, **kw):
-    return make_handle(fn, **kw)
+    return FunctionHandle(fn, **kw)
 
 
 class TestOperators:
@@ -100,6 +101,21 @@ class TestOperators:
         f = handle(lambda x: x)
         assert f.budget == 7
 
+    @pytest.mark.parametrize("get, name", [
+        *(pytest.param(get_handle, name, id=name) for name in BUILTIN_HANDLES),
+        *(pytest.param(get_webster_g, name, id=f"webster-{name}")
+          for name in (*WEBSTER_BUILTINS, "constant:1/2")),
+    ])
+    def test_builtin_budget_from_env(self, monkeypatch, get, name):
+        """Builtins take no budget argument: CMTK_MAX_EVALS caps each one."""
+        monkeypatch.setenv("CMTK_MAX_EVALS", "3")
+        f = get(name)
+        assert f.budget == 3
+        for _ in range(3):
+            f(1.0)
+        with pytest.raises(BudgetExceededError):
+            f(1.0)
+
     @pytest.mark.parametrize("raw", ["abc", "-5", "2.5"])
     def test_budget_env_must_be_a_nonnegative_integer(self, monkeypatch, raw):
         monkeypatch.setenv("CMTK_MAX_EVALS", raw)
@@ -160,7 +176,7 @@ class TestBFDecompose:
 
     def test_telescoping_identity(self):
         f = handle(lambda x: -math.expm1(-x))
-        rep = bf_limit_decompose(f, c=1.0, n_max=50, telescope_n=5)
+        rep = bf_limit_decompose(f, c=1.0, n_max=50)
         assert rep.telescoping_residual <= 1e-13
 
     def test_residual_decreases_with_n(self):

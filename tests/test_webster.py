@@ -11,7 +11,7 @@ import pytest
 
 from cmtk.builtins import webster_constant, webster_exp_neg_cm, webster_identity
 from cmtk.errors import DomainError
-from cmtk.funcops import make_handle
+from cmtk.funcops import FunctionHandle
 from cmtk.webster import (
     WebsterProblem,
     WebsterSolution,
@@ -105,7 +105,7 @@ class TestClosedForms:
 
     def test_shifted_ratio(self):
         # f(x) = x solves f(x+1) = ((x+1)/x) f(x), f(1) = 1
-        g = make_handle(lambda x: (x + 1.0) / x, "ratio", open_at_zero=True)
+        g = FunctionHandle(lambda x: (x + 1.0) / x, "ratio", open_at_zero=True)
         assert verify_functional_equation(lambda x: x, g, [0.5, 1.0, 2.5]) == 0.0
 
     def test_power_of_two(self):
@@ -121,13 +121,13 @@ class TestClosedForms:
 class TestHypothesisChecks:
     def test_log_concavity_warning(self):
         # log(1 + x^2) is convex near zero, so the midpoint spot-check trips
-        g = make_handle(lambda x: 1.0 + x * x, "logconvex")
+        g = FunctionHandle(lambda x: 1.0 + x * x, "logconvex")
         problem = WebsterProblem(g, n_terms=50)
         res = solve_webster(problem, 0.5)
         assert not res.log_concave_ok
         assert any("log-concavity" in w for w in res.warnings)
 
     def test_positivity_required(self):
-        g = make_handle(lambda x: x - 10.0, "signed")
+        g = FunctionHandle(lambda x: x - 10.0, "signed")
         with pytest.raises(DomainError):
             solve_webster(WebsterProblem(g, n_terms=50), 0.5)
