@@ -183,15 +183,16 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_THETA_CS,
     increment at most half the largest; increments of a CA sequence are
     already nonincreasing)."""
     count = depth + 10
+    cs = [float(c) for c in cs]
+    if any(c <= 0 for c in cs):
+        raise ValueError("c must be positive")
     entries = []
+    phi.reset_budget()
+    at_k = phi.sample(range(count + 1))
     for c in cs:
-        c = float(c)
-        if c <= 0:
-            raise ValueError("c must be positive")
         c_exact = Fraction(c)
-        phi.reset_budget()
-        phi_0, phi_c = phi(0), phi(c_exact)
-        pairs = [(phi(k), phi(k + c_exact)) for k in range(count + 1)]
+        phi_0, phi_c = at_k[0], phi(c_exact)
+        pairs = [(a, phi(k + c_exact)) for k, a in enumerate(at_k)]
         # in float, fl(a-b) = -fl(b-a), so head + (phi(0) - phi(c)) is exactly 0.0
         head = phi_c - phi_0
         scale = abs(phi_c) + abs(phi_0)
@@ -289,16 +290,17 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
     """
     if phi.open_at_zero:
         raise DomainError("self-decomposability tests need the value at 0")
+    cs = [float(c) for c in cs]
+    if not all(0.0 < c < 1.0 for c in cs):
+        raise ValueError("scale factors must lie in (0, 1)")
     phi.reset_budget()
+    at_k = phi.sample(range(_SCALE_DEPTH + 9))
     entries = []
     for c in cs:
-        c = float(c)
-        if not 0.0 < c < 1.0:
-            raise ValueError("scale factors must lie in (0, 1)")
         # exact-first: a float c is an exact binary rational, so handles
         # built from plain arithmetic return exact values at these args
         c_exact = Fraction(c)
-        raw = [(phi(k), phi(c_exact * k)) for k in range(_SCALE_DEPTH + 9)]
+        raw = [(a, phi(c_exact * k)) for k, a in enumerate(at_k)]
         seq = Sequence.from_values(
             [a - b for a, b in raw],
             value_bounds=[2.0 * EPS * (abs(a) + abs(b)) for a, b in raw],

@@ -11,6 +11,7 @@ strict violation yields "inconclusive" rather than "pass" or "fail".
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .errors import CertificationError
 from .scalars import EXACT, FLOAT
@@ -26,26 +27,6 @@ INCONCLUSIVE = "inconclusive"
 #: In float mode deep difference rows are dominated by rounding noise; depth
 #: defaults are capped here (exact mode has no cap).
 FLOAT_DEPTH_CAP = 40
-
-_OK, _VIOLATION, _UNDECIDABLE = 0, 1, 2
-
-
-def _entry_status(kind, value, bound):
-    """Classify one table entry against the sign condition of its kind.
-
-    A zero bound (exact mode, or float entries with no accumulated error)
-    decides by the sign alone; float arithmetic never touches exact values.
-    """
-    if kind == CA:  # rows n >= 1 must be <= 0; rounding is symmetric in sign
-        value = -value
-    if bound == 0.0:
-        return _OK if value >= 0 else _VIOLATION
-    if value - bound >= 0:
-        return _OK
-    if value + bound < 0:
-        return _VIOLATION
-    return _UNDECIDABLE
-
 
 def default_depth(a: Sequence, depth=None) -> int:
     if depth is not None:
@@ -112,14 +93,20 @@ def certify(a: Sequence, kind: str, depth=None, table: DifferenceTable = None) -
             if m >= 0:
                 margin = m if margin is None else min(margin, m)
                 continue
-        for k, v in enumerate(row):
+            bounds = repeat(0)  # int zeros keep the scaled ints out of float arithmetic
+        else:
+            bounds = table.bounds[n]
+        for k, (v, e) in enumerate(zip(row, bounds)):
             m = -v if v < 0 else v
             if margin is None or m < margin:
                 margin = m
-            status = _entry_status(kind, v, table.error_bound(n, k))
-            if status == _VIOLATION and witness is None:
-                witness = (n, k, table.unscale(v))
-            elif status == _UNDECIDABLE:
+            s = -v if kind == CA else v  # rows n >= 1 must be <= 0; rounding is symmetric in sign
+            if s - e >= 0:
+                continue
+            if s + e < 0:
+                if witness is None:
+                    witness = (n, k, table.unscale(v))
+            else:
                 undecidable += 1
         if witness is not None:
             break

@@ -43,7 +43,9 @@ def _budget_from_env():
 
 class FunctionHandle:
     """Deterministic callable on [0, inf) (or (0, inf) when open at zero),
-    with an evaluation budget and an optional known derivative.
+    with an optional known derivative and an evaluation budget.  The budget
+    covers one library call: each operation that samples the handle resets
+    it once, when it starts, so check_bf_via_theta shares it among its c.
 
     ``noise_scale``, when set, maps x to a magnitude M(x) such that the
     absolute evaluation error is at most EPS * M(x); operator-composed
@@ -94,7 +96,8 @@ def _richardson_derivative(f, x, h):
 def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionHandle:
     """Compose f with an operator iterate; returns a new handle charging f's
     budget.  theta and rho need f(0), so they reject open-at-zero handles;
-    rho additionally requires c in (0, 1)."""
+    rho additionally requires c in (0, 1).  A theta handle evaluates its
+    anchors f(ic), i = 0..iterate, once, when it is built."""
     if c <= 0:
         raise ValueError("c must be positive")
     n = iterate
@@ -125,11 +128,12 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
         open_at_zero = f.open_at_zero
     elif op == "theta":
         coef = [math.comb(n, i) * (-1 if i % 2 else 1) for i in range(n + 1)]
+        anchors = [f(i * c) for i in range(n + 1)]
         fn = lambda x: math.fsum(
-            coef[i] * (f(x + i * c) - f(i * c)) for i in range(n + 1)
+            coef[i] * (f(x + i * c) - anchors[i]) for i in range(n + 1)
         )
         noise = lambda x: 2.0 * math.fsum(
-            abs(coef[i]) * (abs(f(x + i * c)) + abs(f(i * c)))
+            abs(coef[i]) * (abs(f(x + i * c)) + abs(anchors[i]))
             for i in range(n + 1)
         )
         open_at_zero = False
@@ -269,8 +273,9 @@ def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     residual = 0.0
     for cj in cs:
         shift = n_max * cj
-        d_j = (phi(shift + cj) - phi(shift)) / cj
-        base = phi(shift) - q
+        far = phi(shift)
+        d_j = (phi(shift + cj) - far) / cj
+        base = far - q
         samples = [(lam, base + v - phi(lam + shift)) for lam, v in zip(lam_grid, vals)]
         res_j = max(
             abs(v - (q + d_j * lam + s)) for (lam, s), v in zip(samples, vals)
@@ -284,8 +289,9 @@ def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     for cj in cs:
         th_m = apply_operator(phi, "theta", cj * m)
         th_1 = apply_operator(phi, "theta", cj)
+        at_kc = [th_1(k * cj) for k in range(m)]
         for lam in lam_grid:
-            rhs = math.fsum(th_1(lam + k * cj) - th_1(k * cj) for k in range(m))
+            rhs = math.fsum(th_1(lam + k * cj) - at_kc[k] for k in range(m))
             tele = max(tele, abs(th_m(lam) - rhs))
 
     return BFDecomposition(

@@ -109,7 +109,14 @@ class CATriplet:
     def from_dict(cls, data):
         d = json_field(data, "d", "CA triplet", 0.0)
         q = data.get("q")
-        q = parse_scalar(q) if isinstance(q, str) else json_field(data, "q", "CA triplet", 0.0)
+        if not isinstance(q, str):
+            q = json_field(data, "q", "CA triplet", 0.0)
+        else:
+            try:
+                float(q := parse_scalar(q))  # q stays exact; float() checks its range
+            except OverflowError:
+                raise ValueError(
+                    f"CA triplet field 'q' is not a finite number: {data['q']!r:.40}") from None
         return cls(q, d, DiscreteMeasure.from_dict(data))
 
 

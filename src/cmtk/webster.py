@@ -67,12 +67,6 @@ class WebsterSolution:
 
     # -- preparation ---------------------------------------------------
 
-    def _derivative_ratio(self, n):
-        g = self.problem.g
-        if g.derivative is not None:
-            return g.derivative(n) / g(n)
-        return _richardson_derivative(g, n, max(1e-6, 1e-8 * n))[0] / g(n)
-
     def _prepare(self):
         if self._prepared:
             return
@@ -87,19 +81,22 @@ class WebsterSolution:
             if math.log(mid) < 0.5 * (math.log(lo) + math.log(hi)) - slack:
                 self.log_concave_ok = False
 
+        derivative = g.derivative or (
+            lambda x: _richardson_derivative(g, x, max(1e-6, 1e-8 * x))[0])
         self.log_g = [0.0] * (N + 1)  # log g(n), n = 1..N
+        checkpoints = sorted({max(1, N // 4), max(1, N // 2), N})
+        partials = {}
+        run = 0.0
         for n in range(1, N + 1):
-            self.log_g[n] = math.log(g(n))
-
-        if not p.g_limit_one:
-            checkpoints = sorted({max(1, N // 4), max(1, N // 2), N})
-            partials = {}
-            run = 0.0
-            for n in range(1, N + 1):
-                a_n = float(self._derivative_ratio(n))
+            g_n = g(n)
+            self.log_g[n] = math.log(g_n)
+            if not p.g_limit_one:
+                a_n = float(derivative(n) / g_n)
                 run += a_n
                 if n in checkpoints:
                     partials[n] = run - self.log_g[n]
+
+        if not p.g_limit_one:
             self.sum_a, self.a_N = run, a_n  # a_N = g'(N)/g(N) enters the last increment
             self.gamma_raw = partials[N]
             if p.acceleration == "aitken" and len(partials) == 3:

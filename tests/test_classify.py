@@ -18,6 +18,7 @@ from cmtk.classify import (
     CA,
     CM,
     CONSTANT_TAIL,
+    Certificate,
     FAIL,
     INCONCLUSIVE,
     PASS,
@@ -171,6 +172,70 @@ class TestFloatSoundnessOracle:
             verdict = certify(a, kind, depth).verdict
             if verdict != INCONCLUSIVE:
                 assert verdict == certify(twin, kind, depth).verdict, kind
+
+
+def _reference_status(value, bound):
+    """The per-entry rule: a zero bound decides by the sign alone; otherwise
+    the entry is certified, violating, or undecidable within its bound."""
+    if bound == 0.0:
+        return PASS if value >= 0 else FAIL
+    if value - bound >= 0:
+        return PASS
+    if value + bound < 0:
+        return FAIL
+    return INCONCLUSIVE
+
+
+def reference_certify(a, kind, depth):
+    """certify by the per-entry rule on every entry of the unscaled table."""
+    table = difference_table(a, depth)
+    witness, undecidable, margin = None, 0, None
+    for n in range(0 if kind == CM else 1, depth + 1):
+        for k, v in enumerate(table.rows[n]):
+            margin = abs(v) if margin is None else min(margin, abs(v))
+            status = _reference_status(-v if kind == CA else v, table.error_bound(n, k))
+            if status == FAIL and witness is None:
+                witness = (n, k, v)
+            elif status == INCONCLUSIVE:
+                undecidable += 1
+        if witness is not None:
+            break
+    verdict = FAIL if witness else INCONCLUSIVE if undecidable else PASS
+    return Certificate(kind, depth, verdict, witness, margin, a.mode, undecidable)
+
+
+class TestCertifyReference:
+    """certify gives the whole Certificate (verdict, witness, min_margin,
+    undecidable count) of the per-entry reference rule."""
+
+    @given(st.one_of(
+        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+                 min_size=1, max_size=12),
+        st.builds(lambda atoms, K: cm_model(dict(atoms).items(), K).values,
+                  st.lists(st.tuples(unit_fracs, weights), min_size=1, max_size=4),
+                  st.integers(min_value=0, max_value=11)),
+        st.builds(lambda q, d, atoms, K: ca_model(q, d, dict(atoms).items(), K).values,
+                  weights, weights,
+                  st.lists(st.tuples(unit_fracs.filter(lambda u: u < 1), weights), max_size=4),
+                  st.integers(min_value=0, max_value=11)),
+    ), st.integers(min_value=0, max_value=11))
+    # the failing row 1 holds -2^1100 and 2^1100: scaled ints beyond float range
+    @example([0, 2**1100, 0], 2)
+    @settings(max_examples=150, deadline=None)
+    def test_exact(self, values, depth):
+        a = exact(values)
+        depth = min(depth, a.last_index)
+        for kind in (CM, CA):
+            assert certify(a, kind, depth) == reference_certify(a, kind, depth), kind
+
+    @given(floats_with_bounds(), st.integers(min_value=0, max_value=11))
+    @settings(max_examples=150, deadline=None)
+    def test_float(self, case, depth):
+        values, bounds = case
+        a = Sequence.from_values(values, value_bounds=bounds)
+        depth = min(depth, a.last_index)
+        for kind in (CM, CA):
+            assert certify(a, kind, depth) == reference_certify(a, kind, depth), kind
 
 
 class TestAtomAtZero:

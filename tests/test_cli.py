@@ -371,6 +371,8 @@ class TestMalformedInput:
         pytest.param("1\n1/2\n1/3\n", ["invert", "cm", "--tol", "-1"], id="invert-tol-negative"),
         pytest.param("1\n1/2\n1/3\n", ["minimal", "--kind", "cm", "--tol", "-1"],
                      id="minimal-tol-negative"),
+        pytest.param('{"q": "1e400", "atoms": [{"u": 0.5, "w": 1}]}', ["evaluate", "--at", "1"],
+                     id="evaluate-q-string-1e400"),
     ])
     def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
         argv = list(argv)

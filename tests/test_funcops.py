@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from cmtk.builtins import BUILTIN_HANDLES, WEBSTER_BUILTINS, get_handle, get_webster_g
+from cmtk.bernstein import check_bf_via_theta, check_selfdecomposable
+from cmtk.builtins import (
+    BUILTIN_HANDLES,
+    WEBSTER_BUILTINS,
+    get_handle,
+    get_webster_g,
+    webster_identity,
+)
 from cmtk.errors import BudgetExceededError, DomainError
 from cmtk.funcops import (
     FunctionHandle,
@@ -17,6 +24,7 @@ from cmtk.funcops import (
     lattice_check,
     subaffine_check,
 )
+from cmtk.webster import WebsterProblem, WebsterSolution
 
 
 def handle(fn, **kw):
@@ -121,6 +129,47 @@ class TestOperators:
         monkeypatch.setenv("CMTK_MAX_EVALS", raw)
         with pytest.raises(ValueError, match="CMTK_MAX_EVALS"):
             handle(lambda x: x)
+
+
+def counting(f):
+    """Wrap the callable of handle ``f``; returns a one-item list holding the
+    number of base evaluations (``f.calls`` is zeroed by ``reset_budget``)."""
+    fn, cell = f.fn, [0]
+
+    def counted(x):
+        cell[0] += 1
+        return fn(x)
+
+    f.fn = counted
+    return cell
+
+
+class TestEvaluationCounts:
+    """Each base value an operation needs is evaluated once."""
+
+    @pytest.mark.parametrize("make, run, want", [
+        pytest.param(lambda: get_handle("one-minus-exp"),
+                     lambda f: bf_limit_decompose(f, n_max=50), 1788, id="bf-limit-decompose"),
+        pytest.param(webster_identity,
+                     lambda g: WebsterSolution(WebsterProblem(g, 1000))._prepare(), 1096,
+                     id="webster-prepare"),
+        pytest.param(lambda: get_handle("bf-ratio"), check_bf_via_theta, 80, id="bf-via-theta"),
+        pytest.param(lambda: get_handle("log1p"), check_selfdecomposable, 120,
+                     id="selfdecomposable"),
+    ])
+    def test_base_evaluations(self, make, run, want):
+        f = make()
+        cell = counting(f)
+        run(f)
+        assert cell[0] == want
+
+    def test_theta_call_reuses_its_anchors(self):
+        f = get_handle("square")
+        cell = counting(f)
+        theta = apply_operator(f, "theta", 1, 3)
+        assert cell[0] == 4  # the anchors f(0), f(1), f(2), f(3)
+        assert theta(0.5) == 0.0  # a third difference of a quadratic
+        assert cell[0] == 8
 
 
 class TestCMDecompose:
