@@ -47,14 +47,14 @@ class FunctionHandle:
     covers one library call: each operation that samples the handle resets
     it once, when it starts, so check_bf_via_theta shares it among its c.
 
-    ``noise_scale``, when set, maps x to a magnitude M(x) such that the
-    absolute evaluation error is at most EPS * M(x); operator-composed
-    handles set it to the magnitude sum of their alternating terms.  None
-    means correctly rounded (error within half an ulp of the value).
+    ``bounded``, set on delta, theta and rho handles, maps x to the value
+    and a magnitude M(x) bounding its absolute error by EPS * M(x), both
+    from one evaluation of each base value; a plain call computes the value
+    alone.  None means correctly rounded (within half an ulp of the value).
     """
 
     def __init__(self, fn, name="f", open_at_zero=False, derivative=None,
-                 budget=None, base=None, noise_scale=None):
+                 budget=None, base=None, bounded=None):
         self.fn = fn
         self.name = name
         self.open_at_zero = open_at_zero
@@ -62,7 +62,7 @@ class FunctionHandle:
         self.budget = _budget_from_env() if budget is None else budget
         self.calls = 0
         self.base = base  # composed handles charge the underlying handle
-        self.noise_scale = noise_scale
+        self.bounded = bounded
 
     def __call__(self, x):
         if self.open_at_zero and x <= 0:
@@ -110,54 +110,49 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
     if n == 0:
         return FunctionHandle(f, f"{f.name}", f.open_at_zero, base=f)
 
-    noise = None
+    bounded = None
     if op == "sigma":
         ceff = c**n
         fn = lambda x: f(ceff * x)
-        open_at_zero = f.open_at_zero
     elif op == "tau":
         ceff = c * n
         fn = lambda x: f(x + ceff)
-        open_at_zero = False
-    elif op == "delta":
-        coef = [math.comb(n, i) * (-1 if (n - i) % 2 else 1) for i in range(n + 1)]
-        fn = lambda x: math.fsum(coef[i] * f(x + i * c) for i in range(n + 1))
-        noise = lambda x: 2.0 * math.fsum(
-            abs(coef[i] * f(x + i * c)) for i in range(n + 1)
-        )
-        open_at_zero = f.open_at_zero
-    elif op == "theta":
-        coef = [math.comb(n, i) * (-1 if i % 2 else 1) for i in range(n + 1)]
-        anchors = [f(i * c) for i in range(n + 1)]
-        fn = lambda x: math.fsum(
-            coef[i] * (f(x + i * c) - anchors[i]) for i in range(n + 1)
-        )
-        noise = lambda x: 2.0 * math.fsum(
-            abs(coef[i]) * (abs(f(x + i * c)) + abs(anchors[i]))
-            for i in range(n + 1)
-        )
-        open_at_zero = False
-    elif op == "rho":
-        coef = [math.comb(n, i) * (-1 if i % 2 else 1) for i in range(n + 1)]
-        fn = lambda x: math.fsum(coef[i] * f(c**i * x) for i in range(n + 1))
-        noise = lambda x: 2.0 * math.fsum(
-            abs(coef[i] * f(c**i * x)) for i in range(n + 1)
-        )
-        open_at_zero = False
+    elif op in ("delta", "theta", "rho"):
+        # sum_i coef_i (f(s_i x + o_i) - anchor_i): the points are x + ic, or
+        # c^i x for rho; the anchors are f(ic) for theta and 0 otherwise
+        parity = n if op == "delta" else 0
+        terms = [(math.comb(n, i) * (-1 if (i + parity) % 2 else 1),
+                  c**i if op == "rho" else 1, 0 if op == "rho" else i * c,
+                  f(i * c) if op == "theta" else 0) for i in range(n + 1)]
+        fn = lambda x: math.fsum([k * (f(s * x + o) - a) for k, s, o, a in terms])
+
+        def bounded(x):
+            kva = [(k, f(s * x + o), a) for k, s, o, a in terms]
+            return (math.fsum([k * (v - a) for k, v, a in kva]),
+                    2.0 * math.fsum([abs(k) * (abs(v) + abs(a)) for k, v, a in kva]))
     else:
         raise ValueError(f"unknown operator {op!r}")
-    name = f"{op}_{c:g}^{n}({f.name})"
-    return FunctionHandle(fn, name, open_at_zero, base=f, noise_scale=noise)
+    name = f"{op}_{float(c):g}^{n}({f.name})"
+    # tau moves 0 into the domain; theta and rho took closed handles only
+    open_at_zero = f.open_at_zero and op != "tau"
+    return FunctionHandle(fn, name, open_at_zero, base=f, bounded=bounded)
+
+
+def _sample(f: FunctionHandle, points):
+    """f at the points, with the magnitudes M(x) of a composed handle (None
+    for a plain one), from one evaluation of each base value."""
+    if f.bounded is None:
+        return f.sample(points), None
+    pairs = [f.bounded(x) for x in points]
+    return [v for v, _ in pairs], [m for _, m in pairs]
 
 
 def sampled_sequence(f: FunctionHandle, points) -> Sequence:
-    """Sample a handle into a Sequence, attaching the handle's noise scale
-    as per-value input error bounds (exact values stay exact)."""
-    values = f.sample(points)
-    bounds = None
-    if f.noise_scale is not None:
-        bounds = [EPS * f.noise_scale(x) for x in points]
-    return Sequence.from_values(values, value_bounds=bounds)
+    """Sample a handle into a Sequence.  A composed handle's values carry
+    the input error bounds EPS * M(x); a plain handle's carry none, so the
+    table's default half-ulp bound applies (exact values stay exact)."""
+    values, mags = _sample(f, points)
+    return Sequence.from_values(values, value_bounds=mags and [EPS * m for m in mags])
 
 
 def default_lambda_grid(include_zero: bool = True):
@@ -317,7 +312,7 @@ class LatticeReport:
 def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
                   tol=None) -> LatticeReport:
     """Certify (f(alpha k))_k (shifted to (k+1)alpha for open-at-zero handles)
-    for each finite alpha > 0, with minimality, on depth + 5 samples.
+    for each finite alpha > 0, with minimality, on depth + 6 samples.
 
     Overall pass requires every per-alpha certificate to pass; budget
     exhaustion yields a partial report over the alphas already done.
@@ -332,19 +327,16 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
     for alpha in alphas:
         try:
             count = depth + 5
-            if f.open_at_zero:
-                pts = [alpha * (k + 1) for k in range(count + 1)]
-            else:
-                pts = [alpha * k for k in range(count + 1)]
-            vals = f.sample(pts)
+            first = 1 if f.open_at_zero else 0
+            pts = [alpha * (k + first) for k in range(count + 1)]
+            vals, mags = _sample(f, pts)
+            mags = mags or [abs(v) for v in vals]
             # the rounding of alpha*k shifts the sample point; budget for it
             # with the local slope estimated from the neighbours
-            bounds = []
-            for i, x in enumerate(pts):
-                lo, hi = vals[max(0, i - 1)], vals[min(len(vals) - 1, i + 1)]
-                slope = abs(hi - lo) / (2.0 * alpha)
-                bounds.append(EPS * (abs(vals[i]) + slope * abs(x)))
-            seq = Sequence.from_values(vals, value_bounds=bounds)
+            slopes = [abs(vals[min(i + 1, count)] - vals[max(i - 1, 0)]) / (2.0 * alpha)
+                      for i in range(count + 1)]
+            seq = Sequence.from_values(vals, value_bounds=[
+                EPS * (m + s * abs(x)) for m, s, x in zip(mags, slopes, pts)])
             entries.append(LatticeEntry(alpha, *classify._certify_minimal(seq, kind, depth, tol)))
         except BudgetExceededError:
             partial = True
@@ -362,18 +354,15 @@ class SubaffineReport:
     arg_sup: float
 
 
-def subaffine_check(phi: FunctionHandle, c: float, bound: float,
-                    x_grid=None) -> SubaffineReport:
+def subaffine_check(phi: FunctionHandle, c: float, bound: float) -> SubaffineReport:
     """Real-axis surrogate of the bounded-increment condition:
     sup over the grid of |Phi(x + c) - Phi(x)| <= bound, up to the
     rounding floor of the evaluated increments."""
     if c <= 0:
         raise ValueError("c must be positive")
     phi.reset_budget()
-    if x_grid is None:
-        x_grid = default_lambda_grid(include_zero=not phi.open_at_zero)
     sup, arg, slack = -math.inf, float("nan"), 0.0
-    for x in x_grid:
+    for x in default_lambda_grid(include_zero=not phi.open_at_zero):
         hi, lo = phi(x + c), phi(x)
         inc = abs(hi - lo)
         if inc > sup:

@@ -13,6 +13,7 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 EPS = 2.0 ** -52  # double-precision unit roundoff (1 ulp at 1.0)
+TINY = math.ulp(0.0)  # the smallest subnormal, 2**-1074
 
 EXACT = "exact"
 FLOAT = "float"
@@ -51,7 +52,7 @@ def coerce_values(values, mode=None):
 
     With ``mode=None`` the mode is inferred: exact iff every entry is an
     int or Fraction.  Returns ``(tuple_of_values, mode)``.  Raises a
-    ValueError naming the entry when one overflows a float.
+    ValueError naming the entry when one is not finite or overflows a float.
     """
     vals = list(values)
     if not vals:
@@ -69,9 +70,12 @@ def coerce_values(values, mode=None):
         out = []
         for k, v in enumerate(vals):
             try:
-                out.append(float(v))
+                x = float(v)
             except OverflowError:
                 raise ValueError(f"entry {k} is beyond float range: {v!s:.40}") from None
+            if not math.isfinite(x):
+                raise ValueError(f"entry {k} is not finite: {x!r}")
+            out.append(x)
         return tuple(out), FLOAT
     raise ValueError(f"unknown mode {mode!r}")
 

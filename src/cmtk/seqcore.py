@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .scalars import EPS, EXACT, FLOAT, coerce_values, parse_scalar
+from .scalars import EPS, EXACT, FLOAT, TINY, coerce_values, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -165,7 +165,8 @@ def difference_table(a: Sequence, depth: int) -> DifferenceTable:
     if a.mode == EXACT:
         return DifferenceTable(tuple(rows), None, EXACT, depth, K, scale)
 
-    bounds = [a.value_bounds or tuple([EPS * abs(v) for v in a.values])]
+    # half an ulp each, floored at 2**-1074, the ulp of a subnormal or 0.0
+    bounds = [a.value_bounds or tuple([max(EPS * abs(v), TINY) for v in a.values])]
     for row in rows[1:]:  # the bounds of the two operands plus one rounding
         prev = bounds[-1]
         bounds.append(tuple([x + y + EPS * abs(v) for x, y, v in zip(prev, prev[1:], row)]))

@@ -173,6 +173,22 @@ class TestFloatSoundnessOracle:
             if verdict != INCONCLUSIVE:
                 assert verdict == certify(twin, kind, depth).verdict, kind
 
+    def test_rounded_moments_with_subnormal_tail_are_not_failed(self):
+        # a_k = sum_j (c_j / 1000) (p_j / 1467)^k, each rounded once: from
+        # k = 799 the floats are subnormal, from k = 840 they are 0.0, so a
+        # bound relative to |a_k| alone misses their rounding error
+        exact = [sum(Fraction(c, 1000) * Fraction(p, 1467) ** k
+                     for p, c in ((36, 470), (466, 174), (605, 243))) for k in range(1001)]
+        a, twin = Sequence.from_values([float(v) for v in exact]), Sequence.from_values(exact)
+        assert certify(twin, CM, 40).verdict == PASS
+        assert certify(a, CM, 40).verdict == INCONCLUSIVE
+        table, exact_table = difference_table(a, 40), difference_table(twin, 40)
+        scale = exact_table.scale
+        for n in range(41):
+            for k in range(780, 1001 - n):  # the columns the tail reaches
+                err = abs(Fraction(table.rows[n][k]) * scale - exact_table.scaled[n][k])
+                assert err <= Fraction(table.error_bound(n, k)) * scale, (n, k)
+
 
 def _reference_status(value, bound):
     """The per-entry rule: a zero bound decides by the sign alone; otherwise

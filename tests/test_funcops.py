@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from cmtk.bernstein import check_bf_via_theta, check_selfdecomposable
+from cmtk import classify
+from cmtk.bernstein import (
+    BernsteinTriplet,
+    check_bf_via_theta,
+    check_selfdecomposable,
+    extract_triplet,
+    triplet_handle,
+)
 from cmtk.builtins import (
     BUILTIN_HANDLES,
     WEBSTER_BUILTINS,
@@ -22,8 +29,10 @@ from cmtk.funcops import (
     cm_limit_decompose,
     default_lambda_grid,
     lattice_check,
+    sampled_sequence,
     subaffine_check,
 )
+from cmtk.scalars import EPS
 from cmtk.webster import WebsterProblem, WebsterSolution
 
 
@@ -61,6 +70,13 @@ class TestOperators:
     def test_rho_requires_c_below_one(self):
         with pytest.raises(ValueError):
             apply_operator(handle(lambda x: x), "rho", 1.5)
+
+    def test_fraction_c(self):
+        f = get_handle("one-minus-exp")
+        g = apply_operator(f, "theta", Fraction(1, 2))
+        assert g.name == "theta_0.5^1(one-minus-exp)"
+        assert g(1.0) == apply_operator(f, "theta", 0.5)(1.0)
+        assert bf_limit_decompose(f, (Fraction(1, 2),), 8).cs == (Fraction(1, 2),)
 
     def test_theta_rejects_open_at_zero(self):
         f = handle(lambda x: 1.0 / x, open_at_zero=True)
@@ -156,12 +172,25 @@ class TestEvaluationCounts:
         pytest.param(lambda: get_handle("bf-ratio"), check_bf_via_theta, 80, id="bf-via-theta"),
         pytest.param(lambda: get_handle("log1p"), check_selfdecomposable, 120,
                      id="selfdecomposable"),
+        # 2 anchors, 31 samples and 2 far-field values, 2 base values each
+        pytest.param(lambda: triplet_handle(BernsteinTriplet(1.5, 0.75, ((0.5, 1), (2, 0.5)))),
+                     lambda f: extract_triplet(apply_operator(f, "theta", 1), tol=1e-5), 68,
+                     id="extract-triplet-theta"),
     ])
     def test_base_evaluations(self, make, run, want):
         f = make()
         cell = counting(f)
         run(f)
         assert cell[0] == want
+
+    @pytest.mark.parametrize("op, n", [("theta", 1), ("theta", 3), ("delta", 2), ("rho", 2)])
+    def test_sampled_value_and_bound_share_evaluations(self, op, n):
+        f = get_handle("one-minus-exp")
+        g = apply_operator(f, op, 0.5, n)
+        cell = counting(f)
+        seq = sampled_sequence(g, [float(k) for k in range(31)])
+        assert seq.value_bounds is not None
+        assert cell[0] == 31 * (n + 1)
 
     def test_theta_call_reuses_its_anchors(self):
         f = get_handle("square")
@@ -170,6 +199,77 @@ class TestEvaluationCounts:
         assert cell[0] == 4  # the anchors f(0), f(1), f(2), f(3)
         assert theta(0.5) == 0.0  # a third difference of a quadratic
         assert cell[0] == 8
+
+
+def reference_operator(fn, op, c, n):
+    """Value and error magnitude M(x) of op_c^n fn, each operator's
+    binomial sum written out on its own."""
+    if op == "delta":
+        coef = [math.comb(n, i) * (-1 if (n - i) % 2 else 1) for i in range(n + 1)]
+        value = lambda x: math.fsum(coef[i] * fn(x + i * c) for i in range(n + 1))
+        noise = lambda x: 2.0 * math.fsum(abs(coef[i] * fn(x + i * c)) for i in range(n + 1))
+    elif op == "theta":
+        coef = [math.comb(n, i) * (-1 if i % 2 else 1) for i in range(n + 1)]
+        anchors = [fn(i * c) for i in range(n + 1)]
+        value = lambda x: math.fsum(
+            coef[i] * (fn(x + i * c) - anchors[i]) for i in range(n + 1))
+        noise = lambda x: 2.0 * math.fsum(
+            abs(coef[i]) * (abs(fn(x + i * c)) + abs(anchors[i])) for i in range(n + 1))
+    else:
+        coef = [math.comb(n, i) * (-1 if i % 2 else 1) for i in range(n + 1)]
+        value = lambda x: math.fsum(coef[i] * fn(c**i * x) for i in range(n + 1))
+        noise = lambda x: 2.0 * math.fsum(abs(coef[i] * fn(c**i * x)) for i in range(n + 1))
+    return value, noise
+
+
+def reference_lattice_bounds(vals, pts, alpha):
+    """EPS (|f(x)| + slope |x|), the slope from the neighbouring samples."""
+    bounds = []
+    for i, x in enumerate(pts):
+        lo, hi = vals[max(0, i - 1)], vals[min(len(vals) - 1, i + 1)]
+        slope = abs(hi - lo) / (2.0 * alpha)
+        bounds.append(EPS * (abs(vals[i]) + slope * abs(x)))
+    return bounds
+
+
+class TestOperatorReference:
+    """Operator values and sampled bounds, bit for bit against the
+    per-operator formulas."""
+
+    XS = [0.0, 0.25, 1.0, 2.7, 9.5, 31.0]
+
+    @pytest.mark.parametrize("op, c", [
+        *((op, c) for op in ("delta", "theta") for c in (0.3, 0.5, 1.0, 1.7)),
+        *(("rho", c) for c in (0.3, 0.5, 0.9)),
+    ])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_values_and_sampled_bounds(self, op, c, n):
+        for name in ("one-minus-exp", "log1p", "exp-decay", "bf-ratio"):
+            f = get_handle(name)
+            value, noise = reference_operator(f.fn, op, c, n)
+            g = apply_operator(f, op, c, n)
+            seq = sampled_sequence(g, self.XS)
+            want = [value(x).hex() for x in self.XS]
+            assert [g(x).hex() for x in self.XS] == want, name
+            assert [v.hex() for v in seq.values] == want, name
+            assert [b.hex() for b in seq.value_bounds] == [
+                (EPS * noise(x)).hex() for x in self.XS], name
+
+    @pytest.mark.parametrize("name", ["exp-decay", "reciprocal", "sqrt", "log1p", "bf-ratio"])
+    def test_plain_lattice_bounds(self, monkeypatch, name):
+        seen, certify_minimal = [], classify._certify_minimal
+        monkeypatch.setattr(classify, "_certify_minimal",
+                            lambda seq, *args: seen.append(seq) or certify_minimal(seq, *args))
+        f = get_handle(name)
+        alphas = [1.0, 0.5, 0.37]
+        lattice_check(f, "cm", alphas, depth=14)
+        assert len(seen) == len(alphas)
+        for alpha, seq in zip(alphas, seen):
+            pts = [alpha * k for k in range(20)]
+            vals = [f.fn(x) for x in pts]
+            assert [v.hex() for v in seq.values] == [v.hex() for v in vals]
+            assert [b.hex() for b in seq.value_bounds] == [
+                b.hex() for b in reference_lattice_bounds(vals, pts, alpha)]
 
 
 class TestCMDecompose:
@@ -287,6 +387,15 @@ class TestLattice:
         cert = rep.entries[0].certificate
         assert (cert.mode, cert.verdict, cert.undecidable) == ("exact", "pass", 0)
 
+    def test_composed_handle_bounds_carry_cancellation(self):
+        # theta_1 Phi for Phi(x) = x + 1 - e^-x is a bounded Bernstein
+        # function; at x ~ 1e3 its samples cancel values of size 1e3
+        phi = handle(lambda x: x + 1.0 - math.exp(-x))
+        theta = apply_operator(phi, "theta", 1.0)
+        far = lattice_check(theta, "ca", [1e3], depth=20)
+        assert not far.entries[0].certificate.failed
+        assert lattice_check(theta, "ca", [1.0], depth=20).overall_pass
+
     @pytest.mark.parametrize("alpha", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_alpha_not_positive_and_finite(self, alpha):
         f = handle(lambda x: math.exp(-x))
@@ -302,14 +411,13 @@ class TestSubaffine:
         assert rep.supremum == pytest.approx(1.0)
 
     def test_sqrt_supremum_at_zero(self):
-        grid = [0.01 * i for i in range(10001)]
-        rep = subaffine_check(handle(lambda x: math.sqrt(x)), 1.0, 1.0, grid)
+        rep = subaffine_check(handle(lambda x: math.sqrt(x)), 1.0, 1.0)
         assert rep.ok
         assert rep.supremum == pytest.approx(1.0)
         assert rep.arg_sup == 0.0
 
     def test_square_fails(self):
-        grid = [0.1 * i for i in range(101)]
-        rep = subaffine_check(handle(lambda x: x * x), 1.0, 10.0, grid)
+        # the default grid ends at 10, where (x + 1)^2 - x^2 = 21
+        rep = subaffine_check(handle(lambda x: x * x), 1.0, 10.0)
         assert not rep.ok
         assert rep.supremum == pytest.approx(21.0)

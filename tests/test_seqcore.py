@@ -331,6 +331,12 @@ class TestIntegerScaledKernel:
         assert (cert.verdict, cert.witness, cert.min_margin, cert.depth) == ("pass", None, None, 0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_from_values_rejects_non_finite_floats(bad):
+    with pytest.raises(ValueError, match="entry 1 is not finite"):
+        Sequence.from_values([1.0, bad, 0.5])
+
+
 def reference_float_table(values, value_bounds, depth):
     """The float table and bounds as the per-entry loop computes them."""
     eps = 2.0 ** -52
@@ -338,7 +344,7 @@ def reference_float_table(values, value_bounds, depth):
     if value_bounds is not None:
         bounds = [list(value_bounds)]
     else:
-        bounds = [[eps * abs(v) for v in rows[0]]]
+        bounds = [[max(eps * abs(v), 2.0 ** -1074) for v in rows[0]]]
     for n in range(1, depth + 1):
         prev, eprev = rows[-1], bounds[-1]
         row, erow = [], []
