@@ -116,7 +116,8 @@ def _cmd_evaluate(args):
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if isinstance(data, dict) and "result" in data:  # a report of invert, extend or egf
-        data = data["result"].get("model")
+        result = data["result"]
+        data = result.get("model") if isinstance(result, dict) else None
     if not isinstance(data, dict) or not {"levy", "atoms"} & data.keys():
         raise ValueError(f"{args.input}: no measure, triplet or report with a model")
     if "levy" in data:
@@ -339,6 +340,19 @@ def _resolved_params(args):
     return {key: value for key, value in sorted(vars(args).items()) if key not in skip}
 
 
+def _run(args):
+    """(exit code, result) of the subcommand, with every CmtkError turned
+    into an error result."""
+    try:
+        return args.fn(args)
+    except CmtkError as exc:  # before ValueError: a DomainError is both
+        code = EXIT_INCONCLUSIVE if isinstance(exc, BudgetExceededError) else EXIT_FAIL
+        result = {"error": str(exc)}
+        if getattr(exc, "certificate", None):
+            result["certificate"] = exc.certificate
+        return code, result
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -347,32 +361,26 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
 
     try:
-        code, result = args.fn(args)
-    except CmtkError as exc:  # before ValueError: a DomainError is both
-        code = EXIT_INCONCLUSIVE if isinstance(exc, BudgetExceededError) else EXIT_FAIL
-        result = {"error": str(exc)}
-        if getattr(exc, "certificate", None):
-            result["certificate"] = exc.certificate
+        code, result = _run(args)
+        report = {
+            "command": args.command,
+            "params": _resolved_params(args),
+            "result": result,
+            "exit_code": code,
+        }
+        if not args.no_meta:
+            report["meta"] = {
+                "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()
+            }
+        text = json.dumps(report, sort_keys=True, indent=2, default=_to_json)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        else:
+            print(text)
     except (OSError, ValueError, ZeroDivisionError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    report = {
-        "command": args.command,
-        "params": _resolved_params(args),
-        "result": result,
-        "exit_code": code,
-    }
-    if not args.no_meta:
-        report["meta"] = {
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()
-        }
-    text = json.dumps(report, sort_keys=True, indent=2, default=_to_json)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
     return code
 
 

@@ -11,15 +11,15 @@ The exponential picture u = e^{-x} turns a fitted measure into a sum of
 decaying exponentials (the atom at u = 0 becomes the designated infinity
 atom, the obstruction to minimality), which is how reconstructed functions
 are evaluated off the integers.
+
+numpy and SciPy load only in the fits that ``invert_cm``, ``invert_ca`` and
+``bernstein.extract_triplet`` run, so ``import cmtk`` loads neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import nnls
 
 from . import classify
 from .errors import CertificationError, DomainError, NotRepresentableError
@@ -174,13 +174,17 @@ class ExponentialMeasure:
         return DiscreteMeasure(tuple(sorted(merged.items())))
 
 
-def _solve_nnls(kernel: np.ndarray, target: np.ndarray, tol: float):
-    """Column-scaled NNLS; returns weights, residual and scaled-system KKT gap.
+def _solve_nnls(kernel, target, tol: float):
+    """Column-scaled NNLS of the numpy arrays ``kernel`` and ``target``;
+    returns weights, residual and scaled-system KKT gap.
 
     Raises NotRepresentableError when the residual exceeds
     RESIDUAL_FACTOR * tol, and ValueError when tol is negative."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
+    import numpy as np
+    from scipy.optimize import nnls
+
     scale = np.linalg.norm(kernel, axis=0)
     scale[scale == 0.0] = 1.0
     scaled = kernel / scale
@@ -222,6 +226,8 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
     if grid_m < 1:
         raise ValueError("grid must have at least one cell")
     _certify_or_raise(a, classify.CM)
+    import numpy as np
+
     target = np.array(a.as_floats())
     K = a.last_index
     u = np.arange(grid_m + 1) / grid_m
@@ -272,6 +278,8 @@ def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
         d_hat, gap = drift_floor_estimate(a)
     else:
         d_hat, gap = max(float(drift), 0.0), None
+    import numpy as np
+
     target = np.array(a.as_floats()) - float(q) - d_hat * np.arange(K + 1)
     u = np.arange(grid_m) / grid_m
     B = np.empty((K + 1, grid_m))

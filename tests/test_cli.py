@@ -1,12 +1,18 @@
 """Command-line interface: exit-code contract, JSON reports, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cmtk.cli import main
+
+TESTS = Path(__file__).resolve().parent
 
 
 def run(capsys, *argv):
@@ -373,6 +379,11 @@ class TestMalformedInput:
                      id="minimal-tol-negative"),
         pytest.param('{"q": "1e400", "atoms": [{"u": 0.5, "w": 1}]}', ["evaluate", "--at", "1"],
                      id="evaluate-q-string-1e400"),
+        pytest.param("1\n1/2\n1/3\n",
+                     ["certify", "--kind", "cm", "--out", "/nonexistent/dir/x.json"],
+                     id="out-missing-directory"),
+        pytest.param('{"result": 5}', ["evaluate", "--at", "1"], id="evaluate-result-number"),
+        pytest.param('{"result": null}', ["evaluate", "--at", "1"], id="evaluate-result-null"),
     ])
     def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
         argv = list(argv)
@@ -432,3 +443,61 @@ def test_evaluate_reads_invert_report(capsys, tmp_path, harmonic_csv):
     _, direct, _ = run(capsys, "evaluate", str(model_path), "--at", "0.5,3")
     assert chained["result"] == direct["result"]
     assert chained["result"]["values"][0][1] == pytest.approx(2.0 / 3.0, abs=1e-3)
+
+
+class TestStartUpImports:
+    """numpy and SciPy load only where NNLS runs: ``import cmtk`` and every
+    README command but invert, extend and egf run with both blocked."""
+
+    NNLS_FREE = ["certify", "minimal", "evaluate", "newton-eval", "webster", "operator",
+                 "decompose-bf", "lattice", "subaffine", "bftheta", "selfdec"]
+
+    # Runs the golden cases named in argv[1] in one child, with numpy and SciPy
+    # blocked when argv[2] is "block".  Prints {name: [code, report]} and the
+    # numpy and SciPy entries of sys.modules after import and after the cases.
+    CHILD = """
+import json, os, sys, tempfile
+from pathlib import Path
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+if sys.argv[2] == "block":
+    sys.modules["numpy"] = sys.modules["scipy"] = None
+import cmtk
+at_import = loaded()
+sys.path.insert(0, sys.argv[3])
+from test_cli_reports import CASES, run_case
+results = {}
+for name in json.loads(sys.argv[1]):
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        code, report = run_case(CASES[name], Path(tmp))
+    results[name] = [code, report.decode()]
+print(json.dumps({"results": results, "at_import": at_import, "after": loaded()}))
+"""
+
+    def _child(self, names, mode):
+        env = {k: v for k, v in os.environ.items() if k != "CMTK_MAX_EVALS"}
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(TESTS.parent / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run([sys.executable, "-c", self.CHILD, json.dumps(names), mode,
+                               str(TESTS)], env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        return json.loads(proc.stdout)
+
+    def test_readme_commands_without_numpy_or_scipy(self):
+        out = self._child(self.NNLS_FREE, "block")
+        assert out["after"] == ["numpy", "scipy"]  # only the None entries that block them
+        for name in self.NNLS_FREE:
+            code, report = out["results"][name]
+            golden = (TESTS / "data" / "cli_reports" / f"{name}.json").read_text()
+            assert report == golden, name
+            assert f'"exit_code": {code}' in golden, name
+
+    def test_invert_loads_scipy(self):
+        out = self._child(["invert"], "allow")
+        assert out["at_import"] == []
+        assert "scipy.optimize" in out["after"]
+        golden = (TESTS / "data" / "cli_reports" / "invert.json").read_text()
+        assert out["results"]["invert"] == [0, golden]
