@@ -21,7 +21,8 @@ from fractions import Fraction
 
 from . import classify, moments
 from .errors import CertificationError, DomainError
-from .funcops import FunctionHandle, _richardson_derivative, sampled_sequence
+from .funcops import (DEFAULT_C_PAIR, FunctionHandle, _richardson_derivative, bounded_sequence,
+                      sampled_sequence)
 from .scalars import EPS, json_field
 from .seqcore import Sequence, difference_table
 
@@ -31,7 +32,6 @@ from .seqcore import Sequence, difference_table
 X_FAR = 46.0
 
 DEFAULT_SD_CS = (0.25, 0.5, 0.75, 0.9)
-DEFAULT_THETA_CS = (1.0, 1.0 / math.sqrt(2.0))
 #: depth of the scale tests (Phi(k) - Phi(ck))_k, kept moderate: float
 #: sampling noise swamps deeper rows
 _SCALE_DEPTH = 15
@@ -86,12 +86,7 @@ class BernsteinTriplet:
 
 def eval_bernstein(t: BernsteinTriplet, lam) -> float:
     """q + d lam + sum w_j (1 - e^{-lam x_j}); nondecreasing, value q at 0."""
-    lam = float(lam)
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
-    return t.q + t.d * lam + math.fsum(
-        w * -math.expm1(-lam * x) for x, w in t.levy
-    )
+    return moments.ExponentialMeasure(t.levy).bernstein(float(lam), t.q, t.d)
 
 
 def triplet_handle(t: BernsteinTriplet, name="triplet") -> FunctionHandle:
@@ -175,7 +170,14 @@ class ThetaReport:
     overall_pass: bool
 
 
-def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_THETA_CS,
+def _difference_sequence(pairs, head=0, anchor=0):
+    """head + (a - b) for each sample pair (a, b), bounded by
+    2 EPS (anchor + |a| + |b|), where anchor bounds the values head came from."""
+    return bounded_sequence([head + (a - b) for a, b in pairs],
+                            [2.0 * (anchor + abs(a) + abs(b)) for a, b in pairs])
+
+
+def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
                        depth: int = 15) -> ThetaReport:
     """Bernstein membership via the theta operator: for each c,
     theta_c Phi(0) must vanish, its samples at 0..depth + 10 must certify
@@ -194,21 +196,15 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_THETA_CS,
         phi_0, phi_c = at_k[0], phi(c_exact)
         pairs = [(a, phi(k + c_exact)) for k, a in enumerate(at_k)]
         # in float, fl(a-b) = -fl(b-a), so head + (phi(0) - phi(c)) is exactly 0.0
-        head = phi_c - phi_0
-        scale = abs(phi_c) + abs(phi_0)
-        seq = Sequence.from_values(
-            [head + (a - b) for a, b in pairs],
-            value_bounds=[2.0 * EPS * (scale + abs(a) + abs(b)) for a, b in pairs],
-        )
+        seq = _difference_sequence(pairs, phi_c - phi_0, abs(phi_c) + abs(phi_0))
         samples = seq.values
-        at_zero = samples[0]
         cert = classify.certify(seq, classify.CA, depth)
         incs = [float(samples[k + 1] - samples[k]) for k in range(count)]
         max_inc = max(incs, default=0.0)
         last_inc = incs[-1] if incs else 0.0
         bounded = last_inc <= 0.5 * max_inc + 4 * EPS * abs(float(samples[-1]))
         entries.append(
-            ThetaCheckEntry(c, float(at_zero), cert, bounded,
+            ThetaCheckEntry(c, float(samples[0]), cert, bounded,
                             float(samples[-1]), last_inc)
         )
     return ThetaReport(tuple(entries), all(e.passed for e in entries))
@@ -300,11 +296,7 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
         # exact-first: a float c is an exact binary rational, so handles
         # built from plain arithmetic return exact values at these args
         c_exact = Fraction(c)
-        raw = [(a, phi(c_exact * k)) for k, a in enumerate(at_k)]
-        seq = Sequence.from_values(
-            [a - b for a, b in raw],
-            value_bounds=[2.0 * EPS * (abs(a) + abs(b)) for a, b in raw],
-        )
+        seq = _difference_sequence([(a, phi(c_exact * k)) for k, a in enumerate(at_k)])
         entries.append(_sd_entry(f"phi(k)-phi({c:g}k)", seq, _SCALE_DEPTH, tol))
 
     deriv_entry = None
@@ -318,6 +310,8 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
         finite = False
     if finite:
         bvals = [k * dvals[k] for k in range(len(dvals))]
+        # its own bounds, not bounded_sequence's: the error of a Richardson
+        # derivative is a heuristic plus EPS |b|, not EPS times a magnitude
         bounds = None
         if derrs is not None:
             bounds = [k * derrs[k] + EPS * abs(float(bvals[k]))

@@ -25,8 +25,8 @@ def _ratio_bf(x):
     return x / (1.0 + x)
 
 
-def sqrt_triplet_handle():
-    """Handle of the quadrature approximation of sqrt(lam) = (2 sqrt(pi))^{-1}
+def _sqrt_triplet():
+    """The quadrature approximation of sqrt(lam) = (2 sqrt(pi))^{-1}
     integral (1 - e^{-lam x}) x^{-3/2} dx on a 240-cell log grid over
     [1e-4, 60]: a genuine finite triplet, hence exactly a Bernstein function."""
     n_atoms, x_lo, x_hi = 240, 1e-4, 60.0
@@ -42,7 +42,11 @@ def sqrt_triplet_handle():
         edge = nxt
     # small-x remainder contributes drift ~ integral_0^{x_lo} x * x^{-3/2} dx
     d = 2.0 * math.sqrt(x_lo) / (2.0 * math.sqrt(math.pi))
-    return triplet_handle(BernsteinTriplet(0.0, d, tuple(atoms)), "sqrt-triplet")
+    return BernsteinTriplet(0.0, d, tuple(atoms))
+
+
+def sqrt_triplet_handle():
+    return triplet_handle(_sqrt_triplet(), "sqrt-triplet")
 
 
 def exp_decay_handle():

@@ -178,6 +178,7 @@ class MinimalityReport:
 
 def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport:
     """Decide minimality to depth: atom estimate <= tol with a monotone trail.
+    CM needs depth >= 1 and CA depth >= 2.
 
     Default tol is 1e-6 in exact mode and max(1e-6, 10x the accumulated
     error bound of the trail end) in float mode.
@@ -189,6 +190,10 @@ def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport
 def _minimality(table: DifferenceTable, kind: str, depth: int, tol) -> MinimalityReport:
     if tol is not None and tol < 0:
         raise ValueError("tol must be nonnegative")
+    # a_0 alone is the total mass, an upper bound on the atom at zero of any
+    # sequence; like the CA trail from row 2, the decision needs row 1
+    if kind == CM and depth < 1:
+        raise ValueError("depth too small: CM minimality needs depth >= 1")
     atom = _atom(table, kind, depth)
     if tol is None:
         tol = 1e-6 if table.mode == EXACT else max(1e-6, 10.0 * atom.error_bound)

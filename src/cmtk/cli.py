@@ -68,6 +68,15 @@ def _verdict_code(verdict):
     }[verdict]
 
 
+def _check_code(passed, entries):
+    """Exit code of a lattice or theta check: pass when it passed, fail only
+    when one of ``entries`` has a failed certificate, inconclusive otherwise
+    (a partial lattice passes no entries)."""
+    if passed:
+        return EXIT_PASS
+    return EXIT_FAIL if any(e.certificate.failed for e in entries) else EXIT_INCONCLUSIVE
+
+
 def _load_sequence(args) -> Sequence:
     return read_sequence(args.input, mode=args.mode)
 
@@ -179,13 +188,7 @@ def _cmd_decompose(args):
 def _cmd_lattice(args):
     f = _get_handle(args.builtin)
     rep = funcops.lattice_check(f, args.kind, args.alpha, args.depth, args.tol)
-    if rep.partial:
-        code = EXIT_INCONCLUSIVE
-    elif rep.overall_pass:
-        code = EXIT_PASS
-    else:
-        code = EXIT_FAIL
-    return code, {"lattice": rep}
+    return _check_code(rep.overall_pass, () if rep.partial else rep.entries), {"lattice": rep}
 
 
 def _cmd_subaffine(args):
@@ -197,13 +200,7 @@ def _cmd_subaffine(args):
 def _cmd_bftheta(args):
     f = _get_handle(args.builtin)
     rep = bernstein.check_bf_via_theta(f, tuple(args.c), args.depth)
-    if rep.overall_pass:
-        code = EXIT_PASS
-    elif any(e.certificate.failed for e in rep.entries):
-        code = EXIT_FAIL
-    else:
-        code = EXIT_INCONCLUSIVE
-    return code, {"theta_check": rep}
+    return _check_code(rep.overall_pass, rep.entries), {"theta_check": rep}
 
 
 def _cmd_selfdec(args):
@@ -316,7 +313,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_subaffine)
 
     sp = sub.add_parser("bftheta", help="Bernstein membership via theta")
-    common(sp, c_default=bernstein.DEFAULT_THETA_CS)
+    common(sp, c_default=funcops.DEFAULT_C_PAIR)
     sp.add_argument("--builtin", required=True)
     sp.add_argument("--depth", type=int, default=15)
     sp.set_defaults(fn=_cmd_bftheta)

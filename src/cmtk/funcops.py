@@ -50,7 +50,10 @@ class FunctionHandle:
     ``bounded``, set on delta, theta and rho handles, maps x to the value
     and a magnitude M(x) bounding its absolute error by EPS * M(x), both
     from one evaluation of each base value; a plain call computes the value
-    alone.  None means correctly rounded (within half an ulp of the value).
+    alone.  None claims only the table's default bound on the value v,
+    max(EPS |v|, 2**-1074), twice the half ulp of a correctly rounded v: a
+    triplet handle's sum of rounded atom terms exceeds half an ulp but stays
+    inside it.  A handle whose error can leave it must set ``bounded``.
     """
 
     def __init__(self, fn, name="f", open_at_zero=False, derivative=None,
@@ -147,12 +150,15 @@ def _sample(f: FunctionHandle, points):
     return [v for v, _ in pairs], [m for _, m in pairs]
 
 
-def sampled_sequence(f: FunctionHandle, points) -> Sequence:
-    """Sample a handle into a Sequence.  A composed handle's values carry
-    the input error bounds EPS * M(x); a plain handle's carry none, so the
-    table's default half-ulp bound applies (exact values stay exact)."""
-    values, mags = _sample(f, points)
+def bounded_sequence(values, mags) -> Sequence:
+    """The Sequence of handle samples ``values`` with input error bounds
+    EPS * mags[k]; None keeps the table's default (exact values stay exact)."""
     return Sequence.from_values(values, value_bounds=mags and [EPS * m for m in mags])
+
+
+def sampled_sequence(f: FunctionHandle, points) -> Sequence:
+    """Sample a handle into a Sequence bounded as ``_sample`` measures it."""
+    return bounded_sequence(*_sample(f, points))
 
 
 def default_lambda_grid(include_zero: bool = True):
@@ -335,8 +341,7 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
             # with the local slope estimated from the neighbours
             slopes = [abs(vals[min(i + 1, count)] - vals[max(i - 1, 0)]) / (2.0 * alpha)
                       for i in range(count + 1)]
-            seq = Sequence.from_values(vals, value_bounds=[
-                EPS * (m + s * abs(x)) for m, s, x in zip(mags, slopes, pts)])
+            seq = bounded_sequence(vals, [m + s * abs(x) for m, s, x in zip(mags, slopes, pts)])
             entries.append(LatticeEntry(alpha, *classify._certify_minimal(seq, kind, depth, tol)))
         except BudgetExceededError:
             partial = True

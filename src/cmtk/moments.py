@@ -212,6 +212,18 @@ def _certify_or_raise(a: Sequence, kind: str, table=None):
         raise CertificationError(f"sequence is not {kind} to depth {cert.depth}", cert)
 
 
+def _power_kernel(K: int, grid_m: int, nodes: int):
+    """The first ``nodes`` points u_j = j / grid_m and V[k][j] = u_j^k, k <= K
+    (0^0 = 1), one power per row: the fits' NNLS bits depend on it."""
+    import numpy as np
+
+    u = np.arange(nodes) / grid_m
+    V = np.empty((K + 1, nodes))
+    for k in range(K + 1):
+        V[k, :] = u**k
+    return u, V
+
+
 def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL):
     """Fit a nonnegative measure on {0, 1/M, ..., 1} matching the moments of ``a``.
 
@@ -229,12 +241,7 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
     import numpy as np
 
     target = np.array(a.as_floats())
-    K = a.last_index
-    u = np.arange(grid_m + 1) / grid_m
-    V = np.empty((K + 1, grid_m + 1))
-    V[0, :] = 1.0
-    for k in range(1, K + 1):
-        V[k, :] = u**k
+    u, V = _power_kernel(a.last_index, grid_m, grid_m + 1)
     w, residual, kkt = _solve_nnls(V, target, tol)
     atoms = [(float(u[j]), float(w[j])) for j in range(grid_m + 1)
              if w[j] > 0.0 or j in (0, grid_m)]
@@ -281,11 +288,8 @@ def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
     import numpy as np
 
     target = np.array(a.as_floats()) - float(q) - d_hat * np.arange(K + 1)
-    u = np.arange(grid_m) / grid_m
-    B = np.empty((K + 1, grid_m))
-    B[0, :] = 0.0
-    for k in range(1, K + 1):
-        B[k, :] = 1.0 - u**k
+    u, B = _power_kernel(K, grid_m, grid_m)
+    np.subtract(1.0, B, out=B)  # the kernel 1 - u^k over the first M nodes
     w, residual, kkt = _solve_nnls(B, target, tol)
     atoms = [
         (float(u[j]), float(w[j])) for j in range(grid_m) if w[j] > 0.0 or j == 0
@@ -317,9 +321,7 @@ def evaluate(m, lam) -> float:
     CA triplet:  Phi(lam) = q + d lam + sum w_j (1 - e^{-lam x_j})
                  (+ infinity-atom mass for lam > 0).
     """
-    lam = float(lam)
-    if lam < 0:
-        raise DomainError("lambda must be nonnegative")
+    lam = float(lam)  # laplace and bernstein check lam >= 0
     if isinstance(m, CATriplet):
         return to_exponential(m.measure).bernstein(lam, m.q, m.d)
     if isinstance(m, ExponentialMeasure):

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .scalars import EPS, EXACT, FLOAT, is_exact
-from .seqcore import Sequence, difference_table
+from .seqcore import Sequence, _forward_differences
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,9 @@ class NewtonSeries:
 
     coeffs: tuple
     mode: str = EXACT
+    #: Delta^k f(0) of float samples: float evaluation divides them by k!
+    #: exactly, as the rounded c_k can underflow
+    _deltas: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.coeffs)
@@ -38,17 +41,28 @@ class NewtonSeries:
 
 def series_from_samples(samples: Sequence) -> NewtonSeries:
     """Build the Newton series of f from the samples (f(0), ..., f(N))."""
-    N = samples.last_index
-    table = difference_table(samples, N)
-    coeffs = []
-    for n, row in enumerate(table.scaled):
-        delta = -row[0] if n % 2 else row[0]  # undo the sign fold
-        fact = math.factorial(n)
-        if samples.mode == EXACT:
-            coeffs.append(Fraction(delta, table.scale * fact))
-        else:
-            coeffs.append(delta / fact)
-    return NewtonSeries(tuple(coeffs), samples.mode)
+    table, deltas = _forward_differences(samples)
+    if samples.mode == EXACT:
+        coeffs = (Fraction(d, table.scale * math.factorial(n)) for n, d in enumerate(deltas))
+        return NewtonSeries(tuple(coeffs))
+    coeffs = (_scaled(d, 0, math.factorial(n)) for n, d in enumerate(deltas))
+    return NewtonSeries(tuple(coeffs), FLOAT, tuple(deltas))
+
+
+def _scaled(c, e: int, divisor: int = 1) -> float:
+    """c 2^e / divisor rounded once, for an int, Fraction or float c: +-inf
+    past float range, and c itself when it is inf or nan."""
+    try:
+        p, q = c.as_integer_ratio()
+    except (OverflowError, ValueError):  # inf or nan
+        return c
+    if not p:
+        return float(c)  # keeps the sign of -0.0
+    q *= divisor
+    try:
+        return (p << e) / q if e >= 0 else p / (q << -e)
+    except OverflowError:
+        return math.copysign(math.inf, p)
 
 
 @dataclass(frozen=True)
@@ -64,11 +78,24 @@ class SeriesValue:
 
 def _terms(series: NewtonSeries, z, n_terms: int, exact: bool):
     """The terms c_k z^{falling k}, k < n_terms, in exact or float/complex
-    arithmetic."""
-    ff = Fraction(1) if exact else (1.0 + 0.0j if isinstance(z, complex) else 1.0)
+    arithmetic.  In float z^{falling k} is carried as m 2^e with |m| < 1 and
+    each term is c_k 2^e, rounded once from the exact c_k (Delta^k f(0) / k!
+    for float samples), times m: so neither overflows nor underflows where
+    z^{falling k}, k! or c_k alone would, and a term that stays in range
+    keeps the bits of c_k times z^{falling k}."""
+    if exact:
+        ff = Fraction(1)
+        for k in range(n_terms):
+            yield series.coeffs[k] * ff
+            ff = ff * (z - k)
+        return
+    cs = series.coeffs if series._deltas is None else series._deltas
+    m, e = (1.0 + 0.0j if isinstance(z, complex) else 1.0), 0
     for k in range(n_terms):
-        yield series.coeffs[k] * ff
-        ff = ff * (z - k)
+        yield _scaled(cs[k], e, 1 if series._deltas is None else math.factorial(k)) * m
+        m = m * (z - k)
+        s = math.frexp(max(abs(m.real), abs(m.imag)))[1]
+        m, e = m * 2.0**-s, e + s
 
 
 def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
@@ -79,6 +106,11 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
     consecutive k, and a half-plane warning for Re(z) <= 0 (convergence is
     only expected on Re(z) > 0 away from the sample range).
     """
+    return _partial_sum(series, z, n_terms)[0]
+
+
+def _partial_sum(series: NewtonSeries, z, n_terms):
+    """``eval_series``'s value and the terms it summed."""
     if n_terms is None:
         n_terms = len(series.coeffs)
     if not 1 <= n_terms <= len(series.coeffs):
@@ -93,10 +125,11 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
 
     exact = series.mode == EXACT and is_exact(z)
     total = Fraction(0) if exact else 0.0
-    mags = []
+    terms, mags = [], []
     growth = 0
     diverging = False
     for k, term in enumerate(_terms(series, z, n_terms, exact)):
+        terms.append(term)
         total = total + term
         try:
             mags.append(float(abs(term)))
@@ -112,7 +145,7 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
         else:
             growth = 0
     tail = max(mags[-3:], default=0.0)
-    return SeriesValue(total, tail, n_terms, tuple(warnings))
+    return SeriesValue(total, tail, n_terms, tuple(warnings)), terms
 
 
 # Highest Levin order per mode.  In exact arithmetic the order only trades
@@ -190,7 +223,7 @@ def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
     evaluation's warnings, such as the Re(z) <= 0 half-plane warning, are
     carried.
     """
-    partial = eval_series(series, z)
+    partial, terms = _partial_sum(series, z, None)
     n_terms = partial.n_terms
     warnings = partial.warnings
     if not isinstance(z, complex) and z == int(z) and 0 <= z < n_terms:
@@ -203,7 +236,6 @@ def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
 
     exact = series.mode == EXACT and is_exact(z)
     k = min(_LEVIN_ORDER[EXACT if exact else FLOAT], n_terms - 1)
-    terms = list(_terms(series, z, n_terms, exact))
     if k < 2 or any(a == 0 for a in terms[n_terms - 1 - k:]):
         return unchanged()
     eps = 0 if exact else EPS

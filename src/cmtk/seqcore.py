@@ -7,9 +7,10 @@ The central object is the sign-folded difference table
 built by the recurrence D[n][k] = D[n-1][k] - D[n-1][k+1].  Entries are
 exact when the sequence is exact (the recurrence runs on Python ints: the
 sequence times the lcm of its denominators); in float mode every entry
-carries a running error bound (inputs assumed correctly rounded, half an
-ulp each, plus one rounding per subtraction) so that sign decisions
-downstream can distinguish "certified" from "undecidable".
+carries a running error bound (inputs within max(EPS |v|, 2**-1074) each,
+twice the half ulp of correct rounding, plus one rounding per subtraction)
+so that sign decisions downstream can distinguish "certified" from
+"undecidable".
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class Sequence:
     ``value_bounds``, float mode only, carries per-entry absolute input
     error bounds for values that are noisier than correctly rounded
     (e.g. samples assembled from several function evaluations); None means
-    half an ulp each.
+    max(EPS |v|, 2**-1074) each.
     """
 
     values: tuple
@@ -195,11 +196,17 @@ def binomial_transform(a: Sequence) -> Sequence:
     return Sequence(tuple(table.unscale(row[0]) for row in table.scaled), a.mode)
 
 
+def _forward_differences(a: Sequence):
+    """The full table of ``a`` and Delta^n a(0) times ``table.scale``, n <= K;
+    private, so the Newton build that calls it runs no public transform."""
+    table = difference_table(a, a.last_index)
+    return table, [-row[0] if n % 2 else row[0] for n, row in enumerate(table.scaled)]
+
+
 def euler_transform(a: Sequence) -> Sequence:
     """(Delta^n a(0))_n.  One-to-one with ``a`` (inverse below)."""
-    table = difference_table(a, a.last_index)
-    out = (-row[0] if n % 2 else row[0] for n, row in enumerate(table.scaled))
-    return Sequence(tuple(map(table.unscale, out)), a.mode)
+    table, deltas = _forward_differences(a)
+    return Sequence(tuple(map(table.unscale, deltas)), a.mode)
 
 
 def inverse_euler_transform(e: Sequence) -> Sequence:

@@ -328,6 +328,18 @@ class TestMinimality:
         rep = is_minimal(a, CA, 60, tol=0.02)
         assert rep.minimal
 
+    @pytest.mark.parametrize("kind, depth, values", [
+        (CM, 0, [1, Fraction(1, 2), Fraction(1, 3)]),
+        (CA, 1, [0, Fraction(1, 2), Fraction(2, 3)]),
+    ])
+    def test_needs_a_difference_row_on_both_sides(self, kind, depth, values):
+        # CM row 0 is the total mass and CA row 1 holds the drift: neither
+        # alone decides minimality
+        a = exact(values)
+        with pytest.raises(ValueError, match="depth too small"):
+            is_minimal(a, kind, depth)
+        assert is_minimal(a, kind, depth + 1).atom.trail
+
 
 class TestDegeneracy:
     def test_constant_tail(self):

@@ -1,6 +1,7 @@
 """Command-line interface: exit-code contract, JSON reports, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -223,6 +224,73 @@ class TestSubcommands:
         )
         assert code == 0
         assert report["result"]["functional_equation_residual"] <= 1e-12
+
+
+class TestCheckExitCodes:
+    """lattice and bftheta share one rule: pass when the check passed, fail
+    only when a certificate failed, inconclusive otherwise."""
+
+    @pytest.mark.parametrize("kind, builtin", [("cm", "reciprocal"), ("ca", "log1p")])
+    def test_lattice_without_failed_certificate_is_inconclusive(self, capsys, kind, builtin):
+        # both functions are in the class; rounding noise leaves the deep
+        # rows undecidable, which is no certified violation
+        code, report, _ = run(capsys, "lattice", "--kind", kind, "--builtin", builtin,
+                              "--alpha", "1,0.5", "--depth", "30")
+        entries = report["result"]["lattice"]["entries"]
+        assert [e["certificate"]["verdict"] for e in entries] == ["inconclusive"] * 2
+        assert code == report["exit_code"] == 2
+
+    def test_lattice_with_failed_certificate_fails(self, capsys):
+        code, _, _ = run(capsys, "lattice", "--kind", "ca", "--builtin", "exp-decay",
+                         "--depth", "8")
+        assert code == 1
+
+    def test_partial_lattice_is_inconclusive(self, capsys, monkeypatch):
+        # the budget covers the first alpha (14 samples), whose certificate
+        # fails, and runs out on the second
+        monkeypatch.setenv("CMTK_MAX_EVALS", "20")
+        code, report, _ = run(capsys, "lattice", "--kind", "ca", "--builtin", "exp-decay",
+                              "--alpha", "1,0.5", "--depth", "8")
+        lattice = report["result"]["lattice"]
+        assert lattice["partial"] is True
+        assert [e["certificate"]["verdict"] for e in lattice["entries"]] == ["fail"]
+        assert code == 2
+
+
+class TestNewtonFloatSeries:
+    def test_200_float_samples(self, capsys, tmp_path):
+        # 200! is beyond float range; the series builds and evaluates anyway
+        p = tmp_path / "h200.csv"
+        p.write_text("".join(f"{1.0 / (k + 1)!r}\n" for k in range(200)))
+        code, report, err = run(capsys, "newton", "eval", str(p), "--mode", "float")
+        assert code == 0 and err == ""
+        assert report["result"]["n_terms"] == 200
+        assert math.isfinite(report["result"]["value_float"])
+        _, exact, _ = run(capsys, "newton", "eval", str(p), "--terms", "25")
+        _, rounded, _ = run(capsys, "newton", "eval", str(p), "--mode", "float", "--terms", "25")
+        assert rounded["result"]["value_float"] == pytest.approx(
+            exact["result"]["value_float"], abs=1e-9)
+
+
+class TestOneSampleMinimality:
+    """A single sample decides minimality on neither side: the CM trail's
+    only entry would be the total mass, and the CA trail starts at row 2."""
+
+    @pytest.mark.parametrize("kind, depth", [("cm", "1"), ("ca", "2")])
+    def test_one_sample_is_a_usage_error(self, capsys, tmp_path, kind, depth):
+        p = tmp_path / "one.csv"
+        p.write_text("1\n")
+        code, report, err = run(capsys, "minimal", "--kind", kind, str(p))
+        assert code == 3 and report is None
+        assert err == f"error: depth too small: {kind.upper()} " + (
+            "minimality" if kind == "cm" else "atom trail") + f" needs depth >= {depth}\n"
+
+    def test_two_samples_decide_cm(self, capsys, tmp_path):
+        p = tmp_path / "two.csv"
+        p.write_text("1\n1/2\n")
+        code, report, _ = run(capsys, "minimal", "--kind", "cm", str(p))
+        assert code == 1
+        assert report["result"]["minimality"]["atom"]["trail"] == ["1/1", "1/2"]
 
 
 class TestReports:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from cmtk.bernstein import (
 from cmtk.builtins import (
     BUILTIN_HANDLES,
     WEBSTER_BUILTINS,
+    _sqrt_triplet,
     get_handle,
     get_webster_g,
     webster_identity,
@@ -32,7 +34,7 @@ from cmtk.funcops import (
     sampled_sequence,
     subaffine_check,
 )
-from cmtk.scalars import EPS
+from cmtk.scalars import EPS, TINY
 from cmtk.webster import WebsterProblem, WebsterSolution
 
 
@@ -421,3 +423,41 @@ class TestSubaffine:
         rep = subaffine_check(handle(lambda x: x * x), 1.0, 10.0)
         assert not rep.ok
         assert rep.supremum == pytest.approx(21.0)
+
+
+def _decimal_triplet(t, lam):
+    """Phi(lam) of a triplet to 50 digits, its float q, d and atoms taken
+    as the exact binary numbers they are."""
+    lam = Decimal(lam)
+    return Decimal(t.q) + Decimal(t.d) * lam + sum(
+        Decimal(w) * (1 - (-lam * Decimal(x)).exp()) for x, w in t.levy)
+
+
+class TestPlainHandleError:
+    """A handle without ``bounded`` claims the table's default bound on each
+    value v, max(EPS |v|, 2**-1074); a 50-digit ``decimal`` oracle checks
+    the claim on lattice points alpha k, k <= 30.  The sum of rounded atom
+    terms of sqrt-triplet goes past half an ulp (0.72 EPS |v| here), so the
+    claim is this bound, not correct rounding."""
+
+    ALPHAS = (1.0, 0.5, 1.0 / 3.0, 2.0**-0.5)
+    ORACLES = {
+        "exp-decay": lambda x: (-x).exp(),
+        "sqrt": lambda x: x.sqrt(),
+        "log1p": lambda x: (1 + x).ln(),
+        "one-minus-exp": lambda x: 1 - (-x).exp(),
+        "reciprocal": lambda x: 1 / (1 + x),
+        "bf-ratio": lambda x: x / (1 + x),
+        "square": lambda x: x * x,
+        "sqrt-triplet": lambda x: _decimal_triplet(_sqrt_triplet(), x),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    def test_error_within_default_bound(self, name):
+        f, oracle = get_handle(name), self.ORACLES[name]
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for x in (alpha * k for alpha in self.ALPHAS for k in range(31)):
+                v = float(f(x))
+                err = abs(Decimal(v) - oracle(Decimal(x)))
+                assert err <= Decimal(max(EPS * abs(v), TINY)), (x, v)

@@ -143,6 +143,34 @@ class TestEvalSeries:
             eval_series(s, 0.5, n_terms=11)
 
 
+class TestBeyondFactorialRange:
+    """k! and z^{falling k} pass float range at k = 171; the float terms
+    carry the falling factorial's exponent apart, so neither overflows."""
+
+    def test_float_series_of_200_samples(self):
+        vals = [1.0 / (k + 1) for k in range(200)]
+        s = series_from_samples(Sequence.from_values(vals))
+        assert s.mode == "float" and len(s) == 200
+        exact = series_from_samples(Sequence.from_values([Fraction(1, k + 1) for k in range(200)]))
+        # c_k = Delta^k f(0) / k!, rounded once, also where it is subnormal
+        for k in (0, 21, 22, 60, 170, 171, 199):
+            assert s.coeffs[k] == float(Fraction(s._deltas[k]) / math.factorial(k))
+        assert eval_series(s, 0.5, 25).value == pytest.approx(
+            float(eval_series(exact, Fraction(1, 2), 25).value), abs=1e-9)
+        assert math.isfinite(eval_series(s, 0.5).value)
+
+    def test_exact_series_at_float_z(self):
+        # 180 terms of 2/3 (3/7)^z + 1/3 (5/9)^z: each term is finite where
+        # c_k and z^{falling k} alone underflow and overflow
+        vals = [Fraction(2, 3) * Fraction(3, 7) ** k + Fraction(1, 3) * Fraction(5, 9) ** k
+                for k in range(180)]
+        s = series_from_samples(Sequence.from_values(vals))
+        got = eval_series(s, 2.7)
+        assert math.isfinite(got.value)
+        assert got.value == pytest.approx(
+            float(eval_series(s, Fraction(27, 10)).value), rel=1e-12)
+
+
 class TestExtrapolateSeries:
     """Levin-accelerated evaluation, checked against closed forms of the
     sampled functions rather than against eval_series."""
