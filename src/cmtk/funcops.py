@@ -46,6 +46,9 @@ class FunctionHandle:
     with an optional known derivative and an evaluation budget.  The budget
     covers one library call: each operation that samples the handle resets
     it once, when it starts, so check_bf_via_theta shares it among its c.
+    A call charges one evaluation; ``charge(n)`` charges n at once, before
+    any is made, for a caller that then maps ``fn`` over points it knows
+    lie in the domain, as ``sample`` and the Webster passes do.
 
     ``bounded``, set on delta, theta and rho handles, maps x to the value
     and a magnitude M(x) bounding its absolute error by EPS * M(x), both
@@ -70,12 +73,17 @@ class FunctionHandle:
     def __call__(self, x):
         if self.open_at_zero and x <= 0:
             raise DomainError(f"{self.name} is only defined for x > 0")
-        self.calls += 1
+        self.charge(1)
+        return self.fn(x)
+
+    def charge(self, n):
+        """Count n evaluations, raising before any is made if they would
+        exceed the budget; the caller then evaluates ``fn`` directly."""
+        self.calls += n
         if self.base is None and self.calls > self.budget:
             raise BudgetExceededError(
                 f"evaluation budget {self.budget} exhausted for {self.name}"
             )
-        return self.fn(x)
 
     def reset_budget(self):
         self.calls = 0
@@ -83,7 +91,10 @@ class FunctionHandle:
             self.base.reset_budget()
 
     def sample(self, points):
-        return [self(x) for x in points]
+        if self.open_at_zero and any(x <= 0 for x in points):
+            raise DomainError(f"{self.name} is only defined for x > 0")
+        self.charge(len(points))
+        return list(map(self.fn, points))
 
 
 def _richardson_derivative(f, x, h):

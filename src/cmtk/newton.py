@@ -27,6 +27,8 @@ class NewtonSeries:
     #: Delta^k f(0) of float samples: float evaluation divides them by k!
     #: exactly, as the rounded c_k can underflow
     _deltas: tuple | None = field(default=None, repr=False, compare=False)
+    #: the float table's error bounds on those Delta^k f(0)
+    _bounds: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.coeffs)
@@ -46,7 +48,8 @@ def series_from_samples(samples: Sequence) -> NewtonSeries:
         coeffs = (Fraction(d, table.scale * math.factorial(n)) for n, d in enumerate(deltas))
         return NewtonSeries(tuple(coeffs))
     coeffs = (_scaled(d, 0, math.factorial(n)) for n, d in enumerate(deltas))
-    return NewtonSeries(tuple(coeffs), FLOAT, tuple(deltas))
+    return NewtonSeries(tuple(coeffs), FLOAT, tuple(deltas),
+                        tuple(row[0] for row in table.bounds))
 
 
 def _scaled(c, e: int, divisor: int = 1) -> float:
@@ -90,9 +93,16 @@ def _terms(series: NewtonSeries, z, n_terms: int, exact: bool):
             ff = ff * (z - k)
         return
     cs = series.coeffs if series._deltas is None else series._deltas
+    for k, (m, e) in enumerate(_falling(z, n_terms)):
+        yield _scaled(cs[k], e, 1 if series._deltas is None else math.factorial(k)) * m
+
+
+def _falling(z, n_terms: int):
+    """z^{falling k}, k < n_terms, in float/complex as pairs (m, e) with
+    m 2^e = z^{falling k} and |m| < 1 from k = 1 on."""
     m, e = (1.0 + 0.0j if isinstance(z, complex) else 1.0), 0
     for k in range(n_terms):
-        yield _scaled(cs[k], e, 1 if series._deltas is None else math.factorial(k)) * m
+        yield m, e
         m = m * (z - k)
         s = math.frexp(max(abs(m.real), abs(m.imag)))[1]
         m, e = m * 2.0**-s, e + s
@@ -103,8 +113,10 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
 
     Exact when both the series and z are exact; otherwise float/complex.
     Emits a divergence warning when term magnitudes grow for five
-    consecutive k, and a half-plane warning for Re(z) <= 0 (convergence is
-    only expected on Re(z) > 0 away from the sample range).
+    consecutive k, a half-plane warning for Re(z) <= 0 (convergence is
+    only expected on Re(z) > 0 away from the sample range), and, for float
+    samples, a noise warning when the table's error bounds on Delta^k f(0)
+    times |C(z, k)|, summed over the terms, reach |value|.
     """
     return _partial_sum(series, z, n_terms)[0]
 
@@ -144,6 +156,12 @@ def _partial_sum(series: NewtonSeries, z, n_terms):
                 )
         else:
             growth = 0
+    if series._bounds is not None:
+        noise = math.fsum(_scaled(bound, e, math.factorial(k)) * abs(m) for k, (bound, (m, e))
+                          in enumerate(zip(series._bounds, _falling(z, n_terms))))
+        if noise >= abs(total):
+            warnings.append(f"rounding noise may swamp the value: the sample table's "
+                            f"error bounds allow {noise:.3g}, at least |value|")
     tail = max(mags[-3:], default=0.0)
     return SeriesValue(total, tail, n_terms, tuple(warnings)), terms
 

@@ -11,12 +11,21 @@ With g(x) = x this is the Weierstrass product for the gamma function;
 truncation at N terms carries an O(x^2 / 2N)-scale error on the base
 interval.  Values for x > 1 are obtained from the base interval through
 the recursion itself, so the functional equation holds to rounding.
+
+Preparation tabulates log g(n), n = 1..N.  Each new base point b is one
+streamed pass: its N terms log g(n) - log g(n + b) go straight into one
+fsum, charged to the budget at once, with no term list.  An integer x
+reduces to b = 1, whose terms the table already holds, so it costs the
+single evaluation g(N + 1).  The table reads g at the int n: a g that
+rounds g(n) and g(float(n)) differently gives integer x the table's values.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 from .errors import DomainError
 from .funcops import FunctionHandle, _richardson_derivative
@@ -83,18 +92,20 @@ class WebsterSolution:
 
         derivative = g.derivative or (
             lambda x: _richardson_derivative(g, x, max(1e-6, 1e-8 * x))[0])
-        self.log_g = [0.0] * (N + 1)  # log g(n), n = 1..N
+        # the points n >= 1 here and n + b in _base_value lie in every
+        # handle's domain, so g.fn runs on them unchecked
+        g.charge(N)
+        self.log_g = log_g = [0.0]  # log g(n), n = 1..N
         checkpoints = sorted({max(1, N // 4), max(1, N // 2), N})
         partials = {}
         run = 0.0
-        for n in range(1, N + 1):
-            g_n = g(n)
-            self.log_g[n] = math.log(g_n)
+        for n, g_n in enumerate(map(g.fn, range(1, N + 1)), 1):
+            log_g.append(math.log(g_n))
             if not p.g_limit_one:
                 a_n = float(derivative(n) / g_n)
                 run += a_n
                 if n in checkpoints:
-                    partials[n] = run - self.log_g[n]
+                    partials[n] = run - log_g[n]
 
         if not p.g_limit_one:
             self.sum_a, self.a_N = run, a_n  # a_N = g'(N)/g(N) enters the last increment
@@ -113,16 +124,23 @@ class WebsterSolution:
         """Truncated product at b in (0, 1]; returns (value, last_increment)."""
         if b in self._base_cache:
             return self._base_cache[b]
-        p, g, N = self.problem, self.problem.g, self.problem.n_terms
+        p, g, N, log_g = self.problem, self.problem.g, self.problem.n_terms, self.log_g
         g.reset_budget()
-        terms = [self.log_g[n] - math.log(g(n + b)) for n in range(1, N + 1)]
+        # the terms log g(n) - log g(n + b), n = 1..N, streamed into fsum;
+        # at b = 1 the table holds log g(n + 1) for n < N already
+        g.charge(1 if b == 1.0 else N)
+        if b == 1.0:
+            shifted = islice(log_g, 2, None)
+        else:  # float.__radd__(n) is n + b
+            shifted = map(math.log, map(g.fn, map(b.__radd__, range(1, N))))
+        last = log_g[N] - math.log(g.fn(N + b))
+        total = math.fsum(chain(map(operator.sub, islice(log_g, 1, N), shifted), (last,)))
         if p.g_limit_one:
             head = -math.log(g(b))
-            last = terms[-1] if terms else 0.0
         else:
             head = -self.gamma * b - math.log(g(b)) + self.sum_a * b
-            last = (terms[-1] + self.a_N * b) if terms else 0.0
-        value = math.exp(head + math.fsum(terms))
+            last += self.a_N * b
+        value = math.exp(head + total)
         out = (value, abs(last))
         self._base_cache[b] = out
         return out

@@ -266,10 +266,14 @@ class TestNewtonFloatSeries:
         assert code == 0 and err == ""
         assert report["result"]["n_terms"] == 200
         assert math.isfinite(report["result"]["value_float"])
+        # the value is rounding noise, and the report says so
+        assert any(w.startswith("rounding noise may swamp the value")
+                   for w in report["result"]["warnings"])
         _, exact, _ = run(capsys, "newton", "eval", str(p), "--terms", "25")
         _, rounded, _ = run(capsys, "newton", "eval", str(p), "--mode", "float", "--terms", "25")
         assert rounded["result"]["value_float"] == pytest.approx(
             exact["result"]["value_float"], abs=1e-9)
+        assert rounded["result"]["warnings"] == []
 
 
 class TestOneSampleMinimality:

@@ -122,6 +122,23 @@ class TestOperators:
             for _ in range(10):
                 f(1.0)
 
+    def test_charge_raises_before_any_evaluation(self):
+        f = handle(lambda x: x, budget=5)
+        cell = counting(f)
+        f.charge(3)
+        with pytest.raises(BudgetExceededError, match="evaluation budget 5 exhausted"):
+            f.sample([1.0, 2.0, 3.0])
+        assert cell[0] == 0
+        f.reset_budget()
+        assert f.sample([1.0, 2.0, 3.0]) == [1.0, 2.0, 3.0] and cell[0] == 3
+
+    def test_sample_checks_the_domain_before_any_evaluation(self):
+        f = handle(lambda x: 1.0 / x, open_at_zero=True)
+        cell = counting(f)
+        with pytest.raises(DomainError):
+            f.sample([1.0, 2.0, 0.0])
+        assert cell[0] == 0 and f.calls == 0
+
     def test_budget_env_cap(self, monkeypatch):
         monkeypatch.setenv("CMTK_MAX_EVALS", "7")
         f = handle(lambda x: x)
@@ -171,6 +188,13 @@ class TestEvaluationCounts:
         pytest.param(webster_identity,
                      lambda g: WebsterSolution(WebsterProblem(g, 1000))._prepare(), 1096,
                      id="webster-prepare"),
+        # one series-shaped op: prepare 1096, a new base point 1001 each,
+        # x1 + 1 its cached base plus g(x1), and x = 1 the prepare table
+        # plus g(N + 1) and g(1)
+        pytest.param(webster_identity,
+                     lambda g: list(map(WebsterSolution(WebsterProblem(g, 1000)).result,
+                                        (0.375, 1.375, 1.0, 2.6875))), 3103,
+                     id="webster-series-op"),
         pytest.param(lambda: get_handle("bf-ratio"), check_bf_via_theta, 80, id="bf-via-theta"),
         pytest.param(lambda: get_handle("log1p"), check_selfdecomposable, 120,
                      id="selfdecomposable"),

@@ -6,12 +6,13 @@ g = (x+1)/x have closed-form solutions that pin the plumbing exactly.
 """
 
 import math
+import tracemalloc
 
 import pytest
 
 from cmtk.builtins import webster_constant, webster_exp_neg_cm, webster_identity
 from cmtk.errors import DomainError
-from cmtk.funcops import FunctionHandle
+from cmtk.funcops import FunctionHandle, _richardson_derivative
 from cmtk.webster import (
     WebsterProblem,
     WebsterSolution,
@@ -131,3 +132,81 @@ class TestHypothesisChecks:
         g = FunctionHandle(lambda x: x - 10.0, "signed")
         with pytest.raises(DomainError):
             solve_webster(WebsterProblem(g, n_terms=50), 0.5)
+
+
+def reference_result(g, n_terms, x, acceleration="aitken", g_limit_one=False):
+    """(value, tail_estimate, gamma, gamma_raw) as the product was first
+    written: every term listed, then fsum([log g(n) - log g(n + b)]), with
+    its head, the gamma partials and the Aitken step."""
+    fn, N = g.fn, n_terms
+    derivative = g.derivative or (
+        lambda t: _richardson_derivative(g, t, max(1e-6, 1e-8 * t))[0])
+    log_g = {n: math.log(fn(n)) for n in range(1, N + 1)}
+    gamma = gamma_raw = None
+    if not g_limit_one:
+        checkpoints = sorted({max(1, N // 4), max(1, N // 2), N})
+        partials, run = {}, 0.0
+        for n in range(1, N + 1):
+            a_n = float(derivative(n) / fn(n))
+            run += a_n
+            if n in checkpoints:
+                partials[n] = run - log_g[n]
+        gamma = gamma_raw = partials[N]
+        if acceleration == "aitken" and len(partials) == 3:
+            s0, s1, s2 = (partials[c] for c in checkpoints)
+            den = (s2 - s1) - (s1 - s0)
+            gamma = s2 - (s2 - s1) ** 2 / den if den != 0.0 else s2
+    m = max(0, math.ceil(x) - 1)
+    b = x - m
+    terms = [log_g[n] - math.log(fn(n + b)) for n in range(1, N + 1)]
+    last = terms[-1]
+    if g_limit_one:
+        head = -math.log(fn(b))
+    else:
+        head = -gamma * b - math.log(fn(b)) + run * b
+        last += a_n * b
+    value = math.exp(head + math.fsum(terms))
+    for j in range(m):
+        value *= fn(b + j)
+    return value, N * abs(last) * abs(value), gamma, gamma_raw
+
+
+class TestBitIdentity:
+    """The streamed product, and the prepare table reused at integer x,
+    give the very bits of the listed product."""
+
+    HANDLES = {
+        "identity": (webster_identity, False),
+        "constant": (lambda: webster_constant(0.8), False),
+        "exp-neg-cm": (webster_exp_neg_cm, True),
+        "no-derivative": (lambda: FunctionHandle(math.sqrt, "sqrt", True), False),
+        "no-derivative-limit-one": (
+            lambda: FunctionHandle(lambda x: x / (1.0 + x), "ratio", True), True),
+    }
+    # dyadics, integers, and x + 1 of a base point already cached
+    XS = (0.375, 1.0, 1.375, 2.0, 0.8125, 3.0, 2.8125, 0.5)
+
+    @pytest.mark.parametrize("name", HANDLES)
+    @pytest.mark.parametrize("n_terms", [1, 7, 1000])
+    @pytest.mark.parametrize("acceleration", ["aitken", "none"])
+    def test_matches_the_listed_product(self, name, n_terms, acceleration):
+        make, limit_one = self.HANDLES[name]
+        sol = WebsterSolution(WebsterProblem(make(), n_terms, acceleration, limit_one))
+        for x in self.XS:
+            res = sol.result(x)
+            want = reference_result(make(), n_terms, x, acceleration, limit_one)
+            assert (res.value, res.tail_estimate, res.gamma, res.gamma_raw) == want, x
+
+
+class TestMemory:
+    def test_base_pass_holds_no_term_list(self):
+        # the listed product held N floats beside the log table, ~3 MB at 1e5
+        sol = WebsterSolution(gamma_problem(10**5))
+        sol.result(1.0)  # prepare, outside the traced region
+        tracemalloc.start()
+        try:
+            sol.result(0.375)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
