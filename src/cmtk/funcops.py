@@ -71,8 +71,7 @@ class FunctionHandle:
         self.bounded = bounded
 
     def __call__(self, x):
-        if self.open_at_zero and x <= 0:
-            raise DomainError(f"{self.name} is only defined for x > 0")
+        self._check_domain(x)
         self.charge(1)
         return self.fn(x)
 
@@ -90,9 +89,14 @@ class FunctionHandle:
         if self.base is not None:
             self.base.reset_budget()
 
+    def _check_domain(self, *points):
+        if self.open_at_zero:
+            for x in points:
+                if x <= 0:
+                    raise DomainError(f"{self.name} is only defined for x > 0")
+
     def sample(self, points):
-        if self.open_at_zero and any(x <= 0 for x in points):
-            raise DomainError(f"{self.name} is only defined for x > 0")
+        self._check_domain(*points)
         self.charge(len(points))
         return list(map(self.fn, points))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -79,13 +80,15 @@ class SeriesValue:
     warnings: tuple = ()
 
 
-def _terms(series: NewtonSeries, z, n_terms: int, exact: bool):
+def _terms(series: NewtonSeries, z, n_terms: int, exact: bool, noise=None):
     """The terms c_k z^{falling k}, k < n_terms, in exact or float/complex
     arithmetic.  In float z^{falling k} is carried as m 2^e with |m| < 1 and
     each term is c_k 2^e, rounded once from the exact c_k (Delta^k f(0) / k!
     for float samples), times m: so neither overflows nor underflows where
     z^{falling k}, k! or c_k alone would, and a term that stays in range
-    keeps the bits of c_k times z^{falling k}."""
+    keeps the bits of c_k times z^{falling k}.  A list ``noise`` receives,
+    for float samples, each term's bound from the table's error bound on
+    Delta^k f(0), carried the same way."""
     if exact:
         ff = Fraction(1)
         for k in range(n_terms):
@@ -93,16 +96,12 @@ def _terms(series: NewtonSeries, z, n_terms: int, exact: bool):
             ff = ff * (z - k)
         return
     cs = series.coeffs if series._deltas is None else series._deltas
-    for k, (m, e) in enumerate(_falling(z, n_terms)):
-        yield _scaled(cs[k], e, 1 if series._deltas is None else math.factorial(k)) * m
-
-
-def _falling(z, n_terms: int):
-    """z^{falling k}, k < n_terms, in float/complex as pairs (m, e) with
-    m 2^e = z^{falling k} and |m| < 1 from k = 1 on."""
     m, e = (1.0 + 0.0j if isinstance(z, complex) else 1.0), 0
     for k in range(n_terms):
-        yield m, e
+        divisor = 1 if series._deltas is None else math.factorial(k)
+        yield _scaled(cs[k], e, divisor) * m
+        if noise is not None:
+            noise.append(_scaled(series._bounds[k], e, divisor) * abs(m))
         m = m * (z - k)
         s = math.frexp(max(abs(m.real), abs(m.imag)))[1]
         m, e = m * 2.0**-s, e + s
@@ -138,9 +137,10 @@ def _partial_sum(series: NewtonSeries, z, n_terms):
     exact = series.mode == EXACT and is_exact(z)
     total = Fraction(0) if exact else 0.0
     terms, mags = [], []
+    noise = None if series._bounds is None else []
     growth = 0
     diverging = False
-    for k, term in enumerate(_terms(series, z, n_terms, exact)):
+    for k, term in enumerate(_terms(series, z, n_terms, exact, noise)):
         terms.append(term)
         total = total + term
         try:
@@ -156,12 +156,10 @@ def _partial_sum(series: NewtonSeries, z, n_terms):
                 )
         else:
             growth = 0
-    if series._bounds is not None:
-        noise = math.fsum(_scaled(bound, e, math.factorial(k)) * abs(m) for k, (bound, (m, e))
-                          in enumerate(zip(series._bounds, _falling(z, n_terms))))
-        if noise >= abs(total):
-            warnings.append(f"rounding noise may swamp the value: the sample table's "
-                            f"error bounds allow {noise:.3g}, at least |value|")
+    # a bound below the normal range carries only the inputs' 2**-1074 floor
+    if noise is not None and (bound := math.fsum(noise)) >= max(abs(total), sys.float_info.min):
+        warnings.append(f"rounding noise may swamp the value: the sample table's "
+                        f"error bounds allow {bound:.3g}, at least |value|")
     tail = max(mags[-3:], default=0.0)
     return SeriesValue(total, tail, n_terms, tuple(warnings)), terms
 

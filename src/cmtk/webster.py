@@ -14,10 +14,7 @@ the recursion itself, so the functional equation holds to rounding.
 
 Preparation tabulates log g(n), n = 1..N.  Each new base point b is one
 streamed pass: its N terms log g(n) - log g(n + b) go straight into one
-fsum, charged to the budget at once, with no term list.  An integer x
-reduces to b = 1, whose terms the table already holds, so it costs the
-single evaluation g(N + 1).  The table reads g at the int n: a g that
-rounds g(n) and g(float(n)) differently gives integer x the table's values.
+fsum, charged to the budget at once, with no term list.
 """
 
 from __future__ import annotations
@@ -127,12 +124,9 @@ class WebsterSolution:
         p, g, N, log_g = self.problem, self.problem.g, self.problem.n_terms, self.log_g
         g.reset_budget()
         # the terms log g(n) - log g(n + b), n = 1..N, streamed into fsum;
-        # at b = 1 the table holds log g(n + 1) for n < N already
-        g.charge(1 if b == 1.0 else N)
-        if b == 1.0:
-            shifted = islice(log_g, 2, None)
-        else:  # float.__radd__(n) is n + b
-            shifted = map(math.log, map(g.fn, map(b.__radd__, range(1, N))))
+        # float.__radd__(n) is n + b
+        g.charge(N)
+        shifted = map(math.log, map(g.fn, map(b.__radd__, range(1, N))))
         last = log_g[N] - math.log(g.fn(N + b))
         total = math.fsum(chain(map(operator.sub, islice(log_g, 1, N), shifted), (last,)))
         if p.g_limit_one:

@@ -275,6 +275,16 @@ class TestNewtonFloatSeries:
             exact["result"]["value_float"], abs=1e-9)
         assert rounded["result"]["warnings"] == []
 
+    @pytest.mark.parametrize("values, at", [([0.0] * 4, "0.5"), ([0.0, 1.0, 2.0, 3.0], "0")])
+    def test_exact_zero_has_no_noise_warning(self, capsys, tmp_path, values, at):
+        # the only bound left is the inputs' 2**-1074 floor
+        p = tmp_path / "s.csv"
+        p.write_text("".join(f"{v!r}\n" for v in values))
+        code, report, _ = run(capsys, "newton", "eval", str(p), "--mode", "float", "--at", at)
+        assert code == 0
+        assert report["result"]["value_float"] == 0.0
+        assert report["result"]["warnings"] == []
+
 
 class TestOneSampleMinimality:
     """A single sample decides minimality on neither side: the CM trail's

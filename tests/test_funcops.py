@@ -188,12 +188,12 @@ class TestEvaluationCounts:
         pytest.param(webster_identity,
                      lambda g: WebsterSolution(WebsterProblem(g, 1000))._prepare(), 1096,
                      id="webster-prepare"),
-        # one series-shaped op: prepare 1096, a new base point 1001 each,
-        # x1 + 1 its cached base plus g(x1), and x = 1 the prepare table
-        # plus g(N + 1) and g(1)
+        # one series-shaped op: prepare 1096, a new base point 1001 each
+        # (x = 1 is base point 1), x1 + 1 its cached base plus g(x1), and
+        # x2 + 2 its base plus g(x2) and g(x2 + 1)
         pytest.param(webster_identity,
                      lambda g: list(map(WebsterSolution(WebsterProblem(g, 1000)).result,
-                                        (0.375, 1.375, 1.0, 2.6875))), 3103,
+                                        (0.375, 1.375, 1.0, 2.6875))), 4102,
                      id="webster-series-op"),
         pytest.param(lambda: get_handle("bf-ratio"), check_bf_via_theta, 80, id="bf-via-theta"),
         pytest.param(lambda: get_handle("log1p"), check_selfdecomposable, 120,

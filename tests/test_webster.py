@@ -172,8 +172,7 @@ def reference_result(g, n_terms, x, acceleration="aitken", g_limit_one=False):
 
 
 class TestBitIdentity:
-    """The streamed product, and the prepare table reused at integer x,
-    give the very bits of the listed product."""
+    """The streamed product gives the very bits of the listed product."""
 
     HANDLES = {
         "identity": (webster_identity, False),
