@@ -3,12 +3,18 @@
 Series construction from integer samples (coefficients Delta^k f(0) / k!),
 truncated evaluation with a heuristic tail estimate, and convergence
 acceleration of the partial sums by Levin's u-transform.
+
+An exact series keeps Delta^k f(0) as ints times one scale, as the
+difference table builds them; at an exact z its partial sum is one integer
+Horner pass over them, reduced to a Fraction once.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,11 +31,22 @@ class NewtonSeries:
 
     coeffs: tuple
     mode: str = EXACT
-    #: Delta^k f(0) of float samples: float evaluation divides them by k!
+    #: Delta^k f(0) times ``_scale``: ints for an exact series, the floats
+    #: themselves for float samples; evaluation divides them by _scale k!
     #: exactly, as the rounded c_k can underflow
     _deltas: tuple | None = field(default=None, repr=False, compare=False)
     #: the float table's error bounds on those Delta^k f(0)
     _bounds: tuple | None = field(default=None, repr=False, compare=False)
+    _scale: int = field(default=1, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.mode == EXACT and self._deltas is None:
+            # c_k k! = Delta^k f(0), scaled to ints by the lcm of their denominators
+            diffs = [Fraction(c) * math.factorial(k) for k, c in enumerate(self.coeffs)]
+            scale = math.lcm(*(d.denominator for d in diffs))
+            deltas = tuple(d.numerator * (scale // d.denominator) for d in diffs)
+            object.__setattr__(self, "_deltas", deltas)
+            object.__setattr__(self, "_scale", scale)
 
     def __len__(self):
         return len(self.coeffs)
@@ -47,7 +64,7 @@ def series_from_samples(samples: Sequence) -> NewtonSeries:
     table, deltas = _forward_differences(samples)
     if samples.mode == EXACT:
         coeffs = (Fraction(d, table.scale * math.factorial(n)) for n, d in enumerate(deltas))
-        return NewtonSeries(tuple(coeffs))
+        return NewtonSeries(tuple(coeffs), EXACT, tuple(deltas), None, table.scale)
     coeffs = (_scaled(d, 0, math.factorial(n)) for n, d in enumerate(deltas))
     return NewtonSeries(tuple(coeffs), FLOAT, tuple(deltas),
                         tuple(row[0] for row in table.bounds))
@@ -80,31 +97,58 @@ class SeriesValue:
     warnings: tuple = ()
 
 
-def _terms(series: NewtonSeries, z, n_terms: int, exact: bool, noise=None):
-    """The terms c_k z^{falling k}, k < n_terms, in exact or float/complex
-    arithmetic.  In float z^{falling k} is carried as m 2^e with |m| < 1 and
-    each term is c_k 2^e, rounded once from the exact c_k (Delta^k f(0) / k!
-    for float samples), times m: so neither overflows nor underflows where
-    z^{falling k}, k! or c_k alone would, and a term that stays in range
-    keeps the bits of c_k times z^{falling k}.  A list ``noise`` receives,
-    for float samples, each term's bound from the table's error bound on
-    Delta^k f(0), carried the same way."""
-    if exact:
-        ff = Fraction(1)
-        for k in range(n_terms):
-            yield series.coeffs[k] * ff
-            ff = ff * (z - k)
-        return
-    cs = series.coeffs if series._deltas is None else series._deltas
+def _terms(series: NewtonSeries, z, n_terms: int, noise=None):
+    """The terms c_k z^{falling k}, k < n_terms, in float/complex arithmetic.
+    z^{falling k} is carried as m 2^e with |m| < 1 and each term is c_k 2^e,
+    rounded once from the exact c_k (``_deltas[k]`` / (``_scale`` k!) where
+    the series keeps its differences), times m: so neither overflows nor
+    underflows where z^{falling k}, k! or c_k alone would, and a term that
+    stays in range keeps the bits of c_k times z^{falling k}.  A list
+    ``noise`` receives, for float samples, each term's bound from the
+    table's error bound on Delta^k f(0), carried the same way."""
+    if series._deltas is None:
+        cs, divisors = series.coeffs, itertools.repeat(1)
+    else:  # _scale k!
+        cs = series._deltas
+        divisors = itertools.accumulate(range(1, n_terms), operator.mul, initial=series._scale)
     m, e = (1.0 + 0.0j if isinstance(z, complex) else 1.0), 0
-    for k in range(n_terms):
-        divisor = 1 if series._deltas is None else math.factorial(k)
+    for k, divisor in zip(range(n_terms), divisors):
         yield _scaled(cs[k], e, divisor) * m
         if noise is not None:
             noise.append(_scaled(series._bounds[k], e, divisor) * abs(m))
         m = m * (z - k)
         s = math.frexp(max(abs(m.real), abs(m.imag)))[1]
         m, e = m * 2.0**-s, e + s
+
+
+def _exact_value(series: NewtonSeries, z, n_terms: int) -> Fraction:
+    """The exact partial sum at z = p/q from the ints Delta_k = L Delta^k f(0)
+    (L = ``_scale``), whose term k is Delta_k F_k / (L k! q^k) with
+    F_k = prod_{j<k} (p - jq).  Horner from the top keeps it U / (L D):
+    D <- D (k+1) q, then U <- Delta_k D + (p - kq) U; one gcd in all."""
+    p, q = z.numerator, z.denominator
+    deltas = series._deltas
+    u, d = deltas[n_terms - 1], 1
+    for k in range(n_terms - 2, -1, -1):
+        d *= (k + 1) * q
+        u = deltas[k] * d + (p - k * q) * u
+    return Fraction(u, series._scale * d)
+
+
+def _exact_magnitudes(series: NewtonSeries, z, n_terms: int, start: int, window: list):
+    """|term_k|, k < n_terms, for ``_exact_value``'s terms: |Delta_k F_k|
+    over L k! q^k, an int division that rounds once, so it equals
+    float(abs(term_k)) (OverflowError past float range).  ``window``
+    receives the terms k >= start as Fractions."""
+    p, q = z.numerator, z.denominator
+    num, den = 1, series._scale  # F_k and L k! q^k
+    for k in range(n_terms):
+        t = series._deltas[k] * num
+        yield abs(t) / den
+        if k >= start:
+            window.append(Fraction(t, den))
+        num *= p - k * q
+        den *= (k + 1) * q
 
 
 def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
@@ -120,8 +164,8 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
     return _partial_sum(series, z, n_terms)[0]
 
 
-def _partial_sum(series: NewtonSeries, z, n_terms):
-    """``eval_series``'s value and the terms it summed."""
+def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
+    """``eval_series``'s value and the ``last`` terms it summed."""
     if n_terms is None:
         n_terms = len(series.coeffs)
     if not 1 <= n_terms <= len(series.coeffs):
@@ -134,34 +178,37 @@ def _partial_sum(series: NewtonSeries, z, n_terms):
     if re_z <= 0 and not is_node:
         warnings.append("outside half-plane Re(z) > 0: convergence not expected")
 
-    exact = series.mode == EXACT and is_exact(z)
-    total = Fraction(0) if exact else 0.0
-    terms, mags = [], []
+    start = max(0, n_terms - last)
     noise = None if series._bounds is None else []
+    if series.mode == EXACT and is_exact(z):
+        total = _exact_value(series, z, n_terms)
+        window = []
+        magnitudes = _exact_magnitudes(series, z, n_terms, start, window)
+    else:
+        terms = list(_terms(series, z, n_terms, noise))
+        total = 0.0
+        for term in terms:
+            total = total + term
+        window = terms[start:]
+        magnitudes = (float(abs(term)) for term in terms)
+    mags = []
+    try:
+        for mag in magnitudes:
+            mags.append(mag)
+    except OverflowError:
+        raise ValueError(f"term {len(mags)} at z = {z!s:.40} is beyond float range") from None
     growth = 0
-    diverging = False
-    for k, term in enumerate(_terms(series, z, n_terms, exact, noise)):
-        terms.append(term)
-        total = total + term
-        try:
-            mags.append(float(abs(term)))
-        except OverflowError:
-            raise ValueError(f"term {k} at z = {z!s:.40} is beyond float range") from None
-        if k >= 1 and mags[-1] > mags[-2] > 0:
-            growth += 1
-            if growth >= 5 and not diverging:
-                diverging = True
-                warnings.append(
-                    "divergence suspected: term magnitudes grew for 5 consecutive k"
-                )
-        else:
-            growth = 0
+    for k in range(1, n_terms):
+        growth = growth + 1 if mags[k] > mags[k - 1] > 0 else 0
+        if growth == 5:
+            warnings.append("divergence suspected: term magnitudes grew for 5 consecutive k")
+            break
     # a bound below the normal range carries only the inputs' 2**-1074 floor
     if noise is not None and (bound := math.fsum(noise)) >= max(abs(total), sys.float_info.min):
         warnings.append(f"rounding noise may swamp the value: the sample table's "
                         f"error bounds allow {bound:.3g}, at least |value|")
     tail = max(mags[-3:], default=0.0)
-    return SeriesValue(total, tail, n_terms, tuple(warnings)), terms
+    return SeriesValue(total, tail, n_terms, tuple(warnings)), window
 
 
 # Highest Levin order per mode.  In exact arithmetic the order only trades
@@ -184,19 +231,20 @@ class ExtrapolatedValue:
     warnings: tuple = ()
 
 
-def _levin_u(terms, last_sum, k, eps):
-    """Levin's u-transform of order k on the last k+1 partial sums, or None
-    when its denominator vanishes (to within eps-relative rounding).
+def _levin_u(tail, n, last_sum, eps):
+    """Levin's u-transform of order k = len(tail) - 1 on the last k+1 partial
+    sums, or None when its denominator vanishes (to within eps-relative
+    rounding).
 
-    ``terms`` are a_0..a_{N-1} and ``last_sum`` is s_{N-1}; the remainder
-    estimate is omega_m = (m+1) a_m.  With n = N-1-k,
+    ``tail`` holds the last terms a_n..a_{n+k} and ``last_sum`` is s_{n+k};
+    the remainder estimate is omega_m = (m+1) a_m.
         L = sum_j w_j s_{n+j} / sum_j w_j,
         w_j = (-1)^j C(k, j) ((n+j+1) / (n+k+1))^(k-1) / omega_{n+j}."""
-    n = len(terms) - 1 - k
+    k = len(tail) - 1
     s = last_sum
     num = den = size = 0
     for j in range(k, -1, -1):
-        a = terms[n + j]
+        a = tail[j]
         w = (-1) ** j * math.comb(k, j) * Fraction(n + j + 1, n + k + 1) ** (k - 1)
         w = w / ((n + j + 1) * a)
         num = num + w * s
@@ -224,10 +272,14 @@ def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
     order and the one two below it.  It is a *heuristic*, not a bound.  On
     60 exact samples of 1/(1+z)^2, 1/(1+z)^3, 1/(2+z)^2 and
     1/((1+z)^2 (3+z)) at z = 0.1, 0.2, ..., 2.9 (non-nodes) the true error
-    was 0.7 to 3.9 times the estimate in exact arithmetic.  In float the
-    same factor 4 held wherever the error exceeded 1e-10; below that, near
-    rounding, the two orders can agree by chance, and the error reached 20
-    times the estimate.
+    was 0.7 to 3.9 times the estimate in exact arithmetic.  In float, with
+    the current term rounding (each term c_k 2^e rounded once, times the
+    carried mantissa), the same factor 4 held wherever the error exceeded
+    1e-10; below that, near rounding, the two orders can agree by chance,
+    and the error reached 20 times the estimate.  That threshold belongs to
+    this rounding, not to the estimate: rounding the terms as
+    Delta^k f(0) C(z, k) instead moved the failure to z = 0.9 on
+    (2+z)^-2, error 1.9e-10 against an estimate of 2.2e-11.
 
     Returns the partial sum unchanged (order 0) when z is a sample node
     (exact there; estimate 0), when fewer than three terms are available,
@@ -239,7 +291,9 @@ def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
     evaluation's warnings, such as the Re(z) <= 0 half-plane warning, are
     carried.
     """
-    partial, terms = _partial_sum(series, z, None)
+    exact = series.mode == EXACT and is_exact(z)
+    order = _LEVIN_ORDER[EXACT if exact else FLOAT]
+    partial, window = _partial_sum(series, z, None, order + 1)
     n_terms = partial.n_terms
     warnings = partial.warnings
     if not isinstance(z, complex) and z == int(z) and 0 <= z < n_terms:
@@ -250,13 +304,13 @@ def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
             partial.value, partial.tail_estimate, 0, partial, warnings + note
         )
 
-    exact = series.mode == EXACT and is_exact(z)
-    k = min(_LEVIN_ORDER[EXACT if exact else FLOAT], n_terms - 1)
-    if k < 2 or any(a == 0 for a in terms[n_terms - 1 - k:]):
+    k = min(order, n_terms - 1)
+    tail = window[-(k + 1):]
+    if k < 2 or any(a == 0 for a in tail):
         return unchanged()
     eps = 0 if exact else EPS
-    high = _levin_u(terms, partial.value, k, eps)
-    low = _levin_u(terms, partial.value, k - 2, eps)
+    high = _levin_u(tail, n_terms - 1 - k, partial.value, eps)
+    low = _levin_u(tail[2:], n_terms + 1 - k, partial.value, eps)
     if high is None or low is None:
         return unchanged(("Levin denominator vanished: extrapolation skipped",))
     if not exact and not (cmath.isfinite(high) and cmath.isfinite(low)):

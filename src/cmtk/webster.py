@@ -88,10 +88,11 @@ class WebsterSolution:
                 self.log_concave_ok = False
 
         derivative = g.derivative or (
-            lambda x: _richardson_derivative(g, x, max(1e-6, 1e-8 * x))[0])
-        # the points n >= 1 here and n + b in _base_value lie in every
-        # handle's domain, so g.fn runs on them unchecked
-        g.charge(N)
+            lambda x: _richardson_derivative(g.fn, x, max(1e-6, 1e-8 * x))[0])
+        # g.fn runs unchecked on points in every handle's domain (n >= 1 here,
+        # n +- h >= 1 - 1e-6 in the derivative, n + b in _base_value), all
+        # charged before any runs: 1 + 4 per n when g' is estimated
+        g.charge(N if g.derivative or p.g_limit_one else 5 * N)
         self.log_g = log_g = [0.0]  # log g(n), n = 1..N
         checkpoints = sorted({max(1, N // 4), max(1, N // 2), N})
         partials = {}

@@ -7,6 +7,7 @@ computed independently.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,9 @@ from cmtk.newton import (
     extrapolate_series,
     series_from_samples,
 )
-from cmtk.seqcore import Sequence, euler_transform
+from cmtk.seqcore import Sequence, euler_transform, read_sequence
+
+HARMONIC = Path(__file__).parent / "data" / "cli" / "harmonic.csv"
 
 
 def brute_forward_difference(values, n):
@@ -169,6 +172,59 @@ class TestBeyondFactorialRange:
         assert math.isfinite(got.value)
         assert got.value == pytest.approx(
             float(eval_series(s, Fraction(27, 10)).value), rel=1e-12)
+
+
+def reference_eval(series, z, n_terms=None):
+    """eval_series of an exact series at an exact z as first written: one
+    Fraction per term c_k z^{falling k}, each magnitude float(abs(term))."""
+    n_terms = len(series.coeffs) if n_terms is None else n_terms
+    warnings = []
+    if z <= 0 and not (z == int(z) and 0 <= z < len(series.coeffs)):
+        warnings.append("outside half-plane Re(z) > 0: convergence not expected")
+    total, ff, mags, growth, diverging = Fraction(0), Fraction(1), [], 0, False
+    for k in range(n_terms):
+        term = series.coeffs[k] * ff
+        total += term
+        mags.append(float(abs(term)))
+        growth = growth + 1 if k >= 1 and mags[-1] > mags[-2] > 0 else 0
+        if growth >= 5 and not diverging:
+            diverging = True
+            warnings.append("divergence suspected: term magnitudes grew for 5 consecutive k")
+        ff *= z - k
+    return total, max(mags[-3:]), n_terms, tuple(warnings)
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=40)
+exact_z = st.one_of(st.fractions(min_value=-12, max_value=40, max_denominator=60),
+                    st.integers(min_value=-5, max_value=40))
+
+
+class TestExactKernel:
+    """Exact evaluation runs on the scaled ints of Delta^k f(0); the Fraction
+    loop above is its oracle, and every output must be equal."""
+
+    @staticmethod
+    def check(series, z, data):
+        n_terms = data.draw(st.one_of(st.none(), st.integers(1, len(series))))
+        got = eval_series(series, z, n_terms)
+        assert (got.value, got.tail_estimate, got.n_terms, got.warnings) == \
+            reference_eval(series, z, n_terms)
+        assert type(got.value) is Fraction
+
+    @given(st.lists(rationals, min_size=1, max_size=30), exact_z, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_series_from_samples(self, vals, z, data):
+        self.check(series_from_samples(Sequence.from_values(vals)), z, data)
+
+    @given(st.lists(rationals, min_size=1, max_size=30), exact_z, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_series_built_from_coefficients(self, coeffs, z, data):
+        self.check(NewtonSeries(tuple(coeffs)), z, data)
+
+    def test_term_beyond_float_range(self):
+        series = series_from_samples(read_sequence(HARMONIC))
+        with pytest.raises(ValueError, match=f"^term 11 at z = {10**30} is beyond float range$"):
+            eval_series(series, 10**30)
 
 
 class TestExtrapolateSeries:

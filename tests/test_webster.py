@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from cmtk.builtins import webster_constant, webster_exp_neg_cm, webster_identity
-from cmtk.errors import DomainError
+from cmtk.errors import BudgetExceededError, DomainError
 from cmtk.funcops import FunctionHandle, _richardson_derivative
 from cmtk.webster import (
     WebsterProblem,
@@ -195,6 +195,32 @@ class TestBitIdentity:
             res = sol.result(x)
             want = reference_result(make(), n_terms, x, acceleration, limit_one)
             assert (res.value, res.tail_estimate, res.gamma, res.gamma_raw) == want, x
+
+
+class TestBudget:
+    """Prepare charges its whole pass, 1 + 4 evaluations per n when g' is
+    estimated, before it makes any evaluation."""
+
+    @staticmethod
+    def counted_sqrt():
+        calls = [0]
+
+        def fn(x):
+            calls[0] += 1
+            return math.sqrt(x)
+        return FunctionHandle(fn, "sqrt", True, budget=10**6), calls
+
+    def test_over_budget_raises_before_the_pass(self):
+        # 96 + 5 * 2e5 > 1e6: only the concavity grid's 96 evaluations run
+        g, calls = self.counted_sqrt()
+        with pytest.raises(BudgetExceededError, match="evaluation budget 1000000 exhausted for sqrt"):
+            solve_webster(WebsterProblem(g, n_terms=200_000), 0.5)
+        assert calls[0] == 96
+
+    def test_estimated_derivative_evaluations(self):
+        g, calls = self.counted_sqrt()
+        WebsterSolution(WebsterProblem(g, n_terms=1000))._prepare()
+        assert calls[0] == g.calls == 96 + 5 * 1000
 
 
 class TestMemory:
