@@ -4,9 +4,11 @@ Series construction from integer samples (coefficients Delta^k f(0) / k!),
 truncated evaluation with a heuristic tail estimate, and convergence
 acceleration of the partial sums by Levin's u-transform.
 
-An exact series keeps Delta^k f(0) as ints times one scale, as the
-difference table builds them; at an exact z its partial sum is one integer
-Horner pass over them, reduced to a Fraction once.
+A built series keeps only what evaluation reads: Delta^k f(0) times one
+scale, streamed from column 0 of the difference table (ints for exact
+samples); the coefficients are made from them when first read.  At an
+exact z the partial sum is one integer Horner pass over the ints, reduced
+to a Fraction once.
 """
 
 from __future__ import annotations
@@ -16,58 +18,81 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .scalars import EPS, EXACT, FLOAT, is_exact
 from .seqcore import Sequence, _forward_differences
 
 
-@dataclass(frozen=True)
 class NewtonSeries:
     """Gregory-Newton coefficients c_k = Delta^k f(0) / k! of the samples
     f(0), ..., f(N), one per sample (c_0 = f(0); the partial sums
-    interpolate every sample index exactly)."""
+    interpolate every sample index exactly).
 
-    coeffs: tuple
-    mode: str = EXACT
-    #: Delta^k f(0) times ``_scale``: ints for an exact series, the floats
-    #: themselves for float samples; evaluation divides them by _scale k!
-    #: exactly, as the rounded c_k can underflow
-    _deltas: tuple | None = field(default=None, repr=False, compare=False)
-    #: the float table's error bounds on those Delta^k f(0)
-    _bounds: tuple | None = field(default=None, repr=False, compare=False)
-    _scale: int = field(default=1, repr=False, compare=False)
+    ``series_from_samples`` gives a series that holds Delta^k f(0) times
+    one scale L (``_deltas``, ``_scale``: ints for exact samples, the floats
+    themselves with L = 1 for float ones) and the float table's error
+    bounds on them (``_bounds``); evaluation divides by L k! exactly, as the
+    rounded c_k can underflow.  Its ``coeffs`` are built on first read and
+    cached.  ``NewtonSeries(coeffs, mode)`` starts from the coefficients:
+    an exact one derives ``_deltas`` and ``_scale`` once (L the lcm of the
+    denominators of c_k k!), a float one keeps none.  Series compare equal
+    when their coefficients and modes do.
+    """
 
-    def __post_init__(self):
-        if self.mode == EXACT and self._deltas is None:
+    def __init__(self, coeffs, mode=EXACT):
+        self.coeffs, self.mode = tuple(coeffs), mode
+        self._deltas, self._scale, self._bounds = None, 1, None
+        if mode == EXACT:
             # c_k k! = Delta^k f(0), scaled to ints by the lcm of their denominators
             diffs = [Fraction(c) * math.factorial(k) for k, c in enumerate(self.coeffs)]
-            scale = math.lcm(*(d.denominator for d in diffs))
-            deltas = tuple(d.numerator * (scale // d.denominator) for d in diffs)
-            object.__setattr__(self, "_deltas", deltas)
-            object.__setattr__(self, "_scale", scale)
+            self._scale = math.lcm(*(d.denominator for d in diffs))
+            self._deltas = tuple(d.numerator * (self._scale // d.denominator) for d in diffs)
+
+    @classmethod
+    def _from_differences(cls, mode, deltas, scale, bounds):
+        series = cls.__new__(cls)
+        series.mode, series._deltas, series._scale, series._bounds = mode, deltas, scale, bounds
+        return series
+
+    @cached_property
+    def coeffs(self):
+        """c_k = ``_deltas[k]`` / (``_scale`` k!): reduced Fractions for an
+        exact series, rounded once for a float one."""
+        factorials = itertools.accumulate(range(1, len(self._deltas)), operator.mul, initial=1)
+        if self.mode == EXACT:
+            return tuple(Fraction(d, self._scale * f) for d, f in zip(self._deltas, factorials))
+        return tuple(_scaled(d, 0, f) for d, f in zip(self._deltas, factorials))
 
     def __len__(self):
-        return len(self.coeffs)
+        return len(self.coeffs if self._deltas is None else self._deltas)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.mode) == (other.coeffs, other.mode)
+
+    def __hash__(self):
+        return hash((self.coeffs, self.mode))
+
+    def __repr__(self):
+        return f"NewtonSeries(coeffs={self.coeffs!r}, mode={self.mode!r})"
 
     def to_dict(self):
         return {
             "coefficients": self.coeffs,
-            "n_samples": len(self.coeffs),
+            "n_samples": len(self),
             "mode": self.mode,
         }
 
 
 def series_from_samples(samples: Sequence) -> NewtonSeries:
     """Build the Newton series of f from the samples (f(0), ..., f(N))."""
-    table, deltas = _forward_differences(samples)
-    if samples.mode == EXACT:
-        coeffs = (Fraction(d, table.scale * math.factorial(n)) for n, d in enumerate(deltas))
-        return NewtonSeries(tuple(coeffs), EXACT, tuple(deltas), None, table.scale)
-    coeffs = (_scaled(d, 0, math.factorial(n)) for n, d in enumerate(deltas))
-    return NewtonSeries(tuple(coeffs), FLOAT, tuple(deltas),
-                        tuple(row[0] for row in table.bounds))
+    scale, deltas, bounds = _forward_differences(samples)
+    return NewtonSeries._from_differences(
+        samples.mode, tuple(deltas), scale, None if bounds is None else tuple(bounds))
 
 
 def _scaled(c, e: int, divisor: int = 1) -> float:
@@ -167,14 +192,14 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
 def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
     """``eval_series``'s value and the ``last`` terms it summed."""
     if n_terms is None:
-        n_terms = len(series.coeffs)
-    if not 1 <= n_terms <= len(series.coeffs):
-        raise ValueError(f"n_terms must lie in 1..{len(series.coeffs)}, got {n_terms}")
+        n_terms = len(series)
+    if not 1 <= n_terms <= len(series):
+        raise ValueError(f"n_terms must lie in 1..{len(series)}, got {n_terms}")
     if isinstance(z, (float, complex)) and not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got {z!r}")
     warnings = []
     re_z = z.real if isinstance(z, complex) else z
-    is_node = not isinstance(z, complex) and z == int(z) and 0 <= z < len(series.coeffs)
+    is_node = not isinstance(z, complex) and z == int(z) and 0 <= z < len(series)
     if re_z <= 0 and not is_node:
         warnings.append("outside half-plane Re(z) > 0: convergence not expected")
 

@@ -11,6 +11,11 @@ carries a running error bound (inputs within max(EPS |v|, 2**-1074) each,
 twice the half ulp of correct rounding, plus one rounding per subtraction)
 so that sign decisions downstream can distinguish "certified" from
 "undecidable".
+
+One kernel yields the table a row at a time.  ``difference_table`` keeps
+every row, for the sign scans that read them all; the transforms and the
+Newton build read column 0 alone, so they keep only its entries and drop
+each row once the next one exists (O(K) memory, not O(K^2)).
 """
 
 from __future__ import annotations
@@ -147,6 +152,29 @@ class DifferenceTable:
         return 0.0 if self.bounds is None else self.bounds[n][k]
 
 
+def _scaled_rows(a: Sequence, depth: int):
+    """The table kernel: ``a``'s scale (the lcm of its denominators in exact
+    mode, 1 in float mode) and an iterator over rows 0..depth of its table
+    times that scale, each with its row of error bounds (None in exact
+    mode).  Each row is built from the one before, when it is asked for."""
+    if a.mode == EXACT:
+        scale = math.lcm(*(v.denominator for v in a.values))
+        row = tuple([v.numerator * (scale // v.denominator) for v in a.values])
+        return scale, _next_rows(row, None, depth)
+    # half an ulp each, floored at 2**-1074, the ulp of a subnormal or 0.0
+    bounds = a.value_bounds or tuple([max(EPS * abs(v), TINY) for v in a.values])
+    return 1, _next_rows(tuple(a.values), bounds, depth)
+
+
+def _next_rows(row, bounds, depth):
+    yield row, bounds
+    for _ in range(depth):  # via a list: a tuple grown from an iterator fragments the heap
+        row = tuple(list(map(operator.sub, row, row[1:])))
+        if bounds is not None:  # the bounds of the two operands plus one rounding
+            bounds = tuple([x + y + EPS * abs(v) for x, y, v in zip(bounds, bounds[1:], row)])
+        yield row, bounds
+
+
 def difference_table(a: Sequence, depth: int) -> DifferenceTable:
     """Build the sign-folded difference table of ``a`` down to ``depth`` rows."""
     K = a.last_index
@@ -156,21 +184,14 @@ def difference_table(a: Sequence, depth: int) -> DifferenceTable:
         raise ValueError(
             f"insufficient data: depth {depth} exceeds last index {K}"
         )
-    if a.mode == EXACT:
-        scale = math.lcm(*(v.denominator for v in a.values))
-        rows = [tuple([v.numerator * (scale // v.denominator) for v in a.values])]
-    else:
-        rows = [tuple(a.values)]
-    for _ in range(depth):  # via a list: a tuple grown from an iterator fragments the heap
-        rows.append(tuple(list(map(operator.sub, rows[-1], rows[-1][1:]))))
+    scale, pairs = _scaled_rows(a, depth)
+    # into two lists: (row, bounds) pairs kept alive cost every GC pass
+    rows, bounds = [], []
+    for row, row_bounds in pairs:
+        rows.append(row)
+        bounds.append(row_bounds)
     if a.mode == EXACT:
         return DifferenceTable(tuple(rows), None, EXACT, depth, K, scale)
-
-    # half an ulp each, floored at 2**-1074, the ulp of a subnormal or 0.0
-    bounds = [a.value_bounds or tuple([max(EPS * abs(v), TINY) for v in a.values])]
-    for row in rows[1:]:  # the bounds of the two operands plus one rounding
-        prev = bounds[-1]
-        bounds.append(tuple([x + y + EPS * abs(v) for x, y, v in zip(prev, prev[1:], row)]))
     return DifferenceTable(tuple(rows), tuple(bounds), FLOAT, depth, K)
 
 
@@ -190,23 +211,33 @@ def closed_form_entry(a: Sequence, n: int, k: int):
     return math.fsum(terms)
 
 
+def _forward_differences(a: Sequence):
+    """Delta^n a(0), n <= K, times ``a``'s scale: (scale, the differences,
+    their float error bounds or None in exact mode).  Streamed from the
+    table kernel, keeping column 0 alone."""
+    scale, rows = _scaled_rows(a, a.last_index)
+    deltas, bounds = [], []
+    for n, (row, row_bounds) in enumerate(rows):
+        deltas.append(-row[0] if n % 2 else row[0])
+        if row_bounds is not None:
+            bounds.append(row_bounds[0])
+    return scale, deltas, bounds if a.mode == FLOAT else None
+
+
+def _euler_values(a: Sequence) -> tuple:
+    scale, deltas, _ = _forward_differences(a)
+    return tuple(Fraction(d, scale) for d in deltas) if a.mode == EXACT else tuple(deltas)
+
+
 def binomial_transform(a: Sequence) -> Sequence:
     """b_n = (-1)^n Delta^n a(0) = sum_i C(n,i)(-1)^i a_i.  Involutive."""
-    table = difference_table(a, a.last_index)
-    return Sequence(tuple(table.unscale(row[0]) for row in table.scaled), a.mode)
-
-
-def _forward_differences(a: Sequence):
-    """The full table of ``a`` and Delta^n a(0) times ``table.scale``, n <= K;
-    private, so the Newton build that calls it runs no public transform."""
-    table = difference_table(a, a.last_index)
-    return table, [-row[0] if n % 2 else row[0] for n, row in enumerate(table.scaled)]
+    values = _euler_values(a)
+    return Sequence(tuple(-v if n % 2 else v for n, v in enumerate(values)), a.mode)
 
 
 def euler_transform(a: Sequence) -> Sequence:
     """(Delta^n a(0))_n.  One-to-one with ``a`` (inverse below)."""
-    table, deltas = _forward_differences(a)
-    return Sequence(tuple(map(table.unscale, deltas)), a.mode)
+    return Sequence(_euler_values(a), a.mode)
 
 
 def inverse_euler_transform(e: Sequence) -> Sequence:

@@ -6,6 +6,7 @@ computed independently.
 """
 
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -225,6 +226,42 @@ class TestExactKernel:
         series = series_from_samples(read_sequence(HARMONIC))
         with pytest.raises(ValueError, match=f"^term 11 at z = {10**30} is beyond float range$"):
             eval_series(series, 10**30)
+
+
+class TestLazyCoefficients:
+    """A built series holds the differences evaluation reads; ``coeffs`` is
+    built on first read and must equal the eager c_k = Delta^k f(0) / k!."""
+
+    @given(st.one_of(st.lists(rationals, min_size=1, max_size=30),
+                     st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30)),
+           st.sampled_from([Fraction(237, 100), 3, 0.7, 1.5 + 0.5j]))
+    @settings(max_examples=100, deadline=None)
+    def test_evaluation_builds_no_coefficients(self, vals, z):
+        seq = Sequence.from_values(vals)
+        series = series_from_samples(seq)
+        eval_series(series, z)
+        extrapolate_series(series, z)
+        assert len(series) == len(vals)
+        assert "coeffs" not in vars(series)
+        deltas = euler_transform(seq).values
+        if seq.mode == "exact":
+            eager = tuple(d / math.factorial(k) for k, d in enumerate(deltas))
+        else:
+            eager = tuple(float(Fraction(d) / math.factorial(k)) for k, d in enumerate(deltas))
+        assert series.coeffs == eager
+        assert series == NewtonSeries(eager, seq.mode)
+
+    def test_exact_build_holds_one_row_at_a_time(self):
+        # the full 301-row table of 3/(k + 7/2) peaks at 6.0 MB; its column
+        # 0 and the few rows alive at once at 0.09 MB
+        seq = Sequence.from_values([3 / (k + Fraction(7, 2)) for k in range(301)])
+        tracemalloc.start()
+        try:
+            series_from_samples(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestExtrapolateSeries:

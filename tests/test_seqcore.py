@@ -380,3 +380,45 @@ def test_float_table_is_bit_identical_to_the_loop(seed, with_bounds):
     assert bits(table.rows) == bits(rows)
     assert bits(table.bounds) == bits(ebounds)
     assert table.scale == 1 and table.scaled is table.rows
+
+
+def bits_or_ints(values):
+    """Floats as hex strings (which tell -0.0 from 0.0), ints as they are."""
+    return [x.hex() if isinstance(x, float) else x for x in values]
+
+
+class TestStreamedColumnZero:
+    """The Newton build and the transforms stream column 0 from the table
+    kernel; it must equal column 0 of the full table, bit for bit."""
+
+    float_values = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
+                             st.sampled_from([0.0, -0.0]))
+
+    @staticmethod
+    def check(a):
+        from cmtk.seqcore import _forward_differences
+
+        scale, deltas, bounds = _forward_differences(a)
+        table = difference_table(a, a.last_index)
+        assert scale == table.scale
+        column = [row[0] for row in table.scaled]
+        assert [type(d) for d in deltas] == [type(x) for x in column]
+        signed = [-d if n % 2 else d for n, d in enumerate(deltas)]
+        assert bits_or_ints(signed) == bits_or_ints(column)
+        if a.mode == "exact":
+            assert bounds is None
+        else:
+            assert bits_or_ints(bounds) == bits_or_ints([row[0] for row in table.bounds])
+
+    @given(st.lists(rationals, min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_exact(self, values):
+        self.check(Sequence.from_values(values))
+
+    @given(st.lists(float_values, min_size=1, max_size=40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_float(self, values, data):
+        bounds = data.draw(st.one_of(st.none(), st.lists(
+            st.floats(0.0, 1e-6), min_size=len(values), max_size=len(values))))
+        self.check(Sequence.from_values(values, value_bounds=bounds))
+

@@ -14,6 +14,7 @@ from cmtk.builtins import webster_constant, webster_exp_neg_cm, webster_identity
 from cmtk.errors import BudgetExceededError, DomainError
 from cmtk.funcops import FunctionHandle, _richardson_derivative
 from cmtk.webster import (
+    _SPAN,
     WebsterProblem,
     WebsterSolution,
     solve_webster,
@@ -134,6 +135,23 @@ class TestHypothesisChecks:
             solve_webster(WebsterProblem(g, n_terms=50), 0.5)
 
 
+class TestProblemChecks:
+    def test_unknown_acceleration_rejected(self):
+        # a misspelt mode once fell through to the raw gamma, 0.57772
+        with pytest.raises(ValueError, match="acceleration must be 'aitken' or 'none', got 'aitkin'"):
+            WebsterProblem(webster_identity(), 1000, "aitkin")
+
+    @pytest.mark.parametrize("n_terms", [1e3, "1000", None, True])
+    def test_non_integer_truncation_rejected(self, n_terms):
+        with pytest.raises(ValueError, match="n_terms must be an integer"):
+            WebsterProblem(webster_identity(), n_terms)
+
+    def test_non_bool_limit_flag_rejected(self):
+        # a truthy "no" once chose the lim g = 1 product for g(x) = x
+        with pytest.raises(ValueError, match="g_limit_one must be a bool, got 'no'"):
+            WebsterProblem(webster_identity(), 10, g_limit_one="no")
+
+
 def reference_result(g, n_terms, x, acceleration="aitken", g_limit_one=False):
     """(value, tail_estimate, gamma, gamma_raw) as the product was first
     written: every term listed, then fsum([log g(n) - log g(n + b)]), with
@@ -186,7 +204,9 @@ class TestBitIdentity:
     XS = (0.375, 1.0, 1.375, 2.0, 0.8125, 3.0, 2.8125, 0.5)
 
     @pytest.mark.parametrize("name", HANDLES)
-    @pytest.mark.parametrize("n_terms", [1, 7, 1000])
+    # prepare maps its passes over spans of _SPAN points: below, at and past
+    # one span, and an N whose N // 4 and N // 2 checkpoints end spans
+    @pytest.mark.parametrize("n_terms", [1, 7, 1000, _SPAN - 1, _SPAN, _SPAN + 1, 4 * _SPAN + 1])
     @pytest.mark.parametrize("acceleration", ["aitken", "none"])
     def test_matches_the_listed_product(self, name, n_terms, acceleration):
         make, limit_one = self.HANDLES[name]
@@ -235,3 +255,15 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 0.5e6
+
+    def test_prepare_holds_the_log_table_and_one_span(self):
+        # log g(n), n <= 1e5, is 3.2 MB of floats; N-length lists of g(n)
+        # and a_n beside it would triple that
+        sol = WebsterSolution(gamma_problem(10**5))
+        tracemalloc.start()
+        try:
+            sol._prepare()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.6e6
