@@ -5,7 +5,7 @@ truncated evaluation with a heuristic tail estimate, and convergence
 acceleration of the partial sums by Levin's u-transform.
 
 A built series keeps only what evaluation reads: Delta^k f(0) times one
-scale, streamed from column 0 of the difference table (ints for exact
+scale, read off column 0 of the difference table (ints for exact
 samples); the coefficients are made from them when first read.  At an
 exact z the partial sum is one integer Horner pass over the ints, reduced
 to a Fraction once.
@@ -23,7 +23,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from .scalars import EPS, EXACT, FLOAT, is_exact
-from .seqcore import Sequence, _forward_differences
+from .seqcore import Sequence, difference_table
 
 
 class NewtonSeries:
@@ -90,9 +90,10 @@ class NewtonSeries:
 
 def series_from_samples(samples: Sequence) -> NewtonSeries:
     """Build the Newton series of f from the samples (f(0), ..., f(N))."""
-    scale, deltas, bounds = _forward_differences(samples)
-    return NewtonSeries._from_differences(
-        samples.mode, tuple(deltas), scale, None if bounds is None else tuple(bounds))
+    table = difference_table(samples, samples.last_index)
+    deltas = tuple(-row[0] if n % 2 else row[0] for n, row in enumerate(table.scaled))
+    bounds = None if table.bounds is None else tuple(row[0] for row in table.bounds)
+    return NewtonSeries._from_differences(samples.mode, deltas, table.scale, bounds)
 
 
 def _scaled(c, e: int, divisor: int = 1) -> float:

@@ -13,9 +13,9 @@ so that sign decisions downstream can distinguish "certified" from
 "undecidable".
 
 One kernel yields the table a row at a time.  ``difference_table`` keeps
-every row, for the sign scans that read them all; the transforms and the
-Newton build read column 0 alone, so they keep only its entries and drop
-each row once the next one exists (O(K) memory, not O(K^2)).
+every row, for the sign scans that read them all; the transforms read
+column 0 alone, so they keep only its entries and drop each row once the
+next one exists (O(K) memory, not O(K^2)).
 """
 
 from __future__ import annotations
@@ -211,33 +211,23 @@ def closed_form_entry(a: Sequence, n: int, k: int):
     return math.fsum(terms)
 
 
-def _forward_differences(a: Sequence):
-    """Delta^n a(0), n <= K, times ``a``'s scale: (scale, the differences,
-    their float error bounds or None in exact mode).  Streamed from the
-    table kernel, keeping column 0 alone."""
+def _column_zero(a: Sequence) -> tuple:
+    """Column 0 of ``a``'s table, (-1)^n Delta^n a(0) for n <= K, streamed
+    from the kernel: each row is dropped once the next exists."""
     scale, rows = _scaled_rows(a, a.last_index)
-    deltas, bounds = [], []
-    for n, (row, row_bounds) in enumerate(rows):
-        deltas.append(-row[0] if n % 2 else row[0])
-        if row_bounds is not None:
-            bounds.append(row_bounds[0])
-    return scale, deltas, bounds if a.mode == FLOAT else None
-
-
-def _euler_values(a: Sequence) -> tuple:
-    scale, deltas, _ = _forward_differences(a)
-    return tuple(Fraction(d, scale) for d in deltas) if a.mode == EXACT else tuple(deltas)
+    if a.mode == EXACT:
+        return tuple(Fraction(row[0], scale) for row, _ in rows)
+    return tuple(row[0] for row, _ in rows)
 
 
 def binomial_transform(a: Sequence) -> Sequence:
     """b_n = (-1)^n Delta^n a(0) = sum_i C(n,i)(-1)^i a_i.  Involutive."""
-    values = _euler_values(a)
-    return Sequence(tuple(-v if n % 2 else v for n, v in enumerate(values)), a.mode)
+    return Sequence(_column_zero(a), a.mode)
 
 
 def euler_transform(a: Sequence) -> Sequence:
     """(Delta^n a(0))_n.  One-to-one with ``a`` (inverse below)."""
-    return Sequence(_euler_values(a), a.mode)
+    return Sequence(tuple(-v if n % 2 else v for n, v in enumerate(_column_zero(a))), a.mode)
 
 
 def inverse_euler_transform(e: Sequence) -> Sequence:

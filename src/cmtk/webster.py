@@ -12,12 +12,9 @@ truncation at N terms carries an O(x^2 / 2N)-scale error on the base
 interval.  Values for x > 1 are obtained from the base interval through
 the recursion itself, so the functional equation holds to rounding.
 
-Preparation tabulates log g(n), n = 1..N, and sums a_n, mapping g, log,
-g' and the quotient over fixed spans of n; a left fold over each span's
-a_n keeps the bits of the running sum, which is read at each gamma
-checkpoint.  Each new base point b is one streamed pass: its N terms
-log g(n) - log g(n + b) go straight into one fsum, charged to the budget
-at once, with no term list.
+Preparation tabulates log g(n), n = 1..N.  Each new base point b is one
+streamed pass: its N terms log g(n) - log g(n + b) go straight into one
+fsum, charged to the budget at once, with no term list.
 """
 
 from __future__ import annotations
@@ -25,17 +22,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 from .errors import DomainError
 from .funcops import FunctionHandle, _richardson_derivative
 
 DEFAULT_N = 100_000
 _CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
-#: points per prepare span: a span's lists are all that prepare holds
-#: beside the log table
-_SPAN = 1024
 
 
 @dataclass
@@ -110,21 +103,16 @@ class WebsterSolution:
         checkpoints = sorted({max(1, N // 4), max(1, N // 2), N})
         partials = {}
         run = 0.0
-        start = 1
-        # spans of _SPAN points, each checkpoint also ending one
-        for end in sorted({*range(_SPAN, N, _SPAN), *checkpoints}):
-            ns = range(start, end + 1)
-            g_ns = list(map(g.fn, ns))
-            log_g.extend(map(math.log, g_ns))
+        for n, g_n in enumerate(map(g.fn, range(1, N + 1)), 1):
+            log_g.append(math.log(g_n))
             if not p.g_limit_one:
-                a = list(map(float, map(operator.truediv, map(derivative, ns), g_ns)))
-                run = reduce(operator.add, a, run)
-                if end in checkpoints:
-                    partials[end] = run - log_g[end]
-            start = end + 1
+                a_n = float(derivative(n) / g_n)
+                run += a_n
+                if n in checkpoints:
+                    partials[n] = run - log_g[n]
 
         if not p.g_limit_one:
-            self.sum_a, self.a_N = run, a[-1]  # a_N = g'(N)/g(N) enters the last increment
+            self.sum_a, self.a_N = run, a_n  # a_N = g'(N)/g(N) enters the last increment
             self.gamma_raw = partials[N]
             if p.acceleration == "aitken" and len(partials) == 3:
                 s0, s1, s2 = (partials[c] for c in checkpoints)
@@ -142,9 +130,10 @@ class WebsterSolution:
             return self._base_cache[b]
         p, g, N, log_g = self.problem, self.problem.g, self.problem.n_terms, self.log_g
         g.reset_budget()
-        # the terms log g(n) - log g(n + b), n = 1..N, streamed into fsum
+        # the terms log g(n) - log g(n + b), n = 1..N, streamed into fsum;
+        # float.__radd__(n) is n + b
         g.charge(N)
-        shifted = map(math.log, map(g.fn, map(operator.add, range(1, N), repeat(b))))
+        shifted = map(math.log, map(g.fn, map(b.__radd__, range(1, N))))
         last = log_g[N] - math.log(g.fn(N + b))
         total = math.fsum(chain(map(operator.sub, islice(log_g, 1, N), shifted), (last,)))
         if p.g_limit_one:

@@ -6,7 +6,6 @@ computed independently.
 """
 
 import math
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -250,18 +249,6 @@ class TestLazyCoefficients:
             eager = tuple(float(Fraction(d) / math.factorial(k)) for k, d in enumerate(deltas))
         assert series.coeffs == eager
         assert series == NewtonSeries(eager, seq.mode)
-
-    def test_exact_build_holds_one_row_at_a_time(self):
-        # the full 301-row table of 3/(k + 7/2) peaks at 6.0 MB; its column
-        # 0 and the few rows alive at once at 0.09 MB
-        seq = Sequence.from_values([3 / (k + Fraction(7, 2)) for k in range(301)])
-        tracemalloc.start()
-        try:
-            series_from_samples(seq)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1e6
 
 
 class TestExtrapolateSeries:

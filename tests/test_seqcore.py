@@ -7,6 +7,7 @@ implemented independently here.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -383,32 +384,25 @@ def test_float_table_is_bit_identical_to_the_loop(seed, with_bounds):
 
 
 def bits_or_ints(values):
-    """Floats as hex strings (which tell -0.0 from 0.0), ints as they are."""
+    """Floats as hex strings (which tell -0.0 from 0.0), anything else as it is."""
     return [x.hex() if isinstance(x, float) else x for x in values]
 
 
 class TestStreamedColumnZero:
-    """The Newton build and the transforms stream column 0 from the table
-    kernel; it must equal column 0 of the full table, bit for bit."""
+    """The transforms stream column 0 from the table kernel; it must equal
+    column 0 of the full table, bit for bit."""
 
     float_values = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-300, 1e-300),
                              st.sampled_from([0.0, -0.0]))
 
     @staticmethod
     def check(a):
-        from cmtk.seqcore import _forward_differences
+        from cmtk.seqcore import _column_zero
 
-        scale, deltas, bounds = _forward_differences(a)
-        table = difference_table(a, a.last_index)
-        assert scale == table.scale
-        column = [row[0] for row in table.scaled]
-        assert [type(d) for d in deltas] == [type(x) for x in column]
-        signed = [-d if n % 2 else d for n, d in enumerate(deltas)]
-        assert bits_or_ints(signed) == bits_or_ints(column)
-        if a.mode == "exact":
-            assert bounds is None
-        else:
-            assert bits_or_ints(bounds) == bits_or_ints([row[0] for row in table.bounds])
+        streamed = _column_zero(a)
+        column = [row[0] for row in difference_table(a, a.last_index).rows]
+        assert [type(v) for v in streamed] == [type(x) for x in column]
+        assert bits_or_ints(streamed) == bits_or_ints(column)
 
     @given(st.lists(rationals, min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
@@ -422,3 +416,14 @@ class TestStreamedColumnZero:
             st.floats(0.0, 1e-6), min_size=len(values), max_size=len(values))))
         self.check(Sequence.from_values(values, value_bounds=bounds))
 
+    def test_exact_transform_holds_one_row_at_a_time(self):
+        # the full 301-row table of 3/(k + 7/2) peaks at 6.0 MB; its column
+        # 0 and the few rows alive at once at well under 1 MB
+        seq = Sequence.from_values([3 / (k + Fraction(7, 2)) for k in range(301)])
+        tracemalloc.start()
+        try:
+            euler_transform(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
