@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classify, moments
-from .errors import CertificationError, DomainError
+from .errors import DomainError
 from .funcops import (DEFAULT_C_PAIR, FunctionHandle, _richardson_derivative, bounded_sequence,
                       sampled_sequence)
 from .scalars import EPS, json_field
@@ -127,9 +127,7 @@ def extract_triplet(phi: FunctionHandle, tol: float = 1e-10):
     # one; 15 keeps conclusive verdicts for float samples, as deeper rows of
     # bounded sequences sink below the propagated noise
     table = difference_table(seq, classify.default_depth(seq))
-    cert = classify.certify(seq, classify.CA, 15, table)
-    if cert.failed:
-        raise CertificationError("samples are not completely alternating", cert)
+    cert = classify._certify(seq, classify.CA, 15, table, "samples are not completely alternating")
 
     q = float(seq.values[0])
     d = max(0.0, float(phi(1e7 + 1.0) - phi(1e7)))

@@ -6,16 +6,20 @@ entry with n <= depth, and CA when the same quantity is <= 0 for 1 <= n <=
 depth.  Verdicts are three-valued: in float mode an entry whose error bound
 straddles zero is undecidable, and a table with undecidable entries but no
 strict violation yields "inconclusive" rather than "pass" or "fail".
+
+``certify`` streams the rows from the table kernel and stops at the row of
+the first witness; minimality, the atom trail and degeneracy read a full table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from fractions import Fraction
+from itertools import islice, repeat
 
 from .errors import CertificationError
 from .scalars import EXACT, FLOAT
-from .seqcore import DifferenceTable, Sequence, difference_table
+from .seqcore import DifferenceTable, Sequence, _scaled_rows, difference_table
 
 CM = "cm"
 CA = "ca"
@@ -69,24 +73,31 @@ class Certificate:
                 "undecidable_entries": self.undecidable}
 
 
-def certify(a: Sequence, kind: str, depth=None, table: DifferenceTable = None) -> Certificate:
+def certify(a: Sequence, kind: str, depth=None) -> Certificate:
     """Certify the sign condition (-1)^n Delta^n a(k) >= 0 (CM) / <= 0 (CA, n >= 1)
     over every entry with n <= depth, n + k <= K.
 
     Scan order is row-major (n ascending, then k), so the witness is the
     first violation in that order.  CM additionally checks the n = 0 row,
-    i.e. nonnegativity of the terms themselves.
+    i.e. nonnegativity of the terms themselves.  Rows stream from the table
+    kernel, and none past the row of the witness is built.
     """
+    return _certify(a, kind, default_depth(a, depth))
+
+
+def _certify(a: Sequence, kind: str, depth: int, table=None, fail=None) -> Certificate:
+    """The one sign scan.  Rows 0..depth come from ``table`` (depth >= ``depth``)
+    if the caller keeps one to read afterwards, else from the kernel, at most
+    two alive at once.  With a ``fail`` message, failing raises CertificationError."""
     if kind not in (CM, CA):
         raise ValueError(f"kind must be {CM!r} or {CA!r}")
-    depth = default_depth(a, depth)
-    if table is None or table.depth < depth:
-        table = difference_table(a, depth)
+    scale, pairs = _scaled_rows(a, depth) if table is None else (
+        table.scale, zip(table.scaled, table.bounds or repeat(None)))
+    unscale = (lambda x: Fraction(x, scale)) if a.mode == EXACT else (lambda x: x)
 
     witness, undecidable, margin = None, 0, None
-    for n in range(0 if kind == CM else 1, depth + 1):
-        row = table.scaled[n]
-        if table.bounds is None:
+    for n, (row, bounds) in islice(enumerate(pairs), 0 if kind == CM else 1, depth + 1):
+        if bounds is None:
             # an exact row that holds its sign is decided by one min or max,
             # which is also its least |entry|
             m = min(row) if kind == CM else -max(row)
@@ -94,8 +105,6 @@ def certify(a: Sequence, kind: str, depth=None, table: DifferenceTable = None) -
                 margin = m if margin is None else min(margin, m)
                 continue
             bounds = repeat(0)  # int zeros keep the scaled ints out of float arithmetic
-        else:
-            bounds = table.bounds[n]
         for k, (v, e) in enumerate(zip(row, bounds)):
             m = -v if v < 0 else v
             if margin is None or m < margin:
@@ -105,25 +114,26 @@ def certify(a: Sequence, kind: str, depth=None, table: DifferenceTable = None) -
                 continue
             if s + e < 0:
                 if witness is None:
-                    witness = (n, k, table.unscale(v))
+                    witness = (n, k, unscale(v))
             else:
                 undecidable += 1
         if witness is not None:
             break
 
     verdict = FAIL if witness else INCONCLUSIVE if undecidable else PASS
-    min_margin = None if margin is None else table.unscale(margin)
-    return Certificate(kind, depth, verdict, witness, min_margin, a.mode, undecidable)
+    min_margin = None if margin is None else unscale(margin)
+    cert = Certificate(kind, depth, verdict, witness, min_margin, a.mode, undecidable)
+    if fail and cert.failed:
+        raise CertificationError(fail, cert)
+    return cert
 
 
-def _certified_table(a: Sequence, kind: str, depth: int) -> DifferenceTable:
-    """Build the table of ``a`` once and certify it; raise on a failed
-    certification, else return the table for further reading."""
+def _certified_table(a: Sequence, kind: str, depth: int, raise_failed=True):
+    """(certificate, table) of ``a`` to ``depth`` for callers that read the
+    table afterwards; a failed certificate raises unless ``raise_failed`` is false."""
     table = difference_table(a, depth)
-    cert = certify(a, kind, depth, table=table)
-    if cert.failed:
-        raise CertificationError(f"sequence failed {kind} certification", cert)
-    return table
+    fail = f"sequence failed {kind} certification" if raise_failed else None
+    return _certify(a, kind, depth, table, fail), table
 
 
 @dataclass(frozen=True)
@@ -147,18 +157,14 @@ def atom_at_zero(a: Sequence, kind: str, depth=None) -> AtomEstimate:
     trail is nonincreasing and converges to nu({0}) (CM) or mu({0}) (CA).
     """
     depth = default_depth(a, depth)
-    return _atom(_certified_table(a, kind, depth), kind, depth)
+    return _atom(_certified_table(a, kind, depth)[1], kind, depth)
 
 
 def _atom(table: DifferenceTable, kind: str, depth: int) -> AtomEstimate:
-    if kind == CM:
-        ns = range(0, depth + 1)
-        trail = [table.scaled[n][0] for n in ns]
-    else:
-        if depth < 2:
-            raise ValueError("depth too small: CA atom trail needs depth >= 2")
-        ns = range(2, depth + 1)
-        trail = [-table.scaled[n][0] for n in ns]
+    if kind == CA and depth < 2:
+        raise ValueError("depth too small: CA atom trail needs depth >= 2")
+    ns = range(0 if kind == CM else 2, depth + 1)
+    trail = [table.scaled[n][0] if kind == CM else -table.scaled[n][0] for n in ns]
     # int zeros in exact mode keep the scaled ints out of float arithmetic
     bounds = [table.bounds[n][0] for n in ns] if table.bounds else [0] * len(ns)
     monotone_ok = all(
@@ -184,7 +190,7 @@ def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport
     error bound of the trail end) in float mode.
     """
     depth = default_depth(a, depth)
-    return _minimality(_certified_table(a, kind, depth), kind, depth, tol)
+    return _minimality(_certified_table(a, kind, depth)[1], kind, depth, tol)
 
 
 def _minimality(table: DifferenceTable, kind: str, depth: int, tol) -> MinimalityReport:
@@ -204,8 +210,7 @@ def _minimality(table: DifferenceTable, kind: str, depth: int, tol) -> Minimalit
 def _certify_minimal(a: Sequence, kind: str, depth: int, tol):
     """certify, then is_minimal unless the certificate failed, from one table;
     returns (certificate, MinimalityReport or None)."""
-    table = difference_table(a, depth)
-    cert = certify(a, kind, depth, table=table)
+    cert, table = _certified_table(a, kind, depth, raise_failed=False)
     return cert, None if cert.failed else _minimality(table, kind, depth, tol)
 
 
@@ -222,7 +227,7 @@ def degenerate_classify(a: Sequence, kind: str, depth=None) -> str:
     degenerate verdict of the kind.
     """
     depth = default_depth(a, depth)
-    table = _certified_table(a, kind, depth)
+    table = _certified_table(a, kind, depth)[1]
     degenerate = CONSTANT_TAIL if kind == CM else AFFINE_TAIL
 
     for n in range(1, depth + 1):

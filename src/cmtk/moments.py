@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import classify
-from .errors import CertificationError, DomainError, NotRepresentableError
+from .errors import DomainError, NotRepresentableError
 from .scalars import json_field, parse_scalar
 from .seqcore import Sequence
 
@@ -207,9 +207,9 @@ def _solve_nnls(kernel, target, tol: float):
 
 
 def _certify_or_raise(a: Sequence, kind: str, table=None):
-    cert = classify.certify(a, kind, classify.default_depth(a), table)
-    if cert.failed:
-        raise CertificationError(f"sequence is not {kind} to depth {cert.depth}", cert)
+    """Raise unless ``a`` certifies ``kind`` to its default depth (read from ``table`` if given)."""
+    depth = classify.default_depth(a)
+    classify._certify(a, kind, depth, table, f"sequence is not {kind} to depth {depth}")
 
 
 def _power_kernel(K: int, grid_m: int, nodes: int):

@@ -12,10 +12,10 @@ twice the half ulp of correct rounding, plus one rounding per subtraction)
 so that sign decisions downstream can distinguish "certified" from
 "undecidable".
 
-One kernel yields the table a row at a time.  ``difference_table`` keeps
-every row, for the sign scans that read them all; the transforms read
-column 0 alone, so they keep only its entries and drop each row once the
-next one exists (O(K) memory, not O(K^2)).
+One kernel yields the table a row at a time and checks the depth.
+``difference_table`` keeps every row, for the readers that come back to
+them; ``classify.certify`` and the transforms (which read column 0 alone)
+drop each row once the next one exists (O(K) memory, not O(K^2)).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .scalars import EPS, EXACT, FLOAT, TINY, coerce_values, parse_scalar
+from .scalars import EPS, EXACT, TINY, coerce_values, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,12 @@ def _scaled_rows(a: Sequence, depth: int):
     """The table kernel: ``a``'s scale (the lcm of its denominators in exact
     mode, 1 in float mode) and an iterator over rows 0..depth of its table
     times that scale, each with its row of error bounds (None in exact
-    mode).  Each row is built from the one before, when it is asked for."""
+    mode).  Each row is built from the one before, when it is asked for.
+    The depth is checked here, before any row is built."""
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    if depth > a.last_index:
+        raise ValueError(f"insufficient data: depth {depth} exceeds last index {a.last_index}")
     if a.mode == EXACT:
         scale = math.lcm(*(v.denominator for v in a.values))
         row = tuple([v.numerator * (scale // v.denominator) for v in a.values])
@@ -177,22 +182,14 @@ def _next_rows(row, bounds, depth):
 
 def difference_table(a: Sequence, depth: int) -> DifferenceTable:
     """Build the sign-folded difference table of ``a`` down to ``depth`` rows."""
-    K = a.last_index
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if depth > K:
-        raise ValueError(
-            f"insufficient data: depth {depth} exceeds last index {K}"
-        )
     scale, pairs = _scaled_rows(a, depth)
     # into two lists: (row, bounds) pairs kept alive cost every GC pass
     rows, bounds = [], []
     for row, row_bounds in pairs:
         rows.append(row)
         bounds.append(row_bounds)
-    if a.mode == EXACT:
-        return DifferenceTable(tuple(rows), None, EXACT, depth, K, scale)
-    return DifferenceTable(tuple(rows), tuple(bounds), FLOAT, depth, K)
+    bounds = None if a.mode == EXACT else tuple(bounds)
+    return DifferenceTable(tuple(rows), bounds, a.mode, depth, a.last_index, scale)
 
 
 def closed_form_entry(a: Sequence, n: int, k: int):

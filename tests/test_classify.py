@@ -7,12 +7,15 @@ at every depth exactly, and the atom trail must recover the weight at zero.
 
 import math
 import random
+import sys
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmtk import classify
 from cmtk.classify import (
     AFFINE_TAIL,
     CA,
@@ -29,7 +32,7 @@ from cmtk.classify import (
     is_minimal,
 )
 from cmtk.errors import CertificationError
-from cmtk.seqcore import Sequence, difference_table
+from cmtk.seqcore import Sequence, _scaled_rows, difference_table
 
 
 def exact(values):
@@ -56,6 +59,30 @@ def ca_model(q, d, atoms, K):
 
 unit_fracs = st.fractions(min_value=0, max_value=1, max_denominator=20)
 weights = st.fractions(min_value=0, max_value=5, max_denominator=10)
+
+
+def bumped(values, delta):
+    """``values`` with ``delta`` added to the last term.  Entry (n, K - n)
+    of the table moves by (-1)^n delta, so a large bump of a CM model
+    violates at row 1 and a tiny one at the first row whose entry it
+    outweighs, deep in the table."""
+    return [*values[:-1], values[-1] + delta]
+
+
+def counting_rows(drawn):
+    """A stand-in for the table kernel that appends the index of every row
+    it hands out to ``drawn``."""
+    def kernel(a, depth):
+        scale, pairs = _scaled_rows(a, depth)
+
+        def rows():
+            for n, pair in enumerate(pairs):
+                drawn.append(n)
+                yield pair
+
+        return scale, rows()
+
+    return kernel
 
 
 class TestCertify:
@@ -103,6 +130,22 @@ class TestCertify:
         b = Sequence.from_values([math.exp(-k) for k in range(41)])
         assert certify(b, CM, 30).verdict == PASS
 
+    @pytest.mark.parametrize("depth, message", [
+        (6, "insufficient data: depth 6 exceeds last index 5"),
+        (-1, "depth must be nonnegative"),
+    ])
+    @pytest.mark.parametrize("values", [[1, 0, 0, 0, 0, 0], [1.0, 0.5, 0.25, 0.0, 0.0, 0.0]])
+    def test_depth_out_of_range(self, depth, message, values):
+        # the kernel checks the depth for the streamed scan and the table alike
+        a = Sequence.from_values(values)
+        for kind in (CM, CA):
+            with pytest.raises(ValueError) as exc:
+                certify(a, kind, depth)
+            assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            difference_table(a, depth)
+        assert str(exc.value) == message
+
     @given(
         st.lists(st.tuples(unit_fracs, weights), min_size=1, max_size=5),
         st.integers(min_value=3, max_value=14),
@@ -124,6 +167,46 @@ class TestCertify:
     def test_ca_soundness_on_discrete_models(self, q, d, atoms, K):
         a = ca_model(q, d, dict(atoms).items(), K)
         assert certify(a, CA, K).verdict == PASS
+
+
+class TestStreaming:
+    """certify reads its rows from the kernel, never from a kept table, and
+    stops at the row of its first witness."""
+
+    def test_certify_builds_no_table(self, monkeypatch):
+        inputs = [
+            exact([Fraction(1, k + 1) for k in range(31)]),
+            exact(bumped([Fraction(1, k + 1) for k in range(31)], Fraction(-1, 10**12))),
+            ca_model(1, 2, [(Fraction(1, 3), Fraction(2))], 30),
+            Sequence.from_values([math.exp(-k) for k in range(41)]),
+            Sequence.from_values([1.0 / (k + 1) for k in range(41)]),
+        ]
+        expected = [certify(a, kind, depth) for a in inputs for kind in (CM, CA)
+                    for depth in (None, 0, 1, 12)]
+
+        def refuse(a, depth):
+            raise AssertionError("certify built a difference table")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cmtk") and vars(module).get("difference_table") is difference_table:
+                monkeypatch.setattr(module, "difference_table", refuse)
+        assert [certify(a, kind, depth) for a in inputs for kind in (CM, CA)
+                for depth in (None, 0, 1, 12)] == expected
+        assert [c.verdict for c in expected].count(FAIL) > 0
+
+    def test_stops_at_the_witness_row(self, monkeypatch):
+        # K = 400 Beta(2,3) moments with the last term doubled: a_{K-1} - a_K < 0
+        K = 400
+        moments = [Fraction(24, (k + 2) * (k + 3) * (k + 4)) for k in range(K + 1)]
+        a = exact(bumped(moments, moments[-1]))
+        drawn = []
+        monkeypatch.setattr(classify, "_scaled_rows", counting_rows(drawn))
+        cert = certify(a, CM)
+        assert (cert.verdict, cert.depth, cert.witness[:2]) == (FAIL, K, (1, K - 1))
+        assert drawn == [0, 1]
+        drawn.clear()
+        assert certify(exact(moments), CM).verdict == PASS
+        assert drawn == list(range(K + 1))
 
 
 #: float data for the soundness oracle: zeros, subnormals and magnitudes up
@@ -220,38 +303,91 @@ def reference_certify(a, kind, depth):
     return Certificate(kind, depth, verdict, witness, margin, a.mode, undecidable)
 
 
+def certify_counted(a, kind, depth):
+    """certify, and the indices of the kernel rows it drew."""
+    drawn = []
+    with mock.patch.object(classify, "_scaled_rows", counting_rows(drawn)):
+        return certify(a, kind, depth), drawn
+
+
+def assert_matches_reference(a, depth):
+    """Every Certificate field equals the reference's, and the scan drew
+    rows 0..depth, or only up to the row of its witness."""
+    for kind in (CM, CA):
+        cert, drawn = certify_counted(a, kind, depth)
+        assert cert == reference_certify(a, kind, depth), kind
+        last = cert.witness[0] if cert.witness else depth
+        assert drawn == list(range(last + 1)), kind
+
+
+#: (values, K) cut to length K + 1; the violating inputs bump the last term
+#: of a CM or CA model by +-10^-e: e = 0 violates at row 1, a large e deep down
+exact_lists = st.one_of(
+    st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+             min_size=1, max_size=41),
+    st.builds(lambda atoms, K: cm_model(dict(atoms).items(), K).values,
+              st.lists(st.tuples(unit_fracs, weights), min_size=1, max_size=4),
+              st.integers(min_value=0, max_value=40)),
+    st.builds(lambda q, d, atoms, K: ca_model(q, d, dict(atoms).items(), K).values,
+              weights, weights,
+              st.lists(st.tuples(unit_fracs.filter(lambda u: u < 1), weights), max_size=4),
+              st.integers(min_value=0, max_value=40)),
+    st.builds(lambda values, sign, e: bumped(values, Fraction(sign, 10**e)),
+              st.builds(lambda atoms, K: cm_model(dict(atoms).items(), K).values,
+                        st.lists(st.tuples(unit_fracs, weights), min_size=1, max_size=4),
+                        st.integers(min_value=1, max_value=40)),
+              st.sampled_from([-1, 1]), st.integers(min_value=0, max_value=40)),
+    st.builds(lambda values, sign, e: bumped(values, Fraction(sign, 10**e)),
+              st.builds(lambda q, d, atoms, K: ca_model(q, d, dict(atoms).items(), K).values,
+                        weights, weights,
+                        st.lists(st.tuples(unit_fracs.filter(lambda u: u < 1), weights),
+                                 max_size=4),
+                        st.integers(min_value=1, max_value=40)),
+              st.sampled_from([-1, 1]), st.integers(min_value=0, max_value=40)),
+)
+
+#: harmonic terms 1/(k+1), k <= 10, with a_10 lowered by 1/2000: the first
+#: violation is the entry (4, 6) = 1/2310 - 1/2000, below depth 3
+HARMONIC_DEEP = bumped([Fraction(1, k + 1) for k in range(11)], Fraction(-1, 2000))
+
+#: float data past 12 terms: magnitudes up to 1e280 stay below 2^40 * 1e280
+#: through 40 rows, so no entry or bound overflows
+long_floats_with_bounds = st.integers(min_value=13, max_value=41).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.one_of(st.just(0.0), st.floats(min_value=-1e280, max_value=1e280)),
+                 min_size=n, max_size=n),
+        st.none() | st.lists(st.floats(min_value=0.0, max_value=1e280), min_size=n, max_size=n)))
+
+
 class TestCertifyReference:
     """certify gives the whole Certificate (verdict, witness, min_margin,
-    undecidable count) of the per-entry reference rule."""
+    undecidable count) of the per-entry reference rule, and draws no kernel
+    row past its depth or the row of its witness."""
 
-    @given(st.one_of(
-        st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
-                 min_size=1, max_size=12),
-        st.builds(lambda atoms, K: cm_model(dict(atoms).items(), K).values,
-                  st.lists(st.tuples(unit_fracs, weights), min_size=1, max_size=4),
-                  st.integers(min_value=0, max_value=11)),
-        st.builds(lambda q, d, atoms, K: ca_model(q, d, dict(atoms).items(), K).values,
-                  weights, weights,
-                  st.lists(st.tuples(unit_fracs.filter(lambda u: u < 1), weights), max_size=4),
-                  st.integers(min_value=0, max_value=11)),
-    ), st.integers(min_value=0, max_value=11))
+    @given(exact_lists, st.integers(min_value=0, max_value=40))
     # the failing row 1 holds -2^1100 and 2^1100: scaled ints beyond float range
     @example([0, 2**1100, 0], 2)
+    @example(HARMONIC_DEEP, 3)
     @settings(max_examples=150, deadline=None)
     def test_exact(self, values, depth):
         a = exact(values)
-        depth = min(depth, a.last_index)
-        for kind in (CM, CA):
-            assert certify(a, kind, depth) == reference_certify(a, kind, depth), kind
+        assert_matches_reference(a, min(depth, a.last_index))
 
-    @given(floats_with_bounds(), st.integers(min_value=0, max_value=11))
+    def test_violation_below_depth_is_never_built(self):
+        a = exact(HARMONIC_DEEP)
+        assert certify(a, CM, 10).witness == (4, 6, Fraction(1, 2310) - Fraction(1, 2000))
+        cert, drawn = certify_counted(a, CM, 3)
+        assert cert.verdict == PASS
+        assert drawn == [0, 1, 2, 3]
+
+    @given(st.one_of(floats_with_bounds(), long_floats_with_bounds,
+                     st.tuples(exact_lists.map(lambda v: [float(x) for x in v]), st.none())),
+           st.integers(min_value=0, max_value=40))
     @settings(max_examples=150, deadline=None)
     def test_float(self, case, depth):
         values, bounds = case
         a = Sequence.from_values(values, value_bounds=bounds)
-        depth = min(depth, a.last_index)
-        for kind in (CM, CA):
-            assert certify(a, kind, depth) == reference_certify(a, kind, depth), kind
+        assert_matches_reference(a, min(depth, a.last_index))
 
 
 class TestAtomAtZero:

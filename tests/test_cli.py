@@ -490,6 +490,16 @@ class TestMalformedInput:
         assert len(out.err.strip().splitlines()) == 1
         return out.err
 
+    @pytest.mark.parametrize("depth, message", [
+        ("3", "insufficient data: depth 3 exceeds last index 2"),
+        ("-1", "depth must be nonnegative"),
+    ])
+    def test_certify_depth_out_of_range(self, capsys, tmp_path, depth, message):
+        p = tmp_path / "seq.csv"
+        p.write_text("1\n1/2\n1/3\n")
+        err = self._one_line_exit_3(capsys, ["certify", "--kind", "cm", "--depth", depth, str(p)])
+        assert err == f"error: {message}\n"
+
     def test_triplet_atom_without_weight(self, capsys, tmp_path):
         p = tmp_path / "triplet.json"
         p.write_text('{"levy": [{"x": 1}]}')
