@@ -21,9 +21,8 @@ from fractions import Fraction
 
 from . import classify, moments
 from .errors import DomainError
-from .funcops import (DEFAULT_C_PAIR, FunctionHandle, _richardson_derivative, bounded_sequence,
-                      sampled_sequence)
-from .scalars import EPS, json_field
+from .funcops import FunctionHandle, _richardson_derivative, bounded_sequence, sampled_sequence
+from .scalars import DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, json_field
 from .seqcore import Sequence, difference_table
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
@@ -31,7 +30,6 @@ from .seqcore import Sequence, difference_table
 #: kernel column they were fitted against
 X_FAR = 46.0
 
-DEFAULT_SD_CS = (0.25, 0.5, 0.75, 0.9)
 #: depth of the scale tests (Phi(k) - Phi(ck))_k, kept moderate: float
 #: sampling noise swamps deeper rows
 _SCALE_DEPTH = 15
@@ -77,6 +75,9 @@ class BernsteinTriplet:
 
     @classmethod
     def from_dict(cls, data):
+        """Absent fields default to 0 (levy to no atoms); an object with none is rejected."""
+        if isinstance(data, dict) and not {"q", "d", "levy"} & data.keys():
+            raise ValueError("triplet has none of the fields 'q', 'd' and 'levy'")
         q = json_field(data, "q", "triplet", 0.0)
         d = json_field(data, "d", "triplet", 0.0)
         levy = tuple(sorted((json_field(a, "x", "levy atom"), json_field(a, "w", "levy atom"))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernstein import BernsteinTriplet, triplet_handle
 from .funcops import FunctionHandle
 from .scalars import is_exact, parse_scalar
 
@@ -29,6 +28,7 @@ def _sqrt_triplet():
     """The quadrature approximation of sqrt(lam) = (2 sqrt(pi))^{-1}
     integral (1 - e^{-lam x}) x^{-3/2} dx on a 240-cell log grid over
     [1e-4, 60]: a genuine finite triplet, hence exactly a Bernstein function."""
+    from .bernstein import BernsteinTriplet  # only here: it loads moments too
     n_atoms, x_lo, x_hi = 240, 1e-4, 60.0
     ratio = (x_hi / x_lo) ** (1.0 / n_atoms)
     atoms = []
@@ -46,6 +46,7 @@ def _sqrt_triplet():
 
 
 def sqrt_triplet_handle():
+    from .bernstein import triplet_handle
     return triplet_handle(_sqrt_triplet(), "sqrt-triplet")
 
 

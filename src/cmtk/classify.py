@@ -18,11 +18,8 @@ from fractions import Fraction
 from itertools import islice, repeat
 
 from .errors import CertificationError
-from .scalars import EXACT, FLOAT
+from .scalars import CA, CM, EXACT, FLOAT
 from .seqcore import DifferenceTable, Sequence, _scaled_rows, difference_table
-
-CM = "cm"
-CA = "ca"
 
 PASS = "pass"
 FAIL = "fail"

@@ -26,11 +26,10 @@ import datetime
 import json
 import sys
 
-from . import bernstein, builtins as handles, classify, funcops, moments, webster
 from .errors import BudgetExceededError, CmtkError
-from .scalars import FLOAT, coerce_values, parse_scalar, scalar_to_json
-from .seqcore import Sequence, read_sequence
-from .newton import eval_series, series_from_samples
+from .scalars import (CA, CM, DEFAULT_C_PAIR, DEFAULT_GRID, DEFAULT_N, DEFAULT_SD_CS, DEFAULT_TOL,
+                      FLOAT, coerce_values, parse_scalar, scalar_to_json)
+from .seqcore import Sequence, read_sequence  # every command loads it
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 
@@ -61,6 +60,7 @@ def _floats(text):
 
 
 def _verdict_code(verdict):
+    from . import classify
     return {
         classify.PASS: EXIT_PASS,
         classify.FAIL: EXIT_FAIL,
@@ -83,11 +83,13 @@ def _load_sequence(args) -> Sequence:
 
 def _get_handle(spec: str):
     if spec.startswith("triplet:"):
+        from . import bernstein
         path = spec.partition(":")[2]
         with open(path, "r", encoding="utf-8") as fh:
             t = bernstein.BernsteinTriplet.from_dict(json.load(fh))
         return bernstein.triplet_handle(t, name=f"triplet:{path}")
-    return handles.get_handle(spec)
+    from .builtins import get_handle
+    return get_handle(spec)
 
 
 def _to_json(obj):
@@ -103,18 +105,21 @@ def _to_json(obj):
 # -- subcommand implementations; each returns (exit_code, result) -----------
 
 def _cmd_certify(args):
+    from . import classify
     seq = _load_sequence(args)
     cert = classify.certify(seq, args.kind, args.depth)
     return _verdict_code(cert.verdict), {"certificate": cert}
 
 
 def _cmd_minimal(args):
+    from . import classify
     seq = _load_sequence(args)
     rep = classify.is_minimal(seq, args.kind, args.depth, args.tol)
     return (EXIT_PASS if rep.minimal else EXIT_FAIL), {"minimality": rep}
 
 
 def _cmd_invert(args):
+    from . import moments
     seq = _load_sequence(args)
     invert = moments.invert_cm if args.variant == "cm" else moments.invert_ca
     model, fit = invert(seq, args.grid, args.tol)
@@ -129,7 +134,9 @@ def _cmd_evaluate(args):
         data = result.get("model") if isinstance(result, dict) else None
     if not isinstance(data, dict) or not {"levy", "atoms"} & data.keys():
         raise ValueError(f"{args.input}: no measure, triplet or report with a model")
+    from . import moments  # bernstein imports it too
     if "levy" in data:
+        from . import bernstein
         model, value = bernstein.BernsteinTriplet.from_dict(data), bernstein.eval_bernstein
     elif "q" in data or "d" in data:
         model, value = moments.CATriplet.from_dict(data), moments.evaluate
@@ -139,6 +146,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_extend(args):
+    from . import moments
     seq = _load_sequence(args)
     f = moments.extend_from_integer_samples(seq, args.kind, args.grid, args.tol)
     return EXIT_PASS, {
@@ -149,6 +157,7 @@ def _cmd_extend(args):
 
 
 def _cmd_newton(args):
+    from .newton import eval_series, series_from_samples
     seq = _load_sequence(args)
     series = series_from_samples(seq)
     if args.action == "fit":
@@ -158,7 +167,9 @@ def _cmd_newton(args):
 
 
 def _cmd_webster(args):
-    g = handles.get_webster_g(args.g)
+    from . import webster
+    from .builtins import get_webster_g
+    g = get_webster_g(args.g)
     problem = webster.WebsterProblem(
         g,
         n_terms=args.terms,
@@ -174,42 +185,49 @@ def _cmd_webster(args):
 
 
 def _cmd_operator(args):
+    from . import funcops
     f = _get_handle(args.builtin)
     composed = funcops.apply_operator(f, args.op, args.c[0], args.iterate)
     return EXIT_PASS, {"values": [[x, composed(x)] for x in args.at]}
 
 
 def _cmd_decompose(args):
+    from . import funcops
     f = _get_handle(args.builtin)
     decompose = funcops.cm_limit_decompose if args.variant == "cm" else funcops.bf_limit_decompose
     return EXIT_PASS, {"decomposition": decompose(f, tuple(args.c), args.nmax)}
 
 
 def _cmd_lattice(args):
+    from . import funcops
     f = _get_handle(args.builtin)
     rep = funcops.lattice_check(f, args.kind, args.alpha, args.depth, args.tol)
     return _check_code(rep.overall_pass, () if rep.partial else rep.entries), {"lattice": rep}
 
 
 def _cmd_subaffine(args):
+    from . import funcops
     f = _get_handle(args.builtin)
     rep = funcops.subaffine_check(f, args.c[0], args.bound)
     return (EXIT_PASS if rep.ok else EXIT_FAIL), {"subaffine": rep}
 
 
 def _cmd_bftheta(args):
+    from . import bernstein
     f = _get_handle(args.builtin)
     rep = bernstein.check_bf_via_theta(f, tuple(args.c), args.depth)
     return _check_code(rep.overall_pass, rep.entries), {"theta_check": rep}
 
 
 def _cmd_selfdec(args):
+    from . import bernstein
     f = _get_handle(args.builtin)
     rep = bernstein.check_selfdecomposable(f, tuple(args.c), args.depth, args.tol)
     return _verdict_code(rep.verdict), {"selfdecomposable": rep}
 
 
 def _cmd_egf(args):
+    from . import bernstein, moments
     seq = _load_sequence(args)
     triplet, fit = moments.invert_ca(seq, args.grid, args.tol)
     residual = bernstein.egf_validate(seq, triplet)
@@ -229,10 +247,10 @@ def build_parser() -> _Parser:
             sp.add_argument("input", help="sequence file (CSV or JSON array)")
             sp.add_argument("--mode", choices=["exact", "float"], default=None)
         if kind:
-            sp.add_argument("--kind", choices=[classify.CM, classify.CA], required=True)
+            sp.add_argument("--kind", choices=[CM, CA], required=True)
         if grid:
-            sp.add_argument("--grid", type=int, default=moments.DEFAULT_GRID)
-            sp.add_argument("--tol", type=_float, default=moments.DEFAULT_TOL)
+            sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
+            sp.add_argument("--tol", type=_float, default=DEFAULT_TOL)
         if c_default is not None:
             sp.add_argument("--c", type=_floats, default=list(c_default))
 
@@ -275,7 +293,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--g", default="identity",
                     help="identity | constant:<c> | exp-neg-cm")
     sp.add_argument("--at", type=_floats, default=[0.5])
-    sp.add_argument("--terms", type=int, default=webster.DEFAULT_N)
+    sp.add_argument("--terms", type=int, default=DEFAULT_N)
     sp.add_argument("--no-accel", action="store_true")
     sp.add_argument("--g-limit-one", action="store_true")
     sp.add_argument("--check-grid", type=_floats, default=None,
@@ -293,7 +311,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("decompose", help="limit decompositions")
     sp.add_argument("variant", choices=["cm", "bf"])
-    common(sp, c_default=funcops.DEFAULT_C_PAIR)
+    common(sp, c_default=DEFAULT_C_PAIR)
     sp.add_argument("--builtin", required=True)
     sp.add_argument("--nmax", type=int, default=64)
     sp.set_defaults(fn=_cmd_decompose)
@@ -313,13 +331,13 @@ def build_parser() -> _Parser:
     sp.set_defaults(fn=_cmd_subaffine)
 
     sp = sub.add_parser("bftheta", help="Bernstein membership via theta")
-    common(sp, c_default=funcops.DEFAULT_C_PAIR)
+    common(sp, c_default=DEFAULT_C_PAIR)
     sp.add_argument("--builtin", required=True)
     sp.add_argument("--depth", type=int, default=15)
     sp.set_defaults(fn=_cmd_bftheta)
 
     sp = sub.add_parser("selfdec", help="self-decomposability suite")
-    common(sp, c_default=bernstein.DEFAULT_SD_CS)
+    common(sp, c_default=DEFAULT_SD_CS)
     sp.add_argument("--builtin", required=True)
     sp.add_argument("--depth", type=int, default=30)
     sp.add_argument("--tol", type=_float, default=None)

@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 from . import classify
 from .errors import BudgetExceededError, DomainError
-from .scalars import EPS
+from .scalars import DEFAULT_C_PAIR, EPS
 from .seqcore import Sequence
 
 DEFAULT_BUDGET = 10**6
-DEFAULT_C_PAIR = (1.0, 1.0 / math.sqrt(2.0))
 
 
 def _budget_from_env():

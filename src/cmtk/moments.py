@@ -23,11 +23,9 @@ from dataclasses import dataclass
 
 from . import classify
 from .errors import DomainError, NotRepresentableError
-from .scalars import json_field, parse_scalar
+from .scalars import DEFAULT_GRID, DEFAULT_TOL, json_field, parse_scalar
 from .seqcore import Sequence
 
-DEFAULT_GRID = 200
-DEFAULT_TOL = 1e-10
 #: residual > RESIDUAL_FACTOR * tol  =>  "not representable at this grid"
 RESIDUAL_FACTOR = 100.0
 

@@ -4,6 +4,10 @@ Every sequence operation in this package is generic over the two scalar
 kinds.  A value parsed from "p/q" or from a decimal literal is an exact
 ``fractions.Fraction``; a Python float stays a float.  Exactness is decided
 once, at sequence construction, and recorded as a mode flag.
+
+The sequence kinds and the parameter defaults that the CLI parser shows
+live here too, so that the parser reads them without importing the
+modules that compute with them.
 """
 
 from __future__ import annotations
@@ -17,6 +21,15 @@ TINY = math.ulp(0.0)  # the smallest subnormal, 2**-1074
 
 EXACT = "exact"
 FLOAT = "float"
+
+CM = "cm"  # completely monotone
+CA = "ca"  # completely alternating
+
+DEFAULT_GRID = 200  # moment-inversion grid size M (moments)
+DEFAULT_TOL = 1e-10  # NNLS fit tolerance (moments)
+DEFAULT_N = 100_000  # Webster product truncation (webster)
+DEFAULT_C_PAIR = (1.0, 1.0 / math.sqrt(2.0))  # probed c of decompositions and theta
+DEFAULT_SD_CS = (0.25, 0.5, 0.75, 0.9)  # scales of the self-decomposability test
 
 
 def parse_scalar(text):

@@ -26,8 +26,8 @@ from itertools import chain, islice
 
 from .errors import DomainError
 from .funcops import FunctionHandle, _richardson_derivative
+from .scalars import DEFAULT_N
 
-DEFAULT_N = 100_000
 _CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
 
 

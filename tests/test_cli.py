@@ -517,6 +517,19 @@ class TestMalformedInput:
         err = self._one_line_exit_3(capsys, ["bftheta", "--builtin", f"triplet:{p}"])
         assert field in err
 
+    @pytest.mark.parametrize("text", [
+        pytest.param('{"atoms": [{"u": 0.5, "w": 1.0}]}', id="measure"),
+        pytest.param('{"command": "invert", "result": {"model": {"atoms": []}}, "exit_code": 0}',
+                     id="invert-report"),
+    ])
+    def test_triplet_file_not_a_triplet(self, capsys, tmp_path, text):
+        # absent fields default to 0, so without the check these read as Phi = 0
+        p = tmp_path / "triplet.json"
+        p.write_text(text)
+        err = self._one_line_exit_3(
+            capsys, ["operator", "--builtin", f"triplet:{p}", "--op", "sigma", "--at", "1"])
+        assert "'levy'" in err
+
     def test_malformed_max_evals(self, capsys, monkeypatch):
         monkeypatch.setenv("CMTK_MAX_EVALS", "abc")
         err = self._one_line_exit_3(capsys, ["lattice", "--kind", "cm", "--builtin", "exp-decay"])
@@ -539,7 +552,9 @@ def test_evaluate_reads_invert_report(capsys, tmp_path, harmonic_csv):
 
 class TestStartUpImports:
     """numpy and SciPy load only where NNLS runs: ``import cmtk`` and every
-    README command but invert, extend and egf run with both blocked."""
+    README command but invert, extend and egf run with both blocked.  Each
+    README command loads only the cmtk modules it runs, and ``import cmtk``
+    loads none."""
 
     NNLS_FREE = ["certify", "minimal", "evaluate", "newton-eval", "webster", "operator",
                  "decompose-bf", "lattice", "subaffine", "bftheta", "selfdec"]
@@ -567,13 +582,17 @@ for name in json.loads(sys.argv[1]):
 print(json.dumps({"results": results, "at_import": at_import, "after": loaded()}))
 """
 
-    def _child(self, names, mode):
+    @staticmethod
+    def _env():
         env = {k: v for k, v in os.environ.items() if k != "CMTK_MAX_EVALS"}
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(TESTS.parent / "src"), env.get("PYTHONPATH")) if p
         )
+        return env
+
+    def _child(self, names, mode):
         proc = subprocess.run([sys.executable, "-c", self.CHILD, json.dumps(names), mode,
-                               str(TESTS)], env=env, capture_output=True, text=True,
+                               str(TESTS)], env=self._env(), capture_output=True, text=True,
                               timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
         return json.loads(proc.stdout)
@@ -593,3 +612,42 @@ print(json.dumps({"results": results, "at_import": at_import, "after": loaded()}
         assert "scipy.optimize" in out["after"]
         golden = (TESTS / "data" / "cli_reports" / "invert.json").read_text()
         assert out["results"]["invert"] == [0, golden]
+
+    # the cmtk modules that a README command must not load, by golden case
+    NOT_LOADED = {
+        "certify": {"bernstein", "funcops", "moments", "newton", "webster", "builtins"},
+        "minimal": {"bernstein", "funcops", "moments", "newton", "webster", "builtins"},
+        "newton-eval": {"classify", "funcops", "bernstein", "moments", "webster"},
+        "webster": {"bernstein", "moments", "newton"},
+        "operator": {"bernstein", "moments", "newton"},
+        "decompose-bf": {"bernstein", "moments", "newton"},
+        "lattice": {"bernstein", "moments", "newton"},
+        "subaffine": {"bernstein", "moments", "newton"},
+        "evaluate": {"bernstein"},  # on a bare measure
+    }
+
+    def _loaded_cmtk_modules(self, argv, cwd):
+        """The cmtk submodules that ``python -X importtime`` reports for one
+        child, and its exit code."""
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=cwd, env=self._env(),
+                              capture_output=True, text=True, timeout=120)
+        names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")}
+        return proc.returncode, {n.partition(".")[2] for n in names if n.startswith("cmtk.")}
+
+    def test_import_cmtk_loads_no_submodule(self, tmp_path):
+        code, loaded = self._loaded_cmtk_modules(["-c", "import cmtk; cmtk.__version__"], tmp_path)
+        assert code == 0
+        assert loaded == set()
+
+    @pytest.mark.parametrize("name", sorted(NOT_LOADED))
+    def test_command_loads_only_its_modules(self, name, tmp_path):
+        from test_cli_reports import CASES
+
+        for src in (TESTS / "data" / "cli").iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        code, loaded = self._loaded_cmtk_modules(
+            ["-m", "cmtk.cli", *CASES[name], "--no-meta"], tmp_path)
+        golden = (TESTS / "data" / "cli_reports" / f"{name}.json").read_text()
+        assert f'"exit_code": {code}' in golden
+        assert not loaded & self.NOT_LOADED[name], sorted(loaded)

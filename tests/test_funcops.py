@@ -6,6 +6,8 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtk import classify
 from cmtk.bernstein import (
@@ -35,6 +37,7 @@ from cmtk.funcops import (
     subaffine_check,
 )
 from cmtk.scalars import EPS, TINY
+from cmtk.seqcore import Sequence
 from cmtk.webster import WebsterProblem, WebsterSolution
 
 
@@ -428,6 +431,28 @@ class TestLattice:
         with pytest.raises(ValueError, match="alpha"):
             lattice_check(f, "cm", [1.0, alpha], depth=10)
         assert f.calls == 0  # checked before any sampling
+
+
+class TestLatticeSoundnessOracle:
+    """lattice_check runs in float, on the points float(alpha) * k.  The
+    rational-valued builtins sampled exactly at Fraction(alpha) * k (shifted
+    to k + 1 for a handle open at zero, as lattice_check shifts it) give the
+    exact verdict on the same lattice: a float pass or fail must be it."""
+
+    @given(st.sampled_from(["reciprocal", "bf-ratio", "linear", "square"]),
+           st.sampled_from([classify.CM, classify.CA]),
+           st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=1000),
+           st.integers(min_value=2, max_value=24))
+    @settings(max_examples=200, deadline=None)
+    def test_float_verdict_never_contradicts_exact(self, name, kind, alpha, depth):
+        f = get_handle(name)
+        first = 1 if f.open_at_zero else 0
+        exact = Sequence.from_values([f.fn(alpha * (k + first)) for k in range(depth + 6)])
+        assert exact.mode == "exact"
+        want = classify.certify(exact, kind, depth).verdict
+        got = lattice_check(f, kind, [alpha], depth).entries[0].certificate.verdict
+        if got != classify.INCONCLUSIVE:
+            assert got == want
 
 
 class TestSubaffine:
