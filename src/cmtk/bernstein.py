@@ -128,11 +128,12 @@ def extract_triplet(phi: FunctionHandle, tol: float = 1e-10):
     # one; 15 keeps conclusive verdicts for float samples, as deeper rows of
     # bounded sequences sink below the propagated noise
     table = difference_table(seq, classify.default_depth(seq))
-    cert = classify._certify(seq, classify.CA, 15, table, "samples are not completely alternating")
+    cert = classify._certify(seq, classify.CA, 15, table._scaled_rows(),
+                             "samples are not completely alternating")
 
     q = float(seq.values[0])
     d = max(0.0, float(phi(1e7 + 1.0) - phi(1e7)))
-    moments._certify_or_raise(seq, classify.CA, table)
+    moments._certify_or_raise(seq, classify.CA, table._scaled_rows())
     triplet, fit = moments._fit_ca(seq, 200, tol, d)
     exp_measure = moments.to_exponential(triplet.measure)
     atoms = dict(exp_measure.atoms)

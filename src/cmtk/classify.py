@@ -7,8 +7,9 @@ depth.  Verdicts are three-valued: in float mode an entry whose error bound
 straddles zero is undecidable, and a table with undecidable entries but no
 strict violation yields "inconclusive" rather than "pass" or "fail".
 
-``certify`` streams the rows from the table kernel and stops at the row of
-the first witness; minimality, the atom trail and degeneracy read a full table.
+One scan streams the kernel's rows, stops at the first witness's row and keeps
+column 0 for minimality and the atom trail.  Degeneracy and extract_triplet keep a
+table on purpose: perfbench's count test needs one in its exact and float warm-ups.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from itertools import islice, repeat
 
 from .errors import CertificationError
 from .scalars import CA, CM, EXACT, FLOAT
-from .seqcore import DifferenceTable, Sequence, _scaled_rows, difference_table
+from .seqcore import Sequence, _scaled_rows, difference_table
 
 PASS = "pass"
 FAIL = "fail"
@@ -82,18 +83,20 @@ def certify(a: Sequence, kind: str, depth=None) -> Certificate:
     return _certify(a, kind, default_depth(a, depth))
 
 
-def _certify(a: Sequence, kind: str, depth: int, table=None, fail=None) -> Certificate:
-    """The one sign scan.  Rows 0..depth come from ``table`` (depth >= ``depth``)
-    if the caller keeps one to read afterwards, else from the kernel, at most
-    two alive at once.  With a ``fail`` message, failing raises CertificationError."""
+def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=None) -> Certificate:
+    """The one sign scan.  Rows 0..depth come from a kept table's ``_scaled_rows()``
+    if given, else from the kernel, at most two alive at once.  With a ``fail``
+    message, failing raises CertificationError.  A ``column`` list gets the
+    (scaled entry, bound, entry) at column 0 of each row scanned."""
     if kind not in (CM, CA):
         raise ValueError(f"kind must be {CM!r} or {CA!r}")
-    scale, pairs = _scaled_rows(a, depth) if table is None else (
-        table.scale, zip(table.scaled, table.bounds or repeat(None)))
+    scale, pairs = rows or _scaled_rows(a, depth)
     unscale = (lambda x: Fraction(x, scale)) if a.mode == EXACT else (lambda x: x)
 
     witness, undecidable, margin = None, 0, None
     for n, (row, bounds) in islice(enumerate(pairs), 0 if kind == CM else 1, depth + 1):
+        if column is not None:
+            column.append((row[0], 0 if bounds is None else bounds[0], unscale(row[0])))
         if bounds is None:
             # an exact row that holds its sign is decided by one min or max,
             # which is also its least |entry|
@@ -125,12 +128,11 @@ def _certify(a: Sequence, kind: str, depth: int, table=None, fail=None) -> Certi
     return cert
 
 
-def _certified_table(a: Sequence, kind: str, depth: int, raise_failed=True):
-    """(certificate, table) of ``a`` to ``depth`` for callers that read the
-    table afterwards; a failed certificate raises unless ``raise_failed`` is false."""
-    table = difference_table(a, depth)
+def _certified_column(a: Sequence, kind: str, depth: int, raise_failed=True):
+    """(certificate, column) of ``_certify``; failing raises unless ``raise_failed`` is false."""
+    column, rows = [], _scaled_rows(a, depth)  # checks the depth before the kind
     fail = f"sequence failed {kind} certification" if raise_failed else None
-    return _certify(a, kind, depth, table, fail), table
+    return _certify(a, kind, depth, rows, fail, column), column
 
 
 @dataclass(frozen=True)
@@ -154,22 +156,18 @@ def atom_at_zero(a: Sequence, kind: str, depth=None) -> AtomEstimate:
     trail is nonincreasing and converges to nu({0}) (CM) or mu({0}) (CA).
     """
     depth = default_depth(a, depth)
-    return _atom(_certified_table(a, kind, depth)[1], kind, depth)
+    return _atom(_certified_column(a, kind, depth)[1], kind, depth)
 
 
-def _atom(table: DifferenceTable, kind: str, depth: int) -> AtomEstimate:
+def _atom(column: list, kind: str, depth: int) -> AtomEstimate:
+    """The trail off the column of a certificate that did not fail."""
     if kind == CA and depth < 2:
         raise ValueError("depth too small: CA atom trail needs depth >= 2")
-    ns = range(0 if kind == CM else 2, depth + 1)
-    trail = [table.scaled[n][0] if kind == CM else -table.scaled[n][0] for n in ns]
-    # int zeros in exact mode keep the scaled ints out of float arithmetic
-    bounds = [table.bounds[n][0] for n in ns] if table.bounds else [0] * len(ns)
-    monotone_ok = all(
-        trail[i + 1] <= trail[i] + bounds[i] + bounds[i + 1]
-        for i in range(len(trail) - 1)
-    )
-    trail = tuple(map(table.unscale, trail))
-    return AtomEstimate(trail, trail[-1], monotone_ok, float(bounds[-1]))
+    col = column if kind == CM else [(-v, e, -x) for v, e, x in column[1:]]
+    # scaled entries, and int zero bounds in exact mode: no float arithmetic
+    monotone_ok = all(w <= v + e + f for (v, e, _), (w, f, _) in zip(col, col[1:]))
+    trail = tuple(x for _, _, x in col)
+    return AtomEstimate(trail, trail[-1], monotone_ok, float(col[-1][1]))
 
 
 @dataclass(frozen=True)
@@ -187,28 +185,28 @@ def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport
     error bound of the trail end) in float mode.
     """
     depth = default_depth(a, depth)
-    return _minimality(_certified_table(a, kind, depth)[1], kind, depth, tol)
+    return _minimality(_certified_column(a, kind, depth)[1], kind, depth, tol)
 
 
-def _minimality(table: DifferenceTable, kind: str, depth: int, tol) -> MinimalityReport:
+def _minimality(column: list, kind: str, depth: int, tol) -> MinimalityReport:
     if tol is not None and tol < 0:
         raise ValueError("tol must be nonnegative")
     # a_0 alone is the total mass, an upper bound on the atom at zero of any
     # sequence; like the CA trail from row 2, the decision needs row 1
     if kind == CM and depth < 1:
         raise ValueError("depth too small: CM minimality needs depth >= 1")
-    atom = _atom(table, kind, depth)
-    if tol is None:
-        tol = 1e-6 if table.mode == EXACT else max(1e-6, 10.0 * atom.error_bound)
+    atom = _atom(column, kind, depth)
+    if tol is None:  # an exact trail's error bound is 0.0, so its tol is 1e-6
+        tol = max(1e-6, 10.0 * atom.error_bound)
     minimal = bool(atom.estimate <= tol and atom.monotone_ok)
     return MinimalityReport(minimal, atom, float(tol))
 
 
 def _certify_minimal(a: Sequence, kind: str, depth: int, tol):
-    """certify, then is_minimal unless the certificate failed, from one table;
+    """certify, then is_minimal unless the certificate failed, from one scan;
     returns (certificate, MinimalityReport or None)."""
-    cert, table = _certified_table(a, kind, depth, raise_failed=False)
-    return cert, None if cert.failed else _minimality(table, kind, depth, tol)
+    cert, column = _certified_column(a, kind, depth, raise_failed=False)
+    return cert, None if cert.failed else _minimality(column, kind, depth, tol)
 
 
 STRICT = "strict"
@@ -224,15 +222,12 @@ def degenerate_classify(a: Sequence, kind: str, depth=None) -> str:
     degenerate verdict of the kind.
     """
     depth = default_depth(a, depth)
-    table = _certified_table(a, kind, depth)[1]
+    table = difference_table(a, depth)
+    _certify(a, kind, depth, table._scaled_rows(), f"sequence failed {kind} certification")
     degenerate = CONSTANT_TAIL if kind == CM else AFFINE_TAIL
 
-    for n in range(1, depth + 1):
-        row = table.scaled[n]
-        if table.bounds is None:
-            if 0 in row:
-                return degenerate
-        elif any(map(lambda v, e: abs(v) <= e, row, table.bounds[n])):
+    for row, bounds in islice(table._scaled_rows()[1], 1, None):
+        if 0 in row if bounds is None else any(map(lambda v, e: abs(v) <= e, row, bounds)):
             return degenerate
 
     vals = a.values

@@ -204,10 +204,10 @@ def _solve_nnls(kernel, target, tol: float):
     return w, residual, kkt
 
 
-def _certify_or_raise(a: Sequence, kind: str, table=None):
-    """Raise unless ``a`` certifies ``kind`` to its default depth (read from ``table`` if given)."""
+def _certify_or_raise(a: Sequence, kind: str, rows=None):
+    """Raise unless ``a`` certifies ``kind`` to its default depth (read off ``rows`` if given)."""
     depth = classify.default_depth(a)
-    classify._certify(a, kind, depth, table, f"sequence is not {kind} to depth {depth}")
+    classify._certify(a, kind, depth, rows, f"sequence is not {kind} to depth {depth}")
 
 
 def _power_kernel(K: int, grid_m: int, nodes: int):

@@ -14,7 +14,7 @@ so that sign decisions downstream can distinguish "certified" from
 
 One kernel yields the table a row at a time and checks the depth.
 ``difference_table`` keeps every row, for the readers that come back to
-them; ``classify.certify`` and the transforms (which read column 0 alone)
+them; the ``classify`` scan and the transforms (which read column 0 alone)
 drop each row once the next one exists (O(K) memory, not O(K^2)).
 """
 
@@ -27,6 +27,7 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import repeat
 
 from .scalars import EPS, EXACT, TINY, coerce_values, parse_scalar
 
@@ -53,6 +54,8 @@ class Sequence:
                 raise ValueError("exact sequences carry no error bounds")
             if len(self.value_bounds) != len(self.values):
                 raise ValueError("value_bounds length mismatch")
+            if any(b < 0 for b in self.value_bounds):
+                raise ValueError("value_bounds must be nonnegative")
 
     @classmethod
     def from_values(cls, values, mode=None, value_bounds=None):
@@ -126,7 +129,7 @@ class DifferenceTable:
 
     ``scaled`` holds the entries times ``scale``: in exact mode Python ints
     and L, the lcm of the input denominators (L > 0 keeps signs and order,
-    so verdicts are read off the ints; ``unscale`` gives x / L); in float
+    so verdicts are read off the ints, and ``rows`` gives x / L); in float
     mode the float entries and 1, with per-entry absolute error bounds in
     ``bounds`` (None in exact mode).
     """
@@ -143,13 +146,14 @@ class DifferenceTable:
         """The entries themselves: Fractions in exact mode, built on first use."""
         if self.mode != EXACT:
             return self.scaled
-        return tuple(tuple(map(self.unscale, row)) for row in self.scaled)
-
-    def unscale(self, x):
-        return Fraction(x, self.scale) if self.mode == EXACT else x
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.scaled)
 
     def error_bound(self, n: int, k: int) -> float:
         return 0.0 if self.bounds is None else self.bounds[n][k]
+
+    def _scaled_rows(self):
+        """The kernel's (scale, (row, bounds) pairs), read from the kept rows."""
+        return self.scale, zip(self.scaled, self.bounds or repeat(None))
 
 
 def _scaled_rows(a: Sequence, depth: int):

@@ -21,9 +21,11 @@ from cmtk.classify import (
     CA,
     CM,
     CONSTANT_TAIL,
+    AtomEstimate,
     Certificate,
     FAIL,
     INCONCLUSIVE,
+    MinimalityReport,
     PASS,
     STRICT,
     atom_at_zero,
@@ -31,7 +33,10 @@ from cmtk.classify import (
     degenerate_classify,
     is_minimal,
 )
+from cmtk.bernstein import check_selfdecomposable
+from cmtk.builtins import get_handle
 from cmtk.errors import CertificationError
+from cmtk.funcops import apply_operator, lattice_check
 from cmtk.seqcore import Sequence, _scaled_rows, difference_table
 
 
@@ -206,6 +211,59 @@ class TestStreaming:
         assert drawn == [0, 1]
         drawn.clear()
         assert certify(exact(moments), CM).verdict == PASS
+        assert drawn == list(range(K + 1))
+
+    def test_minimality_and_atom_build_no_table(self, monkeypatch):
+        inputs = [
+            exact([Fraction(1, k + 1) for k in range(31)]),
+            exact([1 - Fraction(1, k + 1) for k in range(31)]),
+            exact(bumped([Fraction(1, k + 1) for k in range(31)], Fraction(-1, 10**12))),
+            Sequence.from_values([math.exp(-k) for k in range(41)]),
+            Sequence.from_values([1.0 - 1.0 / (k + 1) for k in range(41)]),
+            Sequence.from_values([1.0 / (k + 1) for k in range(41)], value_bounds=[1e-9] * 41),
+        ]
+        log1p = get_handle("log1p")
+
+        def results():
+            out = []
+            for a in inputs:
+                for kind in (CM, CA):
+                    for call in (lambda: is_minimal(a, kind, None, 0.02),
+                                 lambda: atom_at_zero(a, kind, 12)):
+                        try:
+                            out.append(call())
+                        except CertificationError as exc:
+                            out.append(exc.certificate)
+            out.append(lattice_check(get_handle("exp-decay"), CM, [0.5, 1.0], 16))
+            out.append(lattice_check(get_handle("reciprocal"), CM, [1.0], 16, 1e-3))
+            out.append(lattice_check(apply_operator(log1p, "theta", 0.5), CA, [1.0], 12))
+            out.append(check_selfdecomposable(log1p, depth=20))
+            out.append(check_selfdecomposable(get_handle("linear"), depth=12))
+            return [repr(r) for r in out]
+
+        expected = results()
+
+        def refuse(a, depth):
+            raise AssertionError("a difference table was built")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cmtk") and vars(module).get("difference_table") is difference_table:
+                monkeypatch.setattr(module, "difference_table", refuse)
+        assert results() == expected
+        assert sum("verdict='fail'" in r for r in expected) > 0
+
+    def test_minimality_stops_at_the_witness_row(self, monkeypatch):
+        # as above: the doubled last term violates at row 1, (1, K - 1)
+        K = 400
+        moments = [Fraction(24, (k + 2) * (k + 3) * (k + 4)) for k in range(K + 1)]
+        drawn = []
+        monkeypatch.setattr(classify, "_scaled_rows", counting_rows(drawn))
+        with pytest.raises(CertificationError, match="sequence failed cm certification") as info:
+            is_minimal(exact(bumped(moments, moments[-1])), CM)
+        assert info.value.certificate.witness[:2] == (1, K - 1)
+        assert drawn == [0, 1]
+        drawn.clear()
+        assert is_minimal(exact(moments), CM, tol=1e-4).minimal  # trail end 3/40703
         assert drawn == list(range(K + 1))
 
 
@@ -388,6 +446,95 @@ class TestCertifyReference:
         values, bounds = case
         a = Sequence.from_values(values, value_bounds=bounds)
         assert_matches_reference(a, min(depth, a.last_index))
+
+
+def reference_atom(table, kind, depth):
+    """The atom trail read off column 0 of a kept table: scaled entries
+    compared within their bounds (int zeros in exact mode), then unscaled."""
+    if kind == CA and depth < 2:
+        raise ValueError("depth too small: CA atom trail needs depth >= 2")
+    ns = range(0 if kind == CM else 2, depth + 1)
+    trail = [table.scaled[n][0] if kind == CM else -table.scaled[n][0] for n in ns]
+    bounds = [table.bounds[n][0] for n in ns] if table.bounds else [0] * len(ns)
+    monotone_ok = all(trail[i + 1] <= trail[i] + bounds[i] + bounds[i + 1]
+                      for i in range(len(trail) - 1))
+    trail = tuple(Fraction(x, table.scale) if table.mode == "exact" else x for x in trail)
+    return AtomEstimate(trail, trail[-1], monotone_ok, float(bounds[-1]))
+
+
+def outcome(call):
+    """repr of what ``call`` returns, or the type, message and certificate
+    of what it raises."""
+    try:
+        return repr(call())
+    except (ValueError, CertificationError) as exc:
+        return type(exc).__name__, str(exc), repr(getattr(exc, "certificate", None))
+
+
+def reference_outcomes(a, kind, depth, tol):
+    """atom_at_zero, is_minimal and _certify_minimal as a full table gives
+    them, with their checks in order: the depth, the kind, the certificate,
+    tol, and a depth too small for the trail."""
+    def scan(raise_failed):
+        table = difference_table(a, depth)
+        if kind not in (CM, CA):
+            raise ValueError(f"kind must be {CM!r} or {CA!r}")
+        cert = reference_certify(a, kind, depth)
+        if raise_failed and cert.failed:
+            raise CertificationError(f"sequence failed {kind} certification", cert)
+        return cert, table
+
+    def minimality(table):
+        if tol is not None and tol < 0:
+            raise ValueError("tol must be nonnegative")
+        if kind == CM and depth < 1:
+            raise ValueError("depth too small: CM minimality needs depth >= 1")
+        atom = reference_atom(table, kind, depth)
+        t = tol if tol is not None else 1e-6 if a.mode == "exact" else max(
+            1e-6, 10.0 * atom.error_bound)
+        return MinimalityReport(bool(atom.estimate <= t and atom.monotone_ok), atom, float(t))
+
+    def certify_minimal():
+        cert, table = scan(False)
+        return cert, None if cert.failed else minimality(table)
+
+    return [outcome(lambda: reference_atom(scan(True)[1], kind, depth)),
+            outcome(lambda: minimality(scan(True)[1])),
+            outcome(certify_minimal)]
+
+
+#: exact, float and float-with-input-bounds sequences of 1 to 41 terms
+any_sequences = st.one_of(
+    exact_lists.map(exact),
+    st.one_of(floats_with_bounds(), long_floats_with_bounds,
+              st.tuples(exact_lists.map(lambda v: [float(x) for x in v]), st.none()))
+    .map(lambda case: Sequence.from_values(case[0], value_bounds=case[1])),
+)
+
+
+class TestColumnReference:
+    """atom_at_zero, is_minimal and _certify_minimal read column 0 off the
+    streamed scan; every field and every error, in its order, is the one a
+    full table gives."""
+
+    @given(any_sequences, st.integers(min_value=-1, max_value=42),
+           st.sampled_from([CM, CA, CM, CA, "cx"]),
+           st.sampled_from([None, None, 0.0, 1e-6, 0.02, 1.0, -1.0]))
+    # the failed certificate raises before the tol and depth checks
+    @example(exact([0, 1, 0, 1]), 0, CM, -1.0)
+    @example(exact([0, 1, 0, 1]), 1, CA, None)
+    # the depth is checked before the kind
+    @example(exact([1, 2]), -1, "cx", None)
+    @example(exact([1, 2]), 42, "cx", None)
+    @example(exact(HARMONIC_DEEP), 3, CM, None)
+    @example(exact(HARMONIC_DEEP), 10, CM, None)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_a_table_reference(self, a, depth, kind, tol):
+        depth = min(depth, a.last_index + 1)
+        got = [outcome(lambda: atom_at_zero(a, kind, depth)),
+               outcome(lambda: is_minimal(a, kind, depth, tol)),
+               outcome(lambda: classify._certify_minimal(a, kind, depth, tol))]
+        assert got == reference_outcomes(a, kind, depth, tol)
 
 
 class TestAtomAtZero:

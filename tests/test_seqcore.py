@@ -128,6 +128,24 @@ class TestDifferenceTable:
                     assert got == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+class TestValueBounds:
+    """An input bound is the width of an interval around its value, so it is
+    never negative: subtracted from an entry, a negative one would make a
+    violating entry look certified."""
+
+    @pytest.mark.parametrize("bounds", [[-5.0] * 3, [0.0, -1e-300, 0.0], [1.0, 1.0, -math.inf]])
+    def test_negative_bound_is_refused(self, bounds):
+        with pytest.raises(ValueError, match="value_bounds must be nonnegative"):
+            Sequence.from_values([1.0, 2.0, 3.0], mode="float", value_bounds=bounds)
+        with pytest.raises(ValueError, match="value_bounds must be nonnegative"):
+            Sequence((1.0, 2.0, 3.0), "float", tuple(bounds))
+
+    def test_zero_and_positive_bounds_are_kept(self):
+        a = Sequence.from_values([1.0, 2.0, 3.0], value_bounds=[0.0, -0.0, 5])
+        assert a.value_bounds == (0.0, 0.0, 5.0)
+        assert a.shift(1).value_bounds == (0.0, 5.0)
+
+
 class TestTransforms:
     def test_delta_sequence(self):
         a = rational_seq([1, 0, 0, 0])
