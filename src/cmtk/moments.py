@@ -12,14 +12,21 @@ decaying exponentials (the atom at u = 0 becomes the designated infinity
 atom, the obstruction to minimality), which is how reconstructed functions
 are evaluated off the integers.
 
-numpy and SciPy load only in the fits that ``invert_cm``, ``invert_ca`` and
-``bernstein.extract_triplet`` run, so ``import cmtk`` loads neither.
+numpy and SciPy's compiled NNLS routine load only in the fits that
+``invert_cm``, ``invert_ca`` and ``bernstein.extract_triplet`` run, so
+``import cmtk`` loads neither.  The routine is loaded from its extension file
+in SciPy's ``optimize`` directory, without importing ``scipy`` or
+``scipy.optimize`` (whose import costs far more than every fit the CLI
+runs); a SciPy without that file falls back to ``scipy.optimize.nnls``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
+from functools import cache
 
 from . import classify
 from .errors import DomainError, NotRepresentableError
@@ -172,6 +179,47 @@ class ExponentialMeasure:
         return DiscreteMeasure(tuple(sorted(merged.items())))
 
 
+@cache
+def _nnls_routine():
+    """SciPy's compiled NNLS routine, loaded once from its extension file
+    ``scipy/optimize/_slsqplib`` without importing ``scipy`` or
+    ``scipy.optimize``; None when this SciPy has no such routine."""
+    from importlib import machinery, util
+
+    name = "scipy.optimize._slsqplib"
+    if name in sys.modules:  # scipy.optimize is loaded already
+        return getattr(sys.modules[name], "nnls", None)
+    spec = util.find_spec("scipy")
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_slsqplib" + suffix)
+            if os.path.isfile(path):
+                ext = util.spec_from_file_location(name, path)
+                module = util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                sys.modules.pop(name, None)  # a single-phase extension registers itself
+                return getattr(module, "nnls", None)
+    return None
+
+
+def _nnls(A, b):
+    """argmin ||A x - b||_2 over x >= 0, computed as ``scipy.optimize.nnls``
+    computes it: the same checks, iteration cap and compiled routine."""
+    routine = _nnls_routine()
+    if routine is None:
+        from scipy.optimize import nnls
+
+        return nnls(A, b)[0]
+    import numpy as np
+
+    A = np.asarray_chkfinite(A, dtype=np.float64, order="C")
+    b = np.asarray_chkfinite(b, dtype=np.float64)
+    x, _, info = routine(A, b, 3 * A.shape[1])
+    if info == 3:
+        raise RuntimeError("Maximum number of iterations reached.")
+    return x
+
+
 def _solve_nnls(kernel, target, tol: float):
     """Column-scaled NNLS of the numpy arrays ``kernel`` and ``target``;
     returns weights, residual and scaled-system KKT gap.
@@ -181,12 +229,11 @@ def _solve_nnls(kernel, target, tol: float):
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     import numpy as np
-    from scipy.optimize import nnls
 
     scale = np.linalg.norm(kernel, axis=0)
     scale[scale == 0.0] = 1.0
     scaled = kernel / scale
-    w_scaled, _ = nnls(scaled, target)
+    w_scaled = _nnls(scaled, target)
     w = w_scaled / scale
     mismatch = kernel @ w - target
     grad = scaled.T @ mismatch

@@ -162,6 +162,10 @@ def _scaled_rows(a: Sequence, depth: int):
     times that scale, each with its row of error bounds (None in exact
     mode).  Each row is built from the one before, when it is asked for.
     The depth is checked here, before any row is built."""
+    try:
+        depth = operator.index(depth)
+    except TypeError:
+        raise ValueError(f"depth must be an integer, not {depth!r}") from None
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if depth > a.last_index:

@@ -7,6 +7,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cmtk.bernstein import (
     BernsteinTriplet,
@@ -18,6 +20,7 @@ from cmtk.bernstein import (
     triplet_handle,
 )
 from cmtk.builtins import (
+    get_handle,
     linear_handle,
     log1p_handle,
     one_minus_exp_handle,
@@ -25,7 +28,7 @@ from cmtk.builtins import (
     sqrt_triplet_handle,
     square_handle,
 )
-from cmtk.classify import CA, certify
+from cmtk.classify import CA, INCONCLUSIVE, certify
 from cmtk.errors import CertificationError, DomainError
 from cmtk.funcops import FunctionHandle, sampled_sequence
 from cmtk.moments import invert_ca
@@ -209,6 +212,35 @@ class TestThetaMembership:
             expected = eval_bernstein(truth, c) - truth.q - truth.d * c
             fitted = t.total_levy_mass + rep.nonminimal_mass
             assert fitted == pytest.approx(expected, abs=1e-4)
+
+
+class TestThetaSoundnessOracle:
+    """check_bf_via_theta samples theta_c Phi at k = 0..depth + 10 at the
+    points k + Fraction(float(c)).  The rational-valued builtins sampled
+    exactly there give the exact CA verdict on the same data.  Run on the
+    same builtins rounded to float once per value, the check's float pass or
+    fail must be that verdict."""
+
+    @given(st.sampled_from(["reciprocal", "bf-ratio", "linear", "square"]),
+           st.fractions(min_value=Fraction(1, 64), max_value=64, max_denominator=1000),
+           st.integers(min_value=2, max_value=24))
+    @settings(max_examples=200, deadline=None)
+    def test_float_verdict_never_contradicts_exact(self, name, c, depth):
+        f = get_handle(name)
+        point = Fraction(float(c))  # the c that check_bf_via_theta evaluates at
+
+        def at(x):
+            return f.fn(Fraction(x))
+
+        exact = Sequence.from_values(
+            [at(point) - at(0) + at(k) - at(k + point) for k in range(depth + 11)])
+        assert exact.mode == "exact"
+        want = certify(exact, CA, depth).verdict
+        rounded = FunctionHandle(lambda x: float(at(x)), name)
+        got = check_bf_via_theta(rounded, (c,), depth).entries[0].certificate
+        assert got.mode == "float"
+        if got.verdict != INCONCLUSIVE:
+            assert got.verdict == want
 
 
 class TestSelfDecomposable:

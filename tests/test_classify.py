@@ -119,6 +119,13 @@ class TestCertify:
         assert cert.verdict == FAIL
         assert cert.witness == (0, 1, -2)
 
+    @pytest.mark.parametrize("check", [certify, is_minimal, atom_at_zero, degenerate_classify,
+                                       lambda a, kind, depth: difference_table(a, depth)])
+    def test_non_int_depth_is_one_value_error(self, check):
+        a = exact([Fraction(1, k + 1) for k in range(6)])
+        with pytest.raises(ValueError, match=r"^depth must be an integer, not 2\.0$"):
+            check(a, CM, 2.0)
+
     def test_float_inconclusive_near_zero(self):
         # float samples of 1/(k+1) at depth 30: deep interior entries
         # (Beta-integral scale ~1e-10) drown in the propagated input bounds,

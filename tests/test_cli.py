@@ -551,8 +551,9 @@ def test_evaluate_reads_invert_report(capsys, tmp_path, harmonic_csv):
 
 
 class TestStartUpImports:
-    """numpy and SciPy load only where NNLS runs: ``import cmtk`` and every
-    README command but invert, extend and egf run with both blocked.  Each
+    """numpy and SciPy's NNLS routine load only where NNLS runs: ``import
+    cmtk`` and every README command but invert, extend and egf run with both
+    blocked, and those three never import ``scipy`` or ``scipy.optimize``.  Each
     README command loads only the cmtk modules it runs, and ``import cmtk``
     loads none."""
 
@@ -606,12 +607,16 @@ print(json.dumps({"results": results, "at_import": at_import, "after": loaded()}
             assert report == golden, name
             assert f'"exit_code": {code}' in golden, name
 
-    def test_invert_loads_scipy(self):
-        out = self._child(["invert"], "allow")
+    @pytest.mark.parametrize("name", ["invert", "extend", "egf"])
+    def test_nnls_commands_load_no_scipy_optimize(self, name):
+        # the fit loads numpy and SciPy's compiled NNLS routine alone
+        out = self._child([name], "allow")
         assert out["at_import"] == []
-        assert "scipy.optimize" in out["after"]
-        golden = (TESTS / "data" / "cli_reports" / "invert.json").read_text()
-        assert out["results"]["invert"] == [0, golden]
+        assert "numpy" in out["after"]
+        # neither scipy nor scipy.optimize, nor the routine's extension module
+        assert [m for m in out["after"] if m.split(".")[0] == "scipy"] == []
+        golden = (TESTS / "data" / "cli_reports" / f"{name}.json").read_text()
+        assert out["results"][name] == [0, golden]
 
     # the cmtk modules that a README command must not load, by golden case
     NOT_LOADED = {

@@ -7,10 +7,14 @@ solver's own KKT gap and residual asserted against their contracts.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmtk import moments
 from cmtk.errors import CertificationError, DomainError, NotRepresentableError
 from cmtk.moments import (
     CATriplet,
@@ -275,3 +279,113 @@ class TestInvariants:
         assert abs(measure.weight_at_zero - float(est.estimate)) <= max(
             1e-4, 10 * fit.residual
         )
+
+
+EXTENSION = "scipy.optimize._slsqplib"
+
+
+@pytest.fixture(scope="module")
+def direct_routine():
+    """The NNLS routine as ``moments`` finds it from its extension file, even
+    when scipy.optimize, which registers the same extension, is loaded."""
+    saved = sys.modules.pop(EXTENSION, None)
+    moments._nnls_routine.cache_clear()
+    try:
+        routine = moments._nnls_routine()
+    finally:
+        if saved is not None:
+            sys.modules[EXTENSION] = saved
+        moments._nnls_routine.cache_clear()
+    assert routine is not None
+    return routine
+
+
+@pytest.fixture
+def fallback(monkeypatch):
+    """Force the fallback: no extension file is found, so the fits import
+    scipy.optimize.nnls."""
+    import importlib.machinery
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    monkeypatch.delitem(sys.modules, EXTENSION, raising=False)
+    moments._nnls_routine.cache_clear()
+    assert moments._nnls_routine() is None
+    yield
+    moments._nnls_routine.cache_clear()
+
+
+def _scaled_system(K, grid, ca, rng):
+    """A fit's unit-column-scaled kernel (the CM kernel u^k on grid + 1 nodes
+    or the CA kernel 1 - u^k on grid nodes) and a target: the moments of a
+    few off-grid atoms plus a little noise, so that the fit is not exact."""
+    import numpy as np
+
+    u, V = moments._power_kernel(K, grid, grid if ca else grid + 1)
+    if ca:
+        np.subtract(1.0, V, out=V)
+    scale = np.linalg.norm(V, axis=0)
+    scale[scale == 0.0] = 1.0
+    atoms, weights = rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 2.0, 3)
+    powers = atoms[None, :] ** np.arange(K + 1)[:, None]
+    target = ((1.0 - powers) if ca else powers) @ weights
+    return V / scale, target + rng.normal(0.0, 1e-6, K + 1)
+
+
+class TestNNLSRoutine:
+    """The fits call SciPy's compiled NNLS routine loaded from its extension
+    file; its x and rnorm must keep the bits of scipy.optimize.nnls, and the
+    fallback to scipy.optimize.nnls must give the same reports."""
+
+    @given(st.integers(min_value=1, max_value=40),
+           st.one_of(st.sampled_from([200, 1000]), st.integers(min_value=1, max_value=60)),
+           st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_bits_match_scipy_optimize(self, direct_routine, K, grid, ca, seed):
+        import numpy as np
+        from scipy.optimize import nnls
+
+        A, b = _scaled_system(K, grid, ca, np.random.default_rng(seed))
+        x, rnorm, info = direct_routine(A, b, 3 * A.shape[1])
+        want_x, want_rnorm = nnls(A, b)
+        assert info != 3
+        assert x.tobytes() == want_x.tobytes()
+        assert rnorm == want_rnorm
+        assert moments._nnls(A, b).tobytes() == want_x.tobytes()
+
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_random_nonnegative_systems(self, direct_routine, m, n, seed):
+        import numpy as np
+        from scipy.optimize import nnls
+
+        rng = np.random.default_rng(seed)
+        A, b = rng.uniform(0.0, 1.0, (m, n)), rng.uniform(-1.0, 1.0, m)
+        x, rnorm, _ = direct_routine(A, b, 3 * n)
+        want_x, want_rnorm = nnls(A, b)
+        assert x.tobytes() == want_x.tobytes()
+        assert rnorm == want_rnorm
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["kernel", "target"])
+    def test_non_finite_raises_the_same_error(self, bad, where, monkeypatch):
+        import numpy as np
+
+        A, b = np.ones((3, 2)), np.ones(3)
+        (A if where == "kernel" else b)[1] = bad
+        with pytest.raises(ValueError) as direct:
+            moments._nnls(A, b)
+        monkeypatch.setattr(moments, "_nnls_routine", lambda: None)
+        with pytest.raises(ValueError) as fell_back:
+            moments._nnls(A, b)
+        assert str(direct.value) == str(fell_back.value)
+
+    @pytest.mark.parametrize("name", ["invert", "invert-ca", "invert-not-representable",
+                                      "extend", "extend-ca", "egf", "egf-bf"])
+    def test_fallback_keeps_golden_reports(self, name, fallback, tmp_path, monkeypatch):
+        from test_cli_reports import CASES, GOLDEN, run_case
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("CMTK_MAX_EVALS", raising=False)
+        _, report = run_case(CASES[name], tmp_path)
+        assert report == (GOLDEN / f"{name}.json").read_bytes()
