@@ -23,7 +23,7 @@ from . import classify, moments
 from .errors import DomainError
 from .funcops import FunctionHandle, _richardson_derivative, bounded_sequence, sampled_sequence
 from .scalars import DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, json_field
-from .seqcore import Sequence, difference_table
+from .seqcore import Sequence, _check_depth, difference_table
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
 #: arguments 1 - e^{-k X_FAR} is 1 to double precision, matching the u = 0
@@ -184,6 +184,7 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
     CA, and the sequence must look bounded (sup approached: the last
     increment at most half the largest; increments of a CA sequence are
     already nonincreasing)."""
+    depth = _check_depth(depth)
     count = depth + 10
     cs = [float(c) for c in cs]
     if any(c <= 0 for c in cs):
@@ -284,6 +285,7 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
     passes; fail on any certified violation, or non-minimality of a passed
     certificate; inconclusive otherwise.
     """
+    depth = _check_depth(depth)
     if phi.open_at_zero:
         raise DomainError("self-decomposability tests need the value at 0")
     cs = [float(c) for c in cs]

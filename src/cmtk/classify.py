@@ -121,7 +121,7 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
             break
 
     verdict = FAIL if witness else INCONCLUSIVE if undecidable else PASS
-    min_margin = None if margin is None else unscale(margin)
+    min_margin = None if margin is None else abs(unscale(margin))  # |-0.0| is 0.0
     cert = Certificate(kind, depth, verdict, witness, min_margin, a.mode, undecidable)
     if fail and cert.failed:
         raise CertificationError(fail, cert)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from . import classify
 from .errors import BudgetExceededError, DomainError
 from .scalars import DEFAULT_C_PAIR, EPS
-from .seqcore import Sequence
+from .seqcore import Sequence, _check_depth
 
 DEFAULT_BUDGET = 10**6
 
@@ -337,6 +337,7 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
     Overall pass requires every per-alpha certificate to pass; budget
     exhaustion yields a partial report over the alphas already done.
     """
+    depth = _check_depth(depth)
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
         if not 0.0 < alpha < math.inf:

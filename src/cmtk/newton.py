@@ -7,8 +7,8 @@ acceleration of the partial sums by Levin's u-transform.
 A built series keeps only what evaluation reads: Delta^k f(0) times one
 scale, read off column 0 of the difference table (ints for exact
 samples); the coefficients are made from them when first read.  At an
-exact z the partial sum is one integer Horner pass over the ints, reduced
-to a Fraction once.
+exact z the terms are walked once, forward, on ints: each magnitude is one
+int division and the partial sum one int, reduced to a Fraction once.
 """
 
 from __future__ import annotations
@@ -123,58 +123,55 @@ class SeriesValue:
     warnings: tuple = ()
 
 
-def _terms(series: NewtonSeries, z, n_terms: int, noise=None):
-    """The terms c_k z^{falling k}, k < n_terms, in float/complex arithmetic.
-    z^{falling k} is carried as m 2^e with |m| < 1 and each term is c_k 2^e,
-    rounded once from the exact c_k (``_deltas[k]`` / (``_scale`` k!) where
-    the series keeps its differences), times m: so neither overflows nor
-    underflows where z^{falling k}, k! or c_k alone would, and a term that
-    stays in range keeps the bits of c_k times z^{falling k}.  A list
-    ``noise`` receives, for float samples, each term's bound from the
-    table's error bound on Delta^k f(0), carried the same way."""
+def _terms(series: NewtonSeries, z, n_terms: int, start: int, window, total, noise):
+    """|term_k| of the terms c_k z^{falling k}, k < n_terms, in float/complex
+    arithmetic.  z^{falling k} is carried as m 2^e with |m| < 1 and each term
+    is c_k 2^e, rounded once from the exact c_k (``_deltas[k]`` / (``_scale``
+    k!) where the series keeps its differences), times m: so neither
+    overflows nor underflows where z^{falling k}, k! or c_k alone would, and
+    a term that stays in range keeps the bits of c_k times z^{falling k}.
+    The list ``window`` receives the terms k >= start, and ``total`` the sum
+    of all of them, left to right; a list ``noise``, for float samples, each
+    term's bound from the table's error bound on Delta^k f(0), carried the same way."""
     if series._deltas is None:
         cs, divisors = series.coeffs, itertools.repeat(1)
     else:  # _scale k!
         cs = series._deltas
         divisors = itertools.accumulate(range(1, n_terms), operator.mul, initial=series._scale)
-    m, e = (1.0 + 0.0j if isinstance(z, complex) else 1.0), 0
+    m, e, acc = (1.0 + 0.0j if isinstance(z, complex) else 1.0), 0, 0.0
     for k, divisor in zip(range(n_terms), divisors):
-        yield _scaled(cs[k], e, divisor) * m
+        term = _scaled(cs[k], e, divisor) * m
+        acc = acc + term
+        if k >= start:
+            window.append(term)
         if noise is not None:
             noise.append(_scaled(series._bounds[k], e, divisor) * abs(m))
+        yield abs(term)
         m = m * (z - k)
         s = math.frexp(max(abs(m.real), abs(m.imag)))[1]
         m, e = m * 2.0**-s, e + s
+    total.append(acc)
 
 
-def _exact_value(series: NewtonSeries, z, n_terms: int) -> Fraction:
-    """The exact partial sum at z = p/q from the ints Delta_k = L Delta^k f(0)
-    (L = ``_scale``), whose term k is Delta_k F_k / (L k! q^k) with
-    F_k = prod_{j<k} (p - jq).  Horner from the top keeps it U / (L D):
-    D <- D (k+1) q, then U <- Delta_k D + (p - kq) U; one gcd in all."""
+def _exact_terms(series: NewtonSeries, z, n_terms: int, start: int, window, total):
+    """``_terms`` of an exact series at an exact z = p/q, in one forward
+    pass on ints.  Term k is t_k / D_k: t_k = Delta_k F_k with Delta_k =
+    L Delta^k f(0) (L = ``_scale``), F_{k+1} = F_k (p - kq) from F_0 = 1,
+    and D_k = L k! q^k.  |t_k| / D_k is one int division, rounded once, so
+    it equals float(abs(term_k)) (OverflowError past float range).  The sum
+    is one int S over D_k, S <- S (k+1) q + t_{k+1}, reduced to a Fraction
+    once at the end; only the window's terms become Fractions."""
     p, q = z.numerator, z.denominator
-    deltas = series._deltas
-    u, d = deltas[n_terms - 1], 1
-    for k in range(n_terms - 2, -1, -1):
-        d *= (k + 1) * q
-        u = deltas[k] * d + (p - k * q) * u
-    return Fraction(u, series._scale * d)
-
-
-def _exact_magnitudes(series: NewtonSeries, z, n_terms: int, start: int, window: list):
-    """|term_k|, k < n_terms, for ``_exact_value``'s terms: |Delta_k F_k|
-    over L k! q^k, an int division that rounds once, so it equals
-    float(abs(term_k)) (OverflowError past float range).  ``window``
-    receives the terms k >= start as Fractions."""
-    p, q = z.numerator, z.denominator
-    num, den = 1, series._scale  # F_k and L k! q^k
+    num, den, s = 1, series._scale, 0  # F_k, D_k and S
     for k in range(n_terms):
         t = series._deltas[k] * num
+        s += t
         yield abs(t) / den
         if k >= start:
             window.append(Fraction(t, den))
-        num *= p - k * q
-        den *= (k + 1) * q
+        step = (k + 1) * q
+        num, den, s = num * (p - k * q), den * step, s * step
+    total.append(Fraction(s, den))
 
 
 def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
@@ -205,30 +202,23 @@ def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
         warnings.append("outside half-plane Re(z) > 0: convergence not expected")
 
     start = max(0, n_terms - last)
+    window, total = [], []
     noise = None if series._bounds is None else []
     if series.mode == EXACT and is_exact(z):
-        total = _exact_value(series, z, n_terms)
-        window = []
-        magnitudes = _exact_magnitudes(series, z, n_terms, start, window)
+        magnitudes = _exact_terms(series, z, n_terms, start, window, total)
     else:
-        terms = list(_terms(series, z, n_terms, noise))
-        total = 0.0
-        for term in terms:
-            total = total + term
-        window = terms[start:]
-        magnitudes = (float(abs(term)) for term in terms)
-    mags = []
+        magnitudes = _terms(series, z, n_terms, start, window, total, noise)
+    mags, growth, longest = [], 0, 0  # the longest run of growing magnitudes
     try:
         for mag in magnitudes:
+            growth = growth + 1 if mags and mag > mags[-1] > 0 else 0
+            longest = growth if growth > longest else longest
             mags.append(mag)
     except OverflowError:
         raise ValueError(f"term {len(mags)} at z = {z!s:.40} is beyond float range") from None
-    growth = 0
-    for k in range(1, n_terms):
-        growth = growth + 1 if mags[k] > mags[k - 1] > 0 else 0
-        if growth == 5:
-            warnings.append("divergence suspected: term magnitudes grew for 5 consecutive k")
-            break
+    total = total[0]
+    if longest >= 5:
+        warnings.append("divergence suspected: term magnitudes grew for 5 consecutive k")
     # a bound below the normal range carries only the inputs' 2**-1074 floor
     if noise is not None and (bound := math.fsum(noise)) >= max(abs(total), sys.float_info.min):
         warnings.append(f"rounding noise may swamp the value: the sample table's "

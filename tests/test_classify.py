@@ -33,7 +33,7 @@ from cmtk.classify import (
     degenerate_classify,
     is_minimal,
 )
-from cmtk.bernstein import check_selfdecomposable
+from cmtk.bernstein import check_bf_via_theta, check_selfdecomposable
 from cmtk.builtins import get_handle
 from cmtk.errors import CertificationError
 from cmtk.funcops import apply_operator, lattice_check
@@ -119,8 +119,17 @@ class TestCertify:
         assert cert.verdict == FAIL
         assert cert.witness == (0, 1, -2)
 
-    @pytest.mark.parametrize("check", [certify, is_minimal, atom_at_zero, degenerate_classify,
-                                       lambda a, kind, depth: difference_table(a, depth)])
+    @pytest.mark.parametrize("check", [
+        certify, is_minimal, atom_at_zero, degenerate_classify,
+        lambda a, kind, depth: difference_table(a, depth),
+        # the handle checks, before their first sample
+        pytest.param(lambda a, kind, d: lattice_check(get_handle("reciprocal"), kind, [1.0], d),
+                     id="lattice_check"),
+        pytest.param(lambda a, kind, d: check_bf_via_theta(get_handle("log1p"), depth=d),
+                     id="check_bf_via_theta"),
+        pytest.param(lambda a, kind, d: check_selfdecomposable(get_handle("log1p"), depth=d),
+                     id="check_selfdecomposable"),
+    ])
     def test_non_int_depth_is_one_value_error(self, check):
         a = exact([Fraction(1, k + 1) for k in range(6)])
         with pytest.raises(ValueError, match=r"^depth must be an integer, not 2\.0$"):
@@ -448,6 +457,8 @@ class TestCertifyReference:
     @given(st.one_of(floats_with_bounds(), long_floats_with_bounds,
                      st.tuples(exact_lists.map(lambda v: [float(x) for x in v]), st.none())),
            st.integers(min_value=0, max_value=40))
+    # the least |entry| of a signed zero is 0.0, not -0.0
+    @example(([-0.0, 0.0], None), 1)
     @settings(max_examples=150, deadline=None)
     def test_float(self, case, depth):
         values, bounds = case
@@ -535,6 +546,8 @@ class TestColumnReference:
     @example(exact([1, 2]), 42, "cx", None)
     @example(exact(HARMONIC_DEEP), 3, CM, None)
     @example(exact(HARMONIC_DEEP), 10, CM, None)
+    # the least |entry| of a signed zero is 0.0, not -0.0
+    @example(Sequence((-0.0, 0.0), "float"), 1, CM, None)
     @settings(max_examples=300, deadline=None)
     def test_matches_a_table_reference(self, a, depth, kind, tol):
         depth = min(depth, a.last_index + 1)
@@ -634,10 +647,14 @@ class TestMinimality:
 class TestDegeneracy:
     def test_constant_tail(self):
         assert degenerate_classify(exact([5, 3, 3, 3, 3]), CM, 4) == CONSTANT_TAIL
+        # depth 0 has no difference row: the tail rule on the values decides
+        assert degenerate_classify(exact([5, 3, 3, 3, 3]), CM, 0) == CONSTANT_TAIL
 
     def test_affine_tail(self):
         a = exact([2 + 3 * k for k in range(8)])
         assert degenerate_classify(a, CA, 5) == AFFINE_TAIL
+        # row 1 holds no zero: the tail rule on the values decides
+        assert degenerate_classify(exact([0, 2, 3, 4, 5]), CA, 1) == AFFINE_TAIL
 
     def test_geometric_is_strict(self):
         a = exact([Fraction(1, 2**k) for k in range(11)])

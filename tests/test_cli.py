@@ -60,6 +60,14 @@ class TestExitCodes:
         assert code == 2
         assert report["result"]["certificate"]["verdict"] == "inconclusive"
 
+    def test_certify_signed_zero_margin(self, capsys, tmp_path):
+        # the least |entry| of [-0.0, 0.0] is 0.0, not the entry -0.0
+        p = tmp_path / "zeros.json"
+        p.write_text("[-0.0, 0.0]")
+        code = main(["certify", "--kind", "cm", str(p)])
+        assert code == 2
+        assert '"min_margin": 0.0,' in capsys.readouterr().out
+
     def test_usage_error(self, capsys, harmonic_csv):
         code = main(["certify", "--kind", "cm", "--bogus-flag", harmonic_csv])
         assert code == 3
@@ -499,6 +507,11 @@ class TestMalformedInput:
         p.write_text("1\n1/2\n1/3\n")
         err = self._one_line_exit_3(capsys, ["certify", "--kind", "cm", "--depth", depth, str(p)])
         assert err == f"error: {message}\n"
+
+    def test_selfdec_depth_negative(self, capsys):
+        # the kernel's message, raised before the first sample and the default tol
+        err = self._one_line_exit_3(capsys, ["selfdec", "--builtin", "log1p", "--depth", "-1"])
+        assert err == "error: depth must be nonnegative\n"
 
     def test_triplet_atom_without_weight(self, capsys, tmp_path):
         p = tmp_path / "triplet.json"

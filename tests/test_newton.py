@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmtk import newton
 from cmtk.newton import (
     NewtonSeries,
     eval_series,
@@ -176,14 +177,17 @@ class TestBeyondFactorialRange:
 
 def reference_eval(series, z, n_terms=None):
     """eval_series of an exact series at an exact z as first written: one
-    Fraction per term c_k z^{falling k}, each magnitude float(abs(term))."""
+    Fraction per term c_k z^{falling k}, each magnitude float(abs(term));
+    and the terms."""
     n_terms = len(series.coeffs) if n_terms is None else n_terms
     warnings = []
     if z <= 0 and not (z == int(z) and 0 <= z < len(series.coeffs)):
         warnings.append("outside half-plane Re(z) > 0: convergence not expected")
     total, ff, mags, growth, diverging = Fraction(0), Fraction(1), [], 0, False
+    terms = []
     for k in range(n_terms):
         term = series.coeffs[k] * ff
+        terms.append(term)
         total += term
         mags.append(float(abs(term)))
         growth = growth + 1 if k >= 1 and mags[-1] > mags[-2] > 0 else 0
@@ -191,7 +195,7 @@ def reference_eval(series, z, n_terms=None):
             diverging = True
             warnings.append("divergence suspected: term magnitudes grew for 5 consecutive k")
         ff *= z - k
-    return total, max(mags[-3:]), n_terms, tuple(warnings)
+    return (total, max(mags[-3:]), n_terms, tuple(warnings)), terms
 
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=40)
@@ -206,10 +210,15 @@ class TestExactKernel:
     @staticmethod
     def check(series, z, data):
         n_terms = data.draw(st.one_of(st.none(), st.integers(1, len(series))))
+        last = data.draw(st.integers(0, len(series) + 1))
         got = eval_series(series, z, n_terms)
-        assert (got.value, got.tail_estimate, got.n_terms, got.warnings) == \
-            reference_eval(series, z, n_terms)
+        reference, terms = reference_eval(series, z, n_terms)
+        assert (got.value, got.tail_estimate, got.n_terms, got.warnings) == reference
         assert type(got.value) is Fraction
+        # the Levin window: the last terms of the same pass, as Fractions
+        window = newton._partial_sum(series, z, n_terms, last)[1]
+        assert window == (terms[-last:] if last else [])
+        assert all(type(t) is Fraction for t in window)
 
     @given(st.lists(rationals, min_size=1, max_size=30), exact_z, st.data())
     @settings(max_examples=150, deadline=None)
