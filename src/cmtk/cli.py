@@ -163,7 +163,11 @@ def _cmd_newton(args):
     if args.action == "fit":
         return EXIT_PASS, {"series": series}
     out = eval_series(series, parse_scalar(args.at), args.terms)
-    return EXIT_PASS, {**vars(out), "value_float": float(out.value)}
+    try:
+        value_float = float(out.value)
+    except OverflowError:  # an exact value past float range
+        value_float = None
+    return EXIT_PASS, {**vars(out), "value_float": value_float}
 
 
 def _cmd_webster(args):

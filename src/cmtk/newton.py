@@ -219,10 +219,16 @@ def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
     total = total[0]
     if longest >= 5:
         warnings.append("divergence suspected: term magnitudes grew for 5 consecutive k")
-    # a bound below the normal range carries only the inputs' 2**-1074 floor
-    if noise is not None and (bound := math.fsum(noise)) >= max(abs(total), sys.float_info.min):
-        warnings.append(f"rounding noise may swamp the value: the sample table's "
-                        f"error bounds allow {bound:.3g}, at least |value|")
+    if noise is not None:
+        try:
+            bound = math.fsum(noise)
+        except OverflowError:
+            bound = math.inf
+        # a bound below the normal range carries only the inputs' 2**-1074
+        # floor; an infinite one warns beside a NaN value too
+        if bound == math.inf or bound >= max(abs(total), sys.float_info.min):
+            warnings.append(f"rounding noise may swamp the value: the sample table's "
+                            f"error bounds allow {bound:.3g}, at least |value|")
     tail = max(mags[-3:], default=0.0)
     return SeriesValue(total, tail, n_terms, tuple(warnings)), window
 

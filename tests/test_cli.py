@@ -125,6 +125,30 @@ class TestSubcommands:
         assert code == 0
         assert report["result"]["value"] == "1/3"
 
+    def test_newton_eval_exact_value_past_float_range(self, capsys, tmp_path):
+        # float(value) raised OverflowError; the report keeps the exact value
+        p = tmp_path / "big.csv"
+        p.write_text("0.5\n1.7e308\n1\n0.5\n0.5\n1\n0.5\n1\n-1.7e308\n")
+        code, report, err = run(capsys, "newton", "eval", str(p), "--mode", "exact",
+                                "--at", "0.5", "--no-meta")
+        assert (code, err) == (0, "")
+        result = report["result"]
+        assert result["value_float"] is None
+        assert Fraction(result["value"]) > Fraction(10**308)
+
+    def test_newton_eval_noise_bound_past_float_range(self, capsys, tmp_path):
+        # the float noise bound's fsum overflowed into a traceback
+        p = tmp_path / "noisy.csv"
+        drawn = "AAACBCCBABDDCDCAACDCDDBBBBABCBBCBDDCCCDBDDBDCD"
+        p.write_text("".join({"A": "1e300\n", "B": "1e150\n", "C": "3.0\n",
+                              "D": "-1e-300\n"}[c] for c in drawn))
+        code, report, err = run(capsys, "newton", "eval", str(p), "--mode", "float",
+                                "--at", "52", "--terms", "33", "--no-meta")
+        assert (code, err) == (0, "")
+        assert report["result"]["warnings"] == [
+            "rounding noise may swamp the value: the sample table's error bounds "
+            "allow inf, at least |value|"]
+
     def test_webster(self, capsys):
         code, report, _ = run(
             capsys, "webster", "--g", "identity", "--at", "0.5",

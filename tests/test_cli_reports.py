@@ -63,6 +63,7 @@ CASES = {
     "evaluate-triplet": ["evaluate", "triplet.json", "--at", "0,4"],
     "newton-fit": ["newton", "fit", "dyadic.csv"],
     "newton-eval-float": ["newton", "eval", "harmonic.csv", "--mode", "float", "--at", "2.5"],
+    "webster-integer": ["webster", "--g", "identity", "--at", "1,3,0.5", "--terms", "100000"],
     "webster-check-grid": ["webster", "--g", "constant:0.5", "--at", "2.0", "--terms", "500",
                            "--check-grid", "0.5,1.5,3"],
     "operator-sigma": ["operator", "--builtin", "exp-decay", "--op", "sigma", "--c", "0.5",

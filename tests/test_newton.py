@@ -146,6 +146,22 @@ class TestEvalSeries:
         with pytest.raises(ValueError):
             eval_series(s, 0.5, n_terms=11)
 
+    def test_noise_bound_past_float_range_warns(self):
+        # these 46 float samples' term bounds pass float range in fsum's
+        # running sum, where it raises: the bound reads as inf, warns, and
+        # the value is the left-to-right sum of the terms as before
+        drawn = "AAACBCCBABDDCDCAACDCDDBBBBABCBBCBDDCCCDBDDBDCD"
+        s = series_from_samples(Sequence.from_values(
+            [{"A": 1e300, "B": 1e150, "C": 3.0, "D": -1e-300}[c] for c in drawn]))
+        total, noise = [], []
+        list(newton._terms(s, 52.0, 33, 33, [], total, noise))
+        with pytest.raises(OverflowError):
+            math.fsum(noise)
+        out = eval_series(s, 52.0, 33)
+        assert math.isnan(out.value) and math.isnan(total[0])
+        assert out.warnings == ("rounding noise may swamp the value: the sample table's "
+                                "error bounds allow inf, at least |value|",)
+
 
 class TestBeyondFactorialRange:
     """k! and z^{falling k} pass float range at k = 171; the float terms

@@ -14,6 +14,7 @@ from cmtk.builtins import webster_constant, webster_exp_neg_cm, webster_identity
 from cmtk.errors import BudgetExceededError, DomainError
 from cmtk.funcops import FunctionHandle, _richardson_derivative
 from cmtk.webster import (
+    _SPAN,
     WebsterProblem,
     WebsterSolution,
     solve_webster,
@@ -203,7 +204,11 @@ class TestBitIdentity:
     XS = (0.375, 1.0, 1.375, 2.0, 0.8125, 3.0, 2.8125, 0.5)
 
     @pytest.mark.parametrize("name", HANDLES)
-    @pytest.mark.parametrize("n_terms", [1, 7, 1000])
+    # _SPAN +- 1 straddle a prepare span edge, and at 4 _SPAN the checkpoint
+    # N // 4 is one; 1023-1025 and 4096 put checkpoints at and beside 2**8
+    # to 2**10
+    @pytest.mark.parametrize("n_terms", [1, 7, _SPAN - 1, _SPAN, _SPAN + 1, 4 * _SPAN,
+                                         1000, 1023, 1024, 1025, 4096])
     @pytest.mark.parametrize("acceleration", ["aitken", "none"])
     def test_matches_the_listed_product(self, name, n_terms, acceleration):
         make, limit_one = self.HANDLES[name]
@@ -212,6 +217,41 @@ class TestBitIdentity:
             res = sol.result(x)
             want = reference_result(make(), n_terms, x, acceleration, limit_one)
             assert (res.value, res.tail_estimate, res.gamma, res.gamma_raw) == want, x
+
+
+class TestEvaluationPoints:
+    @staticmethod
+    def recorded(make):
+        g, seen = make(), []
+        fn = g.fn
+
+        def recording(x):
+            seen.append(x)
+            return fn(x)
+        g.fn = recording
+        return g, seen
+
+    @pytest.mark.parametrize("name", TestBitIdentity.HANDLES)
+    def test_g_is_called_at_floats(self, name):
+        # prepare calls g at float(n), the points the base passes use, which
+        # is what lets the integer pass read g(n + 1) off the log table
+        make, limit_one = TestBitIdentity.HANDLES[name]
+        g, seen = self.recorded(make)
+        sol = WebsterSolution(WebsterProblem(g, 1500, g_limit_one=limit_one))
+        for x in TestBitIdentity.XS:
+            sol.result(x)
+        assert len(seen) > 3 * 1500
+        assert {type(x) for x in seen} == {float}
+
+    def test_integer_x_reads_the_table(self):
+        # base point 1 calls g at N + 1 and at 1; the recursion to 3 at 1 and 2
+        g, seen = self.recorded(webster_identity)
+        sol = WebsterSolution(WebsterProblem(g, 1000))
+        sol._prepare()
+        seen.clear()
+        assert sol.result(3.0).value == reference_result(webster_identity(), 1000, 3.0)[0]
+        assert seen == [1001.0, 1.0, 1.0, 2.0]
+        assert g.calls == 4
 
 
 class TestBudget:
