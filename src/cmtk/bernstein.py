@@ -16,13 +16,12 @@ completely alternating and minimal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import classify, moments
 from .errors import DomainError
 from .funcops import FunctionHandle, _richardson_derivative, bounded_sequence, sampled_sequence
-from .scalars import DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, json_field
+from .scalars import DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, Record, is_exact, json_field
 from .seqcore import Sequence, _check_depth, difference_table
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
@@ -39,8 +38,7 @@ HOLOMORPHY_CAVEAT = (
 )
 
 
-@dataclass(frozen=True)
-class BernsteinTriplet:
+class BernsteinTriplet(Record):
     """(q, d, levy): killing q = Phi(0), drift d = lim Phi(x)/x, and atoms
     (x_j, w_j) on (0, inf) with sum w_j (1 ^ x_j) < inf (finite here)."""
 
@@ -103,8 +101,7 @@ def triplet_handle(t: BernsteinTriplet, name="triplet") -> FunctionHandle:
     )
 
 
-@dataclass(frozen=True)
-class ExtractReport:
+class ExtractReport(Record):
     fit: moments.FitReport
     certificate: classify.Certificate
     nonminimal_mass: float
@@ -143,8 +140,7 @@ def extract_triplet(phi: FunctionHandle, tol: float = 1e-10):
     return out, ExtractReport(fit, cert, exp_measure.mass_at_infinity)
 
 
-@dataclass(frozen=True)
-class ThetaCheckEntry:
+class ThetaCheckEntry(Record):
     c: float
     theta_at_zero: float
     certificate: classify.Certificate
@@ -164,17 +160,20 @@ class ThetaCheckEntry:
         return {**vars(self), "passed": self.passed}
 
 
-@dataclass(frozen=True)
-class ThetaReport:
+class ThetaReport(Record):
     entries: tuple
     overall_pass: bool
 
 
 def _difference_sequence(pairs, head=0, anchor=0):
     """head + (a - b) for each sample pair (a, b), bounded by
-    2 EPS (anchor + |a| + |b|), where anchor bounds the values head came from."""
-    return bounded_sequence([head + (a - b) for a, b in pairs],
-                            [2.0 * (anchor + abs(a) + abs(b)) for a, b in pairs])
+    2 EPS (anchor + |a| + |b|), where anchor bounds the values head came from.
+    Exact differences carry no bounds, so none is computed: the exact
+    magnitudes can pass float range where the differences do not."""
+    values = [head + (a - b) for a, b in pairs]
+    if all(map(is_exact, values)):
+        return Sequence.from_values(values)
+    return bounded_sequence(values, [2.0 * (anchor + abs(a) + abs(b)) for a, b in pairs])
 
 
 def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
@@ -211,8 +210,7 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
     return ThetaReport(tuple(entries), all(e.passed for e in entries))
 
 
-@dataclass(frozen=True)
-class SDTestEntry:
+class SDTestEntry(Record):
     label: str
     certificate: classify.Certificate
     minimality: classify.MinimalityReport | None
@@ -229,8 +227,7 @@ class SDTestEntry:
         return {**vars(self), "passed": self.passed}
 
 
-@dataclass(frozen=True)
-class SDReport:
+class SDReport(Record):
     scale_tests: tuple          # (Phi(k) - Phi(ck))_k per probed c
     derivative_test: SDTestEntry | None   # (k Phi'(k))_k
     derivative_error: float | None
@@ -332,6 +329,14 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
     return SDReport(tuple(entries), deriv_entry, deriv_err, verdict)
 
 
+def _egf_sum(vals, s, e=0):
+    """fsum of 2^-e a_k s^k / k! (2^-e scales each term exactly); past k = 170,
+    where k! leaves float range, each term is the correctly rounded quotient."""
+    terms = (math.ldexp(v, -e) * s**k for k, v in enumerate(vals))
+    return math.fsum(x / math.factorial(k) if k <= 170 else float(Fraction(x) / math.factorial(k))
+                     for k, x in enumerate(terms))
+
+
 def egf_validate(a: Sequence, t) -> float:
     """Exponential-generating-function identity for a CA fit: compare
     e^{-s} sum_{k<=K} a_k s^k / k!  against  q + d s + sum_j w_j (1 - e^{-s(1-u_j)})
@@ -340,9 +345,11 @@ def egf_validate(a: Sequence, t) -> float:
     vals = a.as_floats()
     worst = 0.0
     for s in (j / 20.0 for j in range(21)):
-        lhs = math.exp(-s) * math.fsum(
-            v * s**k / math.factorial(k) for k, v in enumerate(vals)
-        )
+        try:
+            lhs = math.exp(-s) * _egf_sum(vals, s)
+        except OverflowError:  # the sum passes float range; e^{-s} times it is at most max |a_k|
+            e = max(math.frexp(v)[1] for v in vals)
+            lhs = math.ldexp(math.exp(-s) * _egf_sum(vals, s, e), e)
         rhs = float(t.q) + t.d * s + math.fsum(
             w * -math.expm1(-s * (1.0 - u)) for u, w in t.measure.atoms
         )

@@ -14,12 +14,11 @@ table on purpose: perfbench's count test needs one in its exact and float warm-u
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat
 
 from .errors import CertificationError
-from .scalars import CA, CM, EXACT, FLOAT
+from .scalars import CA, CM, EXACT, FLOAT, Record
 from .seqcore import Sequence, _scaled_rows, difference_table
 
 PASS = "pass"
@@ -38,8 +37,7 @@ def default_depth(a: Sequence, depth=None) -> int:
     return a.last_index
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Outcome of a finite-depth CM/CA sign check.
 
     ``witness`` is the first entry (n, k, value) that strictly violates the
@@ -135,8 +133,7 @@ def _certified_column(a: Sequence, kind: str, depth: int, raise_failed=True):
     return _certify(a, kind, depth, rows, fail, column), column
 
 
-@dataclass(frozen=True)
-class AtomEstimate:
+class AtomEstimate(Record):
     """Trail of k = 0 column entries converging down to the mass at zero.
 
     CM trail: (-1)^n Delta^n a(0), n = 0..depth.
@@ -170,8 +167,7 @@ def _atom(column: list, kind: str, depth: int) -> AtomEstimate:
     return AtomEstimate(trail, trail[-1], monotone_ok, float(col[-1][1]))
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(Record):
     minimal: bool
     atom: AtomEstimate
     tol: float

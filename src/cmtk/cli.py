@@ -9,7 +9,8 @@ One subcommand per library operation, stable exit codes for scripting:
 
 Every run on codes 0-2 writes a JSON report (stdout or --out) echoing the
 resolved parameter set; --no-meta strips the timestamp so identical runs
-produce byte-identical reports.  Library errors map to one place: any
+produce byte-identical reports.  Reports are strict JSON: a float that is
+not finite is written as null.  Library errors map to one place: any
 CmtkError gives code 1 (2 when a function handle ran out of its evaluation
 budget) with a report whose result is {"error": message}, plus the failing
 certificate when the error carries one.  Malformed input, including
@@ -21,14 +22,13 @@ report.  ``evaluate`` reads a bare model file or an
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import datetime
 import json
+import math
 import sys
 
 from .errors import BudgetExceededError, CmtkError
 from .scalars import (CA, CM, DEFAULT_C_PAIR, DEFAULT_GRID, DEFAULT_N, DEFAULT_SD_CS, DEFAULT_TOL,
-                      FLOAT, coerce_values, parse_scalar, scalar_to_json)
+                      FLOAT, Record, coerce_values, parse_scalar, scalar_to_json)
 from .seqcore import Sequence, read_sequence  # every command loads it
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
@@ -93,13 +93,23 @@ def _get_handle(spec: str):
 
 
 def _to_json(obj):
-    """json.dumps hook: an object's own to_dict, else its dataclass fields
-    (serialized in turn), else the scalar form."""
+    """The report tree ``obj`` in JSON's own types, at every depth: a record
+    as its own to_dict or else its fields, a tuple as a list, a non-finite
+    float as None (so strict parsers read the report) and any other value in
+    its scalar form."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, dict):
+        return {key: _to_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_to_json(value) for value in obj]
     if hasattr(obj, "to_dict"):
-        return obj.to_dict()
-    if dataclasses.is_dataclass(obj):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    return scalar_to_json(obj)
+        return _to_json(obj.to_dict())
+    if isinstance(obj, Record):
+        return _to_json({name: getattr(obj, name) for name in obj._fields})
+    return _to_json(scalar_to_json(obj))
 
 
 # -- subcommand implementations; each returns (exit_code, result) -----------
@@ -388,10 +398,12 @@ def main(argv=None) -> int:
             "exit_code": code,
         }
         if not args.no_meta:
+            import datetime  # only a report with a timestamp needs it
+
             report["meta"] = {
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()
             }
-        text = json.dumps(report, sort_keys=True, indent=2, default=_to_json)
+        text = json.dumps(_to_json(report), sort_keys=True, indent=2, allow_nan=False)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")

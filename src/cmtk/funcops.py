@@ -21,11 +21,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 from . import classify
 from .errors import BudgetExceededError, DomainError
-from .scalars import DEFAULT_C_PAIR, EPS
+from .scalars import DEFAULT_C_PAIR, EPS, Record
 from .seqcore import Sequence, _check_depth
 
 DEFAULT_BUDGET = 10**6
@@ -41,8 +40,9 @@ def _budget_from_env():
 
 
 class FunctionHandle:
-    """Deterministic callable on [0, inf) (or (0, inf) when open at zero),
-    with an optional known derivative and an evaluation budget.  The budget
+    """Deterministic callable on [0, inf) (or (0, inf) when open at zero;
+    a call or sample outside raises DomainError), with an optional known
+    derivative and an evaluation budget.  The budget
     covers one library call: each operation that samples the handle resets
     it once, when it starts, so check_bf_via_theta shares it among its c.
     A call charges one evaluation; ``charge(n)`` charges n at once, before
@@ -70,7 +70,8 @@ class FunctionHandle:
         self.bounded = bounded
 
     def __call__(self, x):
-        self._check_domain(x)
+        if x <= 0:  # the only points the domain check can refuse
+            self._check_domain(x)
         self.charge(1)
         return self.fn(x)
 
@@ -89,10 +90,9 @@ class FunctionHandle:
             self.base.reset_budget()
 
     def _check_domain(self, *points):
-        if self.open_at_zero:
-            for x in points:
-                if x <= 0:
-                    raise DomainError(f"{self.name} is only defined for x > 0")
+        if points and min(points) <= 0 and (self.open_at_zero or min(points) < 0):
+            bound = "x > 0" if self.open_at_zero else "x >= 0"
+            raise DomainError(f"{self.name} is only defined for {bound}")
 
     def sample(self, points):
         self._check_domain(*points)
@@ -129,7 +129,10 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
 
     bounded = None
     if op == "sigma":
-        ceff = c**n
+        try:
+            ceff = c**n
+        except OverflowError:
+            raise ValueError(f"c^iterate = {c:g}^{n} is beyond float range") from None
         fn = lambda x: f(ceff * x)
     elif op == "tau":
         ceff = c * n
@@ -205,8 +208,7 @@ def _c_discrepancy(per_c):
     return disc
 
 
-@dataclass(frozen=True)
-class CMDecomposition:
+class CMDecomposition(Record):
     """Psi(lam) ~ psi_inf + (-delta_{n_max c}) Psi(lam), per probed c."""
 
     psi_inf: float
@@ -251,8 +253,7 @@ def cm_limit_decompose(psi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     )
 
 
-@dataclass(frozen=True)
-class BFDecomposition:
+class BFDecomposition(Record):
     """Phi(lam) ~ q + d lam + theta_{n_max c} Phi(lam), per probed c."""
 
     q: float
@@ -314,15 +315,13 @@ def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     )
 
 
-@dataclass(frozen=True)
-class LatticeEntry:
+class LatticeEntry(Record):
     alpha: float
     certificate: classify.Certificate
     minimality: classify.MinimalityReport | None
 
 
-@dataclass(frozen=True)
-class LatticeReport:
+class LatticeReport(Record):
     entries: tuple
     overall_pass: bool
     all_minimal: bool
@@ -366,8 +365,7 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
     return LatticeReport(tuple(entries), overall, minimal, partial)
 
 
-@dataclass(frozen=True)
-class SubaffineReport:
+class SubaffineReport(Record):
     supremum: float
     bound: float
     ok: bool

@@ -25,20 +25,18 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 
 from . import classify
 from .errors import DomainError, NotRepresentableError
-from .scalars import DEFAULT_GRID, DEFAULT_TOL, json_field, parse_scalar
+from .scalars import DEFAULT_GRID, DEFAULT_TOL, Record, json_field, parse_scalar
 from .seqcore import Sequence
 
 #: residual > RESIDUAL_FACTOR * tol  =>  "not representable at this grid"
 RESIDUAL_FACTOR = 100.0
 
 
-@dataclass(frozen=True)
-class DiscreteMeasure:
+class DiscreteMeasure(Record):
     """Finite atomic measure on [0, 1]: sorted (u_j, w_j) with w_j >= 0.
 
     The endpoint atoms u = 0 and u = 1 are always present (possibly with
@@ -82,8 +80,7 @@ class DiscreteMeasure:
         return cls(tuple(sorted(atoms)))
 
 
-@dataclass(frozen=True)
-class CATriplet:
+class CATriplet(Record):
     """(q, d, mu) with mu a DiscreteMeasure on [0, 1): a_k = q + dk + sum w_j (1 - u_j^k)."""
 
     q: object
@@ -125,8 +122,7 @@ class CATriplet:
         return cls(q, d, DiscreteMeasure.from_dict(data))
 
 
-@dataclass(frozen=True)
-class FitReport:
+class FitReport(Record):
     """Solver audit: l2 moment mismatch, KKT stationarity gap of the scaled
     system, grid size, plus drift diagnostics for CA fits."""
 
@@ -140,8 +136,7 @@ class FitReport:
         return {k: v for k, v in vars(self).items() if v is not None}
 
 
-@dataclass(frozen=True)
-class ExponentialMeasure:
+class ExponentialMeasure(Record):
     """Image of a DiscreteMeasure under x = -ln u: atoms on [0, inf) plus the
     designated infinity atom (the image of the mass at u = 0)."""
 

@@ -18,11 +18,10 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .scalars import EPS, EXACT, FLOAT, is_exact
+from .scalars import EPS, EXACT, FLOAT, Record, is_exact
 from .seqcore import Sequence, difference_table
 
 
@@ -112,8 +111,7 @@ def _scaled(c, e: int, divisor: int = 1) -> float:
         return math.copysign(math.inf, p)
 
 
-@dataclass(frozen=True)
-class SeriesValue:
+class SeriesValue(Record):
     """Truncated evaluation: the partial sum, the heuristic tail estimate
     (magnitude of the last three included terms; not a bound), and warnings."""
 
@@ -240,8 +238,7 @@ def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
 _LEVIN_ORDER = {EXACT: 10, FLOAT: 6}
 
 
-@dataclass(frozen=True)
-class ExtrapolatedValue:
+class ExtrapolatedValue(Record):
     """Accelerated evaluation: the extrapolated value, its heuristic error
     estimate (not a bound), the Levin order used (0 when the partial sum is
     returned unchanged), the plain truncated evaluation, and warnings."""

@@ -7,7 +7,8 @@ once, at sequence construction, and recorded as a mode flag.
 
 The sequence kinds and the parameter defaults that the CLI parser shows
 live here too, so that the parser reads them without importing the
-modules that compute with them.
+modules that compute with them; so does ``Record``, the base of every
+module's value types.
 """
 
 from __future__ import annotations
@@ -30,6 +31,65 @@ DEFAULT_TOL = 1e-10  # NNLS fit tolerance (moments)
 DEFAULT_N = 100_000  # Webster product truncation (webster)
 DEFAULT_C_PAIR = (1.0, 1.0 / math.sqrt(2.0))  # probed c of decompositions and theta
 DEFAULT_SD_CS = (0.25, 0.5, 0.75, 0.9)  # scales of the self-decomposability test
+
+
+class Record:
+    """Base of the value types: a subclass's annotated names are its fields,
+    in order, and a class attribute is that field's default.  Instances bind
+    arguments as a dataclass does, then run ``__post_init__`` if the class
+    has one; they compare and hash by class and field values and print as
+    ``Name(field=value, ...)``.  They are frozen unless the class is declared
+    ``frozen=False``, which makes them unhashable too.  The methods are
+    shared, not generated per class, so defining a record costs no code
+    generation at import."""
+
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._defaults = tuple(cls.__dict__[name] for name in cls._fields if name in cls.__dict__)
+        cls._required = len(cls._fields) - len(cls._defaults)
+        if not all(name in cls.__dict__ for name in cls._fields[cls._required:]):
+            raise TypeError(f"{cls.__qualname__}: a field without a default follows a default")
+        cls._post_init = hasattr(cls, "__post_init__")
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if kwargs or not cls._required <= len(args) <= len(fields):  # bind by name
+            values = {**dict(zip(fields[cls._required:], cls._defaults)),
+                      **dict(zip(fields, args)), **kwargs}
+            if len(args) > len(fields) or kwargs.keys() & set(fields[:len(args)]) \
+                    or values.keys() != set(fields):
+                raise TypeError(f"{cls.__qualname__}() takes the fields {fields}, not {len(args)} "
+                                f"positional and the keyword arguments {sorted(kwargs)}")
+            args = tuple(values[name] for name in fields)
+        else:  # the defaults fill the fields after the given ones
+            args += cls._defaults[len(args) - cls._required:]
+        self.__dict__.update(zip(fields, args))
+        if cls._post_init:
+            self.__post_init__()
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
 
 
 def parse_scalar(text):

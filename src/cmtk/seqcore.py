@@ -24,16 +24,14 @@ import csv
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
 
-from .scalars import EPS, EXACT, TINY, coerce_values, parse_scalar
+from .scalars import EPS, EXACT, TINY, Record, coerce_values, parse_scalar
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(Record):
     """Finite prefix (a_0..a_K) of a real sequence.
 
     ``value_bounds``, float mode only, carries per-entry absolute input
@@ -123,8 +121,7 @@ def read_sequence(path, mode=None) -> Sequence:
     return Sequence.from_values(values, mode)
 
 
-@dataclass(frozen=True)
-class DifferenceTable:
+class DifferenceTable(Record):
     """Triangular array rows[n][k] = (-1)^n Delta^n a(k), n <= depth, n+k <= K.
 
     ``scaled`` holds the entries times ``scale``: in exact mode Python ints

@@ -26,13 +26,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, islice, repeat
 
 from .errors import DomainError
 from .funcops import FunctionHandle, _richardson_derivative
-from .scalars import DEFAULT_N
+from .scalars import DEFAULT_N, Record
 
 _CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
 # Points per prepare span: a span's points and a_n quotients, 96 floats,
@@ -42,8 +41,7 @@ _CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
 _SPAN = 48
 
 
-@dataclass
-class WebsterProblem:
+class WebsterProblem(Record, frozen=False):
     """Problem data: g (assumed log-concave, spot-checked), the product
     truncation N, the gamma acceleration mode and whether lim g = 1 was
     declared (enabling the simplified product)."""
@@ -64,8 +62,7 @@ class WebsterProblem:
             raise ValueError(f"g_limit_one must be a bool, got {self.g_limit_one!r}")
 
 
-@dataclass(frozen=True)
-class WebsterResult:
+class WebsterResult(Record):
     value: float
     x: float
     gamma: float | None
@@ -160,7 +157,10 @@ class WebsterSolution:
         else:
             head = -self.gamma * b - math.log(g(b)) + self.sum_a * b
             last += self.a_N * b
-        value = math.exp(head + total)
+        try:
+            value = math.exp(head + total)
+        except OverflowError:  # f(b) past float range reads inf, as a product past it does
+            value = math.inf
         out = (value, abs(last))
         self._base_cache[b] = out
         return out

@@ -214,6 +214,14 @@ class TestThetaMembership:
             assert fitted == pytest.approx(expected, abs=1e-4)
 
 
+class TestExactMagnitudesPastFloatRange:
+    def test_theta_check_of_exact_samples(self):
+        # the bounds of exact samples, never used, were computed in float
+        # from magnitudes past its range (an OverflowError)
+        rep = check_bf_via_theta(linear_handle(), (1.7e308, 1.0), 10)
+        assert rep.overall_pass
+
+
 class TestThetaSoundnessOracle:
     """check_bf_via_theta samples theta_c Phi at k = 0..depth + 10 at the
     points k + Fraction(float(c)).  The rational-valued builtins sampled
@@ -318,3 +326,16 @@ class TestEGF:
         a = Sequence.from_values([Fraction(5, 4)] * 15)
         t, _ = invert_ca(a)
         assert egf_validate(a, t) <= 1e-12
+
+    def test_past_factorial_range(self):
+        # k! leaves float range at k = 171; a_k / k! was an OverflowError
+        a = Sequence.from_values([Fraction(k) for k in range(200)])
+        t, _ = invert_ca(a, grid_m=20)
+        assert egf_validate(a, t) <= 1e-12
+
+    def test_sum_past_float_range(self):
+        # the partial sums of a_k s^k / k! pass float range (fsum raised);
+        # e^{-s} times the sum does not
+        a = Sequence.from_values([1.7e308, 1.7e308])
+        t, _ = invert_ca(a)
+        assert egf_validate(a, t) == pytest.approx(1.7e308 * (1.0 - 2.0 * math.exp(-1.0)))

@@ -23,6 +23,12 @@ def run(capsys, *argv):
     return code, report, out.err
 
 
+def reject_constant(name):
+    """json.loads hook that fails on NaN, Infinity and -Infinity, which
+    strict JSON does not have."""
+    raise ValueError(f"report holds {name}, which is not strict JSON")
+
+
 @pytest.fixture
 def harmonic_csv(tmp_path):
     p = tmp_path / "harmonic.csv"
@@ -142,12 +148,17 @@ class TestSubcommands:
         drawn = "AAACBCCBABDDCDCAACDCDDBBBBABCBBCBDDCCCDBDDBDCD"
         p.write_text("".join({"A": "1e300\n", "B": "1e150\n", "C": "3.0\n",
                               "D": "-1e-300\n"}[c] for c in drawn))
-        code, report, err = run(capsys, "newton", "eval", str(p), "--mode", "float",
-                                "--at", "52", "--terms", "33", "--no-meta")
-        assert (code, err) == (0, "")
+        code = main(["newton", "eval", str(p), "--mode", "float", "--at", "52", "--terms", "33",
+                     "--no-meta"])
+        out = capsys.readouterr()
+        assert (code, out.err) == (0, "")
+        # strict JSON: the value is NaN and the tail estimate inf, written as null
+        report = json.loads(out.out, parse_constant=reject_constant)
         assert report["result"]["warnings"] == [
             "rounding noise may swamp the value: the sample table's error bounds "
             "allow inf, at least |value|"]
+        for key in ("tail_estimate", "value", "value_float"):
+            assert report["result"][key] is None, key
 
     def test_webster(self, capsys):
         code, report, _ = run(
@@ -668,14 +679,20 @@ print(json.dumps({"results": results, "at_import": at_import, "after": loaded()}
         "evaluate": {"bernstein"},  # on a bare measure
     }
 
-    def _loaded_cmtk_modules(self, argv, cwd):
-        """The cmtk submodules that ``python -X importtime`` reports for one
-        child, and its exit code."""
+    def _imported_modules(self, argv, cwd):
+        """The modules that ``python -X importtime`` reports for one child,
+        and its exit code."""
         proc = subprocess.run([sys.executable, "-X", "importtime", *argv], cwd=cwd, env=self._env(),
                               capture_output=True, text=True, timeout=120)
         names = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
                  if line.startswith("import time:")}
-        return proc.returncode, {n.partition(".")[2] for n in names if n.startswith("cmtk.")}
+        return proc.returncode, names
+
+    def _loaded_cmtk_modules(self, argv, cwd):
+        """The cmtk submodules that ``python -X importtime`` reports for one
+        child, and its exit code."""
+        code, names = self._imported_modules(argv, cwd)
+        return code, {n.partition(".")[2] for n in names if n.startswith("cmtk.")}
 
     def test_import_cmtk_loads_no_submodule(self, tmp_path):
         code, loaded = self._loaded_cmtk_modules(["-c", "import cmtk; cmtk.__version__"], tmp_path)
@@ -693,3 +710,31 @@ print(json.dumps({"results": results, "at_import": at_import, "after": loaded()}
         golden = (TESTS / "data" / "cli_reports" / f"{name}.json").read_text()
         assert f'"exit_code": {code}' in golden
         assert not loaded & self.NOT_LOADED[name], sorted(loaded)
+
+    # dataclasses and inspect cost a child milliseconds to import, and
+    # dataclasses generates code for each class it decorates; only a report's
+    # timestamp needs datetime
+    UNNEEDED = {"dataclasses", "inspect", "datetime"}
+
+    @pytest.fixture(scope="class")
+    def reference_imports(self, tmp_path_factory):
+        """What a bare child imports, and one that imports numpy alone (as
+        the NNLS commands must)."""
+        cwd = tmp_path_factory.mktemp("reference")
+        return {code: self._imported_modules(["-c", code], cwd)[1]
+                for code in ("pass", "import numpy")}
+
+    @pytest.mark.parametrize("name", NNLS_FREE + ["invert", "extend", "egf"])
+    def test_command_loads_no_dataclasses_inspect_or_datetime(self, name, tmp_path,
+                                                              reference_imports):
+        from test_cli_reports import CASES
+
+        for src in (TESTS / "data" / "cli").iterdir():
+            (tmp_path / src.name).write_bytes(src.read_bytes())
+        code, names = self._imported_modules(["-m", "cmtk.cli", *CASES[name], "--no-meta"],
+                                             tmp_path)
+        golden = (TESTS / "data" / "cli_reports" / f"{name}.json").read_text()
+        assert f'"exit_code": {code}' in golden
+        reference = reference_imports["pass" if name in self.NNLS_FREE else "import numpy"]
+        assert "dataclasses" not in reference_imports["import numpy"]
+        assert not (names - reference) & self.UNNEEDED, sorted(names & self.UNNEEDED)

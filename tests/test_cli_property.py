@@ -1,0 +1,179 @@
+"""Every command, on extreme but well-formed files and options, keeps the
+exit-code contract: a code in 0-3, exactly one stderr line on code 3, and
+on codes 0-2 a report that a strict JSON parser reads (no NaN or Infinity
+tokens).  A traceback, an exit code outside 0-3 or a non-strict report
+fails the test."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from cmtk.cli import main
+from test_cli import reject_constant
+
+# sequence entries and option values at and past the ends of float range
+ENTRIES = ["0", "1", "-2", "3.0", "1/3", "-1/1000000007", "1e-300", "-1e-300", "5e-324",
+           "1e150", "1e300", "1.7e308", "-1.7e308", "123456789012345678901234567890"]
+POSITIVE = ["5e-324", "1e-300", "1e-150", "0.5", "1", "2", "52", "1e150", "1e300", "1.7e308"]
+REALS = POSITIVE + ["0", "-1", "-1e300"]
+BUILTINS = ["exp-decay", "reciprocal", "sqrt", "sqrt-triplet", "log1p", "one-minus-exp",
+            "linear", "square", "bf-ratio", "abs-sin-pi", "triplet:triplet.json"]
+
+ints = st.integers(-1, 40).map(str)
+reals = st.sampled_from(REALS) | st.floats(-1e300, 1e300).map(repr)
+positives = st.sampled_from(POSITIVE) | st.floats(5e-324, 1.7e308).map(repr)
+lists = st.lists(reals, min_size=1, max_size=4).map(",".join)
+kinds = st.sampled_from(["cm", "ca"])
+
+
+def _options(draw, **choices):
+    """``--name=value`` options (``=`` keeps a negative value from reading
+    as an option) for a drawn subset of ``choices``, a strategy each; a
+    value drawn empty gives a flag."""
+    out = []
+    for name, strategy in choices.items():
+        if draw(st.booleans()):
+            value = draw(strategy)
+            out.append(f"--{name.replace('_', '-')}" + (f"={value}" if value else ""))
+    return out
+
+
+@st.composite
+def sequence_files(draw):
+    entries = draw(st.lists(st.sampled_from(ENTRIES) | st.floats(-1e300, 1e300).map(repr),
+                            min_size=1, max_size=40))
+    return {"seq.csv": "".join(f"{e}\n" for e in entries)}
+
+
+@st.composite
+def model_files(draw):
+    atoms = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))))
+    weights = st.floats(0.0, 1e300)
+    measure = [{"u": u, "w": draw(weights)} for u in atoms]
+    model = draw(st.sampled_from([
+        {"atoms": measure},
+        {"q": draw(st.sampled_from(["1/2", "0", "1e300"])), "d": draw(weights),
+         "atoms": [a for a in measure if a["u"] < 1.0]},
+        {"q": draw(weights), "d": draw(weights),
+         "levy": [{"x": 1.0 + u, "w": a["w"]} for u, a in zip(atoms, measure)]},
+    ]))
+    if draw(st.booleans()):
+        model = {"result": {"model": model}}  # as an invert, extend or egf report
+    return {"model.json": json.dumps(model)}
+
+
+@st.composite
+def commands(draw):
+    """(argv, files): one command line, naming files by their keys."""
+    files = draw(sequence_files())
+    files["triplet.json"] = json.dumps({"q": draw(st.sampled_from([0.0, 1.0, 1e300])),
+                                        "d": draw(st.sampled_from([0.0, 2.0, 1e-300])),
+                                        "levy": [{"x": float(draw(positives)), "w": 0.5}]})
+    command = draw(st.sampled_from(["certify", "minimal", "invert", "evaluate", "extend", "newton",
+                                    "webster", "operator", "decompose", "lattice", "subaffine",
+                                    "bftheta", "selfdec", "egf"]))
+    mode = {"mode": st.sampled_from(["exact", "float"])}
+    grid = {"grid": st.integers(-1, 30).map(str), "tol": reals}
+    builtin = ["--builtin", draw(st.sampled_from(BUILTINS))]
+    if command in ("certify", "minimal"):
+        argv = [command, "seq.csv", "--kind", draw(kinds),
+                *_options(draw, depth=ints, **mode, **({"tol": reals} if command == "minimal"
+                                                       else {}))]
+    elif command == "invert":
+        argv = [command, draw(kinds), "seq.csv", *_options(draw, **mode, **grid)]
+    elif command == "evaluate":
+        files.update(draw(model_files()))
+        argv = [command, "model.json", "--at=" + draw(lists)]
+    elif command == "extend":
+        argv = [command, "seq.csv", "--kind", draw(kinds), "--at=" + draw(lists),
+                *_options(draw, **mode, **grid)]
+    elif command == "newton":
+        argv = [command, draw(st.sampled_from(["fit", "eval"])), "seq.csv",
+                *_options(draw, **mode, at=reals | st.sampled_from(["1/3", "-7/2"]), terms=ints)]
+    elif command == "webster":
+        g = draw(st.sampled_from(["identity", "exp-neg-cm"]) | reals.map("constant:{}".format))
+        argv = [command, "--g", g, *_options(draw, at=lists, terms=st.integers(-1, 2000).map(str),
+                                             no_accel=st.just(""), g_limit_one=st.just(""),
+                                             check_grid=lists)]
+    elif command == "operator":
+        argv = [command, *builtin, "--op",
+                draw(st.sampled_from(["sigma", "tau", "delta", "theta", "rho"])),
+                "--at=" + draw(lists), *_options(draw, c=positives,
+                                               iterate=st.integers(-1, 3).map(str))]
+    elif command == "decompose":
+        argv = [command, draw(st.sampled_from(["cm", "bf"])), *builtin,
+                *_options(draw, c=lists, nmax=st.integers(-1, 64).map(str))]
+    elif command == "lattice":
+        argv = [command, "--kind", draw(kinds), *builtin,
+                *_options(draw, alpha=lists, depth=st.integers(-1, 25).map(str), tol=reals)]
+    elif command == "subaffine":
+        argv = [command, *builtin, "--bound=" + draw(reals), *_options(draw, c=reals)]
+    elif command == "bftheta":
+        argv = [command, *builtin, *_options(draw, c=lists, depth=st.integers(-1, 20).map(str))]
+    elif command == "selfdec":
+        argv = [command, *builtin,
+                *_options(draw, c=lists, depth=st.integers(-1, 30).map(str), tol=reals)]
+    else:
+        argv = [command, "seq.csv", *_options(draw, **grid)]
+    return argv, files
+
+
+NOISY = "AAACBCCBABDDCDCAACDCDDBBBBABCBBCBDDCCCDBDDBDCD"
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli")
+
+
+@pytest.fixture(scope="module")
+def default_budget():
+    # the default evaluation budget, whatever the environment sets
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("CMTK_MAX_EVALS", raising=False)
+        yield
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=commands())
+# the float noise bound's fsum passed float range (a traceback), and the
+# report wrote the NaN value and the inf tail estimate as NaN and Infinity
+@example(case=(["newton", "eval", "seq.csv", "--mode", "float", "--at", "52", "--terms", "33"],
+               {"seq.csv": "".join({"A": "1e300\n", "B": "1e150\n", "C": "3.0\n",
+                                    "D": "-1e-300\n"}[c] for c in NOISY)}))
+# an exact value past float range failed to round to float (a traceback)
+@example(case=(["newton", "eval", "seq.csv", "--mode", "exact", "--at", "0.5"],
+               {"seq.csv": "0.5\n1.7e308\n1\n0.5\n0.5\n1\n0.5\n1\n-1.7e308\n"}))
+# a term bound that is inf already, beside a NaN value
+@example(case=(["newton", "eval", "seq.csv", "--mode", "float", "--at", "52"],
+               {"seq.csv": "1e308\n-1e308\n1e308\n-1e308\n"}))
+# each of these ended in an OverflowError traceback
+@example(case=(["operator", "--builtin", "exp-decay", "--op", "delta", "--at=-5e16",
+                "--c=1.7e308"], {}))
+@example(case=(["operator", "--builtin", "exp-decay", "--op", "sigma", "--at=1", "--c=1.7e308",
+                "--iterate=2"], {}))
+@example(case=(["webster", "--g", "identity", "--check-grid=5e-324"], {}))
+@example(case=(["bftheta", "--builtin", "linear", "--c=1.7e308,1e-150", "--depth=16"], {}))
+@example(case=(["egf", "seq.csv"], {"seq.csv": "1.7e308\n1.7e308\n"}))
+def test_exit_code_contract(case, workdir, default_budget):
+    argv, files = case
+    for name, text in files.items():
+        (workdir / name).write_text(text)
+    argv = [str(workdir / a) if a in files
+            else f"triplet:{workdir / 'triplet.json'}" if a == "triplet:triplet.json" else a
+            for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--no-meta"])
+    assert code in (0, 1, 2, 3)
+    if code == 3:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), err.getvalue()
+    else:
+        report = json.loads(out.getvalue(), parse_constant=reject_constant)
+        assert report["exit_code"] == code
+

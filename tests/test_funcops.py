@@ -182,6 +182,30 @@ def counting(f):
     return cell
 
 
+class TestDomain:
+    """A handle lives on [0, inf), or (0, inf) when open at zero."""
+
+    @pytest.mark.parametrize("op", ["sigma", "tau", "delta", "theta", "rho"])
+    def test_negative_point_is_refused(self, op):
+        f = get_handle("exp-decay")
+        with pytest.raises(DomainError, match="only defined for x >= 0"):
+            f(-1.0)
+        with pytest.raises(DomainError, match="only defined for x >= 0"):
+            f.sample([0.0, 1.0, -1e-300])
+        # exp(5e16) overflowed into a traceback before
+        with pytest.raises(DomainError, match="only defined for x >= 0"):
+            apply_operator(f, op, 0.5)(-5e16)
+        assert f(0.0) == 1.0
+
+    def test_open_at_zero_refuses_zero(self):
+        with pytest.raises(DomainError, match="only defined for x > 0"):
+            webster_identity().sample([1.0, 0.0])
+
+    def test_sigma_scale_past_float_range(self):
+        with pytest.raises(ValueError, match="beyond float range"):
+            apply_operator(get_handle("exp-decay"), "sigma", 1.7e308, 2)
+
+
 class TestEvaluationCounts:
     """Each base value an operation needs is evaluated once."""
 

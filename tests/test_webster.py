@@ -254,6 +254,15 @@ class TestEvaluationPoints:
         assert g.calls == 4
 
 
+class TestPastFloatRange:
+    def test_base_value_past_float_range_is_inf(self):
+        # Gamma(5e-324) ~ 2e323: exp of its log was an OverflowError, where
+        # the product beyond the base interval already reads inf
+        sol = WebsterSolution(gamma_problem(1000))
+        assert sol.result(5e-324).value == math.inf
+        assert sol.result(200.0).value == math.inf
+
+
 class TestBudget:
     """Prepare charges its whole pass, 1 + 4 evaluations per n when g' is
     estimated, before it makes any evaluation."""
