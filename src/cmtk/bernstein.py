@@ -19,8 +19,9 @@ import math
 from fractions import Fraction
 
 from . import classify, moments
+from ._extrapolate import richardson_derivative
 from .errors import DomainError
-from .funcops import FunctionHandle, _richardson_derivative, bounded_sequence, sampled_sequence
+from .funcops import FunctionHandle, bounded_sequence, sampled_sequence
 from .scalars import DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, Record, is_exact, json_field
 from .seqcore import Sequence, _check_depth, difference_table
 
@@ -257,7 +258,7 @@ def _derivative_samples(phi: FunctionHandle, count: int):
     vals, errs = [], []
     for k in range(count + 1):
         h = 1e-6 * max(1.0, float(k))
-        value, spread = _richardson_derivative(phi, k, h)
+        value, spread = richardson_derivative(phi, k, h)
         vals.append(value)
         errs.append(spread + EPS * abs(phi(float(k))) / h)
     return vals, errs, max(errs)

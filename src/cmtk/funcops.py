@@ -100,16 +100,6 @@ class FunctionHandle:
         return list(map(self.fn, points))
 
 
-def _richardson_derivative(f, x, h):
-    """f'(x) by central differences at steps h and h/2 and one Richardson step
-    (a step that would cross 0 is cut at 0); returns the value and the
-    heuristic error estimate |D(h/2) - D(h)| / 3."""
-    lo, lo_half = max(0.0, x - h), max(0.0, x - h / 2)
-    d1 = (f(x + h) - f(lo)) / (x + h - lo)
-    d2 = (f(x + h / 2) - f(lo_half)) / (x + h / 2 - lo_half)
-    return (4.0 * d2 - d1) / 3.0, abs(d2 - d1) / 3.0
-
-
 def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionHandle:
     """Compose f with an operator iterate; returns a new handle charging f's
     budget.  theta and rho need f(0), so they reject open-at-zero handles;

@@ -21,6 +21,7 @@ import sys
 from functools import cached_property
 from fractions import Fraction
 
+from ._extrapolate import LEVIN_ORDER, levin_u
 from .scalars import EPS, EXACT, FLOAT, Record, is_exact
 from .seqcore import Sequence, difference_table
 
@@ -231,13 +232,6 @@ def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
     return SeriesValue(total, tail, n_terms, tuple(warnings)), window
 
 
-# Highest Levin order per mode.  In exact arithmetic the order only trades
-# truncation error against how far the order-to-order spread undershoots it;
-# in float the transform's weights cancel more with each order, and past
-# order 6 rounding outgrows the truncation error it removes.
-_LEVIN_ORDER = {EXACT: 10, FLOAT: 6}
-
-
 class ExtrapolatedValue(Record):
     """Accelerated evaluation: the extrapolated value, its heuristic error
     estimate (not a bound), the Levin order used (0 when the partial sum is
@@ -248,31 +242,6 @@ class ExtrapolatedValue(Record):
     order: int
     partial: SeriesValue
     warnings: tuple = ()
-
-
-def _levin_u(tail, n, last_sum, eps):
-    """Levin's u-transform of order k = len(tail) - 1 on the last k+1 partial
-    sums, or None when its denominator vanishes (to within eps-relative
-    rounding).
-
-    ``tail`` holds the last terms a_n..a_{n+k} and ``last_sum`` is s_{n+k};
-    the remainder estimate is omega_m = (m+1) a_m.
-        L = sum_j w_j s_{n+j} / sum_j w_j,
-        w_j = (-1)^j C(k, j) ((n+j+1) / (n+k+1))^(k-1) / omega_{n+j}."""
-    k = len(tail) - 1
-    s = last_sum
-    num = den = size = 0
-    for j in range(k, -1, -1):
-        a = tail[j]
-        w = (-1) ** j * math.comb(k, j) * Fraction(n + j + 1, n + k + 1) ** (k - 1)
-        w = w / ((n + j + 1) * a)
-        num = num + w * s
-        den = den + w
-        size = size + abs(w)
-        s = s - a
-    if abs(den) <= (k + 1) * eps * size:
-        return None
-    return num / den
 
 
 def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
@@ -311,7 +280,7 @@ def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
     carried.
     """
     exact = series.mode == EXACT and is_exact(z)
-    order = _LEVIN_ORDER[EXACT if exact else FLOAT]
+    order = LEVIN_ORDER[EXACT if exact else FLOAT]
     partial, window = _partial_sum(series, z, None, order + 1)
     n_terms = partial.n_terms
     warnings = partial.warnings
@@ -328,8 +297,8 @@ def extrapolate_series(series: NewtonSeries, z) -> ExtrapolatedValue:
     if k < 2 or any(a == 0 for a in tail):
         return unchanged()
     eps = 0 if exact else EPS
-    high = _levin_u(tail, n_terms - 1 - k, partial.value, eps)
-    low = _levin_u(tail[2:], n_terms + 1 - k, partial.value, eps)
+    high = levin_u(tail, n_terms - 1 - k, partial.value, eps)
+    low = levin_u(tail[2:], n_terms + 1 - k, partial.value, eps)
     if high is None or low is None:
         return unchanged(("Levin denominator vanished: extrapolation skipped",))
     if not exact and not (cmath.isfinite(high) and cmath.isfinite(low)):

@@ -38,12 +38,11 @@ class Record:
     in order, and a class attribute is that field's default.  Instances bind
     arguments as a dataclass does, then run ``__post_init__`` if the class
     has one; they compare and hash by class and field values and print as
-    ``Name(field=value, ...)``.  They are frozen unless the class is declared
-    ``frozen=False``, which makes them unhashable too.  The methods are
+    ``Name(field=value, ...)``, and they are frozen.  The methods are
     shared, not generated per class, so defining a record costs no code
     generation at import."""
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
+    def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
         cls._defaults = tuple(cls.__dict__[name] for name in cls._fields if name in cls.__dict__)
@@ -51,9 +50,6 @@ class Record:
         if not all(name in cls.__dict__ for name in cls._fields[cls._required:]):
             raise TypeError(f"{cls.__qualname__}: a field without a default follows a default")
         cls._post_init = hasattr(cls, "__post_init__")
-        if not frozen:
-            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields

@@ -29,8 +29,9 @@ import operator
 from functools import reduce
 from itertools import chain, islice, repeat
 
+from ._extrapolate import aitken, richardson_derivative
 from .errors import DomainError
-from .funcops import FunctionHandle, _richardson_derivative
+from .funcops import FunctionHandle
 from .scalars import DEFAULT_N, Record
 
 _CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
@@ -41,7 +42,7 @@ _CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
 _SPAN = 48
 
 
-class WebsterProblem(Record, frozen=False):
+class WebsterProblem(Record):
     """Problem data: g (assumed log-concave, spot-checked), the product
     truncation N, the gamma acceleration mode and whether lim g = 1 was
     declared (enabling the simplified product)."""
@@ -102,7 +103,7 @@ class WebsterSolution:
                 self.log_concave_ok = False
 
         derivative = g.derivative or (
-            lambda x: _richardson_derivative(g.fn, x, max(1e-6, 1e-8 * x))[0])
+            lambda x: richardson_derivative(g.fn, x, max(1e-6, 1e-8 * x))[0])
         # g.fn runs unchecked on points in every handle's domain (n >= 1 here,
         # n +- h >= 1 - 1e-6 in the derivative, n + b in _base_value), all
         # charged before any runs: 1 + 4 per n when g' is estimated
@@ -128,9 +129,7 @@ class WebsterSolution:
             self.sum_a, self.a_N = run, a_n[-1]  # a_N = g'(N)/g(N) enters the last increment
             self.gamma_raw = partials[N]
             if p.acceleration == "aitken" and len(partials) == 3:
-                s0, s1, s2 = (partials[c] for c in checkpoints)
-                den = (s2 - s1) - (s1 - s0)
-                self.gamma = s2 - (s2 - s1) ** 2 / den if den != 0.0 else s2
+                self.gamma = aitken(*(partials[c] for c in checkpoints))
             else:
                 self.gamma = self.gamma_raw
         self._prepared = True
@@ -173,11 +172,14 @@ class WebsterSolution:
         self._prepare()
         p, g, N = self.problem, self.problem.g, self.problem.n_terms
         # reduce to the base interval (0, 1]: f(b + m) = f(b) prod_j g(b + j)
+        # past 2**53, x - m rounds to 0.0 or 2.0; fmod is exact for every x
         m = max(0, math.ceil(x) - 1)
-        b = x - m
+        b = math.fmod(x, 1.0) or 1.0
         base, last_inc = self._base_value(b)
         value = base
         for j in range(m):
+            if value in (0.0, math.inf):  # no positive factor changes it
+                break
             value *= g(b + j)
         # tail of sum_{n>N} ~ C/n^2 estimated as N * |last increment|
         tail = N * last_inc * abs(value)

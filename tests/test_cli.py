@@ -668,15 +668,17 @@ print(json.dumps({"results": results, "at_import": at_import, "after": loaded()}
 
     # the cmtk modules that a README command must not load, by golden case
     NOT_LOADED = {
-        "certify": {"bernstein", "funcops", "moments", "newton", "webster", "builtins"},
-        "minimal": {"bernstein", "funcops", "moments", "newton", "webster", "builtins"},
+        "certify": {"bernstein", "funcops", "moments", "newton", "webster", "builtins",
+                    "_extrapolate"},
+        "minimal": {"bernstein", "funcops", "moments", "newton", "webster", "builtins",
+                    "_extrapolate"},
         "newton-eval": {"classify", "funcops", "bernstein", "moments", "webster"},
         "webster": {"bernstein", "moments", "newton"},
-        "operator": {"bernstein", "moments", "newton"},
-        "decompose-bf": {"bernstein", "moments", "newton"},
-        "lattice": {"bernstein", "moments", "newton"},
-        "subaffine": {"bernstein", "moments", "newton"},
-        "evaluate": {"bernstein"},  # on a bare measure
+        "operator": {"bernstein", "moments", "newton", "_extrapolate"},
+        "decompose-bf": {"bernstein", "moments", "newton", "_extrapolate"},
+        "lattice": {"bernstein", "moments", "newton", "_extrapolate"},
+        "subaffine": {"bernstein", "moments", "newton", "_extrapolate"},
+        "evaluate": {"bernstein", "_extrapolate"},  # on a bare measure
     }
 
     def _imported_modules(self, argv, cwd):

@@ -159,6 +159,10 @@ def default_budget():
 @example(case=(["webster", "--g", "identity", "--check-grid=5e-324"], {}))
 @example(case=(["bftheta", "--builtin", "linear", "--c=1.7e308,1e-150", "--depth=16"], {}))
 @example(case=(["egf", "seq.csv"], {"seq.csv": "1.7e308\n1.7e308\n"}))
+# x - m rounded to the base point 0.0, a domain error (exit 1)
+@example(case=(["webster", "--g", "identity", "--at", "1e16"], {}))
+# the recursion multiplied on past inf until the budget ran out (exit 2)
+@example(case=(["webster", "--g", "identity", "--at", "1e15"], {}))
 def test_exit_code_contract(case, workdir, default_budget):
     argv, files = case
     for name, text in files.items():

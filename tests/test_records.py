@@ -83,14 +83,17 @@ class TestRecord:
             del cert.kind
         assert cert.depth == 3 and not hasattr(cert, "extra")
 
-    def test_webster_problem_is_mutable_and_unhashable(self):
-        problem = WebsterProblem(get_webster_g("identity"))
+    def test_webster_problem_is_frozen_and_hashable(self):
+        # a solution reads its problem's n_terms after prepare, so a problem
+        # that took assignment could leave the solution stale
+        g = get_webster_g("identity")
+        problem = WebsterProblem(g)
         assert (problem.n_terms, problem.acceleration, problem.g_limit_one) == (
             100_000, "aitken", False)
-        problem.n_terms = 10
-        assert problem.n_terms == 10
-        with pytest.raises(TypeError):
-            hash(problem)
+        with pytest.raises(AttributeError):
+            problem.n_terms = 10
+        assert problem.n_terms == 100_000
+        assert hash(problem) == hash(WebsterProblem(g))
 
     def test_equality_and_hash_by_class_and_fields(self):
         assert Pair(1) == Pair(1, 0) and hash(Pair(1)) == hash(Pair(1, 0))

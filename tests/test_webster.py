@@ -10,9 +10,10 @@ import tracemalloc
 
 import pytest
 
+from cmtk._extrapolate import richardson_derivative
 from cmtk.builtins import webster_constant, webster_exp_neg_cm, webster_identity
 from cmtk.errors import BudgetExceededError, DomainError
-from cmtk.funcops import FunctionHandle, _richardson_derivative
+from cmtk.funcops import FunctionHandle
 from cmtk.webster import (
     _SPAN,
     WebsterProblem,
@@ -158,7 +159,7 @@ def reference_result(g, n_terms, x, acceleration="aitken", g_limit_one=False):
     its head, the gamma partials and the Aitken step."""
     fn, N = g.fn, n_terms
     derivative = g.derivative or (
-        lambda t: _richardson_derivative(g, t, max(1e-6, 1e-8 * t))[0])
+        lambda t: richardson_derivative(g, t, max(1e-6, 1e-8 * t))[0])
     log_g = {n: math.log(fn(n)) for n in range(1, N + 1)}
     gamma = gamma_raw = None
     if not g_limit_one:
@@ -261,6 +262,21 @@ class TestPastFloatRange:
         sol = WebsterSolution(gamma_problem(1000))
         assert sol.result(5e-324).value == math.inf
         assert sol.result(200.0).value == math.inf
+
+    @pytest.mark.parametrize("x", [2.0**53, 2.0**53 + 2, 1e16])
+    def test_huge_x_is_inf(self, x):
+        # past 2**53, x - (ceil(x) - 1) rounds to 2.0, or to 0.0, which read
+        # as a domain error; the base point is 1.0 for every integer x
+        assert solve_webster(gamma_problem(1000), x).value == math.inf
+
+    def test_recursion_stops_at_inf(self):
+        # past x ~ 172 the product is inf, and the recursion to 1e15 once
+        # made the budget's 10**6 calls
+        sol = WebsterSolution(gamma_problem(1000))
+        sol.result(1.0)  # prepares and caches the base point 1.0
+        sol.problem.g.reset_budget()
+        assert sol.result(1e15).value == math.inf
+        assert sol.problem.g.calls < 400
 
 
 class TestBudget:
