@@ -15,12 +15,7 @@ from cmtk import (
     extract_triplet,
     triplet_handle,
 )
-from cmtk.builtins import (
-    one_minus_exp_handle,
-    ratio_bf_handle,
-    sqrt_triplet_handle,
-    square_handle,
-)
+from cmtk.builtins import get_handle
 
 truth = BernsteinTriplet(q=0.25, d=0.5, levy=((0.5, 1.0), (2.0, 0.75)))
 phi = triplet_handle(truth)
@@ -41,14 +36,14 @@ print(f"decomposition: q = {dec.q}, d = {dec.d:.9f}, "
 
 # theta_c Phi = Phi(c) - Phi(0) + Phi(lam) - Phi(lam+c) must be a bounded
 # Bernstein function vanishing at 0 -- for every c.  lam^2 fails at once.
-for h in (ratio_bf_handle(), one_minus_exp_handle(), sqrt_triplet_handle()):
+for h in (get_handle("bf-ratio"), get_handle("one-minus-exp"), get_handle("sqrt-triplet")):
     print(f"theta test for {h.name}: pass = {check_bf_via_theta(h).overall_pass}")
 
-bad = check_bf_via_theta(square_handle(), cs=(1.0,))
+bad = check_bf_via_theta(get_handle("square"), cs=(1.0,))
 entry = bad.entries[0]
 print("theta test for square:", entry.certificate.verdict,
       "witness", entry.certificate.witness)
 
 # theta_1 of lam^2 is -2 lam: decreasing, so its samples violate CA at n=1.
-th = apply_operator(square_handle(), "theta", 1.0)
+th = apply_operator(get_handle("square"), "theta", 1.0)
 print("theta_1(square) samples:", [th(float(k)) for k in range(4)])

@@ -1,12 +1,15 @@
 """Named built-in function handles for the CLI and the test corpus.
 
-Handles return exact rationals at integer arguments where the function
-value (or derivative) is rational, so that downstream difference tables
-can run in exact arithmetic.
+Each name is one row of a table: BUILTIN_HANDLES for the handles that
+``--builtin`` names, WEBSTER_BUILTINS for the right-hand sides g that
+``webster --g`` names.  Handles return exact rationals at integer arguments
+where the function value (or derivative) is rational, so that downstream
+difference tables can run in exact arithmetic.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -22,6 +25,12 @@ def _ratio_bf(x):
     if is_exact(x):
         return Fraction(x) / (1 + Fraction(x))
     return x / (1.0 + x)
+
+
+def _abs_sin_pi(x):
+    # float pi leaves sin(pi k) ~ 1e-16 k at the mathematical zeros; snap
+    v = abs(math.sin(math.pi * x))
+    return 0.0 if v < 1e-9 else v
 
 
 def _sqrt_triplet():
@@ -45,104 +54,40 @@ def _sqrt_triplet():
     return BernsteinTriplet(0.0, d, tuple(atoms))
 
 
-def sqrt_triplet_handle():
-    from .bernstein import triplet_handle
-    return triplet_handle(_sqrt_triplet(), "sqrt-triplet")
-
-
-def exp_decay_handle():
-    return FunctionHandle(
-        lambda x: math.exp(-x), "exp-decay", False,
-        derivative=lambda x: -math.exp(-x),
-    )
-
-
-def reciprocal_handle():
-    return FunctionHandle(_reciprocal, "reciprocal", False)
-
-
-def sqrt_handle():
-    return FunctionHandle(
-        lambda x: math.sqrt(x), "sqrt", False,
-        derivative=lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf,
-    )
-
-
-def log1p_handle():
-    return FunctionHandle(
-        lambda x: math.log1p(x), "log1p", False,
-        derivative=_reciprocal,
-    )
-
-
-def one_minus_exp_handle():
-    return FunctionHandle(
-        lambda x: -math.expm1(-x), "one-minus-exp", False,
-        derivative=lambda x: math.exp(-x),
-    )
-
-
-def linear_handle():
-    return FunctionHandle(
-        lambda x: x, "linear", False, derivative=lambda x: 1 if is_exact(x) else 1.0,
-    )
-
-
-def square_handle():
-    return FunctionHandle(
-        lambda x: x * x, "square", False,
-        derivative=lambda x: 2 * x,
-    )
-
-
-def ratio_bf_handle():
-    return FunctionHandle(
-        _ratio_bf, "bf-ratio", False,
-        derivative=lambda x: _reciprocal(x) ** 2,
-    )
-
-
-def _abs_sin_pi(x):
-    # float pi leaves sin(pi k) ~ 1e-16 k at the mathematical zeros; snap
-    v = abs(math.sin(math.pi * x))
-    return 0.0 if v < 1e-9 else v
-
-
-def abs_sin_pi_handle():
-    return FunctionHandle(_abs_sin_pi, "abs-sin-pi", False)
-
-
+# name -> (f, f' or None); each handle is closed at zero and named by its key
 BUILTIN_HANDLES = {
-    "exp-decay": exp_decay_handle,
-    "reciprocal": reciprocal_handle,
-    "sqrt": sqrt_handle,
-    "sqrt-triplet": sqrt_triplet_handle,
-    "log1p": log1p_handle,
-    "one-minus-exp": one_minus_exp_handle,
-    "linear": linear_handle,
-    "square": square_handle,
-    "bf-ratio": ratio_bf_handle,
-    "abs-sin-pi": abs_sin_pi_handle,
+    "exp-decay": (lambda x: math.exp(-x), lambda x: -math.exp(-x)),
+    "reciprocal": (_reciprocal, None),
+    "sqrt": (math.sqrt, lambda x: 0.5 / math.sqrt(x) if x > 0 else math.inf),
+    "sqrt-triplet": None,  # a Bernstein triplet, built by get_handle
+    "log1p": (math.log1p, _reciprocal),
+    "one-minus-exp": (lambda x: -math.expm1(-x), lambda x: math.exp(-x)),
+    "linear": (lambda x: x, lambda x: 1 if is_exact(x) else 1.0),
+    "square": (lambda x: x * x, lambda x: 2 * x),
+    "bf-ratio": (_ratio_bf, lambda x: _reciprocal(x) ** 2),
+    "abs-sin-pi": (_abs_sin_pi, None),
 }
 
 
-def get_handle(name: str) -> FunctionHandle:
-    try:
-        factory = BUILTIN_HANDLES[name]
-    except KeyError:
+def get_handle(spec: str) -> FunctionHandle:
+    """The handle a key of BUILTIN_HANDLES names, or for ``triplet:FILE``
+    the Bernstein triplet in the JSON file FILE."""
+    row = BUILTIN_HANDLES.get(spec)
+    if row is not None:
+        return FunctionHandle(row[0], spec, False, derivative=row[1])
+    if spec not in BUILTIN_HANDLES and not spec.startswith("triplet:"):
         known = ", ".join(sorted(BUILTIN_HANDLES))
-        raise ValueError(f"unknown builtin {name!r}; known: {known}") from None
-    return factory()
+        raise ValueError(f"unknown builtin {spec!r}; known: {known}")
+    from . import bernstein  # only here: it loads moments too
+    if spec == "sqrt-triplet":
+        triplet = _sqrt_triplet()
+    else:
+        with open(spec.partition(":")[2], "r", encoding="utf-8") as fh:
+            triplet = bernstein.BernsteinTriplet.from_dict(json.load(fh))
+    return bernstein.triplet_handle(triplet, spec)
 
 
 # Webster right-hand sides -------------------------------------------------
-
-def webster_identity():
-    """g(x) = x: the solution is the gamma function."""
-    return FunctionHandle(
-        lambda x: x, "g-identity", True, derivative=lambda x: 1.0
-    )
-
 
 def webster_constant(c):
     """g = e^c: the solution is e^{c(x-1)}."""
@@ -157,18 +102,14 @@ def webster_constant(c):
     )
 
 
-def webster_exp_neg_cm():
-    """g(x) = exp(-e^{-x}) (log g completely monotone in reverse sign;
-    lim g = 1): the solution is exp((e^{-x} - e^{-1}) / (1 - e^{-1}))."""
-    return FunctionHandle(
-        lambda x: math.exp(-math.exp(-x)), "g-exp-neg-cm", False,
-        derivative=lambda x: math.exp(-x) * math.exp(-math.exp(-x)),
-    )
-
-
+# name -> (handle name, g, g', open at zero)
 WEBSTER_BUILTINS = {
-    "identity": webster_identity,
-    "exp-neg-cm": webster_exp_neg_cm,
+    # g(x) = x: the solution is the gamma function
+    "identity": ("g-identity", lambda x: x, lambda x: 1.0, True),
+    # g(x) = exp(-e^{-x}) (log g completely monotone in reverse sign; lim g = 1):
+    # the solution is exp((e^{-x} - e^{-1}) / (1 - e^{-1}))
+    "exp-neg-cm": ("g-exp-neg-cm", lambda x: math.exp(-math.exp(-x)),
+                   lambda x: math.exp(-x) * math.exp(-math.exp(-x)), False),
 }
 
 
@@ -176,8 +117,8 @@ def get_webster_g(name: str) -> FunctionHandle:
     if name.startswith("constant:"):
         return webster_constant(parse_scalar(name.partition(":")[2]))
     try:
-        factory = WEBSTER_BUILTINS[name]
+        handle_name, g, derivative, open_at_zero = WEBSTER_BUILTINS[name]
     except KeyError:
         known = ", ".join(sorted(WEBSTER_BUILTINS) + ["constant:<c>"])
         raise ValueError(f"unknown webster builtin {name!r}; known: {known}") from None
-    return factory()
+    return FunctionHandle(g, handle_name, open_at_zero, derivative=derivative)

@@ -81,17 +81,6 @@ def _load_sequence(args) -> Sequence:
     return read_sequence(args.input, mode=args.mode)
 
 
-def _get_handle(spec: str):
-    if spec.startswith("triplet:"):
-        from . import bernstein
-        path = spec.partition(":")[2]
-        with open(path, "r", encoding="utf-8") as fh:
-            t = bernstein.BernsteinTriplet.from_dict(json.load(fh))
-        return bernstein.triplet_handle(t, name=f"triplet:{path}")
-    from .builtins import get_handle
-    return get_handle(spec)
-
-
 def _to_json(obj):
     """The report tree ``obj`` in JSON's own types, at every depth: a record
     as its own to_dict or else its fields, a tuple as a list, a non-finite
@@ -181,9 +170,8 @@ def _cmd_newton(args):
 
 
 def _cmd_webster(args):
-    from . import webster
-    from .builtins import get_webster_g
-    g = get_webster_g(args.g)
+    from . import builtins, webster
+    g = builtins.get_webster_g(args.g)
     problem = webster.WebsterProblem(
         g,
         n_terms=args.terms,
@@ -199,43 +187,43 @@ def _cmd_webster(args):
 
 
 def _cmd_operator(args):
-    from . import funcops
-    f = _get_handle(args.builtin)
+    from . import builtins, funcops
+    f = builtins.get_handle(args.builtin)
     composed = funcops.apply_operator(f, args.op, args.c[0], args.iterate)
     return EXIT_PASS, {"values": [[x, composed(x)] for x in args.at]}
 
 
 def _cmd_decompose(args):
-    from . import funcops
-    f = _get_handle(args.builtin)
+    from . import builtins, funcops
+    f = builtins.get_handle(args.builtin)
     decompose = funcops.cm_limit_decompose if args.variant == "cm" else funcops.bf_limit_decompose
     return EXIT_PASS, {"decomposition": decompose(f, tuple(args.c), args.nmax)}
 
 
 def _cmd_lattice(args):
-    from . import funcops
-    f = _get_handle(args.builtin)
+    from . import builtins, funcops
+    f = builtins.get_handle(args.builtin)
     rep = funcops.lattice_check(f, args.kind, args.alpha, args.depth, args.tol)
     return _check_code(rep.overall_pass, () if rep.partial else rep.entries), {"lattice": rep}
 
 
 def _cmd_subaffine(args):
-    from . import funcops
-    f = _get_handle(args.builtin)
+    from . import builtins, funcops
+    f = builtins.get_handle(args.builtin)
     rep = funcops.subaffine_check(f, args.c[0], args.bound)
     return (EXIT_PASS if rep.ok else EXIT_FAIL), {"subaffine": rep}
 
 
 def _cmd_bftheta(args):
-    from . import bernstein
-    f = _get_handle(args.builtin)
+    from . import bernstein, builtins
+    f = builtins.get_handle(args.builtin)
     rep = bernstein.check_bf_via_theta(f, tuple(args.c), args.depth)
     return _check_code(rep.overall_pass, rep.entries), {"theta_check": rep}
 
 
 def _cmd_selfdec(args):
-    from . import bernstein
-    f = _get_handle(args.builtin)
+    from . import bernstein, builtins
+    f = builtins.get_handle(args.builtin)
     rep = bernstein.check_selfdecomposable(f, tuple(args.c), args.depth, args.tol)
     return _verdict_code(rep.verdict), {"selfdecomposable": rep}
 

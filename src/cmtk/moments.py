@@ -229,6 +229,8 @@ def _solve_nnls(kernel, target, tol: float):
     scale[scale == 0.0] = 1.0
     scaled = kernel / scale
     w_scaled = _nnls(scaled, target)
+    if not np.isfinite(w_scaled).all():  # the routine overflowed on a target near float range
+        raise ValueError("NNLS weight is beyond float range")
     w = w_scaled / scale
     mismatch = kernel @ w - target
     grad = scaled.T @ mismatch
@@ -295,11 +297,20 @@ def drift_floor_estimate(a: Sequence):
     K = a.last_index
     if K < 1:
         raise ValueError("drift estimation needs at least two terms")
-    d_hat = float(a.values[K] - a.values[K - 1])
-    gap = None
-    if K >= 2:
-        gap = float(a.values[K - 1] - a.values[K - 2]) - d_hat
+    d_hat = _first_difference(a, K)
+    gap = _first_difference(a, K - 1) - d_hat if K >= 2 else None
     return max(d_hat, 0.0), gap
+
+
+def _first_difference(a: Sequence, k: int) -> float:
+    """a_k - a_{k-1} as a float; a ValueError when it passes float range."""
+    try:
+        diff = float(a.values[k] - a.values[k - 1])
+    except OverflowError:  # an exact difference
+        diff = math.inf
+    if not math.isfinite(diff):
+        raise ValueError(f"first difference a_{k} - a_{k - 1} is beyond float range")
+    return diff
 
 
 def invert_ca(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL,
@@ -327,7 +338,10 @@ def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
         d_hat, gap = max(float(drift), 0.0), None
     import numpy as np
 
-    target = np.array(a.as_floats()) - float(q) - d_hat * np.arange(K + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        target = np.array(a.as_floats()) - float(q) - d_hat * np.arange(K + 1)
+    if not np.isfinite(target).all():
+        raise ValueError("CA fit target a_k - q - d k is beyond float range")
     u, B = _power_kernel(K, grid_m, grid_m)
     np.subtract(1.0, B, out=B)  # the kernel 1 - u^k over the first M nodes
     w, residual, kkt = _solve_nnls(B, target, tol)

@@ -28,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import repeat
 
-from .scalars import EPS, EXACT, TINY, Record, coerce_values, parse_scalar
+from .scalars import EPS, EXACT, FLOAT, TINY, Record, coerce_values, parse_scalar
 
 
 class Sequence(Record):
@@ -80,7 +80,8 @@ class Sequence(Record):
         return Sequence(self.values[j:], self.mode, bounds)
 
     def as_floats(self):
-        return [float(v) for v in self.values]
+        """The values as floats; a ValueError names an entry past float range."""
+        return list(coerce_values(self.values, FLOAT)[0])
 
 
 def read_sequence(path, mode=None) -> Sequence:

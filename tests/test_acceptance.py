@@ -23,16 +23,7 @@ from cmtk.bernstein import (
     extract_triplet,
     triplet_handle,
 )
-from cmtk.builtins import (
-    abs_sin_pi_handle,
-    linear_handle,
-    log1p_handle,
-    one_minus_exp_handle,
-    ratio_bf_handle,
-    sqrt_triplet_handle,
-    square_handle,
-    webster_identity,
-)
+from cmtk.builtins import get_handle, get_webster_g
 from cmtk.classify import atom_at_zero, certify
 from cmtk.funcops import FunctionHandle, bf_limit_decompose, lattice_check
 from cmtk.moments import evaluate, invert_cm
@@ -177,7 +168,7 @@ def test_criterion_6_webster_gamma():
     errors = {}
     solutions = {}
     for n in (10**3, 10**4, 10**5):
-        sol = WebsterSolution(WebsterProblem(webster_identity(), n_terms=n))
+        sol = WebsterSolution(WebsterProblem(get_webster_g("identity"), n_terms=n))
         solutions[n] = sol
         errors[n] = abs(sol(0.5) - target)
     ok = errors[10**4] <= 1e-4 and errors[10**5] <= 1e-5
@@ -185,7 +176,7 @@ def test_criterion_6_webster_gamma():
 
     grid = [0.1 + (4.9 - 0.1) * i / 24 for i in range(25)]
     residual = verify_functional_equation(
-        solutions[10**5], webster_identity(), grid
+        solutions[10**5], get_webster_g("identity"), grid
     )
     ok &= residual <= 1e-6
     sw.check()
@@ -227,19 +218,19 @@ def test_criterion_8_theta_characterization():
     sw = Stopwatch(10.0)
     ok = True
     for h in (
-        linear_handle(),
-        one_minus_exp_handle(),
-        ratio_bf_handle(),
-        sqrt_triplet_handle(),
+        get_handle("linear"),
+        get_handle("one-minus-exp"),
+        get_handle("bf-ratio"),
+        get_handle("sqrt-triplet"),
     ):
         ok &= check_bf_via_theta(h).overall_pass
 
-    rep = check_bf_via_theta(square_handle(), cs=(1.0,))
+    rep = check_bf_via_theta(get_handle("square"), cs=(1.0,))
     entry = rep.entries[0]
     ok &= entry.certificate.failed and entry.certificate.witness[0] == 1
 
     tele = bf_limit_decompose(
-        one_minus_exp_handle(), c=1.0, n_max=50
+        get_handle("one-minus-exp"), c=1.0, n_max=50
     ).telescoping_residual
     ok &= tele <= 1e-13
     sw.check()
@@ -248,19 +239,19 @@ def test_criterion_8_theta_characterization():
 
 def test_criterion_9_self_decomposability():
     sw = Stopwatch(5.0)
-    sd_log = check_selfdecomposable(log1p_handle(), depth=30, tol=0.05)
+    sd_log = check_selfdecomposable(get_handle("log1p"), depth=30, tol=0.05)
     ok = sd_log.sd_pass
     b = sd_log.derivative_test
     ok &= b.certificate.passed and b.minimality.minimal
 
-    sd_bad = check_selfdecomposable(one_minus_exp_handle(), depth=30)
+    sd_bad = check_selfdecomposable(get_handle("one-minus-exp"), depth=30)
     cert = sd_bad.derivative_test.certificate
     witness_value = math.exp(-1.0) - 2.0 * math.exp(-2.0)  # ~ +0.0972 in D[1][1]
     ok &= sd_bad.verdict == "fail"
     ok &= cert.failed and cert.witness[:2] == (1, 1)
     ok &= abs(cert.witness[2] - witness_value) <= 1e-12
 
-    sd_drift = check_selfdecomposable(linear_handle(), depth=30)
+    sd_drift = check_selfdecomposable(get_handle("linear"), depth=30)
     ok &= sd_drift.sd_pass
     sw.check()
     report(9, "self-decomposability verdicts", ok)
@@ -277,7 +268,7 @@ def test_criterion_10_lattice_characterizations():
     )
     ok = rep.overall_pass and rep.all_minimal
 
-    sin_rep = lattice_check(abs_sin_pi_handle(), "cm", [1.0, 0.5], depth=10)
+    sin_rep = lattice_check(get_handle("abs-sin-pi"), "cm", [1.0, 0.5], depth=10)
     by_alpha = {e.alpha: e for e in sin_rep.entries}
     ok &= by_alpha[1.0].certificate.passed
     ok &= by_alpha[0.5].certificate.failed

@@ -19,15 +19,7 @@ from cmtk.bernstein import (
     extract_triplet,
     triplet_handle,
 )
-from cmtk.builtins import (
-    get_handle,
-    linear_handle,
-    log1p_handle,
-    one_minus_exp_handle,
-    ratio_bf_handle,
-    sqrt_triplet_handle,
-    square_handle,
-)
+from cmtk.builtins import get_handle
 from cmtk.classify import CA, INCONCLUSIVE, certify
 from cmtk.errors import CertificationError, DomainError
 from cmtk.funcops import FunctionHandle, sampled_sequence
@@ -107,7 +99,7 @@ class TestEval:
 
 class TestExtract:
     def test_single_atom_model(self):
-        phi = one_minus_exp_handle()
+        phi = get_handle("one-minus-exp")
         t, rep = extract_triplet(phi, tol=1e-6)
         assert t.q == 0.0
         assert t.d <= 1e-6
@@ -122,7 +114,7 @@ class TestExtract:
         assert t.total_levy_mass <= 1e-8
 
     def test_ratio_bf_roundtrip(self):
-        phi = ratio_bf_handle()
+        phi = get_handle("bf-ratio")
         t, rep = extract_triplet(phi, tol=1e-6)
         assert t.q == 0.0
         assert t.d <= 1e-6
@@ -131,12 +123,12 @@ class TestExtract:
 
     def test_rejects_non_ca(self):
         with pytest.raises(CertificationError):
-            extract_triplet(square_handle())
+            extract_triplet(get_handle("square"))
 
     def test_builds_one_table(self, monkeypatch):
         # the reported depth-15 certificate and the fit's depth-30 one are
         # read from the same table
-        seq = sampled_sequence(ratio_bf_handle(), [float(k) for k in range(31)])
+        seq = sampled_sequence(get_handle("bf-ratio"), [float(k) for k in range(31)])
         expected = certify(seq, CA, 15)
         built = []
 
@@ -147,7 +139,7 @@ class TestExtract:
         for name, module in list(sys.modules.items()):
             if name.startswith("cmtk") and vars(module).get("difference_table") is difference_table:
                 monkeypatch.setattr(module, "difference_table", counting)
-        t, rep = extract_triplet(ratio_bf_handle(), tol=1e-6)
+        t, rep = extract_triplet(get_handle("bf-ratio"), tol=1e-6)
         assert built == [30]
         assert rep.certificate == expected
 
@@ -170,7 +162,7 @@ class TestExtract:
 
 class TestThetaMembership:
     def test_drift_annihilated(self):
-        rep = check_bf_via_theta(linear_handle())
+        rep = check_bf_via_theta(get_handle("linear"))
         assert rep.overall_pass
         for e in rep.entries:
             assert e.theta_at_zero == 0.0
@@ -179,7 +171,7 @@ class TestThetaMembership:
     def test_bounded_bf_passes(self):
         # theta_1 Phi for Phi = 1-e^-lam is (1-e^-1)(1-e^-lam): a bounded
         # Bernstein function null at zero, checked by direct algebra
-        phi = one_minus_exp_handle()
+        phi = get_handle("one-minus-exp")
         theta_direct = lambda lam: (1.0 - math.exp(-1.0)) * -math.expm1(-lam)
         from cmtk.funcops import apply_operator
 
@@ -189,12 +181,12 @@ class TestThetaMembership:
         assert check_bf_via_theta(phi).overall_pass
 
     def test_ratio_and_sqrt_pass(self):
-        assert check_bf_via_theta(ratio_bf_handle()).overall_pass
-        assert check_bf_via_theta(sqrt_triplet_handle()).overall_pass
+        assert check_bf_via_theta(get_handle("bf-ratio")).overall_pass
+        assert check_bf_via_theta(get_handle("sqrt-triplet")).overall_pass
 
     def test_square_fails_at_depth_one(self):
         # theta_1 lam^2 = 1 + lam^2 - (lam+1)^2 = -2 lam: CA fails at n=1
-        rep = check_bf_via_theta(square_handle(), cs=(1.0,))
+        rep = check_bf_via_theta(get_handle("square"), cs=(1.0,))
         assert not rep.overall_pass
         entry = rep.entries[0]
         assert entry.certificate.failed
@@ -218,7 +210,7 @@ class TestExactMagnitudesPastFloatRange:
     def test_theta_check_of_exact_samples(self):
         # the bounds of exact samples, never used, were computed in float
         # from magnitudes past its range (an OverflowError)
-        rep = check_bf_via_theta(linear_handle(), (1.7e308, 1.0), 10)
+        rep = check_bf_via_theta(get_handle("linear"), (1.7e308, 1.0), 10)
         assert rep.overall_pass
 
 
@@ -253,7 +245,7 @@ class TestThetaSoundnessOracle:
 
 class TestSelfDecomposable:
     def test_log1p_passes(self):
-        rep = check_selfdecomposable(log1p_handle(), depth=30, tol=0.05)
+        rep = check_selfdecomposable(get_handle("log1p"), depth=30, tol=0.05)
         assert rep.sd_pass
         b = rep.derivative_test
         assert b.certificate.passed
@@ -263,7 +255,7 @@ class TestSelfDecomposable:
         assert b.minimality.atom.estimate == Fraction(1, 31)
 
     def test_one_minus_exp_fails_with_witness(self):
-        rep = check_selfdecomposable(one_minus_exp_handle(), depth=30)
+        rep = check_selfdecomposable(get_handle("one-minus-exp"), depth=30)
         assert rep.verdict == "fail"
         cert = rep.derivative_test.certificate
         assert cert.failed
@@ -273,19 +265,19 @@ class TestSelfDecomposable:
         assert value == pytest.approx(math.exp(-1) - 2 * math.exp(-2), rel=1e-12)
 
     def test_pure_drift_passes(self):
-        rep = check_selfdecomposable(linear_handle(), depth=30)
+        rep = check_selfdecomposable(get_handle("linear"), depth=30)
         assert rep.sd_pass
         assert rep.derivative_test.certificate.mode == "exact"
 
     def test_consistency_b_implies_a(self):
         # anything passing the derivative test passes every probed scale test
-        for h in (log1p_handle(), linear_handle()):
+        for h in (get_handle("log1p"), get_handle("linear")):
             rep = check_selfdecomposable(h, depth=30, tol=0.05)
             if rep.derivative_test.passed:
                 assert all(e.passed for e in rep.scale_tests)
 
     def test_caveat_always_present(self):
-        rep = check_selfdecomposable(linear_handle())
+        rep = check_selfdecomposable(get_handle("linear"))
         assert any("holomorphic" in c for c in rep.caveats)
 
     def test_domain_error_of_the_derivative_propagates(self):

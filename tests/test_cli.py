@@ -509,6 +509,17 @@ class TestMalformedInput:
                      id="out-missing-directory"),
         pytest.param('{"result": 5}', ["evaluate", "--at", "1"], id="evaluate-result-number"),
         pytest.param('{"result": null}', ["evaluate", "--at", "1"], id="evaluate-result-null"),
+        # fits of exact data past float range: an entry, a first difference
+        # and the CA target a_k - q - d k
+        *(pytest.param("1e309\n0\n0\n", argv, id=f"entry-past-float-range-{argv[0]}")
+          for argv in (["invert", "cm"], ["extend", "--kind", "cm", "--at", "1"])),
+        *(pytest.param(text, argv, id=f"{name}-past-float-range-{argv[0]}")
+          for name, text in [("difference", "-1.7e308\n1.7e308\n"),
+                             ("ca-target", "-1.7e308\n0\n1.7e308\n")]
+          for argv in (["invert", "ca"], ["extend", "--kind", "ca", "--at", "1"], ["egf"])),
+        # the NNLS routine's own weights overflowed: a pass with null weights
+        pytest.param("0\n1.7e308\n1.7e308\n", ["invert", "ca"],
+                     id="nnls-weight-past-float-range"),
     ])
     def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
         argv = list(argv)
@@ -577,6 +588,19 @@ class TestMalformedInput:
         err = self._one_line_exit_3(
             capsys, ["operator", "--builtin", f"triplet:{p}", "--op", "sigma", "--at", "1"])
         assert "'levy'" in err
+
+    @pytest.mark.parametrize("argv", [["invert", "ca"], ["extend", "--kind", "ca", "--at", "1"],
+                                      ["egf"]], ids=lambda argv: argv[0])
+    def test_ca_target_past_float_range_in_a_child(self, tmp_path, argv):
+        # pytest records warnings, so only a child shows numpy's on stderr
+        p = tmp_path / "seq.csv"
+        p.write_text("-1.7e308\n0\n1.7e308\n")
+        proc = subprocess.run([sys.executable, "-m", "cmtk.cli", *argv, str(p)],
+                              env=TestStartUpImports._env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == "error: CA fit target a_k - q - d k is beyond float range\n"
 
     def test_malformed_max_evals(self, capsys, monkeypatch):
         monkeypatch.setenv("CMTK_MAX_EVALS", "abc")

@@ -7,6 +7,7 @@ fails the test."""
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -49,6 +50,42 @@ def sequence_files(draw):
     return {"seq.csv": "".join(f"{e}\n" for e in entries)}
 
 
+# scales of the certifiable families, at and past the ends of float range
+SCALES = ["5e-324", "1e-300", "1", "1e300", "1.7e308", "1e309", "123456789012345678901234567890"]
+FAMILIES = [
+    lambda a, b, r, k: abs(a) * r**k,                     # CM
+    lambda a, b, r, k: abs(a) / (k + 1),                  # CM
+    lambda a, b, r, k: a + b * k,                         # CA
+    lambda a, b, r, k: a + b * k + abs(a) * (1 - r**k),   # CA
+    lambda a, b, r, k: a,                                 # CM (a >= 0) and CA
+]
+
+
+def _exact(v):
+    return f"{v.numerator}/{v.denominator}"
+
+
+def _literal(v):
+    """v as a float literal, or exact where it passes float range."""
+    try:
+        return repr(float(v))
+    except OverflowError:
+        return _exact(v)
+
+
+@st.composite
+def certifiable_files(draw):
+    """A sequence that certifies CM or CA, so that the fits run on it: a r^k,
+    a/(k+1), a + bk, a + bk + |a|(1 - r^k) or a, at scales from the ends of
+    float range, written exact or as float literals."""
+    scales = st.sampled_from(SCALES).map(Fraction)
+    a = draw(scales) * draw(st.sampled_from([1, -1, 0]))
+    b, r = draw(scales), draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+    family, write = draw(st.sampled_from(FAMILIES)), draw(st.sampled_from([_exact, _literal]))
+    return {"seq.csv": "".join(f"{write(family(a, b, r, k))}\n"
+                               for k in range(draw(st.integers(1, 12))))}
+
+
 @st.composite
 def model_files(draw):
     atoms = sorted(set(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))))
@@ -69,7 +106,7 @@ def model_files(draw):
 @st.composite
 def commands(draw):
     """(argv, files): one command line, naming files by their keys."""
-    files = draw(sequence_files())
+    files = draw(sequence_files() | certifiable_files())
     files["triplet.json"] = json.dumps({"q": draw(st.sampled_from([0.0, 1.0, 1e300])),
                                         "d": draw(st.sampled_from([0.0, 2.0, 1e-300])),
                                         "levy": [{"x": float(draw(positives)), "w": 0.5}]})
@@ -163,6 +200,12 @@ def default_budget():
 @example(case=(["webster", "--g", "identity", "--at", "1e16"], {}))
 # the recursion multiplied on past inf until the budget ran out (exit 2)
 @example(case=(["webster", "--g", "identity", "--at", "1e15"], {}))
+# fits of exact data past float range: an entry (a traceback), a first
+# difference (a traceback) and the CA target (numpy's warnings on stderr)
+@example(case=(["invert", "cm", "seq.csv"], {"seq.csv": "1e309\n0\n0\n"}))
+@example(case=(["egf", "seq.csv"], {"seq.csv": "-1.7e308\n1.7e308\n"}))
+@example(case=(["extend", "seq.csv", "--kind", "ca", "--at=1"],
+               {"seq.csv": "-1.7e308\n0\n1.7e308\n"}))
 def test_exit_code_contract(case, workdir, default_budget):
     argv, files = case
     for name, text in files.items():

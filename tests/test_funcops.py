@@ -23,7 +23,6 @@ from cmtk.builtins import (
     _sqrt_triplet,
     get_handle,
     get_webster_g,
-    webster_identity,
 )
 from cmtk.errors import BudgetExceededError, DomainError
 from cmtk.funcops import (
@@ -36,7 +35,7 @@ from cmtk.funcops import (
     sampled_sequence,
     subaffine_check,
 )
-from cmtk.scalars import EPS, TINY
+from cmtk.scalars import EPS, TINY, is_exact
 from cmtk.seqcore import Sequence
 from cmtk.webster import WebsterProblem, WebsterSolution
 
@@ -199,7 +198,7 @@ class TestDomain:
 
     def test_open_at_zero_refuses_zero(self):
         with pytest.raises(DomainError, match="only defined for x > 0"):
-            webster_identity().sample([1.0, 0.0])
+            get_webster_g("identity").sample([1.0, 0.0])
 
     def test_sigma_scale_past_float_range(self):
         with pytest.raises(ValueError, match="beyond float range"):
@@ -212,14 +211,14 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("make, run, want", [
         pytest.param(lambda: get_handle("one-minus-exp"),
                      lambda f: bf_limit_decompose(f, n_max=50), 1788, id="bf-limit-decompose"),
-        pytest.param(webster_identity,
+        pytest.param(lambda: get_webster_g("identity"),
                      lambda g: WebsterSolution(WebsterProblem(g, 1000))._prepare(), 1096,
                      id="webster-prepare"),
         # one series-shaped op: prepare 1096, a new base point 1001, x1 + 1
         # its cached base plus g(x1), x = 1 the base point 1, whose shifted
         # points are read off the log table, so g(N + 1) and g(1), and x2 + 2
         # its base plus g(x2) and g(x2 + 1)
-        pytest.param(webster_identity,
+        pytest.param(lambda: get_webster_g("identity"),
                      lambda g: list(map(WebsterSolution(WebsterProblem(g, 1000)).result,
                                         (0.375, 1.375, 1.0, 2.6875))), 3103,
                      id="webster-series-op"),
@@ -415,9 +414,7 @@ class TestLattice:
         assert rep.all_minimal
 
     def test_sin_counterexample_needs_fine_lattice(self):
-        from cmtk.builtins import abs_sin_pi_handle
-
-        rep = lattice_check(abs_sin_pi_handle(), "cm", [1.0, 0.5], depth=10)
+        rep = lattice_check(get_handle("abs-sin-pi"), "cm", [1.0, 0.5], depth=10)
         by_alpha = {e.alpha: e for e in rep.entries}
         assert by_alpha[1.0].certificate.passed          # samples are all zero
         assert by_alpha[0.5].certificate.failed          # 0,1,0,1 alternation
@@ -535,3 +532,79 @@ class TestPlainHandleError:
                 v = float(f(x))
                 err = abs(Decimal(v) - oracle(Decimal(x)))
                 assert err <= Decimal(max(EPS * abs(v), TINY)), (x, v)
+
+
+class TestRegistry:
+    """Each row of BUILTIN_HANDLES and WEBSTER_BUILTINS builds its handle:
+    its name, open_at_zero, and the value and derivative, types included, at
+    exact and float points."""
+
+    XS = (0, 1, Fraction(5, 2), 0.5, 1e300)
+    SQRT_TRIPLET = triplet_handle(_sqrt_triplet())
+    # spec: (handle name, open at zero, f, f' or None)
+    ROWS = {
+        "exp-decay": ("exp-decay", False, lambda x: math.exp(-x), lambda x: -math.exp(-x)),
+        "reciprocal": ("reciprocal", False,
+                       lambda x: 1 / (1 + Fraction(x)) if is_exact(x) else 1 / (1 + x), None),
+        "sqrt": ("sqrt", False, math.sqrt, lambda x: 1 / (2 * math.sqrt(x)) if x else math.inf),
+        "sqrt-triplet": ("sqrt-triplet", False, SQRT_TRIPLET.fn, SQRT_TRIPLET.derivative),
+        "log1p": ("log1p", False, math.log1p,
+                  lambda x: 1 / (1 + Fraction(x)) if is_exact(x) else 1 / (1 + x)),
+        "one-minus-exp": ("one-minus-exp", False, lambda x: -math.expm1(-x),
+                          lambda x: math.exp(-x)),
+        "linear": ("linear", False, lambda x: x, lambda x: 1 if is_exact(x) else 1.0),
+        "square": ("square", False, lambda x: x * x, lambda x: x + x),
+        "bf-ratio": ("bf-ratio", False,
+                     lambda x: Fraction(x) / (1 + x) if is_exact(x) else x / (1 + x),
+                     lambda x: 1 / (1 + Fraction(x))**2 if is_exact(x) else (1 / (1 + x))**2),
+        "abs-sin-pi": ("abs-sin-pi", False,
+                       lambda x: 0.0 if x in (0, 1) else abs(math.sin(math.pi * x)), None),
+        "webster:identity": ("g-identity", True, lambda x: x, lambda x: 1.0),
+        "webster:exp-neg-cm": ("g-exp-neg-cm", False, lambda x: math.exp(-math.exp(-x)),
+                               lambda x: math.exp(-x) * math.exp(-math.exp(-x))),
+        "webster:constant:1/2": ("g-constant(0.5)", False, lambda x: math.exp(0.5),
+                                 lambda x: 0.0),
+    }
+
+    def test_rows_cover_both_tables(self):
+        assert set(self.ROWS) == {*BUILTIN_HANDLES, "webster:constant:1/2",
+                                  *(f"webster:{name}" for name in WEBSTER_BUILTINS)}
+
+    @pytest.mark.parametrize("spec", ROWS)
+    def test_row(self, spec):
+        name, open_at_zero, fn, derivative = self.ROWS[spec]
+        key = spec.removeprefix("webster:")
+        f = get_handle(spec) if key == spec else get_webster_g(key)
+        assert (f.name, f.open_at_zero) == (name, open_at_zero)
+        assert (f.derivative is None) == (derivative is None)
+        for x in self.XS:
+            assert repr(f.fn(x)) == repr(fn(x)), x
+            if derivative is not None:
+                assert repr(f.derivative(x)) == repr(derivative(x)), x
+
+    def test_triplet_file(self, tmp_path):
+        path = tmp_path / "triplet.json"
+        path.write_text('{"q": 2.0, "d": 3.0, "levy": [{"x": 1.0, "w": 0.5}]}')
+        f = get_handle(f"triplet:{path}")
+        want = triplet_handle(BernsteinTriplet(2.0, 3.0, ((1.0, 0.5),)))
+        assert (f.name, f.open_at_zero) == (f"triplet:{path}", False)
+        for x in self.XS:
+            assert (f(x), f.derivative(x)) == (want(x), want.derivative(x))
+
+    @pytest.mark.parametrize("spec", ["nope", "Linear", "triplet", "constant:1"])
+    def test_unknown_builtin_lists_every_name(self, spec):
+        with pytest.raises(ValueError) as info:
+            get_handle(spec)
+        assert str(info.value) == (
+            f"unknown builtin {spec!r}; known: abs-sin-pi, bf-ratio, exp-decay, linear, log1p, "
+            "one-minus-exp, reciprocal, sqrt, sqrt-triplet, square")
+
+    @pytest.mark.parametrize("spec, message", [
+        ("nope", "unknown webster builtin 'nope'; known: exp-neg-cm, identity, constant:<c>"),
+        ("constant:1e400", f"constant:{10**39}: e^c is beyond float range"),
+        ("constant:1e300", "constant:1e+300: e^c is beyond float range"),
+    ])
+    def test_webster_errors(self, spec, message):
+        with pytest.raises(ValueError) as info:
+            get_webster_g(spec)
+        assert str(info.value) == message

@@ -11,7 +11,7 @@ import tracemalloc
 import pytest
 
 from cmtk._extrapolate import richardson_derivative
-from cmtk.builtins import webster_constant, webster_exp_neg_cm, webster_identity
+from cmtk.builtins import get_webster_g, webster_constant
 from cmtk.errors import BudgetExceededError, DomainError
 from cmtk.funcops import FunctionHandle
 from cmtk.webster import (
@@ -24,7 +24,7 @@ from cmtk.webster import (
 
 
 def gamma_problem(n_terms, accel="aitken"):
-    return WebsterProblem(webster_identity(), n_terms=n_terms, acceleration=accel)
+    return WebsterProblem(get_webster_g("identity"), n_terms=n_terms, acceleration=accel)
 
 
 class TestGammaInstance:
@@ -56,7 +56,7 @@ class TestGammaInstance:
 
     def test_functional_equation_residual(self):
         sol = WebsterSolution(gamma_problem(10**5))
-        g = webster_identity()
+        g = get_webster_g("identity")
         grid = [0.1 + 0.2 * i for i in range(25)]
         assert verify_functional_equation(sol, g, grid) <= 1e-6
 
@@ -98,7 +98,7 @@ class TestClosedForms:
         # g = exp(-e^{-x}): Psi(x) = e^{-x}/(1 - e^{-1}) solves
         # Psi(x) - Psi(x+1) = e^{-x}, so f = exp(Psi(x) - Psi(1))
         problem = WebsterProblem(
-            webster_exp_neg_cm(), n_terms=2000, g_limit_one=True
+            get_webster_g("exp-neg-cm"), n_terms=2000, g_limit_one=True
         )
         sol = WebsterSolution(problem)
         scale = 1.0 - math.exp(-1.0)
@@ -140,17 +140,17 @@ class TestProblemChecks:
     def test_unknown_acceleration_rejected(self):
         # a misspelt mode once fell through to the raw gamma, 0.57772
         with pytest.raises(ValueError, match="acceleration must be 'aitken' or 'none', got 'aitkin'"):
-            WebsterProblem(webster_identity(), 1000, "aitkin")
+            WebsterProblem(get_webster_g("identity"), 1000, "aitkin")
 
     @pytest.mark.parametrize("n_terms", [1e3, "1000", None, True])
     def test_non_integer_truncation_rejected(self, n_terms):
         with pytest.raises(ValueError, match="n_terms must be an integer"):
-            WebsterProblem(webster_identity(), n_terms)
+            WebsterProblem(get_webster_g("identity"), n_terms)
 
     def test_non_bool_limit_flag_rejected(self):
         # a truthy "no" once chose the lim g = 1 product for g(x) = x
         with pytest.raises(ValueError, match="g_limit_one must be a bool, got 'no'"):
-            WebsterProblem(webster_identity(), 10, g_limit_one="no")
+            WebsterProblem(get_webster_g("identity"), 10, g_limit_one="no")
 
 
 def reference_result(g, n_terms, x, acceleration="aitken", g_limit_one=False):
@@ -194,9 +194,9 @@ class TestBitIdentity:
     """The streamed product gives the very bits of the listed product."""
 
     HANDLES = {
-        "identity": (webster_identity, False),
+        "identity": (lambda: get_webster_g("identity"), False),
         "constant": (lambda: webster_constant(0.8), False),
-        "exp-neg-cm": (webster_exp_neg_cm, True),
+        "exp-neg-cm": (lambda: get_webster_g("exp-neg-cm"), True),
         "no-derivative": (lambda: FunctionHandle(math.sqrt, "sqrt", True), False),
         "no-derivative-limit-one": (
             lambda: FunctionHandle(lambda x: x / (1.0 + x), "ratio", True), True),
@@ -246,11 +246,11 @@ class TestEvaluationPoints:
 
     def test_integer_x_reads_the_table(self):
         # base point 1 calls g at N + 1 and at 1; the recursion to 3 at 1 and 2
-        g, seen = self.recorded(webster_identity)
+        g, seen = self.recorded(lambda: get_webster_g("identity"))
         sol = WebsterSolution(WebsterProblem(g, 1000))
         sol._prepare()
         seen.clear()
-        assert sol.result(3.0).value == reference_result(webster_identity(), 1000, 3.0)[0]
+        assert sol.result(3.0).value == reference_result(get_webster_g("identity"), 1000, 3.0)[0]
         assert seen == [1001.0, 1.0, 1.0, 2.0]
         assert g.calls == 4
 
