@@ -3,9 +3,12 @@ sequences, atom-at-zero estimation, minimality and the degeneracy dichotomy.
 
 A sequence is certified CM when (-1)^n Delta^n a(k) >= 0 for every table
 entry with n <= depth, and CA when the same quantity is <= 0 for 1 <= n <=
-depth.  Verdicts are three-valued: in float mode an entry whose error bound
-straddles zero is undecidable, and a table with undecidable entries but no
-strict violation yields "inconclusive" rather than "pass" or "fail".
+depth.  Verdicts are three-valued: in float mode an entry s with bound e is
+certified when s - e >= 0, violating when s + e < 0 and else undecidable, and a
+table with undecidable entries but no strict violation is "inconclusive".  On
+finite floats the tests are s >= e and s < -e (a float difference is 0 only when
+its operands are equal): a row whose bounds sum to a finite value is decided by
+those comparisons, an overflowed row entry by entry.
 
 One scan streams the kernel's rows, stops at the first witness's row and keeps
 column 0 for minimality and the atom trail.  Degeneracy and extract_triplet keep a
@@ -15,7 +18,9 @@ table on purpose: perfbench's count test needs one in its exact and float warm-u
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice, repeat
+from itertools import islice
+from math import inf
+from operator import ge, gt, le, neg
 
 from .errors import CertificationError
 from .scalars import CA, CM, EXACT, FLOAT, Record
@@ -85,7 +90,8 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
     """The one sign scan.  Rows 0..depth come from a kept table's ``_scaled_rows()``
     if given, else from the kernel, at most two alive at once.  With a ``fail``
     message, failing raises CertificationError.  A ``column`` list gets the
-    (scaled entry, bound, entry) at column 0 of each row scanned."""
+    (scaled entry, bound, entry) at column 0 of each row scanned.  A row with a finite
+    bound sum is decided by s >= e and s < -e, on finite floats s - e >= 0 and s + e < 0."""
     if kind not in (CM, CA):
         raise ValueError(f"kind must be {CM!r} or {CA!r}")
     scale, pairs = rows or _scaled_rows(a, depth)
@@ -95,15 +101,25 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
     for n, (row, bounds) in islice(enumerate(pairs), 0 if kind == CM else 1, depth + 1):
         if column is not None:
             column.append((row[0], 0 if bounds is None else bounds[0], unscale(row[0])))
-        if bounds is None:
-            # an exact row that holds its sign is decided by one min or max,
-            # which is also its least |entry|
-            m = min(row) if kind == CM else -max(row)
-            if m >= 0:
-                margin = m if margin is None else min(margin, m)
-                continue
-            bounds = repeat(0)  # int zeros keep the scaled ints out of float arithmetic
-        for k, (v, e) in enumerate(zip(row, bounds)):
+        m = min(row) if kind == CM else -max(row)  # the least |entry| of a row that holds its sign
+        if bounds is None and m >= 0:  # an exact row that holds its sign is decided by it
+            margin = m if margin is None else min(margin, m)
+            continue
+        bounds = bounds or [0] * len(row)  # int zeros keep the scaled ints out of float arithmetic
+        if sum(bounds) < inf:  # past row 0 a bound is at least EPS |entry|: finite entries too
+            m = m if m >= 0 else min(map(abs, row))
+            margin = m if margin is None else min(margin, m)
+            signed, negated = (row, map(neg, row)) if kind == CM else (map(neg, row), row)
+            certified = sum(map(ge, signed, bounds))  # s - e >= 0 exactly when s >= e
+            if certified < len(row):
+                violating = list(map(gt, negated, bounds))  # s + e < 0 exactly when -s > e
+                undecidable += len(row) - certified - sum(violating)
+                if True in violating:
+                    k = violating.index(True)
+                    witness = (n, k, unscale(row[k]))
+                    break
+            continue
+        for k, (v, e) in enumerate(zip(row, bounds)):  # an overflowed row: the per-entry rule
             m = -v if v < 0 else v
             if margin is None or m < margin:
                 margin = m
@@ -111,8 +127,7 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
             if s - e >= 0:
                 continue
             if s + e < 0:
-                if witness is None:
-                    witness = (n, k, unscale(v))
+                witness = witness or (n, k, unscale(v))
             else:
                 undecidable += 1
         if witness is not None:
@@ -223,7 +238,7 @@ def degenerate_classify(a: Sequence, kind: str, depth=None) -> str:
     degenerate = CONSTANT_TAIL if kind == CM else AFFINE_TAIL
 
     for row, bounds in islice(table._scaled_rows()[1], 1, None):
-        if 0 in row if bounds is None else any(map(lambda v, e: abs(v) <= e, row, bounds)):
+        if 0 in row if bounds is None else any(map(le, map(abs, row), bounds)):
             return degenerate
 
     vals = a.values

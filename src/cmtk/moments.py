@@ -240,7 +240,11 @@ def _solve_nnls(kernel, target, tol: float):
         kkt = float(np.max(np.abs(grad[active])))
     if (~active).any():
         kkt = max(kkt, float(np.max(np.maximum(0.0, -grad[~active]))))
-    residual = float(np.linalg.norm(mismatch))
+    with np.errstate(over="ignore"):  # a sum of squares past float range: rescaled below
+        residual = float(np.linalg.norm(mismatch))
+    if residual == math.inf and np.isfinite(mismatch).all():
+        s = float(np.max(np.abs(mismatch)))
+        residual = s * float(np.linalg.norm(mismatch / s))
     threshold = RESIDUAL_FACTOR * tol
     if residual > threshold:
         raise NotRepresentableError(f"not representable at this grid: residual "

@@ -52,7 +52,7 @@ class Sequence(Record):
                 raise ValueError("exact sequences carry no error bounds")
             if len(self.value_bounds) != len(self.values):
                 raise ValueError("value_bounds length mismatch")
-            if any(b < 0 for b in self.value_bounds):
+            if any(not b >= 0 for b in self.value_bounds):  # NaN too
                 raise ValueError("value_bounds must be nonnegative")
 
     @classmethod

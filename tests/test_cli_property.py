@@ -6,8 +6,13 @@ fails the test."""
 
 import io
 import json
+import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -206,6 +211,10 @@ def default_budget():
 @example(case=(["egf", "seq.csv"], {"seq.csv": "-1.7e308\n1.7e308\n"}))
 @example(case=(["extend", "seq.csv", "--kind", "ca", "--at=1"],
                {"seq.csv": "-1.7e308\n0\n1.7e308\n"}))
+# the NNLS residual's sum of squares passed float range: numpy's overflow
+# warning on stderr and a residual of inf (see the child test below)
+@example(case=(["invert", "ca", "seq.csv"], {"seq.csv": "0\n1e300\n1e300\n"}))
+@example(case=(["invert", "cm", "seq.csv"], {"seq.csv": "1.7e308\n1e300\n0\n"}))
 def test_exit_code_contract(case, workdir, default_budget):
     argv, files = case
     for name, text in files.items():
@@ -224,3 +233,19 @@ def test_exit_code_contract(case, workdir, default_budget):
         report = json.loads(out.getvalue(), parse_constant=reject_constant)
         assert report["exit_code"] == code
 
+
+@pytest.mark.parametrize("kind, text", [("ca", "0\n1e300\n1e300\n"), ("cm", "1.7e308\n1e300\n0\n")],
+                         ids=["ca", "cm"])
+def test_residual_past_float_range_in_a_child(tmp_path, kind, text):
+    # pytest records warnings, so only a child shows numpy's on stderr
+    p = tmp_path / "seq.csv"
+    p.write_text(text)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "cmtk.cli", "invert", kind, str(p), "--no-meta"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    error = json.loads(proc.stdout)["result"]["error"]
+    assert error.startswith("not representable at this grid: residual ")
+    assert math.isfinite(float(error.split()[-3]))

@@ -133,7 +133,9 @@ class TestValueBounds:
     never negative: subtracted from an entry, a negative one would make a
     violating entry look certified."""
 
-    @pytest.mark.parametrize("bounds", [[-5.0] * 3, [0.0, -1e-300, 0.0], [1.0, 1.0, -math.inf]])
+    # a NaN bound is refused too: it would turn every entry it reaches undecidable
+    @pytest.mark.parametrize("bounds", [[-5.0] * 3, [0.0, -1e-300, 0.0], [1.0, 1.0, -math.inf],
+                                        [math.nan] * 3, [0.0, 1.0, math.nan]])
     def test_negative_bound_is_refused(self, bounds):
         with pytest.raises(ValueError, match="value_bounds must be nonnegative"):
             Sequence.from_values([1.0, 2.0, 3.0], mode="float", value_bounds=bounds)
