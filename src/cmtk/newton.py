@@ -4,11 +4,12 @@ Series construction from integer samples (coefficients Delta^k f(0) / k!),
 truncated evaluation with a heuristic tail estimate, and convergence
 acceleration of the partial sums by Levin's u-transform.
 
-A built series keeps only what evaluation reads: Delta^k f(0) times one
-scale, read off column 0 of the difference table (ints for exact
-samples); the coefficients are made from them when first read.  At an
-exact z the terms are walked once, forward, on ints: each magnitude is one
-int division and the partial sum one int, reduced to a Fraction once.
+A series is a record of what evaluation reads: Delta^k f(0) times one
+scale (``deltas``, ``scale``), read off column 0 of the difference table
+(ints for exact samples); its coefficients are made from them when first
+read.  At an exact z the terms are walked once, forward, on ints: each
+magnitude is one int division and the partial sum one int, reduced to a
+Fraction once.
 """
 
 from __future__ import annotations
@@ -26,59 +27,38 @@ from .scalars import EPS, EXACT, FLOAT, Record, is_exact
 from .seqcore import Sequence, difference_table
 
 
-class NewtonSeries:
-    """Gregory-Newton coefficients c_k = Delta^k f(0) / k! of the samples
-    f(0), ..., f(N), one per sample (c_0 = f(0); the partial sums
-    interpolate every sample index exactly).
-
-    ``series_from_samples`` gives a series that holds Delta^k f(0) times
-    one scale L (``_deltas``, ``_scale``: ints for exact samples, the floats
-    themselves with L = 1 for float ones) and the float table's error
-    bounds on them (``_bounds``); evaluation divides by L k! exactly, as the
-    rounded c_k can underflow.  Its ``coeffs`` are built on first read and
-    cached.  ``NewtonSeries(coeffs, mode)`` starts from the coefficients:
-    an exact one derives ``_deltas`` and ``_scale`` once (L the lcm of the
-    denominators of c_k k!), a float one keeps none.  Series compare equal
-    when their coefficients and modes do.
+class NewtonSeries(Record):
+    """The Gregory-Newton series of the samples f(0), ..., f(N), held as
+    what evaluation reads: ``deltas``, Delta^k f(0) times one scale L
+    (``scale``: ints for exact samples, the floats themselves with L = 1
+    for float ones), and the float table's error bounds on them
+    (``bounds``, None for exact samples).  Evaluation divides by L k!
+    exactly, as the rounded coefficients can underflow.  The coefficients
+    c_k = Delta^k f(0) / k!, one per sample (c_0 = f(0); the partial sums
+    interpolate every sample index exactly), are built on first read of
+    ``coeffs`` and cached.  Build a series with ``series_from_samples``.
     """
 
-    def __init__(self, coeffs, mode=EXACT):
-        self.coeffs, self.mode = tuple(coeffs), mode
-        self._deltas, self._scale, self._bounds = None, 1, None
-        if mode == EXACT:
-            # c_k k! = Delta^k f(0), scaled to ints by the lcm of their denominators
-            diffs = [Fraction(c) * math.factorial(k) for k, c in enumerate(self.coeffs)]
-            self._scale = math.lcm(*(d.denominator for d in diffs))
-            self._deltas = tuple(d.numerator * (self._scale // d.denominator) for d in diffs)
+    mode: str
+    deltas: tuple
+    scale: int = 1
+    bounds: tuple | None = None
 
-    @classmethod
-    def _from_differences(cls, mode, deltas, scale, bounds):
-        series = cls.__new__(cls)
-        series.mode, series._deltas, series._scale, series._bounds = mode, deltas, scale, bounds
-        return series
+    def __post_init__(self):
+        if self.mode not in (EXACT, FLOAT):
+            raise ValueError(f"mode must be {EXACT!r} or {FLOAT!r}, not {self.mode!r:.40}")
 
     @cached_property
     def coeffs(self):
-        """c_k = ``_deltas[k]`` / (``_scale`` k!): reduced Fractions for an
+        """c_k = ``deltas[k]`` / (``scale`` k!): reduced Fractions for an
         exact series, rounded once for a float one."""
-        factorials = itertools.accumulate(range(1, len(self._deltas)), operator.mul, initial=1)
+        factorials = itertools.accumulate(range(1, len(self.deltas)), operator.mul, initial=1)
         if self.mode == EXACT:
-            return tuple(Fraction(d, self._scale * f) for d, f in zip(self._deltas, factorials))
-        return tuple(_scaled(d, 0, f) for d, f in zip(self._deltas, factorials))
+            return tuple(Fraction(d, self.scale * f) for d, f in zip(self.deltas, factorials))
+        return tuple(_scaled(d, 0, f) for d, f in zip(self.deltas, factorials))
 
     def __len__(self):
-        return len(self.coeffs if self._deltas is None else self._deltas)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeffs, self.mode) == (other.coeffs, other.mode)
-
-    def __hash__(self):
-        return hash((self.coeffs, self.mode))
-
-    def __repr__(self):
-        return f"NewtonSeries(coeffs={self.coeffs!r}, mode={self.mode!r})"
+        return len(self.deltas)
 
     def to_dict(self):
         return {
@@ -93,7 +73,7 @@ def series_from_samples(samples: Sequence) -> NewtonSeries:
     table = difference_table(samples, samples.last_index)
     deltas = tuple(-row[0] if n % 2 else row[0] for n, row in enumerate(table.scaled))
     bounds = None if table.bounds is None else tuple(row[0] for row in table.bounds)
-    return NewtonSeries._from_differences(samples.mode, deltas, table.scale, bounds)
+    return NewtonSeries(samples.mode, deltas, table.scale, bounds)
 
 
 def _scaled(c, e: int, divisor: int = 1) -> float:
@@ -125,26 +105,23 @@ class SeriesValue(Record):
 def _terms(series: NewtonSeries, z, n_terms: int, start: int, window, total, noise):
     """|term_k| of the terms c_k z^{falling k}, k < n_terms, in float/complex
     arithmetic.  z^{falling k} is carried as m 2^e with |m| < 1 and each term
-    is c_k 2^e, rounded once from the exact c_k (``_deltas[k]`` / (``_scale``
-    k!) where the series keeps its differences), times m: so neither
-    overflows nor underflows where z^{falling k}, k! or c_k alone would, and
-    a term that stays in range keeps the bits of c_k times z^{falling k}.
-    The list ``window`` receives the terms k >= start, and ``total`` the sum
-    of all of them, left to right; a list ``noise``, for float samples, each
-    term's bound from the table's error bound on Delta^k f(0), carried the same way."""
-    if series._deltas is None:
-        cs, divisors = series.coeffs, itertools.repeat(1)
-    else:  # _scale k!
-        cs = series._deltas
-        divisors = itertools.accumulate(range(1, n_terms), operator.mul, initial=series._scale)
+    is c_k 2^e, rounded once from the exact c_k = ``deltas[k]`` / (``scale``
+    k!), times m: so neither overflows nor underflows where z^{falling k},
+    k! or c_k alone would, and a term that stays in range keeps the bits of
+    c_k times z^{falling k}.  The list ``window`` receives the terms
+    k >= start, and ``total`` the sum of all of them, left to right; a list
+    ``noise``, for float samples, each term's bound from the table's error
+    bound on Delta^k f(0), carried the same way."""
+    deltas, bounds = series.deltas, series.bounds
+    divisors = itertools.accumulate(range(1, n_terms), operator.mul, initial=series.scale)  # L k!
     m, e, acc = (1.0 + 0.0j if isinstance(z, complex) else 1.0), 0, 0.0
     for k, divisor in zip(range(n_terms), divisors):
-        term = _scaled(cs[k], e, divisor) * m
+        term = _scaled(deltas[k], e, divisor) * m
         acc = acc + term
         if k >= start:
             window.append(term)
         if noise is not None:
-            noise.append(_scaled(series._bounds[k], e, divisor) * abs(m))
+            noise.append(_scaled(bounds[k], e, divisor) * abs(m))
         yield abs(term)
         m = m * (z - k)
         s = math.frexp(max(abs(m.real), abs(m.imag)))[1]
@@ -155,15 +132,15 @@ def _terms(series: NewtonSeries, z, n_terms: int, start: int, window, total, noi
 def _exact_terms(series: NewtonSeries, z, n_terms: int, start: int, window, total):
     """``_terms`` of an exact series at an exact z = p/q, in one forward
     pass on ints.  Term k is t_k / D_k: t_k = Delta_k F_k with Delta_k =
-    L Delta^k f(0) (L = ``_scale``), F_{k+1} = F_k (p - kq) from F_0 = 1,
+    L Delta^k f(0) (L = ``scale``), F_{k+1} = F_k (p - kq) from F_0 = 1,
     and D_k = L k! q^k.  |t_k| / D_k is one int division, rounded once, so
     it equals float(abs(term_k)) (OverflowError past float range).  The sum
     is one int S over D_k, S <- S (k+1) q + t_{k+1}, reduced to a Fraction
     once at the end; only the window's terms become Fractions."""
-    p, q = z.numerator, z.denominator
-    num, den, s = 1, series._scale, 0  # F_k, D_k and S
+    p, q, deltas = z.numerator, z.denominator, series.deltas
+    num, den, s = 1, series.scale, 0  # F_k, D_k and S
     for k in range(n_terms):
-        t = series._deltas[k] * num
+        t = deltas[k] * num
         s += t
         yield abs(t) / den
         if k >= start:
@@ -188,8 +165,10 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
 
 def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
     """``eval_series``'s value and the ``last`` terms it summed."""
-    if n_terms is None:
-        n_terms = len(series)
+    try:
+        n_terms = len(series) if n_terms is None else operator.index(n_terms)
+    except TypeError:
+        raise ValueError(f"n_terms must be an integer, not {n_terms!r:.40}") from None
     if not 1 <= n_terms <= len(series):
         raise ValueError(f"n_terms must lie in 1..{len(series)}, got {n_terms}")
     if isinstance(z, (float, complex)) and not cmath.isfinite(z):
@@ -202,7 +181,7 @@ def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
 
     start = max(0, n_terms - last)
     window, total = [], []
-    noise = None if series._bounds is None else []
+    noise = None if series.bounds is None else []
     if series.mode == EXACT and is_exact(z):
         magnitudes = _exact_terms(series, z, n_terms, start, window, total)
     else:

@@ -121,7 +121,8 @@ def coerce_values(values, mode=None):
 
     With ``mode=None`` the mode is inferred: exact iff every entry is an
     int or Fraction.  Returns ``(tuple_of_values, mode)``.  Raises a
-    ValueError naming the entry when one is not finite or overflows a float.
+    ValueError naming the entry when one overflows a float; ``Sequence``
+    refuses a float that is not finite.
     """
     vals = list(values)
     if not vals:
@@ -142,8 +143,6 @@ def coerce_values(values, mode=None):
                 x = float(v)
             except OverflowError:
                 raise ValueError(f"entry {k} is beyond float range: {v!s:.40}") from None
-            if not math.isfinite(x):
-                raise ValueError(f"entry {k} is not finite: {x!r}")
             out.append(x)
         return tuple(out), FLOAT
     raise ValueError(f"unknown mode {mode!r}")

@@ -34,10 +34,10 @@ from .scalars import EPS, EXACT, FLOAT, TINY, Record, coerce_values, parse_scala
 class Sequence(Record):
     """Finite prefix (a_0..a_K) of a real sequence.
 
-    ``value_bounds``, float mode only, carries per-entry absolute input
-    error bounds for values that are noisier than correctly rounded
-    (e.g. samples assembled from several function evaluations); None means
-    max(EPS |v|, 2**-1074) each.
+    Float values must be finite.  ``value_bounds``, float mode only,
+    carries per-entry absolute input error bounds for values that are
+    noisier than correctly rounded (e.g. samples assembled from several
+    function evaluations); None means max(EPS |v|, 2**-1074) each.
     """
 
     values: tuple
@@ -47,6 +47,9 @@ class Sequence(Record):
     def __post_init__(self):
         if len(self.values) == 0:
             raise ValueError("sequence must be nonempty")
+        if self.mode == FLOAT and not all(map(math.isfinite, self.values)):
+            k = next(k for k, v in enumerate(self.values) if not math.isfinite(v))
+            raise ValueError(f"entry {k} is not finite: {self.values[k]!r}")
         if self.value_bounds is not None:
             if self.mode == EXACT:
                 raise ValueError("exact sequences carry no error bounds")

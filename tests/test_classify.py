@@ -389,11 +389,7 @@ def assert_matches_reference(a, depth):
     rows 0..depth, or only up to the row of its witness."""
     for kind in (CM, CA):
         cert, drawn = certify_counted(a, kind, depth)
-        want = reference_certify(a, kind, depth)
-        if cert.min_margin != cert.min_margin and want.min_margin != want.min_margin:
-            assert repr(cert) == repr(want), kind  # == is false on NaN margins
-        else:
-            assert cert == want, kind
+        assert cert == reference_certify(a, kind, depth), kind
         last = cert.witness[0] if cert.witness else depth
         assert drawn == list(range(last + 1)), kind
 
@@ -464,9 +460,11 @@ class TestCertifyReference:
     @pytest.mark.parametrize("values", [(math.nan, 1.0, 0.5), (math.inf, -math.inf, 1.0),
                                         (1.0, math.nan, -math.inf, 2.0)])
     def test_non_finite_entries_built_directly(self, values):
-        # Sequence does not check its values; each non-finite one gets a
-        # non-finite default bound, and a NaN a_0 is a NaN margin
-        assert_matches_reference(Sequence(values, "float"), len(values) - 1)
+        # refused as from_values refuses them: a NaN a_0 would be a NaN
+        # margin, and its certificate unequal to itself
+        k = next(k for k, v in enumerate(values) if not math.isfinite(v))
+        with pytest.raises(ValueError, match=f"^entry {k} is not finite: {values[k]!r}$"):
+            Sequence(values, "float")
 
     def test_violation_below_depth_is_never_built(self):
         a = exact(HARMONIC_DEEP)

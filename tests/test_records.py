@@ -13,7 +13,7 @@ from cmtk.classify import AtomEstimate, Certificate, MinimalityReport
 from cmtk.cli import _to_json
 from cmtk.funcops import SubaffineReport
 from cmtk.moments import DiscreteMeasure, FitReport
-from cmtk.newton import SeriesValue
+from cmtk.newton import NewtonSeries, SeriesValue, eval_series, series_from_samples
 from cmtk.scalars import Record
 from cmtk.seqcore import Sequence, difference_table
 from cmtk.webster import WebsterProblem, WebsterResult
@@ -68,6 +68,8 @@ class TestRecord:
         (lambda: WebsterProblem(get_webster_g("identity"), 0), "at least 1"),
         (lambda: WebsterProblem(get_webster_g("identity"), acceleration="levin"),
          "acceleration must be"),
+        # the constructor NewtonSeries(coeffs, mode) is gone: a legacy call is refused
+        (lambda: NewtonSeries((Fraction(1),), "exact"), "mode must be 'exact' or 'float'"),
     ])
     def test_post_init_checks_raise(self, make, message):
         with pytest.raises(ValueError, match=message):
@@ -144,3 +146,49 @@ class TestRecord:
             "WebsterResult(value=0.886, x=0.5, gamma=0.577, gamma_raw=None, "
             "last_increment=1e-06, tail_estimate=2e-06, log_concave_ok=True, n_terms=1000, "
             "warnings=())")
+
+
+class TestNewtonSeries:
+    """A Newton series is a record of the differences evaluation reads; its
+    coefficients are a cached property, not a field."""
+
+    def series(self):
+        return series_from_samples(Sequence.from_values([Fraction(1), Fraction(1, 2),
+                                                         Fraction(1, 3)]))
+
+    def test_fields(self):
+        s = self.series()
+        assert (s.mode, s.deltas, s.scale, s.bounds) == ("exact", (6, -3, 2), 6, None)
+        floats = series_from_samples(Sequence.from_values([1.0, 0.5]))
+        assert (floats.mode, floats.deltas, floats.scale) == ("float", (1.0, -0.5), 1)
+        assert floats.bounds == (2.0 ** -52, 2.0 ** -52 + 2.0 ** -53 + 2.0 ** -53)
+
+    def test_frozen_while_coeffs_caches(self):
+        s = self.series()
+        with pytest.raises(AttributeError):
+            s.deltas = (1,)
+        with pytest.raises(AttributeError):
+            s.scale = 2
+        assert s.coeffs is s.coeffs  # built once, kept in the instance
+        assert s.coeffs == (Fraction(1), Fraction(-1, 2), Fraction(1, 6))
+        assert list(vars(s)) == ["mode", "deltas", "scale", "bounds", "coeffs"]
+
+    def test_equality_and_hash_by_fields_build_no_coeffs(self):
+        s, t = self.series(), self.series()
+        assert s == t and hash(s) == hash(t)
+        assert "coeffs" not in vars(s) and "coeffs" not in vars(t)
+        assert s == NewtonSeries("exact", (6, -3, 2), 6)
+        # the same coefficients held at another scale are another record
+        assert s != NewtonSeries("exact", (12, -6, 4), 12)
+        assert s != NewtonSeries("float", (6, -3, 2), 6)
+        assert len({s, t, NewtonSeries("exact", (1,))}) == 2
+
+    def test_repr_prints_the_fields(self):
+        assert repr(self.series()) == (
+            "NewtonSeries(mode='exact', deltas=(6, -3, 2), scale=6, bounds=None)")
+
+    def test_evaluates_as_built(self):
+        s = NewtonSeries("exact", (6, -3, 2), 6)
+        assert eval_series(s, 2).value == Fraction(1, 3)
+        # c_0 + c_1 z + c_2 z (z - 1) at z = 1/2
+        assert eval_series(s, Fraction(1, 2)).value == 1 - Fraction(1, 4) - Fraction(1, 24)

@@ -189,6 +189,17 @@ class TestTransforms:
         a = rational_seq(vals)
         assert inverse_euler_transform(euler_transform(a)).values == a.values
 
+    @pytest.mark.parametrize("transform, entry", [
+        (binomial_transform, "entry 1 is not finite: inf"),
+        (euler_transform, "entry 1 is not finite: -inf"),
+        (inverse_euler_transform, "entry 2 is not finite: -inf"),
+    ])
+    def test_float_transform_past_float_range_refused(self, transform, entry):
+        # a Sequence holds finite floats only, and these entries overflow
+        a = Sequence.from_values([1.7e308, -1.7e308, 1.7e308])
+        with pytest.raises(ValueError, match=f"^{entry}$"):
+            transform(a)
+
 
 class TestIO:
     def test_reads_rational_csv(self, tmp_path):
