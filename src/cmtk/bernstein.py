@@ -330,7 +330,7 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
     return SDReport(tuple(entries), deriv_entry, deriv_err, verdict)
 
 
-def _egf_sum(vals, s, e=0):
+def _egf_sum(vals, s, e):
     """fsum of 2^-e a_k s^k / k! (2^-e scales each term exactly); past k = 170,
     where k! leaves float range, each term is the correctly rounded quotient."""
     terms = (math.ldexp(v, -e) * s**k for k, v in enumerate(vals))
@@ -342,15 +342,14 @@ def egf_validate(a: Sequence, t) -> float:
     """Exponential-generating-function identity for a CA fit: compare
     e^{-s} sum_{k<=K} a_k s^k / k!  against  q + d s + sum_j w_j (1 - e^{-s(1-u_j)})
     over s = 0, 0.05, ..., 1; returns the max residual (small up to the EGF
-    truncation tail and the fit residual)."""
+    truncation tail and the fit residual).  The sum is taken at the data's
+    binade e, as the fit is, and scaled back by 2^e: exactly, or to inf past
+    float range."""
     vals = a.as_floats()
+    e = moments._binade(vals)
     worst = 0.0
     for s in (j / 20.0 for j in range(21)):
-        try:
-            lhs = math.exp(-s) * _egf_sum(vals, s)
-        except OverflowError:  # the sum passes float range; e^{-s} times it is at most max |a_k|
-            e = max(math.frexp(v)[1] for v in vals)
-            lhs = math.ldexp(math.exp(-s) * _egf_sum(vals, s, e), e)
+        lhs = math.exp(-s) * _egf_sum(vals, s, e) * 2.0**e
         rhs = float(t.q) + t.d * s + math.fsum(
             w * -math.expm1(-s * (1.0 - u)) for u, w in t.measure.atoms
         )

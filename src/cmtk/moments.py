@@ -5,7 +5,10 @@ to a finite CM sequence (kernel u^k, convention a_0 = total mass including
 the endpoint atoms), or a (q, d, measure) triplet to a CA sequence (kernel
 1 - u^k on [0, 1), q = a_0, drift floor-estimated from the last first
 difference).  The solver is nonnegative least squares with unit column
-scaling; every fit reports its residual and KKT stationarity gap.
+scaling, run on the data scaled exactly by 2^-e, e the binade of max |a_k|;
+a fit is representable when that residual is at most 100 tol, so 2^j a gets
+the verdict of a, as Hausdorff's characterization does not see scale.
+Every fit reports its residual and KKT stationarity gap at the data's scale.
 
 The exponential picture u = e^{-x} turns a fitted measure into a sum of
 decaying exponentials (the atom at u = 0 becomes the designated infinity
@@ -215,41 +218,46 @@ def _nnls(A, b):
     return x
 
 
-def _solve_nnls(kernel, target, tol: float):
-    """Column-scaled NNLS of the numpy arrays ``kernel`` and ``target``;
-    returns weights, residual and scaled-system KKT gap.
+def _binade(data) -> int:
+    """The fits' one scale: e with max |a_k| in [2^e, 2^(e+1)); 0 for zero data."""
+    top = max(map(abs, data), default=0.0)
+    return math.frexp(top)[1] - 1 if top else 0
 
-    Raises NotRepresentableError when the residual exceeds
-    RESIDUAL_FACTOR * tol, and ValueError when tol is negative."""
+
+def _solve_nnls(kernel, data, tol: float, q=0.0, d=0.0):
+    """Column-scaled NNLS of a_k - q - d k (a the floats ``data``) against the
+    numpy array ``kernel``, solved on 2^-e a_k - 2^-e q - 2^-e d k, e the
+    data's binade: an exact scaling, so the weights, residual and KKT gap,
+    scaled back by 2^e, keep an unscaled solve's bits where it stays in range.
+
+    Raises NotRepresentableError when the scaled residual exceeds
+    RESIDUAL_FACTOR * tol, and ValueError for a weight past float range or a
+    negative tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     import numpy as np
 
+    e = _binade(data)
+    with np.errstate(over="ignore", invalid="ignore"):  # a drift past range at 2^-e: _nnls refuses
+        target = np.ldexp(data, -e) - np.ldexp(q, -e) - np.ldexp(d, -e) * np.arange(len(data))
     scale = np.linalg.norm(kernel, axis=0)
     scale[scale == 0.0] = 1.0
     scaled = kernel / scale
     w_scaled = _nnls(scaled, target)
-    if not np.isfinite(w_scaled).all():  # the routine overflowed on a target near float range
-        raise ValueError("NNLS weight is beyond float range")
     w = w_scaled / scale
     mismatch = kernel @ w - target
     grad = scaled.T @ mismatch
-    active = w_scaled > 0.0
-    kkt = 0.0
-    if active.any():
-        kkt = float(np.max(np.abs(grad[active])))
-    if (~active).any():
-        kkt = max(kkt, float(np.max(np.maximum(0.0, -grad[~active]))))
-    with np.errstate(over="ignore"):  # a sum of squares past float range: rescaled below
-        residual = float(np.linalg.norm(mismatch))
-    if residual == math.inf and np.isfinite(mismatch).all():
-        s = float(np.max(np.abs(mismatch)))
-        residual = s * float(np.linalg.norm(mismatch / s))
-    threshold = RESIDUAL_FACTOR * tol
-    if residual > threshold:
+    # stationarity |grad| on the active set, dual feasibility -grad elsewhere
+    kkt = max(0.0, float(np.max(np.where(w_scaled > 0.0, np.abs(grad), -grad))))
+    residual = float(np.linalg.norm(mismatch))
+    with np.errstate(over="ignore"):  # a value scaled back past float range reads inf
+        w, back = np.ldexp(w, e), np.ldexp([residual, kkt, RESIDUAL_FACTOR * tol], e).tolist()
+    if not np.isfinite(w).all():  # CA weights near u = 1 can pass float range
+        raise ValueError("NNLS weight is beyond float range")
+    if residual > RESIDUAL_FACTOR * tol:
         raise NotRepresentableError(f"not representable at this grid: residual "
-                                    f"{residual:.3e} > {threshold:.3e}", residual, threshold)
-    return w, residual, kkt
+                                    f"{back[0]:.3e} > {back[2]:.3e}", back[0], back[2])
+    return w, back[0], back[1]
 
 
 def _certify_or_raise(a: Sequence, kind: str, rows=None):
@@ -278,17 +286,14 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
     convention).
 
     Returns (DiscreteMeasure, FitReport).  Raises NotRepresentableError when
-    the residual exceeds 100*tol, and CertificationError when the sequence
-    fails the CM sign check outright.
+    the residual exceeds 100*tol*2^e, e the binade of max |a_k|, and
+    CertificationError when the sequence fails the CM sign check outright.
     """
     if grid_m < 1:
         raise ValueError("grid must have at least one cell")
     _certify_or_raise(a, classify.CM)
-    import numpy as np
-
-    target = np.array(a.as_floats())
     u, V = _power_kernel(a.last_index, grid_m, grid_m + 1)
-    w, residual, kkt = _solve_nnls(V, target, tol)
+    w, residual, kkt = _solve_nnls(V, a.as_floats(), tol)
     atoms = [(float(u[j]), float(w[j])) for j in range(grid_m + 1)
              if w[j] > 0.0 or j in (0, grid_m)]
     return DiscreteMeasure(tuple(atoms)), FitReport(residual, kkt, grid_m)
@@ -334,7 +339,6 @@ def invert_ca(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL,
 
 def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
     """The fit of ``invert_ca`` on a sequence already certified CA."""
-    K = a.last_index
     q = a.values[0]
     if drift is None:
         d_hat, gap = drift_floor_estimate(a)
@@ -342,13 +346,9 @@ def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
         d_hat, gap = max(float(drift), 0.0), None
     import numpy as np
 
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        target = np.array(a.as_floats()) - float(q) - d_hat * np.arange(K + 1)
-    if not np.isfinite(target).all():
-        raise ValueError("CA fit target a_k - q - d k is beyond float range")
-    u, B = _power_kernel(K, grid_m, grid_m)
+    u, B = _power_kernel(a.last_index, grid_m, grid_m)
     np.subtract(1.0, B, out=B)  # the kernel 1 - u^k over the first M nodes
-    w, residual, kkt = _solve_nnls(B, target, tol)
+    w, residual, kkt = _solve_nnls(B, a.as_floats(), tol, float(q), d_hat)
     atoms = [
         (float(u[j]), float(w[j])) for j in range(grid_m) if w[j] > 0.0 or j == 0
     ]

@@ -203,8 +203,8 @@ def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
         except OverflowError:
             bound = math.inf
         # a bound below the normal range carries only the inputs' 2**-1074
-        # floor; an infinite one warns beside a NaN value too
-        if bound == math.inf or bound >= max(abs(total), sys.float_info.min):
+        # floor; an infinite or NaN one (inf - inf in the table) warns too
+        if not bound < max(abs(total), sys.float_info.min):
             warnings.append(f"rounding noise may swamp the value: the sample table's "
                             f"error bounds allow {bound:.3g}, at least |value|")
     tail = max(mags[-3:], default=0.0)

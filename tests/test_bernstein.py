@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmtk.bernstein import (
+    _SCALE_DEPTH,
     BernsteinTriplet,
     check_bf_via_theta,
     check_selfdecomposable,
@@ -238,6 +239,34 @@ class TestThetaSoundnessOracle:
         want = certify(exact, CA, depth).verdict
         rounded = FunctionHandle(lambda x: float(at(x)), name)
         got = check_bf_via_theta(rounded, (c,), depth).entries[0].certificate
+        assert got.mode == "float"
+        if got.verdict != INCONCLUSIVE:
+            assert got.verdict == want
+
+
+class TestSelfDecSoundnessOracle:
+    """check_selfdecomposable's scale tests sample Phi at k and c k, k = 0..23,
+    with c read as Fraction(float(c)).  The rational-valued builtins sampled
+    exactly there give the exact CA verdict at the scale tests' depth on the
+    same data.  Run on the same builtins rounded to float once per value,
+    each scale test's float pass or fail must be that verdict."""
+
+    @given(st.sampled_from(["reciprocal", "bf-ratio", "linear", "square"]),
+           st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000),
+                        max_denominator=1000))
+    @settings(max_examples=200, deadline=None)
+    def test_float_verdict_never_contradicts_exact(self, name, c):
+        f = get_handle(name)
+        point = Fraction(float(c))  # the c that check_selfdecomposable evaluates at
+
+        def at(x):
+            return f.fn(Fraction(x))
+
+        exact = Sequence.from_values([at(k) - at(point * k) for k in range(_SCALE_DEPTH + 9)])
+        assert exact.mode == "exact"
+        want = certify(exact, CA, _SCALE_DEPTH).verdict
+        rounded = FunctionHandle(lambda x: float(at(x)), name)
+        got = check_selfdecomposable(rounded, (c,), 2).scale_tests[0].certificate
         assert got.mode == "float"
         if got.verdict != INCONCLUSIVE:
             assert got.verdict == want

@@ -142,6 +142,19 @@ class TestSubcommands:
         assert result["value_float"] is None
         assert Fraction(result["value"]) > Fraction(10**308)
 
+    def test_newton_eval_nan_noise_bound_warns(self, capsys, tmp_path):
+        # Delta^3 f(0) is inf - inf, so the noise bound is NaN: the NaN value
+        # was reported with no warning
+        p = tmp_path / "seq.csv"
+        p.write_text("1.7e308\n-1.7e308\n-1.7e308\n1.7e308\n1\n2\n")
+        code, report, err = run(capsys, "newton", "eval", str(p), "--mode", "float",
+                                "--at", "0.5", "--no-meta")
+        assert (code, err) == (0, "")
+        assert report["result"]["value"] is None
+        assert report["result"]["warnings"] == [
+            "rounding noise may swamp the value: the sample table's error bounds "
+            "allow nan, at least |value|"]
+
     def test_newton_eval_noise_bound_past_float_range(self, capsys, tmp_path):
         # the float noise bound's fsum overflowed into a traceback
         p = tmp_path / "noisy.csv"
@@ -425,7 +438,8 @@ class TestErrorReports:
 
 class TestMalformedInput:
     """Non-finite and out-of-range input: exit 3, one stderr line, no
-    traceback and no warning."""
+    traceback and no warning.  A fit near the ends of float range is not
+    out of range: it reads as its copy scaled to [1, 2)."""
 
     @pytest.mark.parametrize("text, argv", [
         pytest.param("1\ninf\n1/2\n", ["certify", "--kind", "cm"], id="csv-inf"),
@@ -509,17 +523,12 @@ class TestMalformedInput:
                      id="out-missing-directory"),
         pytest.param('{"result": 5}', ["evaluate", "--at", "1"], id="evaluate-result-number"),
         pytest.param('{"result": null}', ["evaluate", "--at", "1"], id="evaluate-result-null"),
-        # fits of exact data past float range: an entry, a first difference
-        # and the CA target a_k - q - d k
+        # fits of exact data past float range: an entry, and a first
+        # difference (the drift a report would carry)
         *(pytest.param("1e309\n0\n0\n", argv, id=f"entry-past-float-range-{argv[0]}")
           for argv in (["invert", "cm"], ["extend", "--kind", "cm", "--at", "1"])),
-        *(pytest.param(text, argv, id=f"{name}-past-float-range-{argv[0]}")
-          for name, text in [("difference", "-1.7e308\n1.7e308\n"),
-                             ("ca-target", "-1.7e308\n0\n1.7e308\n")]
+        *(pytest.param("-1.7e308\n1.7e308\n", argv, id=f"difference-past-float-range-{argv[0]}")
           for argv in (["invert", "ca"], ["extend", "--kind", "ca", "--at", "1"], ["egf"])),
-        # the NNLS routine's own weights overflowed: a pass with null weights
-        pytest.param("0\n1.7e308\n1.7e308\n", ["invert", "ca"],
-                     id="nnls-weight-past-float-range"),
     ])
     def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
         argv = list(argv)
@@ -592,20 +601,86 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv", [["invert", "ca"], ["extend", "--kind", "ca", "--at", "1"],
                                       ["egf"]], ids=lambda argv: argv[0])
     def test_ca_target_past_float_range_in_a_child(self, tmp_path, argv):
-        # pytest records warnings, so only a child shows numpy's on stderr
-        p = tmp_path / "seq.csv"
-        p.write_text("-1.7e308\n0\n1.7e308\n")
-        proc = subprocess.run([sys.executable, "-m", "cmtk.cli", *argv, str(p)],
-                              env=TestStartUpImports._env(), capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 3
-        assert proc.stdout == ""
-        assert proc.stderr == "error: CA fit target a_k - q - d k is beyond float range\n"
+        # a_k - q - d k passes float range at the data's scale (exit 3 once);
+        # at the data's binade it is 0, so the fit has residual 0
+        report = assert_fits_as_scaled_copy(tmp_path, argv, "-1.7e308\n0\n1.7e308\n")
+        assert report["exit_code"] == 0
+        assert report["result"]["fit"]["residual"] == 0.0
 
     def test_malformed_max_evals(self, capsys, monkeypatch):
         monkeypatch.setenv("CMTK_MAX_EVALS", "abc")
         err = self._one_line_exit_3(capsys, ["lattice", "--kind", "cm", "--builtin", "exp-decay"])
         assert "CMTK_MAX_EVALS" in err
+
+
+# the fields of a fit report that carry the data's scale
+SCALED_FIELDS = {"q", "d", "w", "residual", "kkt_gap", "drift_gap", "egf_residual"}
+
+
+def _times(node, e):
+    """A report's ``result`` with each field that carries the data's scale
+    multiplied by 2**e, exact "p/q" strings read as Fractions."""
+    def number(x):
+        return Fraction(x) * Fraction(2)**e if isinstance(x, str) else math.ldexp(x, e)
+
+    if isinstance(node, list):
+        return [_times(v, e) for v in node]
+    if not isinstance(node, dict):
+        return node
+    out = {k: number(v) if k in SCALED_FIELDS else _times(v, e) for k, v in node.items()}
+    if "values" in node:  # extend's [lambda, value] pairs
+        out["values"] = [[lam, number(value)] for lam, value in node["values"]]
+    return out
+
+
+def _run_child(argv, path):
+    """The report of ``cmtk argv path --no-meta`` run under ``-W error`` in a
+    child (pytest records warnings, so only a child shows them on stderr),
+    after checking that its stderr is empty."""
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "cmtk.cli", *argv, str(path),
+                           "--no-meta"], env=TestStartUpImports._env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout, parse_constant=reject_constant)
+    assert report["exit_code"] == proc.returncode
+    return report
+
+
+def assert_fits_as_scaled_copy(tmp_path, argv, text):
+    """Run a fit command on the sequence ``text`` and on its exact copy scaled
+    by 2**-e to [1, 2), e the binade of max |a_k|.  Both exit alike with an
+    empty stderr, and the model, the fit audit (and the EGF residual and
+    the values) are 2**e times the copy's; a fit that is not representable
+    names 2**e times the copy's residual and threshold.  Returns the report."""
+    values = [Fraction(v) for v in text.split()]
+    e = math.frexp(max(abs(float(v)) for v in values))[1] - 1
+    p, copy = tmp_path / "seq.csv", tmp_path / "copy.csv"
+    p.write_text(text)
+    copy.write_text("".join(f"{v / Fraction(2)**e}\n" for v in values))
+    report, scaled = _run_child(argv, p), _run_child(argv, copy)
+    assert report["exit_code"] == scaled["exit_code"] != 3
+    error = report["result"].get("error")
+    if error is None:
+        assert _times(report["result"], 0) == _times(scaled["result"], e)
+    else:
+        want = scaled["result"]["error"].split()
+        assert error.split()[:-3] == want[:-3]
+        for got, copied in zip(error.split()[-3::2], want[-3::2]):
+            assert float(got) == pytest.approx(math.ldexp(float(copied), e), rel=1e-3)
+    return report
+
+
+@pytest.mark.parametrize("argv, text", [
+    # the NNLS routine's weight at u = 0 overflowed: a pass with null weights
+    pytest.param(["invert", "ca"], "0\n1.7e308\n1.7e308\n", id="nnls-weight-near-float-range"),
+    pytest.param(["invert", "ca"], "0\n5e-324\n1e-323\n", id="subnormal"),
+    # 0.55^k is not representable on grid 1, at 1e-300 as at scale 1
+    pytest.param(["invert", "cm", "--grid", "1"],
+                 "".join(f"{Fraction(11, 20)**k / 10**300}\n" for k in range(8)),
+                 id="not-representable-at-1e-300"),
+])
+def test_fit_near_float_range_in_a_child(tmp_path, argv, text):
+    assert_fits_as_scaled_copy(tmp_path, argv, text)
 
 
 def test_evaluate_reads_invert_report(capsys, tmp_path, harmonic_csv):

@@ -7,19 +7,15 @@ fails the test."""
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmtk.cli import main
-from test_cli import reject_constant
+from test_cli import assert_fits_as_scaled_copy, reject_constant
 
 # sequence entries and option values at and past the ends of float range
 ENTRIES = ["0", "1", "-2", "3.0", "1/3", "-1/1000000007", "1e-300", "-1e-300", "5e-324",
@@ -206,7 +202,8 @@ def default_budget():
 # the recursion multiplied on past inf until the budget ran out (exit 2)
 @example(case=(["webster", "--g", "identity", "--at", "1e15"], {}))
 # fits of exact data past float range: an entry (a traceback), a first
-# difference (a traceback) and the CA target (numpy's warnings on stderr)
+# difference (a traceback) and the CA target (numpy's warnings on stderr;
+# at the data's binade it fits)
 @example(case=(["invert", "cm", "seq.csv"], {"seq.csv": "1e309\n0\n0\n"}))
 @example(case=(["egf", "seq.csv"], {"seq.csv": "-1.7e308\n1.7e308\n"}))
 @example(case=(["extend", "seq.csv", "--kind", "ca", "--at=1"],
@@ -215,6 +212,14 @@ def default_budget():
 # warning on stderr and a residual of inf (see the child test below)
 @example(case=(["invert", "ca", "seq.csv"], {"seq.csv": "0\n1e300\n1e300\n"}))
 @example(case=(["invert", "cm", "seq.csv"], {"seq.csv": "1.7e308\n1e300\n0\n"}))
+# fits at the ends of float range: 100 tol 2^e passes float range (an
+# OverflowError if scaled back by math.ldexp), and subnormal data
+@example(case=(["invert", "cm", "seq.csv", "--tol=1e300"], {"seq.csv": "1.7e308\n" * 3}))
+@example(case=(["invert", "ca", "seq.csv", "--tol=1e300"], {"seq.csv": "1.7e308\n" * 3}))
+@example(case=(["extend", "seq.csv", "--kind", "cm", "--at=1,2", "--tol=1e300"],
+               {"seq.csv": "1.7e308\n" * 3}))
+@example(case=(["egf", "seq.csv", "--tol=1e300"], {"seq.csv": "1.7e308\n" * 3}))
+@example(case=(["invert", "cm", "seq.csv"], {"seq.csv": "1e-323\n5e-324\n5e-324\n"}))
 def test_exit_code_contract(case, workdir, default_budget):
     argv, files = case
     for name, text in files.items():
@@ -237,15 +242,8 @@ def test_exit_code_contract(case, workdir, default_budget):
 @pytest.mark.parametrize("kind, text", [("ca", "0\n1e300\n1e300\n"), ("cm", "1.7e308\n1e300\n0\n")],
                          ids=["ca", "cm"])
 def test_residual_past_float_range_in_a_child(tmp_path, kind, text):
-    # pytest records warnings, so only a child shows numpy's on stderr
-    p = tmp_path / "seq.csv"
-    p.write_text(text)
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "cmtk.cli", "invert", kind, str(p), "--no-meta"],
-                          env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr == ""
-    error = json.loads(proc.stdout)["result"]["error"]
-    assert error.startswith("not representable at this grid: residual ")
-    assert math.isfinite(float(error.split()[-3]))
+    # the sum of squares of the residual passed float range at the data's
+    # scale; at the data's binade the fit reads as the data scaled to [1, 2)
+    report = assert_fits_as_scaled_copy(tmp_path, ["invert", kind], text)
+    assert report["exit_code"] == 0
+    assert math.isfinite(report["result"]["fit"]["residual"])

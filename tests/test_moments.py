@@ -281,6 +281,90 @@ class TestInvariants:
         )
 
 
+def _fit_outcome(a, kind, grid, tol):
+    """(model, fit report) of the fit of ``a``, or the NotRepresentableError
+    it raised."""
+    try:
+        return (invert_cm if kind == "cm" else invert_ca)(a, grid, tol)
+    except NotRepresentableError as exc:
+        return exc
+
+
+def _times(outcome, e):
+    """The numbers of a fit outcome that carry the data's scale, times 2**e."""
+    if isinstance(outcome, NotRepresentableError):
+        return ("not representable", math.ldexp(outcome.residual, e),
+                math.ldexp(outcome.threshold, e))
+    model, fit = outcome
+    atoms = model.atoms if isinstance(model, DiscreteMeasure) else model.measure.atoms
+    scaled = [(u, math.ldexp(w, e)) for u, w in atoms]
+    if isinstance(model, CATriplet):
+        scaled += [Fraction(model.q) * Fraction(2)**e, math.ldexp(model.d, e),
+                   math.ldexp(fit.drift_gap, e)]
+    return scaled, math.ldexp(fit.residual, e), math.ldexp(fit.kkt_gap, e), fit.grid_size
+
+
+class TestScale:
+    """c a is CM (or CA) exactly when a is, for every c > 0, and the fits
+    solve at the data's binade: the fits of 2^e a are 2^e times the fits of
+    a, bit for bit, with the same verdict."""
+
+    @pytest.mark.parametrize("e", [-60, -1, 1, 60])
+    @pytest.mark.parametrize("kind", ["cm", "ca"])
+    def test_scaled_data_scale_the_fit(self, kind, e):
+        rng = random.Random(f"{kind}{e}")
+        verdicts = set()
+        for _ in range(30):
+            grid = rng.choice([1, 3, 10, 200])
+            # atoms on the grid fit; atoms off it need not
+            us = [rng.randrange(grid) / grid if rng.random() < 0.5 else rng.random()
+                  for _ in range(rng.randint(1, 3))]
+            ws = [rng.uniform(0.1, 2.0) for _ in us]
+            q, d = rng.uniform(0.0, 2.0), rng.choice([0.0, rng.uniform(0.0, 0.1)])
+            K = rng.randint(2, 20)
+            if kind == "cm":
+                vals = [math.fsum(w * u**k for u, w in zip(us, ws)) for k in range(K + 1)]
+            else:
+                vals = [q + d * k + math.fsum(w * (1.0 - u**k) for u, w in zip(us, ws))
+                        for k in range(K + 1)]
+            tol = rng.choice([1e-10, 1e-6, 1e-3])
+            want = _fit_outcome(Sequence.from_values(vals), kind, grid, tol)
+            got = _fit_outcome(Sequence.from_values([math.ldexp(v, e) for v in vals]),
+                               kind, grid, tol)
+            assert _times(got, 0) == _times(want, e)
+            verdicts.add(isinstance(got, NotRepresentableError))
+        assert verdicts == {False, True}
+
+    def test_weight_past_float_range_refused(self):
+        # a_k = c (1 - u^k), u = 199/200, stays in float range to k = 3, but
+        # its weight c = 1e310 does not, once scaled back: refused, not a fit
+        # with null weights
+        u = Fraction(199, 200)
+        a = seq_of(lambda k: 10**310 * (1 - u**k), 3)
+        with pytest.raises(ValueError, match="NNLS weight is beyond float range"):
+            invert_ca(a, drift=0.0)
+
+    def test_drift_past_float_range_at_the_data_binade_refused(self):
+        # 1e10 / 2^-997 passes float range: a ValueError, not an OverflowError
+        a = Sequence.from_values([0.0, 1e-300, 2e-300])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            invert_ca(a, drift=1e10)
+
+    @pytest.mark.parametrize("unit, c, grid", [
+        # not representable at scale 1 (residual 0.476), once a "fit" at
+        # 1e-12 with a residual of 48% of the data
+        pytest.param([Fraction(11, 20)**k for k in range(8)], Fraction(1, 10**12), 1,
+                     id="0.55^k-at-1e-12"),
+        # a fit at scale 1, once "not representable: residual 2.494e+284"
+        pytest.param([Fraction(1, 2**k) for k in range(4)], Fraction(10**300), 200,
+                     id="2^-k-at-1e300"),
+    ])
+    def test_verdict_of_the_copy_scaled_to_one(self, unit, c, grid):
+        want = _fit_outcome(Sequence.from_values(unit), "cm", grid, 1e-10)
+        got = _fit_outcome(Sequence.from_values([c * v for v in unit]), "cm", grid, 1e-10)
+        assert type(got) is type(want)
+
+
 EXTENSION = "scipy.optimize._slsqplib"
 
 
