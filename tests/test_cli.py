@@ -523,11 +523,17 @@ class TestMalformedInput:
                      id="out-missing-directory"),
         pytest.param('{"result": 5}', ["evaluate", "--at", "1"], id="evaluate-result-number"),
         pytest.param('{"result": null}', ["evaluate", "--at", "1"], id="evaluate-result-null"),
-        # fits of exact data past float range: an entry, and a first
-        # difference (the drift a report would carry)
+        # fits of exact data past float range: an entry, a first difference
+        # (the drift a report would carry), and the CA target a_k - q - d k,
+        # here q + 3e308 (1 - 2^-k) - q, whose weight 3e308 at u = 1/2 a
+        # report could not carry
         *(pytest.param("1e309\n0\n0\n", argv, id=f"entry-past-float-range-{argv[0]}")
           for argv in (["invert", "cm"], ["extend", "--kind", "cm", "--at", "1"])),
-        *(pytest.param("-1.7e308\n1.7e308\n", argv, id=f"difference-past-float-range-{argv[0]}")
+        *(pytest.param(text, argv, id=f"{name}-past-float-range-{argv[0]}")
+          for name, text in [
+              ("difference", "-1.7e308\n1.7e308\n"),
+              ("ca-target", "".join(f"{-17 * 10**307 + 3 * 10**308 * (2**k - 1) // 2**k}\n"
+                                    for k in range(9)))]
           for argv in (["invert", "ca"], ["extend", "--kind", "ca", "--at", "1"], ["egf"])),
     ])
     def test_exit_3_with_one_line(self, capsys, tmp_path, text, argv):
