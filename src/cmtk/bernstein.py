@@ -187,7 +187,7 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
     depth = _check_depth(depth)
     count = depth + 10
     cs = [float(c) for c in cs]
-    if any(c <= 0 for c in cs):
+    if not all(c > 0 for c in cs):
         raise ValueError("c must be positive")
     entries = []
     phi.reset_budget()

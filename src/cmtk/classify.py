@@ -5,10 +5,11 @@ A sequence is certified CM when (-1)^n Delta^n a(k) >= 0 for every table
 entry with n <= depth, and CA when the same quantity is <= 0 for 1 <= n <=
 depth.  Verdicts are three-valued: in float mode an entry s with bound e is
 certified when s - e >= 0, violating when s + e < 0 and else undecidable, and a
-table with undecidable entries but no strict violation is "inconclusive".  On
-finite floats the tests are s >= e and s < -e (a float difference is 0 only when
-its operands are equal): a row whose bounds sum to a finite value is decided by
-those comparisons, an overflowed row entry by entry.
+table with undecidable entries but no strict violation is "inconclusive".  One
+rule decides every row, by the comparisons s >= e and -s > e.  The second is
+s + e < 0 on every float, inf and NaN included; the first is s - e >= 0 except
+at s = +inf, and an entry past float range has bound inf (e >= EPS |s|), so a
+row whose bounds do not sum to a finite value certifies no s = +inf entry.
 
 One scan streams the kernel's rows, stops at the first witness's row and keeps
 column 0 for minimality and the atom trail.  Degeneracy and extract_triplet keep a
@@ -90,8 +91,8 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
     """The one sign scan.  Rows 0..depth come from a kept table's ``_scaled_rows()``
     if given, else from the kernel, at most two alive at once.  With a ``fail``
     message, failing raises CertificationError.  A ``column`` list gets the
-    (scaled entry, bound, entry) at column 0 of each row scanned.  A row with a finite
-    bound sum is decided by s >= e and s < -e, on finite floats s - e >= 0 and s + e < 0."""
+    (scaled entry, bound, entry) at column 0 of each row scanned.  Every row is decided by
+    -s > e, which is s + e < 0, and s >= e, which is s - e >= 0 but at s = e = +inf."""
     if kind not in (CM, CA):
         raise ValueError(f"kind must be {CM!r} or {CA!r}")
     scale, pairs = rows or _scaled_rows(a, depth)
@@ -105,33 +106,21 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
         if bounds is None and m >= 0:  # an exact row that holds its sign is decided by it
             margin = m if margin is None else min(margin, m)
             continue
+        if not m >= 0:  # the least |entry| in scan order: min passes over a NaN unless first
+            m = min(map(abs, row)) if margin is None else min(margin, *map(abs, row))
+        margin = m if margin is None else min(margin, m)
         bounds = bounds or [0] * len(row)  # int zeros keep the scaled ints out of float arithmetic
-        if sum(bounds) < inf:  # past row 0 a bound is at least EPS |entry|: finite entries too
-            m = m if m >= 0 else min(map(abs, row))
-            margin = m if margin is None else min(margin, m)
-            signed, negated = (row, map(neg, row)) if kind == CM else (map(neg, row), row)
-            certified = sum(map(ge, signed, bounds))  # s - e >= 0 exactly when s >= e
-            if certified < len(row):
-                violating = list(map(gt, negated, bounds))  # s + e < 0 exactly when -s > e
-                undecidable += len(row) - certified - sum(violating)
-                if True in violating:
-                    k = violating.index(True)
-                    witness = (n, k, unscale(row[k]))
-                    break
-            continue
-        for k, (v, e) in enumerate(zip(row, bounds)):  # an overflowed row: the per-entry rule
-            m = -v if v < 0 else v
-            if margin is None or m < margin:
-                margin = m
-            s = -v if kind == CA else v  # rows n >= 1 must be <= 0; rounding is symmetric in sign
-            if s - e >= 0:
-                continue
-            if s + e < 0:
-                witness = witness or (n, k, unscale(v))
-            else:
-                undecidable += 1
-        if witness is not None:
-            break
+        signed, negated = (row, map(neg, row)) if kind == CM else (map(neg, row), row)
+        certified = sum(map(ge, signed, bounds))  # s - e >= 0 exactly when s >= e, but at s = +inf
+        if not sum(bounds) < inf:  # an entry past float range has bound inf: inf - inf is NaN
+            certified -= row.count(inf if kind == CM else -inf)
+        if certified < len(row):
+            violating = list(map(gt, negated, bounds))  # s + e < 0 exactly when -s > e
+            undecidable += len(row) - certified - sum(violating)
+            if True in violating:
+                k = violating.index(True)
+                witness = (n, k, unscale(row[k]))
+                break
 
     verdict = FAIL if witness else INCONCLUSIVE if undecidable else PASS
     min_margin = None if margin is None else abs(unscale(margin))  # |-0.0| is 0.0

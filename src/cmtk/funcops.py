@@ -105,7 +105,7 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
     budget.  theta and rho need f(0), so they reject open-at-zero handles;
     rho additionally requires c in (0, 1).  A theta handle evaluates its
     anchors f(ic), i = 0..iterate, once, when it is built."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     n = iterate
     if n < 0:
@@ -180,7 +180,7 @@ def default_lambda_grid(include_zero: bool = True):
 def _probed_cs(c, n_max):
     """The probed c values of a limit decomposition; checks c > 0, n_max >= 1."""
     cs = tuple(c) if isinstance(c, (tuple, list)) else (float(c),)
-    if any(cj <= 0 for cj in cs):
+    if not all(cj > 0 for cj in cs):
         raise ValueError("c must be positive")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -366,7 +366,7 @@ def subaffine_check(phi: FunctionHandle, c: float, bound: float) -> SubaffineRep
     """Real-axis surrogate of the bounded-increment condition:
     sup over the grid of |Phi(x + c) - Phi(x)| <= bound, up to the
     rounding floor of the evaluated increments."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("c must be positive")
     phi.reset_budget()
     sup, arg, slack = -math.inf, float("nan"), 0.0

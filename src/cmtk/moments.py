@@ -231,15 +231,17 @@ def _solve_nnls(kernel, data, tol: float, q=0.0, d=0.0):
     scaled back by 2^e, keep an unscaled solve's bits where it stays in range.
 
     Raises NotRepresentableError when the scaled residual exceeds
-    RESIDUAL_FACTOR * tol, and ValueError for a weight past float range or a
-    negative tol."""
+    RESIDUAL_FACTOR * tol, and ValueError for a target or weight past float
+    range or a negative tol."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     import numpy as np
 
     e = _binade(data)
-    with np.errstate(over="ignore", invalid="ignore"):  # a drift past range at 2^-e: _nnls refuses
+    with np.errstate(over="ignore", invalid="ignore"):  # inf times k = 0 is nan
         target = np.ldexp(data, -e) - np.ldexp(q, -e) - np.ldexp(d, -e) * np.arange(len(data))
+    if not np.isfinite(target).all():  # 2^-e |a_k| < 2: only a supplied drift gets here
+        raise ValueError(f"drift {d!r} times k passes float range once scaled by 2^{-e}")
     scale = np.linalg.norm(kernel, axis=0)
     scale[scale == 0.0] = 1.0
     scaled = kernel / scale
@@ -342,8 +344,10 @@ def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
     q = a.values[0]
     if drift is None:
         d_hat, gap = drift_floor_estimate(a)
-    else:
+    elif math.isfinite(drift):
         d_hat, gap = max(float(drift), 0.0), None
+    else:  # the clamp would read -inf as 0.0 and keep a NaN
+        raise ValueError(f"drift must be finite, not {drift!r}")
     import numpy as np
 
     u, B = _power_kernel(a.last_index, grid_m, grid_m)

@@ -193,6 +193,12 @@ class TestThetaMembership:
         assert entry.certificate.failed
         assert entry.certificate.witness[0] == 1
 
+    @pytest.mark.parametrize("cs", [(math.nan,), (1.0, math.nan)])
+    def test_nan_c_refused(self, cs):
+        # not Fraction's "cannot convert NaN to integer ratio"
+        with pytest.raises(ValueError, match="^c must be positive$"):
+            check_bf_via_theta(get_handle("bf-ratio"), cs=cs)
+
     def test_theta_mass_identity(self):
         # total fitted mass of theta_c Phi equals Phi(c) - Phi(0) - d c
         truth = BernsteinTriplet(1.5, 0.75, ((0.5, 1.0), (2.0, 0.5)))

@@ -432,9 +432,9 @@ long_floats_with_bounds = st.integers(min_value=13, max_value=41).flatmap(
                  min_size=n, max_size=n),
         st.none() | st.lists(st.floats(min_value=0.0, max_value=1e280), min_size=n, max_size=n)))
 
-#: rows left to the per-entry rule: entries near float range overflow to inf
-#: and NaN within a few rows, and an input bound may be inf; the zeros and zero
-#: bounds give signed-zero rows
+#: rows whose bound sum is not finite: entries near float range overflow to
+#: inf and NaN within a few rows, and an input bound may be inf; the zeros and
+#: zero bounds give signed-zero rows
 overflowing_floats_with_bounds = st.integers(min_value=1, max_value=12).flatmap(
     lambda n: st.tuples(
         st.lists(st.sampled_from([1.7e308, -1.7e308, 0.0, -0.0, 5e-324, 1.0])
@@ -487,6 +487,9 @@ class TestCertifyReference:
     @example(([0.0, -1.0, 5.0], [0.0, 0.0, 10.0]), 2)
     # signed zeros with zero bounds
     @example(([-0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0]), 3)
+    # CA row 3 is (nan, -inf, 0.0): a row's min loses the entries after a
+    # first NaN, and min_margin is 0.0, not row 1's 2e-300
+    @example(([-1.7e308, 1e308, 1.7e308, 2e-300, 0.0, 1.7e308], [math.inf] * 6), 5)
     @settings(max_examples=150, deadline=None)
     def test_float(self, case, depth):
         values, bounds = case

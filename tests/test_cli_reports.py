@@ -54,6 +54,7 @@ CASES = {
     # exact, float and other variants
     "certify-float": ["certify", "--kind", "cm", "--mode", "float", "--depth", "10",
                       "harmonic.csv"],
+    "certify-float-overflow": ["certify", "--kind", "ca", "--mode", "float", "overflow.csv"],
     "certify-ca": ["certify", "--kind", "ca", "bf.csv"],
     "minimal-float": ["minimal", "--kind", "cm", "--mode", "float", "dyadic.csv"],
     "minimal-ca": ["minimal", "--kind", "ca", "--tol", "0.1", "bf.csv"],

@@ -75,6 +75,12 @@ class TestOperators:
         with pytest.raises(ValueError):
             apply_operator(handle(lambda x: x), "rho", 1.5)
 
+    @pytest.mark.parametrize("op", ["sigma", "delta", "theta", "rho"])
+    def test_nan_c_refused(self, op):
+        # c <= 0 is false at NaN: a theta handle would return nan
+        with pytest.raises(ValueError, match="^c must be positive$"):
+            apply_operator(handle(lambda x: x), op, math.nan)
+
     def test_fraction_c(self):
         f = get_handle("one-minus-exp")
         g = apply_operator(f, "theta", Fraction(1, 2))
@@ -351,6 +357,13 @@ class TestCMDecompose:
         with pytest.raises(DomainError, match="not CM-like"):
             cm_limit_decompose(f, c=1.0, n_max=10)
 
+    @pytest.mark.parametrize("decompose", [cm_limit_decompose, bf_limit_decompose])
+    @pytest.mark.parametrize("c", [math.nan, (1.0, math.nan)])
+    def test_nan_c_refused(self, decompose, c):
+        # refused before psi_inf or q could read nan
+        with pytest.raises(ValueError, match="^c must be positive$"):
+            decompose(handle(lambda x: math.exp(-x)), c=c, n_max=10)
+
     def test_residual_decreases_with_n(self):
         f = handle(lambda x: 1.0 / (1.0 + x), budget=10**7)
         residuals = [
@@ -494,6 +507,11 @@ class TestSubaffine:
         rep = subaffine_check(handle(lambda x: x * x), 1.0, 10.0)
         assert not rep.ok
         assert rep.supremum == pytest.approx(21.0)
+
+    def test_nan_c_refused(self):
+        # not a passed check with supremum -inf on no increment
+        with pytest.raises(ValueError, match="^c must be positive$"):
+            subaffine_check(get_handle("sqrt"), math.nan, 1.0)
 
 
 def _decimal_triplet(t, lam):

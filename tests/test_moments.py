@@ -345,10 +345,18 @@ class TestScale:
             invert_ca(a, drift=0.0)
 
     def test_drift_past_float_range_at_the_data_binade_refused(self):
-        # 1e10 / 2^-997 passes float range: a ValueError, not an OverflowError
+        # 1e10 / 2^-996 passes float range: a ValueError, not an OverflowError
         a = Sequence.from_values([0.0, 1e-300, 2e-300])
-        with pytest.raises(ValueError, match="infs or NaNs"):
+        with pytest.raises(ValueError, match=r"^drift 10000000000\.0 times k passes float range "
+                                             r"once scaled by 2\^996$"):
             invert_ca(a, drift=1e10)
+
+    @pytest.mark.parametrize("values", [[0.0, 1e-300, 2e-300], [0, 0.5, 0.75, 0.875]])
+    @pytest.mark.parametrize("drift", [math.nan, math.inf, -math.inf])
+    def test_non_finite_drift_refused(self, values, drift):
+        # a NaN drift once passed the clamp and CATriplet's d < 0 check
+        with pytest.raises(ValueError, match=f"^drift must be finite, not {drift!r}$"):
+            invert_ca(Sequence.from_values(values), drift=drift)
 
     @pytest.mark.parametrize("unit, c, grid", [
         # not representable at scale 1 (residual 0.476), once a "fit" at
