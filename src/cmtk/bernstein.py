@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import classify, moments
+from . import classify
 from ._extrapolate import richardson_derivative
 from .errors import DomainError
 from .funcops import FunctionHandle, bounded_sequence, sampled_sequence
@@ -86,20 +86,22 @@ class BernsteinTriplet(Record):
 
 def eval_bernstein(t: BernsteinTriplet, lam) -> float:
     """q + d lam + sum w_j (1 - e^{-lam x_j}); nondecreasing, value q at 0."""
+    from . import moments
     return moments.ExponentialMeasure(t.levy).bernstein(float(lam), t.q, t.d)
 
 
 def triplet_handle(t: BernsteinTriplet, name="triplet") -> FunctionHandle:
-    """Function handle for the triplet, with its exact derivative
+    """Function handle for the triplet, valued as eval_bernstein (through a
+    Levy measure built once, not at each call), with its exact derivative
     Phi'(lam) = d + sum w_j x_j e^{-lam x_j}."""
+    from . import moments
+    value = moments.ExponentialMeasure(t.levy).bernstein
 
     def derivative(lam):
         lam = float(lam)
         return t.d + math.fsum(w * x * math.exp(-lam * x) for x, w in t.levy)
 
-    return FunctionHandle(
-        lambda lam: eval_bernstein(t, lam), name, False, derivative
-    )
+    return FunctionHandle(lambda lam: value(float(lam), t.q, t.d), name, False, derivative)
 
 
 class ExtractReport(Record):
@@ -118,6 +120,7 @@ def extract_triplet(phi: FunctionHandle, tol: float = 1e-10):
     u = 0 (mass beyond the grid horizon x = ln M, or a genuine non-minimal
     part) is parked at x = X_FAR and also reported separately.
     """
+    from . import moments
     if phi.open_at_zero:
         raise DomainError("extraction needs the value at 0")
     phi.reset_budget()
@@ -345,6 +348,7 @@ def egf_validate(a: Sequence, t) -> float:
     truncation tail and the fit residual).  The sum is taken at the data's
     binade e, as the fit is, and scaled back by 2^e: exactly, or to inf past
     float range."""
+    from . import moments
     vals = a.as_floats()
     e = moments._binade(vals)
     worst = 0.0

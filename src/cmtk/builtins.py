@@ -37,7 +37,7 @@ def _sqrt_triplet():
     """The quadrature approximation of sqrt(lam) = (2 sqrt(pi))^{-1}
     integral (1 - e^{-lam x}) x^{-3/2} dx on a 240-cell log grid over
     [1e-4, 60]: a genuine finite triplet, hence exactly a Bernstein function."""
-    from .bernstein import BernsteinTriplet  # only here: it loads moments too
+    from .bernstein import BernsteinTriplet  # only here: it loads the sign scan too
     n_atoms, x_lo, x_hi = 240, 1e-4, 60.0
     ratio = (x_hi / x_lo) ** (1.0 / n_atoms)
     atoms = []
@@ -78,7 +78,7 @@ def get_handle(spec: str) -> FunctionHandle:
     if spec not in BUILTIN_HANDLES and not spec.startswith("triplet:"):
         known = ", ".join(sorted(BUILTIN_HANDLES))
         raise ValueError(f"unknown builtin {spec!r}; known: {known}")
-    from . import bernstein  # only here: it loads moments too
+    from . import bernstein  # only here: it loads the sign scan, its handles moments
     if spec == "sqrt-triplet":
         triplet = _sqrt_triplet()
     else:

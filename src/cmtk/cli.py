@@ -29,7 +29,6 @@ import sys
 from .errors import BudgetExceededError, CmtkError
 from .scalars import (CA, CM, DEFAULT_C_PAIR, DEFAULT_GRID, DEFAULT_N, DEFAULT_SD_CS, DEFAULT_TOL,
                       FLOAT, Record, coerce_values, parse_scalar, scalar_to_json)
-from .seqcore import Sequence, read_sequence  # every command loads it
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
 
@@ -77,7 +76,8 @@ def _check_code(passed, entries):
     return EXIT_FAIL if any(e.certificate.failed for e in entries) else EXIT_INCONCLUSIVE
 
 
-def _load_sequence(args) -> Sequence:
+def _load_sequence(args):
+    from .seqcore import read_sequence
     return read_sequence(args.input, mode=args.mode)
 
 
@@ -133,14 +133,13 @@ def _cmd_evaluate(args):
         data = result.get("model") if isinstance(result, dict) else None
     if not isinstance(data, dict) or not {"levy", "atoms"} & data.keys():
         raise ValueError(f"{args.input}: no measure, triplet or report with a model")
-    from . import moments  # bernstein imports it too
     if "levy" in data:
         from . import bernstein
         model, value = bernstein.BernsteinTriplet.from_dict(data), bernstein.eval_bernstein
-    elif "q" in data or "d" in data:
-        model, value = moments.CATriplet.from_dict(data), moments.evaluate
     else:
-        model, value = moments.DiscreteMeasure.from_dict(data), moments.evaluate
+        from . import moments
+        kind = moments.CATriplet if "q" in data or "d" in data else moments.DiscreteMeasure
+        model, value = kind.from_dict(data), moments.evaluate
     return EXIT_PASS, {"values": [[lam, value(model, lam)] for lam in args.at]}
 
 
@@ -236,119 +235,82 @@ def _cmd_egf(args):
     return EXIT_PASS, {"egf_residual": residual, "fit": fit, "model": triplet}
 
 
-def build_parser() -> _Parser:
+def _arg(flag, **kwargs):
+    return flag, kwargs
+
+
+_REPORT = (_arg("--out", help="write the JSON report to this path"),
+           _arg("--no-meta", action="store_true",
+                help="omit timestamps for byte-identical reports"))
+_SEQUENCE = (*_REPORT, _arg("input", help="sequence file (CSV or JSON array)"),
+             _arg("--mode", choices=["exact", "float"]))
+_KIND = _arg("--kind", choices=[CM, CA], required=True)
+_GRID = (_arg("--grid", type=int, default=DEFAULT_GRID),
+         _arg("--tol", type=_float, default=DEFAULT_TOL))
+_BUILTIN = _arg("--builtin", required=True)
+_TOL = _arg("--tol", type=_float)
+_AT = _arg("--at", type=_floats, required=True)
+
+
+def _c(*default):
+    return _arg("--c", type=_floats, default=list(default))
+
+
+def _depth(default=None):
+    return _arg("--depth", type=int, default=default)
+
+
+# name -> (help, handler, arguments in the order the parser adds them)
+COMMANDS = {
+    "certify": ("CM/CA sign certification", _cmd_certify, (*_SEQUENCE, _KIND, _depth())),
+    "minimal": ("atom-at-zero / minimality check", _cmd_minimal,
+                (*_SEQUENCE, _KIND, _depth(), _TOL)),
+    "invert": ("moment inversion", _cmd_invert,
+               (_arg("variant", choices=["cm", "ca"]), *_SEQUENCE, *_GRID)),
+    "evaluate": ("evaluate a measure/triplet JSON file", _cmd_evaluate,
+                 (_arg("input", help="model JSON file"), _AT, *_REPORT)),
+    "extend": ("unique CM/BF interpolant of integer samples", _cmd_extend,
+               (*_SEQUENCE, _KIND, *_GRID, _AT)),
+    "newton": ("Gregory-Newton series", _cmd_newton, (
+        _arg("action", choices=["fit", "eval"]), *_SEQUENCE,
+        _arg("--at", type=_scalar, default="0.5", help="evaluation point (eval only)"),
+        _arg("--terms", type=int))),
+    "webster": ("solve f(x+1) = g(x) f(x), f(1) = 1", _cmd_webster, (
+        *_REPORT, _arg("--g", default="identity", help="identity | constant:<c> | exp-neg-cm"),
+        _arg("--at", type=_floats, default=[0.5]), _arg("--terms", type=int, default=DEFAULT_N),
+        _arg("--no-accel", action="store_true"), _arg("--g-limit-one", action="store_true"),
+        _arg("--check-grid", type=_floats, help="verify the functional equation on these x"))),
+    "operator": ("apply sigma/tau/delta/theta/rho", _cmd_operator, (
+        *_REPORT, _c(1.0), _BUILTIN,
+        _arg("--op", choices=["sigma", "tau", "delta", "theta", "rho"], required=True),
+        _arg("--iterate", type=int, default=1), _AT)),
+    "decompose": ("limit decompositions", _cmd_decompose, (
+        _arg("variant", choices=["cm", "bf"]), *_REPORT, _c(*DEFAULT_C_PAIR), _BUILTIN,
+        _arg("--nmax", type=int, default=64))),
+    "lattice": ("CM/CA certification on lattices", _cmd_lattice, (
+        *_REPORT, _KIND, _BUILTIN, _arg("--alpha", type=_floats, default=[1.0, 0.5]), _depth(20),
+        _TOL)),
+    "subaffine": ("bounded-increment check", _cmd_subaffine,
+                  (*_REPORT, _c(1.0), _BUILTIN, _arg("--bound", type=_float, required=True))),
+    "bftheta": ("Bernstein membership via theta", _cmd_bftheta,
+                (*_REPORT, _c(*DEFAULT_C_PAIR), _BUILTIN, _depth(15))),
+    "selfdec": ("self-decomposability suite", _cmd_selfdec,
+                (*_REPORT, _c(*DEFAULT_SD_CS), _BUILTIN, _depth(30), _TOL)),
+    "egf": ("EGF identity residual for a CA fit", _cmd_egf, (*_SEQUENCE, *_GRID)),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The parser of every command in COMMANDS, or of ``command`` alone."""
     p = _Parser(prog="cmtk", description=__doc__,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, *, seq=False, kind=False, grid=False, c_default=None):
-        sp.add_argument("--out", help="write the JSON report to this path")
-        sp.add_argument("--no-meta", action="store_true",
-                        help="omit timestamps for byte-identical reports")
-        if seq:
-            sp.add_argument("input", help="sequence file (CSV or JSON array)")
-            sp.add_argument("--mode", choices=["exact", "float"], default=None)
-        if kind:
-            sp.add_argument("--kind", choices=[CM, CA], required=True)
-        if grid:
-            sp.add_argument("--grid", type=int, default=DEFAULT_GRID)
-            sp.add_argument("--tol", type=_float, default=DEFAULT_TOL)
-        if c_default is not None:
-            sp.add_argument("--c", type=_floats, default=list(c_default))
-
-    sp = sub.add_parser("certify", help="CM/CA sign certification")
-    common(sp, seq=True, kind=True)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.set_defaults(fn=_cmd_certify)
-
-    sp = sub.add_parser("minimal", help="atom-at-zero / minimality check")
-    common(sp, seq=True, kind=True)
-    sp.add_argument("--depth", type=int, default=None)
-    sp.add_argument("--tol", type=_float, default=None)
-    sp.set_defaults(fn=_cmd_minimal)
-
-    sp = sub.add_parser("invert", help="moment inversion")
-    sp.add_argument("variant", choices=["cm", "ca"])
-    common(sp, seq=True, grid=True)
-    sp.set_defaults(fn=_cmd_invert)
-
-    sp = sub.add_parser("evaluate", help="evaluate a measure/triplet JSON file")
-    sp.add_argument("input", help="model JSON file")
-    sp.add_argument("--at", type=_floats, required=True)
-    common(sp)
-    sp.set_defaults(fn=_cmd_evaluate)
-
-    sp = sub.add_parser("extend", help="unique CM/BF interpolant of integer samples")
-    common(sp, seq=True, kind=True, grid=True)
-    sp.add_argument("--at", type=_floats, required=True)
-    sp.set_defaults(fn=_cmd_extend)
-
-    sp = sub.add_parser("newton", help="Gregory-Newton series")
-    sp.add_argument("action", choices=["fit", "eval"])
-    common(sp, seq=True)
-    sp.add_argument("--at", type=_scalar, default="0.5", help="evaluation point (eval only)")
-    sp.add_argument("--terms", type=int, default=None)
-    sp.set_defaults(fn=_cmd_newton)
-
-    sp = sub.add_parser("webster", help="solve f(x+1) = g(x) f(x), f(1) = 1")
-    common(sp)
-    sp.add_argument("--g", default="identity",
-                    help="identity | constant:<c> | exp-neg-cm")
-    sp.add_argument("--at", type=_floats, default=[0.5])
-    sp.add_argument("--terms", type=int, default=DEFAULT_N)
-    sp.add_argument("--no-accel", action="store_true")
-    sp.add_argument("--g-limit-one", action="store_true")
-    sp.add_argument("--check-grid", type=_floats, default=None,
-                    help="verify the functional equation on these x")
-    sp.set_defaults(fn=_cmd_webster)
-
-    sp = sub.add_parser("operator", help="apply sigma/tau/delta/theta/rho")
-    common(sp, c_default=(1.0,))
-    sp.add_argument("--builtin", required=True)
-    sp.add_argument("--op", choices=["sigma", "tau", "delta", "theta", "rho"],
-                    required=True)
-    sp.add_argument("--iterate", type=int, default=1)
-    sp.add_argument("--at", type=_floats, required=True)
-    sp.set_defaults(fn=_cmd_operator)
-
-    sp = sub.add_parser("decompose", help="limit decompositions")
-    sp.add_argument("variant", choices=["cm", "bf"])
-    common(sp, c_default=DEFAULT_C_PAIR)
-    sp.add_argument("--builtin", required=True)
-    sp.add_argument("--nmax", type=int, default=64)
-    sp.set_defaults(fn=_cmd_decompose)
-
-    sp = sub.add_parser("lattice", help="CM/CA certification on lattices")
-    common(sp, kind=True)
-    sp.add_argument("--builtin", required=True)
-    sp.add_argument("--alpha", type=_floats, default=[1.0, 0.5])
-    sp.add_argument("--depth", type=int, default=20)
-    sp.add_argument("--tol", type=_float, default=None)
-    sp.set_defaults(fn=_cmd_lattice)
-
-    sp = sub.add_parser("subaffine", help="bounded-increment check")
-    common(sp, c_default=(1.0,))
-    sp.add_argument("--builtin", required=True)
-    sp.add_argument("--bound", type=_float, required=True)
-    sp.set_defaults(fn=_cmd_subaffine)
-
-    sp = sub.add_parser("bftheta", help="Bernstein membership via theta")
-    common(sp, c_default=DEFAULT_C_PAIR)
-    sp.add_argument("--builtin", required=True)
-    sp.add_argument("--depth", type=int, default=15)
-    sp.set_defaults(fn=_cmd_bftheta)
-
-    sp = sub.add_parser("selfdec", help="self-decomposability suite")
-    common(sp, c_default=DEFAULT_SD_CS)
-    sp.add_argument("--builtin", required=True)
-    sp.add_argument("--depth", type=int, default=30)
-    sp.add_argument("--tol", type=_float, default=None)
-    sp.set_defaults(fn=_cmd_selfdec)
-
-    sp = sub.add_parser("egf", help="EGF identity residual for a CA fit")
-    common(sp, seq=True, grid=True)
-    sp.set_defaults(fn=_cmd_egf)
-
+    for name in COMMANDS if command is None else [command]:
+        text, fn, arguments = COMMANDS[name]
+        sp = sub.add_parser(name, help=text)
+        for flag, kwargs in arguments:
+            sp.add_argument(flag, **kwargs)
+        sp.set_defaults(fn=fn)
     return p
 
 
@@ -371,7 +333,9 @@ def _run(args):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command's own parser; no argument, --help and an unknown command get all of them
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

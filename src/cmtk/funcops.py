@@ -22,10 +22,8 @@ from __future__ import annotations
 import math
 import os
 
-from . import classify
 from .errors import BudgetExceededError, DomainError
 from .scalars import DEFAULT_C_PAIR, EPS, Record
-from .seqcore import Sequence, _check_depth
 
 DEFAULT_BUDGET = 10**6
 
@@ -160,6 +158,7 @@ def _sample(f: FunctionHandle, points):
 def bounded_sequence(values, mags) -> Sequence:
     """The Sequence of handle samples ``values`` with input error bounds
     EPS * mags[k]; None keeps the table's default (exact values stay exact)."""
+    from .seqcore import Sequence
     return Sequence.from_values(values, value_bounds=mags and [EPS * m for m in mags])
 
 
@@ -326,6 +325,8 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
     Overall pass requires every per-alpha certificate to pass; budget
     exhaustion yields a partial report over the alphas already done.
     """
+    from . import classify
+    from .seqcore import _check_depth
     depth = _check_depth(depth)
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:

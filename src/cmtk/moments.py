@@ -30,10 +30,8 @@ import os
 import sys
 from functools import cache
 
-from . import classify
 from .errors import DomainError, NotRepresentableError
-from .scalars import DEFAULT_GRID, DEFAULT_TOL, Record, json_field, parse_scalar
-from .seqcore import Sequence
+from .scalars import CA, CM, DEFAULT_GRID, DEFAULT_TOL, Record, json_field, parse_scalar
 
 #: residual > RESIDUAL_FACTOR * tol  =>  "not representable at this grid"
 RESIDUAL_FACTOR = 100.0
@@ -251,8 +249,13 @@ def _solve_nnls(kernel, data, tol: float, q=0.0, d=0.0):
     grad = scaled.T @ mismatch
     # stationarity |grad| on the active set, dual feasibility -grad elsewhere
     kkt = max(0.0, float(np.max(np.where(w_scaled > 0.0, np.abs(grad), -grad))))
-    residual = float(np.linalg.norm(mismatch))
-    with np.errstate(over="ignore"):  # a value scaled back past float range reads inf
+    # the squares of a finite mismatch can pass float range, so its norm is
+    # then taken on mismatch / m, m = max |mismatch|; a value scaled back
+    # past float range reads inf
+    with np.errstate(over="ignore"):
+        residual = float(np.linalg.norm(mismatch))
+        if not math.isfinite(residual) and (m := float(np.max(np.abs(mismatch)))) < math.inf:
+            residual = m * float(np.linalg.norm(mismatch / m))
         w, back = np.ldexp(w, e), np.ldexp([residual, kkt, RESIDUAL_FACTOR * tol], e).tolist()
     if not np.isfinite(w).all():  # CA weights near u = 1 can pass float range
         raise ValueError("NNLS weight is beyond float range")
@@ -264,6 +267,7 @@ def _solve_nnls(kernel, data, tol: float, q=0.0, d=0.0):
 
 def _certify_or_raise(a: Sequence, kind: str, rows=None):
     """Raise unless ``a`` certifies ``kind`` to its default depth (read off ``rows`` if given)."""
+    from . import classify
     depth = classify.default_depth(a)
     classify._certify(a, kind, depth, rows, f"sequence is not {kind} to depth {depth}")
 
@@ -293,7 +297,7 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
     """
     if grid_m < 1:
         raise ValueError("grid must have at least one cell")
-    _certify_or_raise(a, classify.CM)
+    _certify_or_raise(a, CM)
     u, V = _power_kernel(a.last_index, grid_m, grid_m + 1)
     w, residual, kkt = _solve_nnls(V, a.as_floats(), tol)
     atoms = [(float(u[j]), float(w[j])) for j in range(grid_m + 1)
@@ -335,7 +339,7 @@ def invert_ca(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL,
     """
     if grid_m < 1:
         raise ValueError("grid must have at least one cell")
-    _certify_or_raise(a, classify.CA)
+    _certify_or_raise(a, CA)
     return _fit_ca(a, grid_m, tol, drift)
 
 
@@ -401,12 +405,12 @@ def extend_from_integer_samples(samples: Sequence, kind: str,
     solver audit as ``.report``.  Certification failure raises
     CertificationError with the certificate attached.
     """
-    if kind == classify.CM:
+    if kind == CM:
         model, report = invert_cm(samples, grid_m, tol)
-    elif kind == classify.CA:
+    elif kind == CA:
         model, report = invert_ca(samples, grid_m, tol)
     else:
-        raise ValueError(f"kind must be {classify.CM!r} or {classify.CA!r}")
+        raise ValueError(f"kind must be {CM!r} or {CA!r}")
 
     def interpolant(lam):
         return evaluate(model, lam)

@@ -20,7 +20,6 @@ drop each row once the next one exists (O(K) memory, not O(K^2)).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
@@ -110,6 +109,7 @@ def read_sequence(path, mode=None) -> Sequence:
             else:
                 raise ValueError(f"entry {i}: cannot parse {item!r}")
     else:
+        import csv
         for lineno, row in enumerate(csv.reader(text.splitlines()), start=1):
             cells = [c for c in row if c.strip()]
             if not cells:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from cmtk import cli
 from cmtk.cli import main
 
 TESTS = Path(__file__).resolve().parent
@@ -361,6 +362,45 @@ class TestOneSampleMinimality:
         code, report, _ = run(capsys, "minimal", "--kind", "cm", str(p))
         assert code == 1
         assert report["result"]["minimality"]["atom"]["trail"] == ["1/1", "1/2"]
+
+
+class TestPerCommandParser:
+    """``main`` builds only the parser row that argv[0] names; it must read
+    and print exactly as the parser of every command does."""
+
+    @staticmethod
+    def _exit(capsys, call):
+        """(exit code, stdout, stderr) of ``call()``, which may exit."""
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    @pytest.mark.parametrize("name", sorted(cli.COMMANDS))
+    def test_command_help_matches_full_parser(self, capsys, name):
+        own = self._exit(capsys, lambda: cli.build_parser(name).parse_args([name, "-h"]))
+        full = self._exit(capsys, lambda: cli.build_parser().parse_args([name, "-h"]))
+        assert own == full
+        assert own[0] == 0 and own[1].startswith(f"usage: cmtk {name} ")
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"]]
+                             + [[name, flag] for name in sorted(cli.COMMANDS)
+                                for flag in ("--bogus", "-h")])
+    def test_main_matches_full_parser(self, capsys, monkeypatch, argv):
+        built, build = [], cli.build_parser
+
+        def recorded(command=None):
+            built.append(command)
+            return build(command)
+
+        monkeypatch.setattr(cli, "build_parser", recorded)
+        own = self._exit(capsys, lambda: main(argv))
+        assert built == [argv[0] if argv and argv[0] in cli.COMMANDS else None]
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: build())
+        assert self._exit(capsys, lambda: main(argv)) == own
+        assert own[0] in (0, 3) and (own[1] or own[2])
 
 
 class TestReports:
@@ -778,13 +818,19 @@ print(json.dumps({"results": results, "at_import": at_import, "after": loaded()}
         "minimal": {"bernstein", "funcops", "moments", "newton", "webster", "builtins",
                     "_extrapolate"},
         "newton-eval": {"classify", "funcops", "bernstein", "moments", "webster"},
-        "webster": {"bernstein", "moments", "newton"},
-        "operator": {"bernstein", "moments", "newton", "_extrapolate"},
-        "decompose-bf": {"bernstein", "moments", "newton", "_extrapolate"},
+        "webster": {"bernstein", "classify", "moments", "newton", "seqcore"},
+        "operator": {"bernstein", "classify", "moments", "newton", "seqcore", "_extrapolate"},
+        "decompose-bf": {"bernstein", "classify", "moments", "newton", "seqcore", "_extrapolate"},
         "lattice": {"bernstein", "moments", "newton", "_extrapolate"},
-        "subaffine": {"bernstein", "moments", "newton", "_extrapolate"},
-        "evaluate": {"bernstein", "_extrapolate"},  # on a bare measure
+        "subaffine": {"bernstein", "classify", "moments", "newton", "seqcore", "_extrapolate"},
+        "evaluate": {"bernstein", "classify", "seqcore", "_extrapolate"},  # on a bare measure
+        # on a named builtin; bftheta-triplet's handle evaluates through moments
+        "bftheta": {"moments", "newton", "webster"},
+        "selfdec": {"moments", "newton", "webster"},
     }
+    # the commands that read no sequence file, which must not load csv
+    NO_SEQUENCE_FILE = {"webster", "operator", "decompose-bf", "lattice", "subaffine", "evaluate",
+                        "bftheta", "selfdec"}
 
     def _imported_modules(self, argv, cwd):
         """The modules that ``python -X importtime`` reports for one child,
@@ -812,11 +858,13 @@ print(json.dumps({"results": results, "at_import": at_import, "after": loaded()}
 
         for src in (TESTS / "data" / "cli").iterdir():
             (tmp_path / src.name).write_bytes(src.read_bytes())
-        code, loaded = self._loaded_cmtk_modules(
-            ["-m", "cmtk.cli", *CASES[name], "--no-meta"], tmp_path)
+        code, names = self._imported_modules(["-m", "cmtk.cli", *CASES[name], "--no-meta"],
+                                             tmp_path)
         golden = (TESTS / "data" / "cli_reports" / f"{name}.json").read_text()
         assert f'"exit_code": {code}' in golden
-        assert not loaded & self.NOT_LOADED[name], sorted(loaded)
+        unwanted = {f"cmtk.{m}" for m in self.NOT_LOADED[name]}
+        unwanted |= {"csv"} if name in self.NO_SEQUENCE_FILE else set()
+        assert not names & unwanted, sorted(names & unwanted)
 
     # dataclasses and inspect cost a child milliseconds to import, and
     # dataclasses generates code for each class it decorates; only a report's

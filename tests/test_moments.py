@@ -7,6 +7,7 @@ solver's own KKT gap and residual asserted against their contracts.
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -356,6 +357,17 @@ class TestScale:
     def test_non_finite_drift_refused(self, values, drift):
         # a NaN drift once passed the clamp and CATriplet's d < 0 check
         with pytest.raises(ValueError, match=f"^drift must be finite, not {drift!r}$"):
+            invert_ca(Sequence.from_values(values), drift=drift)
+
+    @pytest.mark.parametrize("values, drift, message", [
+        ([0.0, 1e-300, 2e-300], 1.0, "residual 2.236e+00 > 1.493e-308"),
+        ([0, 0.5, 0.75, 0.875], 1e300, "residual 3.742e+300 > 5.000e-09"),
+    ])
+    def test_mismatch_whose_squares_pass_float_range(self, values, drift, message):
+        # a finite mismatch near float range: its norm once overflowed in
+        # numpy's dot to a RuntimeWarning and a residual of inf
+        with pytest.raises(NotRepresentableError, match=f"^not representable at this grid: "
+                                                        f"{re.escape(message)}$"):
             invert_ca(Sequence.from_values(values), drift=drift)
 
     @pytest.mark.parametrize("unit, c, grid", [
