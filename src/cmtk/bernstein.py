@@ -21,8 +21,9 @@ from fractions import Fraction
 from . import classify
 from ._extrapolate import richardson_derivative
 from .errors import DomainError
-from .funcops import FunctionHandle, bounded_sequence, sampled_sequence
-from .scalars import DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, Record, is_exact, json_field
+from .funcops import FunctionHandle, _check_c, bounded_sequence, sampled_sequence
+from .scalars import (DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, Record, is_exact, json_field,
+                      nonnegative_fsum)
 from .seqcore import Sequence, _check_depth, difference_table
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
@@ -59,11 +60,11 @@ class BernsteinTriplet(Record):
             raise ValueError("levy atoms must have finite integral of 1 ^ x")
 
     def integrability(self) -> float:
-        return math.fsum(w * min(1.0, x) for x, w in self.levy)
+        return nonnegative_fsum(w * min(1.0, x) for x, w in self.levy)
 
     @property
     def total_levy_mass(self) -> float:
-        return math.fsum(w for _, w in self.levy)
+        return nonnegative_fsum(w for _, w in self.levy)
 
     def to_dict(self):
         return {
@@ -99,7 +100,7 @@ def triplet_handle(t: BernsteinTriplet, name="triplet") -> FunctionHandle:
 
     def derivative(lam):
         lam = float(lam)
-        return t.d + math.fsum(w * x * math.exp(-lam * x) for x, w in t.levy)
+        return t.d + nonnegative_fsum(w * x * math.exp(-lam * x) for x, w in t.levy)
 
     return FunctionHandle(lambda lam: value(float(lam), t.q, t.d), name, False, derivative)
 
@@ -123,6 +124,7 @@ def extract_triplet(phi: FunctionHandle, tol: float = 1e-10):
     from . import moments
     if phi.open_at_zero:
         raise DomainError("extraction needs the value at 0")
+    moments._check_fit(200, tol)
     phi.reset_budget()
     seq = sampled_sequence(phi, [float(k) for k in range(31)])
     # one table serves the reported certificate and the fit's full-depth
@@ -135,6 +137,7 @@ def extract_triplet(phi: FunctionHandle, tol: float = 1e-10):
     q = float(seq.values[0])
     d = max(0.0, float(phi(1e7 + 1.0) - phi(1e7)))
     moments._certify_or_raise(seq, classify.CA, table._scaled_rows())
+    moments._check_fit(200, tol, d)  # a far-field value past float range makes d inf
     triplet, fit = moments._fit_ca(seq, 200, tol, d)
     exp_measure = moments.to_exponential(triplet.measure)
     atoms = dict(exp_measure.atoms)
@@ -190,15 +193,15 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
     depth = _check_depth(depth)
     count = depth + 10
     cs = [float(c) for c in cs]
-    if not all(c > 0 for c in cs):
-        raise ValueError("c must be positive")
+    for c in cs:
+        _check_c(c)
     entries = []
     phi.reset_budget()
     at_k = phi.sample(range(count + 1))
     for c in cs:
         c_exact = Fraction(c)
-        phi_0, phi_c = at_k[0], phi(c_exact)
         pairs = [(a, phi(k + c_exact)) for k, a in enumerate(at_k)]
+        phi_0, phi_c = pairs[0]  # phi(0 + c) is phi(c)
         # in float, fl(a-b) = -fl(b-a), so head + (phi(0) - phi(c)) is exactly 0.0
         seq = _difference_sequence(pairs, phi_c - phi_0, abs(phi_c) + abs(phi_0))
         samples = seq.values
@@ -284,7 +287,7 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
     certified CA and minimal at full depth; with an exact derivative the
     whole test runs in exact arithmetic.  Verdict: pass iff every test
     passes; fail on any certified violation, or non-minimality of a passed
-    certificate; inconclusive otherwise.
+    certificate; inconclusive otherwise.  Parameters are checked before sampling.
     """
     depth = _check_depth(depth)
     if phi.open_at_zero:
@@ -292,6 +295,7 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
     cs = [float(c) for c in cs]
     if not all(0.0 < c < 1.0 for c in cs):
         raise ValueError("scale factors must lie in (0, 1)")
+    classify._check_trail(classify.CA, depth, tol)
     phi.reset_budget()
     at_k = phi.sample(range(_SCALE_DEPTH + 9))
     entries = []
@@ -354,7 +358,7 @@ def egf_validate(a: Sequence, t) -> float:
     worst = 0.0
     for s in (j / 20.0 for j in range(21)):
         lhs = math.exp(-s) * _egf_sum(vals, s, e) * 2.0**e
-        rhs = float(t.q) + t.d * s + math.fsum(
+        rhs = float(t.q) + t.d * s + nonnegative_fsum(
             w * -math.expm1(-s * (1.0 - u)) for u, w in t.measure.atoms
         )
         worst = max(worst, abs(lhs - rhs))

@@ -24,12 +24,8 @@ from math import inf
 from operator import ge, gt, le, neg
 
 from .errors import CertificationError
-from .scalars import CA, CM, EXACT, FLOAT, Record
+from .scalars import CA, CM, EXACT, FAIL, FLOAT, INCONCLUSIVE, PASS, Record
 from .seqcore import Sequence, _scaled_rows, difference_table
-
-PASS = "pass"
-FAIL = "fail"
-INCONCLUSIVE = "inconclusive"
 
 #: In float mode deep difference rows are dominated by rounding noise; depth
 #: defaults are capped here (exact mode has no cap).
@@ -130,9 +126,26 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
     return cert
 
 
-def _certified_column(a: Sequence, kind: str, depth: int, raise_failed=True):
-    """(certificate, column) of ``_certify``; failing raises unless ``raise_failed`` is false."""
+def _check_trail(kind: str, depth: int, tol=None, minimality=True):
+    """Refuse, in this order, a bad kind, a negative or NaN tol and a CM depth
+    below 1 (these two for minimality only), and a CA depth below 2."""
+    if kind not in (CM, CA):
+        raise ValueError(f"kind must be {CM!r} or {CA!r}")
+    if minimality and tol is not None and not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+    # a_0 alone is the total mass, an upper bound on the atom at zero of any
+    # sequence; like the CA trail from row 2, the decision needs row 1
+    if minimality and kind == CM and depth < 1:
+        raise ValueError("depth too small: CM minimality needs depth >= 1")
+    if kind == CA and depth < 2:
+        raise ValueError("depth too small: CA atom trail needs depth >= 2")
+
+
+def _certified_column(a: Sequence, kind: str, depth: int, tol=None, minimality=True,
+                      raise_failed=True):
+    """``_check_trail``, then (certificate, column) of ``_certify``; failing raises if asked."""
     column, rows = [], _scaled_rows(a, depth)  # checks the depth before the kind
+    _check_trail(kind, depth, tol, minimality)
     fail = f"sequence failed {kind} certification" if raise_failed else None
     return _certify(a, kind, depth, rows, fail, column), column
 
@@ -156,14 +169,11 @@ def atom_at_zero(a: Sequence, kind: str, depth=None) -> AtomEstimate:
     The estimate is the last trail value; for a genuinely CM/CA input the
     trail is nonincreasing and converges to nu({0}) (CM) or mu({0}) (CA).
     """
-    depth = default_depth(a, depth)
-    return _atom(_certified_column(a, kind, depth)[1], kind, depth)
+    return _atom(_certified_column(a, kind, default_depth(a, depth), minimality=False)[1], kind)
 
 
-def _atom(column: list, kind: str, depth: int) -> AtomEstimate:
+def _atom(column: list, kind: str) -> AtomEstimate:
     """The trail off the column of a certificate that did not fail."""
-    if kind == CA and depth < 2:
-        raise ValueError("depth too small: CA atom trail needs depth >= 2")
     col = column if kind == CM else [(-v, e, -x) for v, e, x in column[1:]]
     # scaled entries, and int zero bounds in exact mode: no float arithmetic
     monotone_ok = all(w <= v + e + f for (v, e, _), (w, f, _) in zip(col, col[1:]))
@@ -179,34 +189,26 @@ class MinimalityReport(Record):
 
 def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport:
     """Decide minimality to depth: atom estimate <= tol with a monotone trail.
-    CM needs depth >= 1 and CA depth >= 2.
+    CM needs depth >= 1 and CA depth >= 2, checked before the scan with tol.
 
     Default tol is 1e-6 in exact mode and max(1e-6, 10x the accumulated
     error bound of the trail end) in float mode.
     """
-    depth = default_depth(a, depth)
-    return _minimality(_certified_column(a, kind, depth)[1], kind, depth, tol)
+    return _minimality(_certified_column(a, kind, default_depth(a, depth), tol)[1], kind, tol)
 
 
-def _minimality(column: list, kind: str, depth: int, tol) -> MinimalityReport:
-    if tol is not None and tol < 0:
-        raise ValueError("tol must be nonnegative")
-    # a_0 alone is the total mass, an upper bound on the atom at zero of any
-    # sequence; like the CA trail from row 2, the decision needs row 1
-    if kind == CM and depth < 1:
-        raise ValueError("depth too small: CM minimality needs depth >= 1")
-    atom = _atom(column, kind, depth)
+def _minimality(column: list, kind: str, tol) -> MinimalityReport:
+    atom = _atom(column, kind)
     if tol is None:  # an exact trail's error bound is 0.0, so its tol is 1e-6
         tol = max(1e-6, 10.0 * atom.error_bound)
-    minimal = bool(atom.estimate <= tol and atom.monotone_ok)
-    return MinimalityReport(minimal, atom, float(tol))
+    return MinimalityReport(bool(atom.estimate <= tol and atom.monotone_ok), atom, float(tol))
 
 
 def _certify_minimal(a: Sequence, kind: str, depth: int, tol):
     """certify, then is_minimal unless the certificate failed, from one scan;
     returns (certificate, MinimalityReport or None)."""
-    cert, column = _certified_column(a, kind, depth, raise_failed=False)
-    return cert, None if cert.failed else _minimality(column, kind, depth, tol)
+    cert, column = _certified_column(a, kind, depth, tol, raise_failed=False)
+    return cert, None if cert.failed else _minimality(column, kind, tol)
 
 
 STRICT = "strict"

@@ -7,16 +7,16 @@ One subcommand per library operation, stable exit codes for scripting:
     2  inconclusive or partial result
     3  usage or I/O error
 
-Every run on codes 0-2 writes a JSON report (stdout or --out) echoing the
-resolved parameter set; --no-meta strips the timestamp so identical runs
-produce byte-identical reports.  Reports are strict JSON: a float that is
-not finite is written as null.  Library errors map to one place: any
-CmtkError gives code 1 (2 when a function handle ran out of its evaluation
-budget) with a report whose result is {"error": message}, plus the failing
-certificate when the error carries one.  Malformed input, including
-non-finite numbers, gives code 3 and an error line on stderr, with no
-report.  ``evaluate`` reads a bare model file or an
-``invert``/``extend``/``egf`` report.
+Every command returns a verdict that one table maps to codes 0-2, and
+writes a JSON report (stdout or --out) echoing the resolved parameter set;
+--no-meta strips the timestamp so identical runs produce byte-identical
+reports.  Reports are strict JSON: a float that is not finite is written as
+null.  Any CmtkError is a fail (inconclusive when a function handle ran out
+of its evaluation budget) with a report whose result is {"error": message},
+plus the failing certificate when the error carries one.  Malformed input,
+including non-finite numbers and a malformed parameter whatever the data,
+gives code 3 and an error line on stderr, with no report.  ``evaluate``
+reads a bare model file or an ``invert``/``extend``/``egf`` report.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ import sys
 
 from .errors import BudgetExceededError, CmtkError
 from .scalars import (CA, CM, DEFAULT_C_PAIR, DEFAULT_GRID, DEFAULT_N, DEFAULT_SD_CS, DEFAULT_TOL,
-                      FLOAT, Record, coerce_values, parse_scalar, scalar_to_json)
+                      FAIL, FLOAT, INCONCLUSIVE, PASS, Record, coerce_values, parse_scalar,
+                      scalar_to_json)
 
-EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
+EXIT_USAGE = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,22 +59,13 @@ def _floats(text):
     return values
 
 
-def _verdict_code(verdict):
-    from . import classify
-    return {
-        classify.PASS: EXIT_PASS,
-        classify.FAIL: EXIT_FAIL,
-        classify.INCONCLUSIVE: EXIT_INCONCLUSIVE,
-    }[verdict]
-
-
-def _check_code(passed, entries):
-    """Exit code of a lattice or theta check: pass when it passed, fail only
+def _check_verdict(passed, entries):
+    """Verdict of a lattice or theta check: pass when it passed, fail only
     when one of ``entries`` has a failed certificate, inconclusive otherwise
     (a partial lattice passes no entries)."""
     if passed:
-        return EXIT_PASS
-    return EXIT_FAIL if any(e.certificate.failed for e in entries) else EXIT_INCONCLUSIVE
+        return PASS
+    return FAIL if any(e.certificate.failed for e in entries) else INCONCLUSIVE
 
 
 def _load_sequence(args):
@@ -101,20 +93,20 @@ def _to_json(obj):
     return _to_json(scalar_to_json(obj))
 
 
-# -- subcommand implementations; each returns (exit_code, result) -----------
+# -- subcommand implementations; each returns (verdict, result) -------------
 
 def _cmd_certify(args):
     from . import classify
     seq = _load_sequence(args)
     cert = classify.certify(seq, args.kind, args.depth)
-    return _verdict_code(cert.verdict), {"certificate": cert}
+    return cert.verdict, {"certificate": cert}
 
 
 def _cmd_minimal(args):
     from . import classify
     seq = _load_sequence(args)
     rep = classify.is_minimal(seq, args.kind, args.depth, args.tol)
-    return (EXIT_PASS if rep.minimal else EXIT_FAIL), {"minimality": rep}
+    return (PASS if rep.minimal else FAIL), {"minimality": rep}
 
 
 def _cmd_invert(args):
@@ -122,7 +114,7 @@ def _cmd_invert(args):
     seq = _load_sequence(args)
     invert = moments.invert_cm if args.variant == "cm" else moments.invert_ca
     model, fit = invert(seq, args.grid, args.tol)
-    return EXIT_PASS, {"model": model, "fit": fit}
+    return PASS, {"model": model, "fit": fit}
 
 
 def _cmd_evaluate(args):
@@ -140,14 +132,14 @@ def _cmd_evaluate(args):
         from . import moments
         kind = moments.CATriplet if "q" in data or "d" in data else moments.DiscreteMeasure
         model, value = kind.from_dict(data), moments.evaluate
-    return EXIT_PASS, {"values": [[lam, value(model, lam)] for lam in args.at]}
+    return PASS, {"values": [[lam, value(model, lam)] for lam in args.at]}
 
 
 def _cmd_extend(args):
     from . import moments
     seq = _load_sequence(args)
     f = moments.extend_from_integer_samples(seq, args.kind, args.grid, args.tol)
-    return EXIT_PASS, {
+    return PASS, {
         "values": [[lam, f(lam)] for lam in args.at],
         "fit": f.report,
         "model": f.model,
@@ -159,13 +151,13 @@ def _cmd_newton(args):
     seq = _load_sequence(args)
     series = series_from_samples(seq)
     if args.action == "fit":
-        return EXIT_PASS, {"series": series}
+        return PASS, {"series": series}
     out = eval_series(series, parse_scalar(args.at), args.terms)
     try:
         value_float = float(out.value)
     except OverflowError:  # an exact value past float range
         value_float = None
-    return EXIT_PASS, {**vars(out), "value_float": value_float}
+    return PASS, {**vars(out), "value_float": value_float}
 
 
 def _cmd_webster(args):
@@ -182,49 +174,49 @@ def _cmd_webster(args):
     if args.check_grid:
         out["functional_equation_residual"] = webster.verify_functional_equation(
             solution, g, args.check_grid)
-    return EXIT_PASS, out
+    return PASS, out
 
 
 def _cmd_operator(args):
     from . import builtins, funcops
     f = builtins.get_handle(args.builtin)
     composed = funcops.apply_operator(f, args.op, args.c[0], args.iterate)
-    return EXIT_PASS, {"values": [[x, composed(x)] for x in args.at]}
+    return PASS, {"values": [[x, composed(x)] for x in args.at]}
 
 
 def _cmd_decompose(args):
     from . import builtins, funcops
     f = builtins.get_handle(args.builtin)
     decompose = funcops.cm_limit_decompose if args.variant == "cm" else funcops.bf_limit_decompose
-    return EXIT_PASS, {"decomposition": decompose(f, tuple(args.c), args.nmax)}
+    return PASS, {"decomposition": decompose(f, tuple(args.c), args.nmax)}
 
 
 def _cmd_lattice(args):
     from . import builtins, funcops
     f = builtins.get_handle(args.builtin)
     rep = funcops.lattice_check(f, args.kind, args.alpha, args.depth, args.tol)
-    return _check_code(rep.overall_pass, () if rep.partial else rep.entries), {"lattice": rep}
+    return _check_verdict(rep.overall_pass, () if rep.partial else rep.entries), {"lattice": rep}
 
 
 def _cmd_subaffine(args):
     from . import builtins, funcops
     f = builtins.get_handle(args.builtin)
     rep = funcops.subaffine_check(f, args.c[0], args.bound)
-    return (EXIT_PASS if rep.ok else EXIT_FAIL), {"subaffine": rep}
+    return (PASS if rep.ok else FAIL), {"subaffine": rep}
 
 
 def _cmd_bftheta(args):
     from . import bernstein, builtins
     f = builtins.get_handle(args.builtin)
     rep = bernstein.check_bf_via_theta(f, tuple(args.c), args.depth)
-    return _check_code(rep.overall_pass, rep.entries), {"theta_check": rep}
+    return _check_verdict(rep.overall_pass, rep.entries), {"theta_check": rep}
 
 
 def _cmd_selfdec(args):
     from . import bernstein, builtins
     f = builtins.get_handle(args.builtin)
     rep = bernstein.check_selfdecomposable(f, tuple(args.c), args.depth, args.tol)
-    return _verdict_code(rep.verdict), {"selfdecomposable": rep}
+    return rep.verdict, {"selfdecomposable": rep}
 
 
 def _cmd_egf(args):
@@ -232,7 +224,7 @@ def _cmd_egf(args):
     seq = _load_sequence(args)
     triplet, fit = moments.invert_ca(seq, args.grid, args.tol)
     residual = bernstein.egf_validate(seq, triplet)
-    return EXIT_PASS, {"egf_residual": residual, "fit": fit, "model": triplet}
+    return PASS, {"egf_residual": residual, "fit": fit, "model": triplet}
 
 
 def _arg(flag, **kwargs):
@@ -269,7 +261,7 @@ COMMANDS = {
                (_arg("variant", choices=["cm", "ca"]), *_SEQUENCE, *_GRID)),
     "evaluate": ("evaluate a measure/triplet JSON file", _cmd_evaluate,
                  (_arg("input", help="model JSON file"), _AT, *_REPORT)),
-    "extend": ("unique CM/BF interpolant of integer samples", _cmd_extend,
+    "extend": ("CM/BF interpolant of integer samples fitted on the grid", _cmd_extend,
                (*_SEQUENCE, _KIND, *_GRID, _AT)),
     "newton": ("Gregory-Newton series", _cmd_newton, (
         _arg("action", choices=["fit", "eval"]), *_SEQUENCE,
@@ -320,16 +312,15 @@ def _resolved_params(args):
 
 
 def _run(args):
-    """(exit code, result) of the subcommand, with every CmtkError turned
-    into an error result."""
+    """(verdict, result) of the subcommand; a CmtkError becomes an error result."""
     try:
         return args.fn(args)
     except CmtkError as exc:  # before ValueError: a DomainError is both
-        code = EXIT_INCONCLUSIVE if isinstance(exc, BudgetExceededError) else EXIT_FAIL
+        verdict = INCONCLUSIVE if isinstance(exc, BudgetExceededError) else FAIL
         result = {"error": str(exc)}
         if getattr(exc, "certificate", None):
             result["certificate"] = exc.certificate
-        return code, result
+        return verdict, result
 
 
 def main(argv=None) -> int:
@@ -342,7 +333,8 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else EXIT_USAGE
 
     try:
-        code, result = _run(args)
+        verdict, result = _run(args)
+        code = {PASS: 0, FAIL: 1, INCONCLUSIVE: 2}[verdict]  # the one map to exit codes
         report = {
             "command": args.command,
             "params": _resolved_params(args),

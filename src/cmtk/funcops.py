@@ -20,6 +20,7 @@ first differences.
 from __future__ import annotations
 
 import math
+import operator
 import os
 
 from .errors import BudgetExceededError, DomainError
@@ -98,14 +99,26 @@ class FunctionHandle:
         return list(map(self.fn, points))
 
 
+def _check_c(c):
+    """Refuse an operator parameter c that is not positive and finite."""
+    if not c > 0:
+        raise ValueError("c must be positive")
+    if not c < math.inf:
+        raise ValueError(f"c must be finite, got {c!r}")
+
+
 def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionHandle:
     """Compose f with an operator iterate; returns a new handle charging f's
     budget.  theta and rho need f(0), so they reject open-at-zero handles;
     rho additionally requires c in (0, 1).  A theta handle evaluates its
     anchors f(ic), i = 0..iterate, once, when it is built."""
-    if not c > 0:
-        raise ValueError("c must be positive")
-    n = iterate
+    _check_c(c)
+    try:
+        if isinstance(iterate, bool):  # an int to operator.index, but no count
+            raise TypeError
+        n = operator.index(iterate)
+    except TypeError:
+        raise ValueError(f"iterate must be an integer, not {iterate!r}") from None
     if n < 0:
         raise ValueError("iterate must be nonnegative")
     if op in ("theta", "rho") and f.open_at_zero:
@@ -177,10 +190,10 @@ def default_lambda_grid(include_zero: bool = True):
 
 
 def _probed_cs(c, n_max):
-    """The probed c values of a limit decomposition; checks c > 0, n_max >= 1."""
+    """The probed c values of a limit decomposition; checks each c and n_max >= 1."""
     cs = tuple(c) if isinstance(c, (tuple, list)) else (float(c),)
-    if not all(cj > 0 for cj in cs):
-        raise ValueError("c must be positive")
+    for cj in cs:
+        _check_c(cj)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return cs
@@ -322,23 +335,26 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
     """Certify (f(alpha k))_k (shifted to (k+1)alpha for open-at-zero handles)
     for each finite alpha > 0, with minimality, on depth + 6 samples.
 
-    Overall pass requires every per-alpha certificate to pass; budget
-    exhaustion yields a partial report over the alphas already done.
+    Parameters are checked before sampling.  Overall pass requires every
+    per-alpha certificate to pass; budget exhaustion yields a partial report.
     """
     from . import classify
     from .seqcore import _check_depth
     depth = _check_depth(depth)
+    count, first = depth + 5, 1 if f.open_at_zero else 0
     alphas = [float(alpha) for alpha in alphas]
     for alpha in alphas:
         if not 0.0 < alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha:g}")
+        if not alpha * (count + first) < math.inf:
+            raise ValueError(f"alpha {alpha:g} puts the lattice point {count + first} * alpha "
+                             "beyond float range")
+    classify._check_trail(kind, depth, tol)
     entries = []
     partial = False
     f.reset_budget()
     for alpha in alphas:
         try:
-            count = depth + 5
-            first = 1 if f.open_at_zero else 0
             pts = [alpha * (k + first) for k in range(count + 1)]
             vals, mags = _sample(f, pts)
             mags = mags or [abs(v) for v in vals]
@@ -367,8 +383,7 @@ def subaffine_check(phi: FunctionHandle, c: float, bound: float) -> SubaffineRep
     """Real-axis surrogate of the bounded-increment condition:
     sup over the grid of |Phi(x + c) - Phi(x)| <= bound, up to the
     rounding floor of the evaluated increments."""
-    if not c > 0:
-        raise ValueError("c must be positive")
+    _check_c(c)
     phi.reset_budget()
     sup, arg, slack = -math.inf, float("nan"), 0.0
     for x in default_lambda_grid(include_zero=not phi.open_at_zero):

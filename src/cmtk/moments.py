@@ -31,7 +31,8 @@ import sys
 from functools import cache
 
 from .errors import DomainError, NotRepresentableError
-from .scalars import CA, CM, DEFAULT_GRID, DEFAULT_TOL, Record, json_field, parse_scalar
+from .scalars import (CA, CM, DEFAULT_GRID, DEFAULT_TOL, Record, json_field, nonnegative_fsum,
+                      parse_scalar)
 
 #: residual > RESIDUAL_FACTOR * tol  =>  "not representable at this grid"
 RESIDUAL_FACTOR = 100.0
@@ -59,17 +60,17 @@ class DiscreteMeasure(Record):
 
     @property
     def total_mass(self):
-        return math.fsum(w for _, w in self.atoms)
+        return nonnegative_fsum(w for _, w in self.atoms)
 
     @property
     def weight_at_zero(self):
-        return math.fsum(w for u, w in self.atoms if u == 0.0)
+        return nonnegative_fsum(w for u, w in self.atoms if u == 0.0)
 
     def moment(self, k: int) -> float:
         """a_k = integral u^k; at k = 0 this is the total mass."""
         if k == 0:
             return self.total_mass
-        return math.fsum(w * u**k for u, w in self.atoms if u > 0.0)
+        return nonnegative_fsum(w * u**k for u, w in self.atoms if u > 0.0)
 
     def to_dict(self):
         return {"atoms": [{"u": u, "w": w} for u, w in self.atoms]}
@@ -97,7 +98,7 @@ class CATriplet(Record):
     def moment(self, k: int) -> float:
         if k == 0:
             return float(self.q)
-        return float(self.q) + self.d * k + math.fsum(
+        return float(self.q) + self.d * k + nonnegative_fsum(
             w * (1.0 - u**k) for u, w in self.measure.atoms
         )
 
@@ -148,7 +149,7 @@ class ExponentialMeasure(Record):
         """integral e^{-lam x}; the infinity atom counts only at lam = 0."""
         if lam < 0:
             raise DomainError("lambda must be nonnegative")
-        val = math.fsum(w * math.exp(-lam * x) for x, w in self.atoms)
+        val = nonnegative_fsum(w * math.exp(-lam * x) for x, w in self.atoms)
         if lam == 0:
             val += self.mass_at_infinity
         return val
@@ -158,9 +159,11 @@ class ExponentialMeasure(Record):
         its full mass for lam > 0 and nothing at lam = 0."""
         if lam < 0:
             raise DomainError("lambda must be nonnegative")
-        val = float(q) + d * lam + math.fsum(
-            w * -math.expm1(-lam * x) for x, w in self.atoms
-        )
+        try:  # nonnegative_fsum inline: every triplet-handle value comes here
+            val = math.fsum(w * -math.expm1(-lam * x) for x, w in self.atoms)
+        except OverflowError:
+            val = math.inf
+        val = float(q) + d * lam + val
         if lam > 0:
             val += self.mass_at_infinity
         return val
@@ -229,10 +232,7 @@ def _solve_nnls(kernel, data, tol: float, q=0.0, d=0.0):
     scaled back by 2^e, keep an unscaled solve's bits where it stays in range.
 
     Raises NotRepresentableError when the scaled residual exceeds
-    RESIDUAL_FACTOR * tol, and ValueError for a target or weight past float
-    range or a negative tol."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    RESIDUAL_FACTOR * tol, and ValueError for a target or weight past float range."""
     import numpy as np
 
     e = _binade(data)
@@ -265,6 +265,17 @@ def _solve_nnls(kernel, data, tol: float, q=0.0, d=0.0):
     return w, back[0], back[1]
 
 
+def _check_fit(grid_m: int, tol: float, drift=None):
+    """Refuse, in this order, a grid without a cell, a drift that is not finite
+    (the clamp at 0 reads -inf as 0.0 and keeps NaN) and a negative or NaN tol."""
+    if grid_m < 1:
+        raise ValueError("grid must have at least one cell")
+    if drift is not None and not math.isfinite(drift):
+        raise ValueError(f"drift must be finite, not {drift!r}")
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
+
+
 def _certify_or_raise(a: Sequence, kind: str, rows=None):
     """Raise unless ``a`` certifies ``kind`` to its default depth (read off ``rows`` if given)."""
     from . import classify
@@ -295,8 +306,7 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
     the residual exceeds 100*tol*2^e, e the binade of max |a_k|, and
     CertificationError when the sequence fails the CM sign check outright.
     """
-    if grid_m < 1:
-        raise ValueError("grid must have at least one cell")
+    _check_fit(grid_m, tol)
     _certify_or_raise(a, CM)
     u, V = _power_kernel(a.last_index, grid_m, grid_m + 1)
     w, residual, kkt = _solve_nnls(V, a.as_floats(), tol)
@@ -337,21 +347,15 @@ def invert_ca(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL,
     Returns (CATriplet, FitReport); the report's drift_gap records the
     difference between the last two first differences (positive bias scale).
     """
-    if grid_m < 1:
-        raise ValueError("grid must have at least one cell")
+    _check_fit(grid_m, tol, drift)
     _certify_or_raise(a, CA)
     return _fit_ca(a, grid_m, tol, drift)
 
 
 def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
-    """The fit of ``invert_ca`` on a sequence already certified CA."""
+    """The fit of ``invert_ca`` on a sequence already certified CA, checked by ``_check_fit``."""
     q = a.values[0]
-    if drift is None:
-        d_hat, gap = drift_floor_estimate(a)
-    elif math.isfinite(drift):
-        d_hat, gap = max(float(drift), 0.0), None
-    else:  # the clamp would read -inf as 0.0 and keep a NaN
-        raise ValueError(f"drift must be finite, not {drift!r}")
+    d_hat, gap = drift_floor_estimate(a) if drift is None else (max(float(drift), 0.0), None)
     import numpy as np
 
     u, B = _power_kernel(a.last_index, grid_m, grid_m)
@@ -398,19 +402,17 @@ def evaluate(m, lam) -> float:
 def extend_from_integer_samples(samples: Sequence, kind: str,
                                 grid_m: int = DEFAULT_GRID,
                                 tol: float = DEFAULT_TOL):
-    """Certify, invert and return the unique CM/BF interpolant of (f(k))_k
-    as a callable.
+    """Certify, invert and return as a callable the CM/BF interpolant of
+    (f(k))_k fitted on the grid, unique only when the samples pin the
+    measure (a boundary point of the moment space).
 
     The returned function carries the fitted object as ``.model`` and the
     solver audit as ``.report``.  Certification failure raises
     CertificationError with the certificate attached.
     """
-    if kind == CM:
-        model, report = invert_cm(samples, grid_m, tol)
-    elif kind == CA:
-        model, report = invert_ca(samples, grid_m, tol)
-    else:
+    if kind not in (CM, CA):
         raise ValueError(f"kind must be {CM!r} or {CA!r}")
+    model, report = (invert_cm if kind == CM else invert_ca)(samples, grid_m, tol)
 
     def interpolant(lam):
         return evaluate(model, lam)

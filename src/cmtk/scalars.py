@@ -5,8 +5,8 @@ kinds.  A value parsed from "p/q" or from a decimal literal is an exact
 ``fractions.Fraction``; a Python float stays a float.  Exactness is decided
 once, at sequence construction, and recorded as a mode flag.
 
-The sequence kinds and the parameter defaults that the CLI parser shows
-live here too, so that the parser reads them without importing the
+The sequence kinds, the three verdicts and the parameter defaults that the
+CLI reads live here too, so that it reads them without importing the
 modules that compute with them; so does ``Record``, the base of every
 module's value types.
 """
@@ -25,6 +25,10 @@ FLOAT = "float"
 
 CM = "cm"  # completely monotone
 CA = "ca"  # completely alternating
+
+PASS = "pass"
+FAIL = "fail"
+INCONCLUSIVE = "inconclusive"
 
 DEFAULT_GRID = 200  # moment-inversion grid size M (moments)
 DEFAULT_TOL = 1e-10  # NNLS fit tolerance (moments)
@@ -86,6 +90,15 @@ class Record:
     def __repr__(self):
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
         return f"{type(self).__qualname__}({fields})"
+
+
+def nonnegative_fsum(terms) -> float:
+    """fsum of nonnegative float terms; a sum past float range reads inf,
+    its correctly rounded value, where fsum raises OverflowError."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def parse_scalar(text):

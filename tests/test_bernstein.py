@@ -75,6 +75,20 @@ class TestEval:
         with pytest.raises(ValueError, match="finite"):
             BernsteinTriplet(0.0, 0.0, ((1.0, math.inf),))
 
+    def test_levy_integral_past_float_range_rejected(self):
+        # fsum of the finite terms 1e308 * (1 ^ x) overflowed into an OverflowError
+        with pytest.raises(ValueError, match="^levy atoms must have finite integral of 1 \\^ x$"):
+            BernsteinTriplet(0.0, 0.0, ((1.0, 1e308), (2.0, 1e308)))
+
+    def test_handle_sums_past_float_range_read_inf(self):
+        # the integral of 1 ^ x is 1.5e308, but Phi and Phi' pass float range
+        t = BernsteinTriplet(0.0, 0.0, ((0.5, 1.5e308), (2.0, 0.75e308)))
+        assert t.total_levy_mass == math.inf
+        h = triplet_handle(t)
+        assert h(100.0) == eval_bernstein(t, 100.0) == math.inf
+        assert h.derivative(0.0) == math.inf
+        assert h(1e-300) < math.inf
+
     def test_from_dict_names_missing_key(self):
         with pytest.raises(ValueError, match="'w'"):
             BernsteinTriplet.from_dict({"levy": [{"x": 1}]})
@@ -125,6 +139,12 @@ class TestExtract:
     def test_rejects_non_ca(self):
         with pytest.raises(CertificationError):
             extract_triplet(get_handle("square"))
+
+    def test_far_field_past_float_range_is_refused(self):
+        # the drift read off Phi(1e7 + 1) - Phi(1e7) is inf: the fit's drift message
+        phi = FunctionHandle(lambda x: math.inf if x > 1e7 else float(x) / (1.0 + float(x)))
+        with pytest.raises(ValueError, match="^drift must be finite, not inf$"):
+            extract_triplet(phi)
 
     def test_builds_one_table(self, monkeypatch):
         # the reported depth-15 certificate and the fit's depth-30 one are

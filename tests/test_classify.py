@@ -7,6 +7,7 @@ at every depth exactly, and the atom trail must recover the weight at zero.
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from unittest import mock
@@ -37,6 +38,7 @@ from cmtk.bernstein import check_bf_via_theta, check_selfdecomposable
 from cmtk.builtins import get_handle
 from cmtk.errors import CertificationError
 from cmtk.funcops import apply_operator, lattice_check
+from cmtk.moments import extend_from_integer_samples, invert_ca, invert_cm
 from cmtk.seqcore import Sequence, _scaled_rows, difference_table
 
 
@@ -500,8 +502,6 @@ class TestCertifyReference:
 def reference_atom(table, kind, depth):
     """The atom trail read off column 0 of a kept table: scaled entries
     compared within their bounds (int zeros in exact mode), then unscaled."""
-    if kind == CA and depth < 2:
-        raise ValueError("depth too small: CA atom trail needs depth >= 2")
     ns = range(0 if kind == CM else 2, depth + 1)
     trail = [table.scaled[n][0] if kind == CM else -table.scaled[n][0] for n in ns]
     bounds = [table.bounds[n][0] for n in ns] if table.bounds else [0] * len(ns)
@@ -522,22 +522,25 @@ def outcome(call):
 
 def reference_outcomes(a, kind, depth, tol):
     """atom_at_zero, is_minimal and _certify_minimal as a full table gives
-    them, with their checks in order: the depth, the kind, the certificate,
-    tol, and a depth too small for the trail."""
-    def scan(raise_failed):
+    them, with their checks in order: the depth, the kind, tol and a depth
+    too small for the trail (tol and the CM depth for minimality only), and
+    then the certificate."""
+    def scan(raise_failed, minimal=True):
         table = difference_table(a, depth)
         if kind not in (CM, CA):
             raise ValueError(f"kind must be {CM!r} or {CA!r}")
+        if minimal and tol is not None and tol < 0:
+            raise ValueError("tol must be nonnegative")
+        if minimal and kind == CM and depth < 1:
+            raise ValueError("depth too small: CM minimality needs depth >= 1")
+        if kind == CA and depth < 2:
+            raise ValueError("depth too small: CA atom trail needs depth >= 2")
         cert = reference_certify(a, kind, depth)
         if raise_failed and cert.failed:
             raise CertificationError(f"sequence failed {kind} certification", cert)
         return cert, table
 
     def minimality(table):
-        if tol is not None and tol < 0:
-            raise ValueError("tol must be nonnegative")
-        if kind == CM and depth < 1:
-            raise ValueError("depth too small: CM minimality needs depth >= 1")
         atom = reference_atom(table, kind, depth)
         t = tol if tol is not None else 1e-6 if a.mode == "exact" else max(
             1e-6, 10.0 * atom.error_bound)
@@ -547,7 +550,7 @@ def reference_outcomes(a, kind, depth, tol):
         cert, table = scan(False)
         return cert, None if cert.failed else minimality(table)
 
-    return [outcome(lambda: reference_atom(scan(True)[1], kind, depth)),
+    return [outcome(lambda: reference_atom(scan(True, False)[1], kind, depth)),
             outcome(lambda: minimality(scan(True)[1])),
             outcome(certify_minimal)]
 
@@ -570,7 +573,7 @@ class TestColumnReference:
     @given(any_sequences, st.integers(min_value=-1, max_value=42),
            st.sampled_from([CM, CA, CM, CA, "cx"]),
            st.sampled_from([None, None, 0.0, 1e-6, 0.02, 1.0, -1.0]))
-    # the failed certificate raises before the tol and depth checks
+    # the tol and depth checks raise before the failed certificate
     @example(exact([0, 1, 0, 1]), 0, CM, -1.0)
     @example(exact([0, 1, 0, 1]), 1, CA, None)
     # the depth is checked before the kind
@@ -587,6 +590,42 @@ class TestColumnReference:
                outcome(lambda: is_minimal(a, kind, depth, tol)),
                outcome(lambda: classify._certify_minimal(a, kind, depth, tol))]
         assert got == reference_outcomes(a, kind, depth, tol)
+
+
+class TestParametersBeforeRows:
+    """A bad tol, trail depth, grid or drift is refused with its own message
+    before the scan draws a row, so whatever the data: the alternating
+    sequence fails CM and CA certification, the harmonic one passes CM."""
+
+    ALTERNATING = [0, 1, 0, 1]
+    HARMONIC = [Fraction(1, k + 1) for k in range(22)]
+    TOL = "tol must be nonnegative"
+    CM_DEPTH = "depth too small: CM minimality needs depth >= 1"
+    CA_DEPTH = "depth too small: CA atom trail needs depth >= 2"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda a: is_minimal(a, CM, None, -1.0), TOL),
+        (lambda a: is_minimal(a, CM, None, math.nan), TOL),
+        (lambda a: is_minimal(a, CM, 0), CM_DEPTH),
+        (lambda a: is_minimal(a, CA, 1, -1.0), TOL),  # tol before the trail depth
+        (lambda a: is_minimal(a, CA, 1), CA_DEPTH),
+        (lambda a: atom_at_zero(a, CA, 1), CA_DEPTH),
+        (lambda a: classify._certify_minimal(a, CM, 3, math.nan), TOL),
+        (lambda a: classify._certify_minimal(a, CA, 1, None), CA_DEPTH),
+        (lambda a: invert_cm(a, 0, -1.0), "grid must have at least one cell"),
+        (lambda a: invert_cm(a, 4, math.nan), TOL),
+        (lambda a: invert_ca(a, 0, -1.0, math.nan), "grid must have at least one cell"),
+        (lambda a: invert_ca(a, 200, -1.0, math.inf), "drift must be finite, not inf"),
+        (lambda a: invert_ca(a, 200, math.nan), TOL),
+        (lambda a: extend_from_integer_samples(a, CM, tol=-1.0), TOL),
+    ])
+    @pytest.mark.parametrize("values", [ALTERNATING, HARMONIC], ids=["fails", "passes"])
+    def test_refused_before_the_first_row(self, monkeypatch, call, message, values):
+        drawn = []
+        monkeypatch.setattr(classify, "_scaled_rows", counting_rows(drawn))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(exact(values))
+        assert drawn == []
 
 
 class TestAtomAtZero:

@@ -343,6 +343,80 @@ class TestNewtonFloatSeries:
         assert report["result"]["warnings"] == []
 
 
+class TestMalformedParameterWhateverTheData:
+    """A malformed parameter is refused before the data are read: exit 3 with
+    the same one stderr line and no report, on data whose certificate fails
+    as on data whose certificate passes."""
+
+    CASES = [
+        (["minimal", "--kind", "cm", "--tol", "-1"], "alternating.csv", "harmonic.csv",
+         "tol must be nonnegative"),
+        (["minimal", "--kind", "cm", "--depth", "0"], "negative", "harmonic.csv",
+         "depth too small: CM minimality needs depth >= 1"),
+        (["minimal", "--kind", "ca", "--depth", "1"], "harmonic.csv", "bf.csv",
+         "depth too small: CA atom trail needs depth >= 2"),
+        (["lattice", "--kind", "cm", "--tol", "-1"], "square", "exp-decay",
+         "tol must be nonnegative"),
+        (["lattice", "--kind", "ca", "--depth", "1"], "exp-decay", "square",
+         "depth too small: CA atom trail needs depth >= 2"),
+        (["selfdec", "--tol", "-1"], "square", "log1p", "tol must be nonnegative"),
+        (["selfdec", "--depth", "1"], "exp-decay", "log1p",
+         "depth too small: CA atom trail needs depth >= 2"),
+        (["invert", "cm", "--tol", "-1"], "alternating.csv", "harmonic.csv",
+         "tol must be nonnegative"),
+        (["extend", "--kind", "cm", "--at", "1", "--tol", "-1"], "alternating.csv",
+         "harmonic.csv", "tol must be nonnegative"),
+        (["egf", "--tol", "-1"], "harmonic.csv", "bf.csv", "tol must be nonnegative"),
+    ]
+
+    @pytest.mark.parametrize("argv, failing, passing, message", CASES,
+                             ids=[" ".join(argv) for argv, *_ in CASES])
+    def test_exit_3_on_failing_and_passing_data(self, capsys, tmp_path, argv, failing, passing,
+                                                message):
+        negative = tmp_path / "negative.csv"
+        negative.write_text("1\n-1\n1/3\n")
+        for data in (failing, passing):
+            if data.endswith(".csv"):
+                tail = [str(TESTS / "data" / "cli" / data)]
+            elif data == "negative":
+                tail = [str(negative)]
+            else:
+                tail = ["--builtin", data]
+            code = main([*argv, *tail, "--no-meta"])
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == (3, "", f"error: {message}\n"), data
+
+
+class TestSumsPastFloatRange:
+    """A nonnegative atom sum past float range reads inf, its correctly
+    rounded value, and is never an OverflowError."""
+
+    ATOMS = [{"u": 0.5, "w": 1e308}, {"u": 0.7, "w": 1e308}]
+
+    @pytest.mark.parametrize("model, at", [
+        ({"atoms": ATOMS}, "0"),
+        ({"q": 0, "d": 0, "atoms": ATOMS}, "50"),
+    ], ids=["measure", "ca-triplet"])
+    def test_model_value_reads_null(self, capsys, tmp_path, model, at):
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(model))
+        code, report, err = run(capsys, "evaluate", str(p), "--at", at)
+        assert (code, err) == (0, "")
+        assert report["result"]["values"] == [[float(at), None]]
+
+    @pytest.mark.parametrize("argv", [["evaluate", "{p}", "--at", "1"],
+                                      ["bftheta", "--builtin", "triplet:{p}"]],
+                             ids=lambda argv: argv[0])
+    def test_levy_integral_past_float_range_is_refused(self, capsys, tmp_path, argv):
+        p = tmp_path / "triplet.json"
+        p.write_text(json.dumps({"q": 0, "d": 0, "levy": [{"x": 1, "w": 1e308},
+                                                          {"x": 2, "w": 1e308}]}))
+        code = main([arg.format(p=p) for arg in argv])
+        out = capsys.readouterr()
+        assert (code, out.out) == (3, "")
+        assert out.err == "error: levy atoms must have finite integral of 1 ^ x\n"
+
+
 class TestOneSampleMinimality:
     """A single sample decides minimality on neither side: the CM trail's
     only entry would be the total mass, and the CA trail starts at row 2."""
@@ -613,6 +687,12 @@ class TestMalformedInput:
         # the kernel's message, raised before the first sample and the default tol
         err = self._one_line_exit_3(capsys, ["selfdec", "--builtin", "log1p", "--depth", "-1"])
         assert err == "error: depth must be nonnegative\n"
+
+    def test_lattice_point_past_float_range_names_alpha(self, capsys):
+        # 25 alpha is inf: its slope bound 0 * inf was NaN, refused as a bad value bound
+        err = self._one_line_exit_3(
+            capsys, ["lattice", "--kind", "cm", "--builtin", "exp-decay", "--alpha", "1e308"])
+        assert err == "error: alpha 1e+308 puts the lattice point 25 * alpha beyond float range\n"
 
     def test_triplet_atom_without_weight(self, capsys, tmp_path):
         p = tmp_path / "triplet.json"

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -35,9 +36,12 @@ from cmtk.funcops import (
     sampled_sequence,
     subaffine_check,
 )
-from cmtk.scalars import EPS, TINY, is_exact
+from cmtk.scalars import CA, CM, EPS, TINY, is_exact
 from cmtk.seqcore import Sequence
 from cmtk.webster import WebsterProblem, WebsterSolution
+
+
+OPS = ["sigma", "tau", "delta", "theta", "rho"]
 
 
 def handle(fn, **kw):
@@ -174,6 +178,50 @@ class TestOperators:
             handle(lambda x: x)
 
 
+class TestParametersBeforeSamples:
+    """A bad parameter is refused with its own message before the handle is
+    evaluated once, so whatever the function: square is neither CM nor
+    Bernstein, log1p is Bernstein."""
+
+    TOL = "tol must be nonnegative"
+    CA_DEPTH = "depth too small: CA atom trail needs depth >= 2"
+    C_INF = "c must be finite, got inf"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda f: lattice_check(f, CM, [1.0], 20, -1.0), TOL),
+        (lambda f: lattice_check(f, CM, [1.0], 20, math.nan), TOL),
+        (lambda f: lattice_check(f, CA, [1.0], 1), CA_DEPTH),
+        (lambda f: lattice_check(f, "cx", [1.0]), "kind must be 'cm' or 'ca'"),
+        # the last lattice point 25 alpha is inf, and its slope bound 0 * inf NaN
+        (lambda f: lattice_check(f, CM, [1.0, 1e308]),
+         "alpha 1e+308 puts the lattice point 25 * alpha beyond float range"),
+        (lambda f: check_selfdecomposable(f, tol=-1.0), TOL),
+        (lambda f: check_selfdecomposable(f, depth=1), CA_DEPTH),
+        (lambda f: extract_triplet(f, tol=math.nan), TOL),
+        (lambda f: check_bf_via_theta(f, (1.0, math.inf)), C_INF),
+        (lambda f: cm_limit_decompose(f, c=(1.0, math.inf)), C_INF),
+        (lambda f: bf_limit_decompose(f, c=math.inf), C_INF),
+        (lambda f: subaffine_check(f, math.inf, 1.0), C_INF),
+        *[(lambda f, op=op: apply_operator(f, op, math.inf), "c must be finite, got inf")
+          for op in OPS],
+    ])
+    @pytest.mark.parametrize("name", ["square", "log1p"])
+    def test_refused_before_the_first_evaluation(self, call, message, name):
+        f = get_handle(name)
+        cell = counting(f)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(f)
+        assert cell[0] == f.calls == 0
+
+    @pytest.mark.parametrize("op", OPS)
+    @pytest.mark.parametrize("iterate", [1.5, 2.0, True, "2"])
+    def test_iterate_must_be_an_integer(self, op, iterate):
+        # 1.5 once named a sigma or tau handle sigma_0.5^1.5, and True passed as 1
+        message = f"iterate must be an integer, not {iterate!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            apply_operator(get_handle("exp-decay"), op, 0.5, iterate)
+
+
 def counting(f):
     """Wrap the callable of handle ``f``; returns a one-item list holding the
     number of base evaluations (``f.calls`` is zeroed by ``reset_budget``)."""
@@ -228,7 +276,8 @@ class TestEvaluationCounts:
                      lambda g: list(map(WebsterSolution(WebsterProblem(g, 1000)).result,
                                         (0.375, 1.375, 1.0, 2.6875))), 3103,
                      id="webster-series-op"),
-        pytest.param(lambda: get_handle("bf-ratio"), check_bf_via_theta, 80, id="bf-via-theta"),
+        # 26 samples, then per c the 26 shifted points, the first of them c itself
+        pytest.param(lambda: get_handle("bf-ratio"), check_bf_via_theta, 78, id="bf-via-theta"),
         pytest.param(lambda: get_handle("log1p"), check_selfdecomposable, 120,
                      id="selfdecomposable"),
         # 2 anchors, 31 samples and 2 far-field values, 2 base values each

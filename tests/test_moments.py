@@ -152,6 +152,30 @@ class TestExponentialMap:
             assert w1 == w2
 
 
+class TestSumsPastFloatRange:
+    """Every nonnegative atom sum past float range reads inf, its correctly
+    rounded value: fsum raised OverflowError on such finite terms."""
+
+    ATOMS = ((0.0, 1e308), (0.9, 1e308), (0.95, 1e308))
+
+    def test_measure(self):
+        m = DiscreteMeasure(self.ATOMS)
+        assert m.total_mass == m.moment(0) == m.moment(1) == math.inf
+        assert m.weight_at_zero == 1e308
+        assert evaluate(m, 0.0) == evaluate(m, 1e-300) == math.inf
+        assert evaluate(m, 50.0) < 1e307
+
+    def test_ca_triplet(self):
+        t = CATriplet(0, 0.0, DiscreteMeasure(self.ATOMS))
+        assert t.moment(100) == evaluate(t, 50.0) == math.inf
+        assert evaluate(t, 0.0) == 0.0
+
+    def test_exponential_measure(self):
+        e = to_exponential(DiscreteMeasure(self.ATOMS))
+        assert e.laplace(0.0) == e.bernstein(50.0) == e.bernstein(50.0, 1.0, 1.0) == math.inf
+        assert e.laplace(50.0) < 1e307
+
+
 class TestEvaluate:
     def test_single_exponential(self):
         m = DiscreteMeasure(((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
