@@ -154,17 +154,7 @@ class ThetaCheckEntry(Record):
     bounded_ok: bool
     sup_estimate: float
     last_increment: float
-
-    @property
-    def passed(self):
-        return (
-            self.theta_at_zero == 0.0
-            and self.certificate.passed
-            and self.bounded_ok
-        )
-
-    def to_dict(self):
-        return {**vars(self), "passed": self.passed}
+    passed: bool
 
 
 class ThetaReport(Record):
@@ -210,10 +200,9 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
         max_inc = max(incs, default=0.0)
         last_inc = incs[-1] if incs else 0.0
         bounded = last_inc <= 0.5 * max_inc + 4 * EPS * abs(float(samples[-1]))
-        entries.append(
-            ThetaCheckEntry(c, float(samples[0]), cert, bounded,
-                            float(samples[-1]), last_inc)
-        )
+        theta_0 = float(samples[0])
+        entries.append(ThetaCheckEntry(c, theta_0, cert, bounded, float(samples[-1]), last_inc,
+                                       theta_0 == 0.0 and cert.passed and bounded))
     return ThetaReport(tuple(entries), all(e.passed for e in entries))
 
 
@@ -221,17 +210,7 @@ class SDTestEntry(Record):
     label: str
     certificate: classify.Certificate
     minimality: classify.MinimalityReport | None
-
-    @property
-    def passed(self):
-        return (
-            self.certificate.passed
-            and self.minimality is not None
-            and self.minimality.minimal
-        )
-
-    def to_dict(self):
-        return {**vars(self), "passed": self.passed}
+    passed: bool
 
 
 class SDReport(Record):
@@ -275,7 +254,9 @@ def _sd_entry(label: str, seq: Sequence, depth: int, tol) -> SDTestEntry:
     minimality (default tol from the depth and the last value)."""
     if tol is None:
         tol = _default_sd_tol(depth, seq.values[-1])
-    return SDTestEntry(label, *classify._certify_minimal(seq, classify.CA, depth, tol))
+    cert, minimality = classify._certify_minimal(seq, classify.CA, depth, tol)
+    return SDTestEntry(label, cert, minimality,
+                       cert.passed and minimality is not None and minimality.minimal)
 
 
 def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,

@@ -99,6 +99,19 @@ class FunctionHandle:
         return list(map(self.fn, points))
 
 
+#: the largest iterate of delta, theta and rho whose binomial weights are
+#: floats: the central C(n, n // 2) passes float range from n = 1030
+MAX_BINOMIAL_ITERATE = 1029
+
+
+def _finite_shift(n, c, plus=0.0) -> bool:
+    """Whether the shift n c + plus, a point a handle is evaluated at, is a float."""
+    try:
+        return n * c + plus < math.inf
+    except OverflowError:  # an int n beyond float range
+        return False
+
+
 def _check_c(c):
     """Refuse an operator parameter c that is not positive and finite."""
     if not c > 0:
@@ -110,8 +123,10 @@ def _check_c(c):
 def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionHandle:
     """Compose f with an operator iterate; returns a new handle charging f's
     budget.  theta and rho need f(0), so they reject open-at-zero handles;
-    rho additionally requires c in (0, 1).  A theta handle evaluates its
-    anchors f(ic), i = 0..iterate, once, when it is built."""
+    rho additionally requires c in (0, 1).  An iterate whose binomial weights
+    (delta, theta, rho) or largest shift n c (tau, delta, theta) pass float
+    range is refused.  A theta handle evaluates its anchors f(ic), i =
+    0..iterate, once, when it is built."""
     _check_c(c)
     try:
         if isinstance(iterate, bool):  # an int to operator.index, but no count
@@ -127,6 +142,11 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
         raise ValueError("rho requires c in (0, 1)")
     if n == 0:
         return FunctionHandle(f, f"{f.name}", f.open_at_zero, base=f)
+    if op in ("delta", "theta", "rho") and n > MAX_BINOMIAL_ITERATE:
+        raise ValueError(f"iterate {n} of {op} has binomial weights beyond float range "
+                         f"(at most {MAX_BINOMIAL_ITERATE})")
+    if op in ("tau", "delta", "theta") and not _finite_shift(n, c):
+        raise ValueError(f"the shift iterate * c = {n} * {c:g} is beyond float range")
 
     bounded = None
     if op == "sigma":
@@ -189,13 +209,19 @@ def default_lambda_grid(include_zero: bool = True):
     return ([0.0] if include_zero else []) + grid
 
 
-def _probed_cs(c, n_max):
-    """The probed c values of a limit decomposition; checks each c and n_max >= 1."""
+def _probed_cs(c, n_max, bf=False):
+    """The probed c values of a limit decomposition; checks each c, n_max >= 1
+    and the far point n_max c (and n_max c + c for ``bf``) it evaluates."""
     cs = tuple(c) if isinstance(c, (tuple, list)) else (float(c),)
     for cj in cs:
         _check_c(cj)
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    far = "n_max * c + c" if bf else "n_max * c"
+    for cj in cs:
+        if not _finite_shift(n_max, cj, cj if bf else 0.0):
+            raise ValueError(f"the shift {far} is beyond float range for n_max = {n_max} "
+                             f"and c = {cj:g}")
     return cs
 
 
@@ -278,7 +304,7 @@ def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     """
     if phi.open_at_zero:
         raise DomainError("decomposition needs the value at 0")
-    cs = _probed_cs(c, n_max)
+    cs = _probed_cs(c, n_max, bf=True)
     phi.reset_budget()
     if lam_grid is None:
         lam_grid = default_lambda_grid()
@@ -346,7 +372,7 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
     for alpha in alphas:
         if not 0.0 < alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {alpha:g}")
-        if not alpha * (count + first) < math.inf:
+        if not _finite_shift(count + first, alpha):
             raise ValueError(f"alpha {alpha:g} puts the lattice point {count + first} * alpha "
                              "beyond float range")
     classify._check_trail(kind, depth, tol)

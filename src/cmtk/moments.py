@@ -168,15 +168,6 @@ class ExponentialMeasure(Record):
             val += self.mass_at_infinity
         return val
 
-    def to_measure(self) -> DiscreteMeasure:
-        """Round-trip back to the u = e^{-x} picture (underflowed atoms merge
-        into the mass at zero)."""
-        merged = {0.0: self.mass_at_infinity}
-        for x, w in self.atoms:
-            u = math.exp(-x)
-            merged[u] = merged.get(u, 0.0) + w
-        return DiscreteMeasure(tuple(sorted(merged.items())))
-
 
 @cache
 def _nnls_routine():
@@ -369,10 +360,8 @@ def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
 
 
 def to_exponential(m: DiscreteMeasure) -> ExponentialMeasure:
-    """Map support through x = -ln u (u = 0 becomes the infinity atom).
-
-    Round-tripping with u = e^{-x} is the identity up to float rounding.
-    """
+    """Map support through x = -ln u (u = 0 becomes the infinity atom);
+    u = e^{-x} maps each atom back up to float rounding."""
     mass_inf = 0.0
     atoms = []
     for u, w in m.atoms:

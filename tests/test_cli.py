@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -637,6 +638,17 @@ class TestMalformedInput:
                      id="out-missing-directory"),
         pytest.param('{"result": 5}', ["evaluate", "--at", "1"], id="evaluate-result-number"),
         pytest.param('{"result": null}', ["evaluate", "--at", "1"], id="evaluate-result-null"),
+        # binomial weights past float range raised OverflowError; a shift
+        # iterate * c or nmax * c of inf evaluated f(inf) and exited 0
+        *(pytest.param(None, ["operator", "--builtin", "exp-decay", "--op", op, "--c", c,
+                              "--iterate", "1100", "--at", "1"], id=f"operator-{op}-iterate-1100")
+          for op, c in [("delta", "1"), ("theta", "1"), ("rho", "0.5")]),
+        pytest.param(None, ["operator", "--builtin", "exp-decay", "--op", "tau", "--c", "1e308",
+                            "--iterate", "2", "--at", "1"], id="operator-tau-shift-overflow"),
+        pytest.param(None, ["decompose", "cm", "--builtin", "reciprocal", "--nmax", "1000000000",
+                            "--c", "1e300"], id="decompose-cm-shift-overflow"),
+        pytest.param(None, ["decompose", "bf", "--builtin", "log1p", "--c", "1,1e307"],
+                     id="decompose-bf-shift-overflow"),
         # fits of exact data past float range: an entry, a first difference
         # (the drift a report would carry), and the CA target a_k - q - d k,
         # here q + 3e308 (1 - 2^-k) - q, whose weight 3e308 at u = 1/2 a
@@ -672,6 +684,15 @@ class TestMalformedInput:
         assert out.out == ""
         assert len(out.err.strip().splitlines()) == 1
         return out.err
+
+    def test_huge_iterate_refused_at_once(self, capsys):
+        # the handle built 10**6 + 1 binomials, C(10**6, 5 * 10**5) alone in seconds
+        start = time.perf_counter()
+        err = self._one_line_exit_3(capsys, ["operator", "--builtin", "exp-decay", "--op", "delta",
+                                             "--iterate", "1000000", "--at", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert err == ("error: iterate 1000000 of delta has binomial weights beyond float "
+                       "range (at most 1029)\n")
 
     @pytest.mark.parametrize("depth, message", [
         ("3", "insufficient data: depth 3 exceeds last index 2"),

@@ -27,6 +27,7 @@ from cmtk.builtins import (
 )
 from cmtk.errors import BudgetExceededError, DomainError
 from cmtk.funcops import (
+    MAX_BINOMIAL_ITERATE,
     FunctionHandle,
     apply_operator,
     bf_limit_decompose,
@@ -204,6 +205,21 @@ class TestParametersBeforeSamples:
         (lambda f: subaffine_check(f, math.inf, 1.0), C_INF),
         *[(lambda f, op=op: apply_operator(f, op, math.inf), "c must be finite, got inf")
           for op in OPS],
+        # binomial weights past float range raised OverflowError, and a shift
+        # n c of inf evaluated f(inf)
+        *[(lambda f, op=op, n=n: apply_operator(f, op, 0.5 if op == "rho" else 1.0, n),
+           f"iterate {n} of {op} has binomial weights beyond float range (at most 1029)")
+          for op in ("delta", "theta", "rho") for n in (1030, 1100)],
+        *[(lambda f, op=op: apply_operator(f, op, 1e308, 2),
+           "the shift iterate * c = 2 * 1e+308 is beyond float range")
+          for op in ("tau", "delta", "theta")],
+        (lambda f: cm_limit_decompose(f, (1.0, 1e307), 64),
+         "the shift n_max * c is beyond float range for n_max = 64 and c = 1e+307"),
+        (lambda f: bf_limit_decompose(f, (1.0, 1e307), 64),
+         "the shift n_max * c + c is beyond float range for n_max = 64 and c = 1e+307"),
+        # n_max c = 1e308 is a float, but the drift's second point n_max c + c is not
+        (lambda f: bf_limit_decompose(f, 1e308, 1),
+         "the shift n_max * c + c is beyond float range for n_max = 1 and c = 1e+308"),
     ])
     @pytest.mark.parametrize("name", ["square", "log1p"])
     def test_refused_before_the_first_evaluation(self, call, message, name):
@@ -212,6 +228,12 @@ class TestParametersBeforeSamples:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(f)
         assert cell[0] == f.calls == 0
+
+    def test_iterate_bound_is_the_last_float_central_binomial(self):
+        n = MAX_BINOMIAL_ITERATE
+        assert float(math.comb(n, n // 2)) < math.inf
+        with pytest.raises(OverflowError):
+            float(math.comb(n + 1, (n + 1) // 2))
 
     @pytest.mark.parametrize("op", OPS)
     @pytest.mark.parametrize("iterate", [1.5, 2.0, True, "2"])

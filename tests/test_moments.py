@@ -143,14 +143,6 @@ class TestExponentialMap:
         assert e.laplace(0.0) == pytest.approx(0.75)
         assert e.laplace(1.0) == pytest.approx(0.5)
 
-    def test_round_trip(self):
-        m = DiscreteMeasure(((0.0, 0.1), (0.25, 0.5), (0.5, 0.2), (1.0, 0.3)))
-        back = to_exponential(m).to_measure()
-        assert len(back.atoms) == len(m.atoms)
-        for (u1, w1), (u2, w2) in zip(back.atoms, m.atoms):
-            assert u1 == pytest.approx(u2, rel=1e-15, abs=0)
-            assert w1 == w2
-
 
 class TestSumsPastFloatRange:
     """Every nonnegative atom sum past float range reads inf, its correctly
