@@ -195,13 +195,16 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
         # in float, fl(a-b) = -fl(b-a), so head + (phi(0) - phi(c)) is exactly 0.0
         seq = _difference_sequence(pairs, phi_c - phi_0, abs(phi_c) + abs(phi_0))
         samples = seq.values
+        try:  # exact samples and increments can pass float range
+            incs = [float(samples[k + 1] - samples[k]) for k in range(count)]
+            theta_0, sup = float(samples[0]), float(samples[-1])
+        except OverflowError:
+            raise ValueError(f"the theta samples at c = {c:g} pass float range") from None
         cert = classify.certify(seq, classify.CA, depth)
-        incs = [float(samples[k + 1] - samples[k]) for k in range(count)]
         max_inc = max(incs, default=0.0)
         last_inc = incs[-1] if incs else 0.0
-        bounded = last_inc <= 0.5 * max_inc + 4 * EPS * abs(float(samples[-1]))
-        theta_0 = float(samples[0])
-        entries.append(ThetaCheckEntry(c, theta_0, cert, bounded, float(samples[-1]), last_inc,
+        bounded = last_inc <= 0.5 * max_inc + 4 * EPS * abs(sup)
+        entries.append(ThetaCheckEntry(c, theta_0, cert, bounded, sup, last_inc,
                                        theta_0 == 0.0 and cert.passed and bounded))
     return ThetaReport(tuple(entries), all(e.passed for e in entries))
 

@@ -94,22 +94,23 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
     scale, pairs = rows or _scaled_rows(a, depth)
     unscale = (lambda x: Fraction(x, scale)) if a.mode == EXACT else (lambda x: x)
 
-    witness, undecidable, margin = None, 0, None
-    for n, (row, bounds) in islice(enumerate(pairs), 0 if kind == CM else 1, depth + 1):
+    cm, witness, undecidable, margin = kind == CM, None, 0, None
+    for n, (row, bounds) in islice(enumerate(pairs), 0 if cm else 1, depth + 1):
         if column is not None:
             column.append((row[0], 0 if bounds is None else bounds[0], unscale(row[0])))
-        m = min(row) if kind == CM else -max(row)  # the least |entry| of a row that holds its sign
+        m = min(row) if cm else -max(row)  # the least |entry| of a row that holds its sign
         if bounds is None and m >= 0:  # an exact row that holds its sign is decided by it
-            margin = m if margin is None else min(margin, m)
+            if margin is None or m < margin:
+                margin = m
             continue
         if not m >= 0:  # the least |entry| in scan order: min passes over a NaN unless first
             m = min(map(abs, row)) if margin is None else min(margin, *map(abs, row))
         margin = m if margin is None else min(margin, m)
         bounds = bounds or [0] * len(row)  # int zeros keep the scaled ints out of float arithmetic
-        signed, negated = (row, map(neg, row)) if kind == CM else (map(neg, row), row)
+        signed, negated = (row, map(neg, row)) if cm else (map(neg, row), row)
         certified = sum(map(ge, signed, bounds))  # s - e >= 0 exactly when s >= e, but at s = +inf
         if not sum(bounds) < inf:  # an entry past float range has bound inf: inf - inf is NaN
-            certified -= row.count(inf if kind == CM else -inf)
+            certified -= row.count(inf if cm else -inf)
         if certified < len(row):
             violating = list(map(gt, negated, bounds))  # s + e < 0 exactly when -s > e
             undecidable += len(row) - certified - sum(violating)

@@ -24,7 +24,7 @@ import operator
 import os
 
 from .errors import BudgetExceededError, DomainError
-from .scalars import DEFAULT_C_PAIR, EPS, Record
+from .scalars import DEFAULT_C_PAIR, EPS, Record, nonnegative_fsum
 
 DEFAULT_BUDGET = 10**6
 
@@ -125,8 +125,9 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
     budget.  theta and rho need f(0), so they reject open-at-zero handles;
     rho additionally requires c in (0, 1).  An iterate whose binomial weights
     (delta, theta, rho) or largest shift n c (tau, delta, theta) pass float
-    range is refused.  A theta handle evaluates its anchors f(ic), i =
-    0..iterate, once, when it is built."""
+    range is refused; so are, at a call, a point past float range, before f
+    is evaluated there, and terms whose sum passes it.  A theta handle
+    evaluates its anchors f(ic), i = 0..iterate, once, when it is built."""
     _check_c(c)
     try:
         if isinstance(iterate, bool):  # an int to operator.index, but no count
@@ -148,31 +149,57 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
     if op in ("tau", "delta", "theta") and not _finite_shift(n, c):
         raise ValueError(f"the shift iterate * c = {n} * {c:g} is beyond float range")
 
-    bounded = None
+    if op not in ("sigma", "tau", "delta", "theta", "rho"):
+        raise ValueError(f"unknown operator {op!r}")
     if op == "sigma":
         try:
             ceff = c**n
         except OverflowError:
             raise ValueError(f"c^iterate = {c:g}^{n} is beyond float range") from None
-        fn = lambda x: f(ceff * x)
-    elif op == "tau":
+    else:  # a float: the shift was checked above
         ceff = c * n
-        fn = lambda x: f(x + ceff)
-    elif op in ("delta", "theta", "rho"):
+
+    def past(x, terms=False):
+        """The ValueError for a point (c^n x, or x + n c: rho's points never
+        pass x), or for the terms, at x past float range."""
+        if terms:
+            return ValueError(f"the terms of {op} at iterate {n} and x = {x} pass float range")
+        shape = (f"c^iterate * x = {c:g}^{n} * {x}" if op == "sigma"
+                 else f"x + iterate * c = {x} + {n} * {c:g}")
+        return ValueError(f"the point {shape} is beyond float range")
+
+    bounded = None
+    if op in ("sigma", "tau"):
+        def fn(x):
+            point = ceff * x if op == "sigma" else x + ceff
+            if not point < math.inf:  # refused before f is evaluated there
+                raise past(x)
+            return f(point)
+    else:
         # sum_i coef_i (f(s_i x + o_i) - anchor_i): the points are x + ic, or
         # c^i x for rho; the anchors are f(ic) for theta and 0 otherwise
         parity = n if op == "delta" else 0
         terms = [(math.comb(n, i) * (-1 if (i + parity) % 2 else 1),
                   c**i if op == "rho" else 1, 0 if op == "rho" else i * c,
                   f(i * c) if op == "theta" else 0) for i in range(n + 1)]
-        fn = lambda x: math.fsum([k * (f(s * x + o) - a) for k, s, o, a in terms])
+
+        def fn(x):
+            if not (op == "rho" or x + ceff < math.inf):
+                raise past(x)
+            try:
+                return math.fsum([k * (f(s * x + o) - a) for k, s, o, a in terms])
+            except (OverflowError, ValueError):  # finite terms past float range, or inf - inf
+                raise past(x, terms=True) from None
 
         def bounded(x):
+            if not (op == "rho" or x + ceff < math.inf):
+                raise past(x)
             kva = [(k, f(s * x + o), a) for k, s, o, a in terms]
-            return (math.fsum([k * (v - a) for k, v, a in kva]),
-                    2.0 * math.fsum([abs(k) * (abs(v) + abs(a)) for k, v, a in kva]))
-    else:
-        raise ValueError(f"unknown operator {op!r}")
+            try:
+                value = math.fsum([k * (v - a) for k, v, a in kva])
+            except (OverflowError, ValueError):
+                raise past(x, terms=True) from None
+            return value, 2.0 * nonnegative_fsum([abs(k) * (abs(v) + abs(a)) for k, v, a in kva])
     name = f"{op}_{float(c):g}^{n}({f.name})"
     # tau moves 0 into the domain; theta and rho took closed handles only
     open_at_zero = f.open_at_zero and op != "tau"

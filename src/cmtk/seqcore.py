@@ -25,7 +25,7 @@ import math
 import operator
 from functools import cached_property
 from fractions import Fraction
-from itertools import repeat
+from itertools import compress, repeat
 
 from .scalars import EPS, EXACT, FLOAT, TINY, Record, coerce_values, parse_scalar
 
@@ -178,12 +178,32 @@ def _scaled_rows(a: Sequence, depth: int):
     if depth > a.last_index:
         raise ValueError(f"insufficient data: depth {depth} exceeds last index {a.last_index}")
     if a.mode == EXACT:
-        scale = math.lcm(*(v.denominator for v in a.values))
-        row = tuple([v.numerator * (scale // v.denominator) for v in a.values])
+        nums, dens = zip(*[v.as_integer_ratio() for v in a.values])
+        scale, cofactors = _scale_cofactors(dens)
+        row = tuple(list(map(operator.mul, nums, cofactors)))
         return scale, _next_rows(row, None, depth)
     # half an ulp each, floored at 2**-1074, the ulp of a subnormal or 0.0
     bounds = a.value_bounds or tuple([max(EPS * abs(v), TINY) for v in a.values])
     return 1, _next_rows(tuple(a.values), bounds, depth)
+
+
+def _scale_cofactors(dens):
+    """L, the lcm of ``dens``, and L // d for each d.  When the last denominator
+    is wider than a machine word, L // d_k is (L // d_{k+1}) * (d_{k+1} // d_k)
+    wherever d_k divides d_{k+1}, as it does for the moments of rational atoms
+    (their denominators grow as q^k): one wide division at each break, and L
+    is the lcm of the last denominator and those at the breaks."""
+    if dens[-1].bit_length() <= 64:
+        scale = math.lcm(*dens)
+        return scale, [scale // d for d in dens]
+    steps = list(map(divmod, dens[1:], dens))  # (d_{k+1} // d_k, d_{k+1} % d_k)
+    scale = math.lcm(*compress(dens, map(operator.itemgetter(1), steps)), dens[-1])
+    f = scale // dens[-1]
+    cofactors = [f]
+    for d, (q, r) in zip(reversed(dens[:-1]), reversed(steps)):
+        f = scale // d if r else f * q
+        cofactors.append(f)
+    return scale, reversed(cofactors)
 
 
 def _next_rows(row, bounds, depth):

@@ -645,6 +645,15 @@ class TestMalformedInput:
           for op, c in [("delta", "1"), ("theta", "1"), ("rho", "0.5")]),
         pytest.param(None, ["operator", "--builtin", "exp-decay", "--op", "tau", "--c", "1e308",
                             "--iterate", "2", "--at", "1"], id="operator-tau-shift-overflow"),
+        # an evaluation point x + iterate * c or c^iterate * x past float range
+        # evaluated f(inf) and exited 0; the theta samples -2ck of x^2 ended
+        # in a traceback
+        *(pytest.param(None, ["operator", "--builtin", "exp-decay", "--op", op, "--c", c,
+                              "--at", c], id=f"operator-{op}-point-overflow")
+          for op, c in [("tau", "1e308"), ("delta", "1e308"), ("theta", "1e308"),
+                        ("sigma", "1e200")]),
+        pytest.param(None, ["bftheta", "--builtin", "square", "--c=1.7e308"],
+                     id="bftheta-samples-overflow"),
         pytest.param(None, ["decompose", "cm", "--builtin", "reciprocal", "--nmax", "1000000000",
                             "--c", "1e300"], id="decompose-cm-shift-overflow"),
         pytest.param(None, ["decompose", "bf", "--builtin", "log1p", "--c", "1,1e307"],
@@ -693,6 +702,13 @@ class TestMalformedInput:
         assert time.perf_counter() - start < 1.0
         assert err == ("error: iterate 1000000 of delta has binomial weights beyond float "
                        "range (at most 1029)\n")
+
+    @pytest.mark.parametrize("op", ["delta", "theta"])
+    def test_terms_past_float_range_name_the_operator(self, capsys, op):
+        # exit 3 already, but with fsum's "-inf + inf in fsum"
+        err = self._one_line_exit_3(capsys, ["operator", "--builtin", "linear", "--op", op,
+                                             "--iterate", "1000", "--at", "1e300"])
+        assert err == f"error: the terms of {op} at iterate 1000 and x = 1e+300 pass float range\n"
 
     @pytest.mark.parametrize("depth, message", [
         ("3", "insufficient data: depth 3 exceeds last index 2"),

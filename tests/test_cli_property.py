@@ -196,6 +196,8 @@ def default_budget():
                 "--iterate=2"], {}))
 @example(case=(["webster", "--g", "identity", "--check-grid=5e-324"], {}))
 @example(case=(["bftheta", "--builtin", "linear", "--c=1.7e308,1e-150", "--depth=16"], {}))
+# theta_c of x^2 is -2ck: exact samples past float range (a traceback)
+@example(case=(["bftheta", "--builtin", "square", "--c=1.7e308"], {}))
 @example(case=(["egf", "seq.csv"], {"seq.csv": "1.7e308\n1.7e308\n"}))
 # x - m rounded to the base point 0.0, a domain error (exit 1)
 @example(case=(["webster", "--g", "identity", "--at", "1e16"], {}))

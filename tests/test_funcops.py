@@ -229,6 +229,43 @@ class TestParametersBeforeSamples:
             call(f)
         assert cell[0] == f.calls == 0
 
+    @pytest.mark.parametrize("op, c, x, message", [
+        *[(op, 1e308, 1e308, "the point x + iterate * c = 1e+308 + 1 * 1e+308 is beyond float range")
+          for op in ("tau", "delta", "theta")],
+        ("sigma", 1e200, 1e200, "the point c^iterate * x = 1e+200^1 * 1e+200 is beyond float range"),
+        ("sigma", 1.5, 1.7e308, "the point c^iterate * x = 1.5^1 * 1.7e+308 is beyond float range"),
+    ])
+    @pytest.mark.parametrize("name", ["square", "log1p"])
+    def test_point_refused_before_f_is_evaluated_there(self, op, c, x, message, name):
+        # f(inf) was evaluated, and its value reported
+        f = get_handle(name)
+        composed = apply_operator(f, op, c)
+        cell = counting(f)
+        for call in (composed, composed.bounded):
+            if call is None:
+                continue
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(x)
+            assert cell[0] == 0
+
+    @pytest.mark.parametrize("op, c, x, fn", [
+        # +-C(1000, i) (x + i) overflowed to +-inf, and fsum's "-inf + inf"
+        # named no parameter
+        *[(op, c, 1e300, None) for op, c in [("delta", 1.0), ("theta", 1.0), ("rho", 0.5)]],
+        # finite terms whose sum passes float range: fsum's OverflowError
+        ("delta", 1.0, 0.5, lambda t: 1e308 if 0.5 <= t <= 1 else -1e308),
+        ("theta", 1.0, 0.5, lambda t: 1e308 if 0.5 <= t <= 1 else 0.0),
+        ("rho", 0.5, 0.75, lambda t: 1e308 if 0.5 <= t <= 1 else -1e308),
+    ])
+    def test_terms_past_float_range_are_named(self, op, c, x, fn):
+        f = get_handle("linear") if fn is None else FunctionHandle(fn)
+        n = 1000 if fn is None else 1
+        composed = apply_operator(f, op, c, n)
+        message = f"the terms of {op} at iterate {n} and x = {x} pass float range"
+        for call in (composed, composed.bounded):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(x)
+
     def test_iterate_bound_is_the_last_float_central_binomial(self):
         n = MAX_BINOMIAL_ITERATE
         assert float(math.comb(n, n // 2)) < math.inf

@@ -356,6 +356,35 @@ class TestIntegerScaledKernel:
         self.check(values, 59)
         assert difference_table(Sequence.from_values(values), 3).scale == math.prod(FIRST_60_PRIMES)
 
+    # moments of three rational atoms: the denominators grow as (7 11 13)^k, past
+    # a machine word from k = 6, and all but one divide the next
+    MOMENTS = [sum(w * u**k for u, w in [(Fraction(2, 7), Fraction(3, 5)),
+                                          (Fraction(5, 11), Fraction(1, 4)),
+                                          (Fraction(9, 13), -Fraction(2, 9))])
+               for k in range(41)]
+
+    @pytest.mark.parametrize("values", [
+        MOMENTS,
+        # a middle value whose denominator divides neither neighbour's
+        MOMENTS[:20] + [MOMENTS[20] + Fraction(1, 10**30 + 57)] + MOMENTS[21:],
+        # negative values and zeros: a zero's denominator 1 divides the next
+        [0 if k % 9 == 4 else -v if k % 3 else v for k, v in enumerate(MOMENTS)],
+        MOMENTS[:-1] + [Fraction(0)],
+        [MOMENTS[-1]],
+        [-MOMENTS[-1]],
+    ], ids=["moments", "break", "signs-and-zeros", "last-zero", "single", "single-negative"])
+    def test_chained_cofactors(self, values):
+        dens = [Fraction(v).denominator for v in values]
+        assert max(dens).bit_length() > 64
+        self.check(values, len(values) - 1)
+
+    def test_chain_data(self):
+        dens = [v.denominator for v in self.MOMENTS]
+        assert dens[5].bit_length() <= 64 < dens[6].bit_length()
+        assert [b % a == 0 for a, b in zip(dens, dens[1:])].count(False) == 1
+        dens[20] = (self.MOMENTS[20] + Fraction(1, 10**30 + 57)).denominator
+        assert dens[20] % dens[19] == 0 and dens[21] % dens[20] != 0
+
     def test_ca_at_depth_zero_scans_nothing(self):
         from cmtk.classify import CA, certify
 
