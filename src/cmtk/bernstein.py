@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from . import classify
 from ._extrapolate import richardson_derivative
 from .errors import DomainError
-from .funcops import FunctionHandle, _check_c, bounded_sequence, sampled_sequence
+from .funcops import FunctionHandle, _check_c, _sample, bounded_sequence, sampled_sequence
 from .scalars import (DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, Record, is_exact, json_field,
                       nonnegative_fsum)
 from .seqcore import Sequence, _check_depth, difference_table
@@ -62,6 +63,13 @@ class BernsteinTriplet(Record):
     def integrability(self) -> float:
         return nonnegative_fsum(w * min(1.0, x) for x, w in self.levy)
 
+    @cached_property
+    def _value(self):
+        """lam -> Phi(lam) through the Levy measure, built at the first value."""
+        from . import moments
+        value, q, d = moments.ExponentialMeasure(self.levy).bernstein, self.q, self.d
+        return lambda lam: value(float(lam), q, d)
+
     @property
     def total_levy_mass(self) -> float:
         return nonnegative_fsum(w for _, w in self.levy)
@@ -87,22 +95,18 @@ class BernsteinTriplet(Record):
 
 def eval_bernstein(t: BernsteinTriplet, lam) -> float:
     """q + d lam + sum w_j (1 - e^{-lam x_j}); nondecreasing, value q at 0."""
-    from . import moments
-    return moments.ExponentialMeasure(t.levy).bernstein(float(lam), t.q, t.d)
+    return t._value(lam)
 
 
 def triplet_handle(t: BernsteinTriplet, name="triplet") -> FunctionHandle:
-    """Function handle for the triplet, valued as eval_bernstein (through a
-    Levy measure built once, not at each call), with its exact derivative
-    Phi'(lam) = d + sum w_j x_j e^{-lam x_j}."""
-    from . import moments
-    value = moments.ExponentialMeasure(t.levy).bernstein
+    """Function handle for the triplet, valued as eval_bernstein, with its
+    exact derivative Phi'(lam) = d + sum w_j x_j e^{-lam x_j}."""
 
     def derivative(lam):
         lam = float(lam)
         return t.d + nonnegative_fsum(w * x * math.exp(-lam * x) for x, w in t.levy)
 
-    return FunctionHandle(lambda lam: value(float(lam), t.q, t.d), name, False, derivative)
+    return FunctionHandle(t._value, name, False, derivative)
 
 
 class ExtractReport(Record):
@@ -162,15 +166,20 @@ class ThetaReport(Record):
     overall_pass: bool
 
 
-def _difference_sequence(pairs, head=0, anchor=0):
-    """head + (a - b) for each sample pair (a, b), bounded by
-    2 EPS (anchor + |a| + |b|), where anchor bounds the values head came from.
-    Exact differences carry no bounds, so none is computed: the exact
-    magnitudes can pass float range where the differences do not."""
-    values = [head + (a - b) for a, b in pairs]
+def _difference_sequence(a, b, theta=False):
+    """head + (a_k - b_k) for handle samples (values, magnitudes) a and b from
+    ``funcops._sample``, bounded by 2 EPS (anchor + M(a_k) + M(b_k)).  For
+    theta, head = b_0 - a_0 (fl(x-y) = -fl(y-x), so entry 0 is exactly 0.0)
+    and anchor = M(b_0) + M(a_0), else both are 0.  Exact differences carry
+    no bounds, so none is computed: exact magnitudes can pass float range."""
+    (av, am), (bv, bm) = a, b
+    head = bv[0] - av[0] if theta else 0
+    values = [head + (x - y) for x, y in zip(av, bv)]
     if all(map(is_exact, values)):
         return Sequence.from_values(values)
-    return bounded_sequence(values, [2.0 * (anchor + abs(a) + abs(b)) for a, b in pairs])
+    am, bm = am or [abs(x) for x in av], bm or [abs(y) for y in bv]
+    anchor = bm[0] + am[0] if theta else 0
+    return bounded_sequence(values, [2.0 * (anchor + x + y) for x, y in zip(am, bm)])
 
 
 def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
@@ -181,30 +190,25 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
     increment at most half the largest; increments of a CA sequence are
     already nonincreasing)."""
     depth = _check_depth(depth)
-    count = depth + 10
     cs = [float(c) for c in cs]
     for c in cs:
         _check_c(c)
     entries = []
     phi.reset_budget()
-    at_k = phi.sample(range(count + 1))
+    points = range(depth + 11)
+    at_k = _sample(phi, points)
     for c in cs:
         c_exact = Fraction(c)
-        pairs = [(a, phi(k + c_exact)) for k, a in enumerate(at_k)]
-        phi_0, phi_c = pairs[0]  # phi(0 + c) is phi(c)
-        # in float, fl(a-b) = -fl(b-a), so head + (phi(0) - phi(c)) is exactly 0.0
-        seq = _difference_sequence(pairs, phi_c - phi_0, abs(phi_c) + abs(phi_0))
+        seq = _difference_sequence(at_k, _sample(phi, [k + c_exact for k in points]), theta=True)
         samples = seq.values
         try:  # exact samples and increments can pass float range
-            incs = [float(samples[k + 1] - samples[k]) for k in range(count)]
+            incs = [float(y - x) for x, y in zip(samples, samples[1:])]
             theta_0, sup = float(samples[0]), float(samples[-1])
         except OverflowError:
             raise ValueError(f"the theta samples at c = {c:g} pass float range") from None
         cert = classify.certify(seq, classify.CA, depth)
-        max_inc = max(incs, default=0.0)
-        last_inc = incs[-1] if incs else 0.0
-        bounded = last_inc <= 0.5 * max_inc + 4 * EPS * abs(sup)
-        entries.append(ThetaCheckEntry(c, theta_0, cert, bounded, sup, last_inc,
+        bounded = incs[-1] <= 0.5 * max(incs) + 4 * EPS * abs(sup)
+        entries.append(ThetaCheckEntry(c, theta_0, cert, bounded, sup, incs[-1],
                                        theta_0 == 0.0 and cert.passed and bounded))
     return ThetaReport(tuple(entries), all(e.passed for e in entries))
 
@@ -237,18 +241,19 @@ def _derivative_samples(phi: FunctionHandle, count: int):
     """(Phi'(k))_k by the declared derivative, else central differences with
     one Richardson step (h = 1e-6 max(1, k)).
 
-    Returns (values, per_k_error, worst_error): the per-entry error
-    estimates (Richardson deltas plus rounding amplification eps|Phi|/h)
-    feed the certification bounds; None for a declared derivative.
+    Returns (values, per_k_error, worst_error): the per-entry error estimates
+    (Richardson deltas plus rounding amplification EPS M(k)/h, M as in
+    ``_difference_sequence``) feed the bounds; None for a declared derivative.
     """
     if phi.derivative is not None:
         return [phi.derivative(k) for k in range(count + 1)], None, None
+    at_k, mags = _sample(phi, [float(k) for k in range(count + 1)])
     vals, errs = [], []
-    for k in range(count + 1):
+    for k, m in enumerate(mags or map(abs, at_k)):
         h = 1e-6 * max(1.0, float(k))
         value, spread = richardson_derivative(phi, k, h)
         vals.append(value)
-        errs.append(spread + EPS * abs(phi(float(k))) / h)
+        errs.append(spread + EPS * m / h)
     return vals, errs, max(errs)
 
 
@@ -281,17 +286,17 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
         raise ValueError("scale factors must lie in (0, 1)")
     classify._check_trail(classify.CA, depth, tol)
     phi.reset_budget()
-    at_k = phi.sample(range(_SCALE_DEPTH + 9))
+    points = range(_SCALE_DEPTH + 9)
+    at_k = _sample(phi, points)
     entries = []
     for c in cs:
         # exact-first: a float c is an exact binary rational, so handles
         # built from plain arithmetic return exact values at these args
         c_exact = Fraction(c)
-        seq = _difference_sequence([(a, phi(c_exact * k)) for k, a in enumerate(at_k)])
+        seq = _difference_sequence(at_k, _sample(phi, [c_exact * k for k in points]))
         entries.append(_sd_entry(f"phi(k)-phi({c:g}k)", seq, _SCALE_DEPTH, tol))
 
-    deriv_entry = None
-    deriv_err = None
+    deriv_entry = deriv_err = None
     try:
         dvals, derrs, deriv_err = _derivative_samples(phi, depth + 8)
         finite = all(math.isfinite(float(v)) for v in dvals)
@@ -303,10 +308,7 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
         bvals = [k * dvals[k] for k in range(len(dvals))]
         # its own bounds, not bounded_sequence's: the error of a Richardson
         # derivative is a heuristic plus EPS |b|, not EPS times a magnitude
-        bounds = None
-        if derrs is not None:
-            bounds = [k * derrs[k] + EPS * abs(float(bvals[k]))
-                      for k in range(len(bvals))]
+        bounds = derrs and [k * derrs[k] + EPS * abs(float(bvals[k])) for k in range(len(bvals))]
         bseq = Sequence.from_values(bvals, value_bounds=bounds)
         deriv_entry = _sd_entry("k*phi'(k)", bseq, depth, tol)
 

@@ -126,7 +126,7 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
     rho additionally requires c in (0, 1).  An iterate whose binomial weights
     (delta, theta, rho) or largest shift n c (tau, delta, theta) pass float
     range is refused; so are, at a call, a point past float range, before f
-    is evaluated there, and terms whose sum passes it.  A theta handle
+    is evaluated there, and terms that pass it or whose sum does.  A theta handle
     evaluates its anchors f(ic), i = 0..iterate, once, when it is built."""
     _check_c(c)
     try:
@@ -187,9 +187,12 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
             if not (op == "rho" or x + ceff < math.inf):
                 raise past(x)
             try:
-                return math.fsum([k * (f(s * x + o) - a) for k, s, o, a in terms])
+                value = math.fsum([k * (f(s * x + o) - a) for k, s, o, a in terms])
             except (OverflowError, ValueError):  # finite terms past float range, or inf - inf
-                raise past(x, terms=True) from None
+                value = math.nan
+            if not abs(value) < math.inf:  # or one term past it, which fsum returns
+                raise past(x, terms=True)
+            return value
 
         def bounded(x):
             if not (op == "rho" or x + ceff < math.inf):
@@ -198,7 +201,9 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
             try:
                 value = math.fsum([k * (v - a) for k, v, a in kva])
             except (OverflowError, ValueError):
-                raise past(x, terms=True) from None
+                value = math.nan
+            if not abs(value) < math.inf:
+                raise past(x, terms=True)
             return value, 2.0 * nonnegative_fsum([abs(k) * (abs(v) + abs(a)) for k, v, a in kva])
     name = f"{op}_{float(c):g}^{n}({f.name})"
     # tau moves 0 into the domain; theta and rho took closed handles only
@@ -207,10 +212,12 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
 
 
 def _sample(f: FunctionHandle, points):
-    """f at the points, with the magnitudes M(x) of a composed handle (None
-    for a plain one), from one evaluation of each base value."""
+    """f at the points, and the magnitudes M(x) bounding each value's error by
+    EPS M(x): a composed handle's, from one evaluation of each base value, or
+    None for a plain one, whose M(x) is |f(x)|."""
     if f.bounded is None:
         return f.sample(points), None
+    f._check_domain(*points)
     pairs = [f.bounded(x) for x in points]
     return [v for v, _ in pairs], [m for _, m in pairs]
 

@@ -7,12 +7,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmtk.bernstein import (
     _SCALE_DEPTH,
     BernsteinTriplet,
+    _derivative_samples,
     check_bf_via_theta,
     check_selfdecomposable,
     egf_validate,
@@ -23,8 +24,9 @@ from cmtk.bernstein import (
 from cmtk.builtins import get_handle
 from cmtk.classify import CA, INCONCLUSIVE, certify
 from cmtk.errors import CertificationError, DomainError
-from cmtk.funcops import FunctionHandle, sampled_sequence
+from cmtk.funcops import FunctionHandle, apply_operator, sampled_sequence
 from cmtk.moments import invert_ca
+from cmtk.scalars import EPS
 from cmtk.seqcore import Sequence, difference_table
 
 
@@ -269,6 +271,38 @@ class TestThetaSoundnessOracle:
         if got.verdict != INCONCLUSIVE:
             assert got.verdict == want
 
+    @given(st.sampled_from(["reciprocal", "bf-ratio", "linear", "square"]),
+           st.integers(min_value=0, max_value=10**9),
+           st.integers(min_value=1, max_value=128), st.integers(min_value=1, max_value=128),
+           st.integers(min_value=2, max_value=24))
+    # theta_{1/2}(1000 x + x / (1 + x)) is below 1 and its magnitude thousands
+    # of times k: bounds read from the values certified a violation
+    @example("bf-ratio", 1000, 32, 64, 15)
+    @example("bf-ratio", 1000, 32, 32, 15)
+    @settings(max_examples=200, deadline=None)
+    def test_composed_handle(self, name, drift, i, j, depth):
+        """theta_{c0}(D x + f) built by apply_operator, its base rounded to
+        float once per value.  c0 = i/64 and c = j/64 keep every point the
+        handle is evaluated at a float, so the exact table is the same data."""
+        f = get_handle(name)
+        c0, c = Fraction(i, 64), Fraction(j, 64)
+
+        def g(x):
+            return drift * x + f.fn(Fraction(x))
+
+        def theta(x):  # theta_{c0} g, exactly
+            return g(c0) - g(0) + g(x) - g(x + c0)
+
+        exact = Sequence.from_values(
+            [theta(c) - theta(0) + theta(k) - theta(k + c) for k in range(depth + 11)])
+        want = certify(exact, CA, depth).verdict
+        base = FunctionHandle(lambda x: float(g(x)), f"{drift}x+{name}")
+        composed = apply_operator(base, "theta", float(c0))
+        got = check_bf_via_theta(composed, (float(c),), depth).entries[0].certificate
+        assert got.mode == "float"
+        if got.verdict != INCONCLUSIVE:
+            assert got.verdict == want
+
 
 class TestSelfDecSoundnessOracle:
     """check_selfdecomposable's scale tests sample Phi at k and c k, k = 0..23,
@@ -293,6 +327,31 @@ class TestSelfDecSoundnessOracle:
         want = certify(exact, CA, _SCALE_DEPTH).verdict
         rounded = FunctionHandle(lambda x: float(at(x)), name)
         got = check_selfdecomposable(rounded, (c,), 2).scale_tests[0].certificate
+        assert got.mode == "float"
+        if got.verdict != INCONCLUSIVE:
+            assert got.verdict == want
+
+    @given(st.sampled_from(["reciprocal", "bf-ratio", "linear", "square"]),
+           st.integers(min_value=0, max_value=10**9),
+           st.integers(min_value=1, max_value=128), st.integers(min_value=1, max_value=63))
+    @settings(max_examples=200, deadline=None)
+    def test_composed_handle(self, name, drift, i, j):
+        """The scale tests of theta_{c0}(D x + f), built as in
+        TestThetaSoundnessOracle.test_composed_handle, at c = j/64."""
+        f = get_handle(name)
+        c0, c = Fraction(i, 64), Fraction(j, 64)
+
+        def g(x):
+            return drift * x + f.fn(Fraction(x))
+
+        def theta(x):  # theta_{c0} g, exactly
+            return g(c0) - g(0) + g(x) - g(x + c0)
+
+        exact = Sequence.from_values([theta(k) - theta(c * k) for k in range(_SCALE_DEPTH + 9)])
+        want = certify(exact, CA, _SCALE_DEPTH).verdict
+        base = FunctionHandle(lambda x: float(g(x)), f"{drift}x+{name}")
+        composed = apply_operator(base, "theta", float(c0))
+        got = check_selfdecomposable(composed, (float(c),), 2).scale_tests[0].certificate
         assert got.mode == "float"
         if got.verdict != INCONCLUSIVE:
             assert got.verdict == want
@@ -344,6 +403,17 @@ class TestSelfDecomposable:
         phi = FunctionHandle(math.log1p, "log1p", derivative=derivative)
         with pytest.raises(DomainError, match="derivative undefined"):
             check_selfdecomposable(phi, depth=12)
+
+    def test_derivative_rounding_reads_the_magnitude(self):
+        # theta_{1/2}(1e9 x + log1p x) is below 1 and its magnitude about 4e9 k:
+        # a rounding term of EPS |Phi(k)| / h put 2 Phi'(2) = 0.095 at 0.437 +- 0.199
+        phi = apply_operator(FunctionHandle(lambda x: 1e9 * x + math.log1p(x)), "theta", 0.5)
+        vals, errs, worst = _derivative_samples(phi, 4)
+        assert worst == max(errs)
+        for k in range(5):
+            assert errs[k] >= EPS * phi.bounded(float(k))[1] / (1e-6 * max(1, k))
+        for k in range(1, 5):
+            assert abs(vals[k] - (1 / (1 + k) - 1 / (1.5 + k))) <= errs[k]
 
     def test_central_difference_fallback(self):
         phi = FunctionHandle(lambda lam: math.log1p(lam), "log1p-noderiv")

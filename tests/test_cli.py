@@ -654,6 +654,10 @@ class TestMalformedInput:
                         ("sigma", "1e200")]),
         pytest.param(None, ["bftheta", "--builtin", "square", "--c=1.7e308"],
                      id="bftheta-samples-overflow"),
+        # one term past float range: fsum returned -2 f(x + 1) = -inf, written
+        # as null with exit 0, though delta^2 x^2 = 2
+        pytest.param(None, ["operator", "--builtin", "square", "--op", "delta", "--iterate", "2",
+                            "--c", "1", "--at", "1.3e154"], id="operator-delta-term-overflow"),
         pytest.param(None, ["decompose", "cm", "--builtin", "reciprocal", "--nmax", "1000000000",
                             "--c", "1e300"], id="decompose-cm-shift-overflow"),
         pytest.param(None, ["decompose", "bf", "--builtin", "log1p", "--c", "1,1e307"],
@@ -709,6 +713,14 @@ class TestMalformedInput:
         err = self._one_line_exit_3(capsys, ["operator", "--builtin", "linear", "--op", op,
                                              "--iterate", "1000", "--at", "1e300"])
         assert err == f"error: the terms of {op} at iterate 1000 and x = 1e+300 pass float range\n"
+
+    def test_value_past_float_range_reads_null(self, capsys):
+        # tau's one term is f's own value, inf here: that is the value, not an
+        # overflow of the operator's terms
+        code, report, err = run(capsys, "operator", "--builtin", "square", "--op", "tau",
+                                "--c", "1", "--at", "1.4e154")
+        assert (code, err) == (0, "")
+        assert report["result"]["values"] == [[1.4e154, None]]
 
     @pytest.mark.parametrize("depth, message", [
         ("3", "insufficient data: depth 3 exceeds last index 2"),

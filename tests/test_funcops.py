@@ -248,18 +248,22 @@ class TestParametersBeforeSamples:
                 call(x)
             assert cell[0] == 0
 
-    @pytest.mark.parametrize("op, c, x, fn", [
+    @pytest.mark.parametrize("op, c, n, x, fn", [
         # +-C(1000, i) (x + i) overflowed to +-inf, and fsum's "-inf + inf"
         # named no parameter
-        *[(op, c, 1e300, None) for op, c in [("delta", 1.0), ("theta", 1.0), ("rho", 0.5)]],
+        *[(op, c, 1000, 1e300, "linear") for op, c in [("delta", 1.0), ("theta", 1.0),
+                                                       ("rho", 0.5)]],
         # finite terms whose sum passes float range: fsum's OverflowError
-        ("delta", 1.0, 0.5, lambda t: 1e308 if 0.5 <= t <= 1 else -1e308),
-        ("theta", 1.0, 0.5, lambda t: 1e308 if 0.5 <= t <= 1 else 0.0),
-        ("rho", 0.5, 0.75, lambda t: 1e308 if 0.5 <= t <= 1 else -1e308),
+        ("delta", 1.0, 1, 0.5, lambda t: 1e308 if 0.5 <= t <= 1 else -1e308),
+        ("theta", 1.0, 1, 0.5, lambda t: 1e308 if 0.5 <= t <= 1 else 0.0),
+        ("rho", 0.5, 1, 0.75, lambda t: 1e308 if 0.5 <= t <= 1 else -1e308),
+        # one term past float range, -2 f(x + 1) or f(x), and the others
+        # finite: fsum returned it, +-inf, with no error
+        *[(op, c, 2, x, "square") for op, c, x in [("delta", 1.0, 1.3e154),
+                                                  ("theta", 1.0, 1.3e154), ("rho", 0.5, 1.5e154)]],
     ])
-    def test_terms_past_float_range_are_named(self, op, c, x, fn):
-        f = get_handle("linear") if fn is None else FunctionHandle(fn)
-        n = 1000 if fn is None else 1
+    def test_terms_past_float_range_are_named(self, op, c, n, x, fn):
+        f = get_handle(fn) if isinstance(fn, str) else FunctionHandle(fn)
         composed = apply_operator(f, op, c, n)
         message = f"the terms of {op} at iterate {n} and x = {x} pass float range"
         for call in (composed, composed.bounded):
@@ -312,6 +316,17 @@ class TestDomain:
     def test_open_at_zero_refuses_zero(self):
         with pytest.raises(DomainError, match="only defined for x > 0"):
             get_webster_g("identity").sample([1.0, 0.0])
+
+    @pytest.mark.parametrize("sample", [
+        lambda g: sampled_sequence(g, [1.0, 0.0]),
+        lambda g: check_bf_via_theta(g, (1.0,), 5),
+    ], ids=["sampled-sequence", "bf-via-theta"])
+    def test_composed_sample_names_the_composed_handle(self, sample):
+        # the magnitudes path evaluated the base at 0, whose error named the base
+        g = apply_operator(get_webster_g("identity"), "delta", 1.0)
+        message = "delta_1^1(g-identity) is only defined for x > 0"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            sample(g)
 
     def test_sigma_scale_past_float_range(self):
         with pytest.raises(ValueError, match="beyond float range"):
