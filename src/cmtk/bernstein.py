@@ -22,10 +22,10 @@ from functools import cached_property
 from . import classify
 from ._extrapolate import richardson_derivative
 from .errors import DomainError
-from .funcops import FunctionHandle, _check_c, _sample, bounded_sequence, sampled_sequence
-from .scalars import (DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, Record, is_exact, json_field,
-                      nonnegative_fsum)
-from .seqcore import Sequence, _check_depth, difference_table
+from .funcops import FunctionHandle, _sample, bounded_sequence, sampled_sequence
+from .scalars import (DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, Record, as_count, as_scales, is_exact,
+                      json_field, nonnegative_fsum)
+from .seqcore import Sequence, difference_table
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
 #: arguments 1 - e^{-k X_FAR} is 1 to double precision, matching the u = 0
@@ -189,10 +189,8 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
     CA, and the sequence must look bounded (sup approached: the last
     increment at most half the largest; increments of a CA sequence are
     already nonincreasing)."""
-    depth = _check_depth(depth)
-    cs = [float(c) for c in cs]
-    for c in cs:
-        _check_c(c)
+    depth = as_count(depth, "depth", least=0)
+    cs = as_scales(cs)
     entries = []
     phi.reset_budget()
     points = range(depth + 11)
@@ -278,11 +276,11 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
     passes; fail on any certified violation, or non-minimality of a passed
     certificate; inconclusive otherwise.  Parameters are checked before sampling.
     """
-    depth = _check_depth(depth)
+    depth = as_count(depth, "depth", least=0)
     if phi.open_at_zero:
         raise DomainError("self-decomposability tests need the value at 0")
-    cs = [float(c) for c in cs]
-    if not all(0.0 < c < 1.0 for c in cs):
+    cs = as_scales(cs)
+    if not all(c < 1.0 for c in cs):
         raise ValueError("scale factors must lie in (0, 1)")
     classify._check_trail(classify.CA, depth, tol)
     phi.reset_budget()

@@ -20,11 +20,10 @@ first differences.
 from __future__ import annotations
 
 import math
-import operator
 import os
 
 from .errors import BudgetExceededError, DomainError
-from .scalars import DEFAULT_C_PAIR, EPS, Record, nonnegative_fsum
+from .scalars import DEFAULT_C_PAIR, EPS, Record, as_count, as_scales, nonnegative_fsum
 
 DEFAULT_BUDGET = 10**6
 
@@ -112,14 +111,6 @@ def _finite_shift(n, c, plus=0.0) -> bool:
         return False
 
 
-def _check_c(c):
-    """Refuse an operator parameter c that is not positive and finite."""
-    if not c > 0:
-        raise ValueError("c must be positive")
-    if not c < math.inf:
-        raise ValueError(f"c must be finite, got {c!r}")
-
-
 def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionHandle:
     """Compose f with an operator iterate; returns a new handle charging f's
     budget.  theta and rho need f(0), so they reject open-at-zero handles;
@@ -128,15 +119,12 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
     range is refused; so are, at a call, a point past float range, before f
     is evaluated there, and terms that pass it or whose sum does.  A theta handle
     evaluates its anchors f(ic), i = 0..iterate, once, when it is built."""
-    _check_c(c)
-    try:
-        if isinstance(iterate, bool):  # an int to operator.index, but no count
-            raise TypeError
-        n = operator.index(iterate)
-    except TypeError:
-        raise ValueError(f"iterate must be an integer, not {iterate!r}") from None
-    if n < 0:
-        raise ValueError("iterate must be nonnegative")
+    if op not in ("sigma", "tau", "delta", "theta", "rho"):
+        raise ValueError(f"unknown operator {op!r}")
+    (c,) = as_scales(c)
+    if isinstance(iterate, bool):  # an int to as_count, but no count
+        raise ValueError(f"iterate must be an integer, not {iterate!r}")
+    n = as_count(iterate, "iterate", least=0)
     if op in ("theta", "rho") and f.open_at_zero:
         raise DomainError(f"{op} needs the value at 0; handle is open at zero")
     if op == "rho" and not c < 1:
@@ -149,8 +137,6 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
     if op in ("tau", "delta", "theta") and not _finite_shift(n, c):
         raise ValueError(f"the shift iterate * c = {n} * {c:g} is beyond float range")
 
-    if op not in ("sigma", "tau", "delta", "theta", "rho"):
-        raise ValueError(f"unknown operator {op!r}")
     if op == "sigma":
         try:
             ceff = c**n
@@ -205,7 +191,7 @@ def apply_operator(f: FunctionHandle, op: str, c, iterate: int = 1) -> FunctionH
             if not abs(value) < math.inf:
                 raise past(x, terms=True)
             return value, 2.0 * nonnegative_fsum([abs(k) * (abs(v) + abs(a)) for k, v, a in kva])
-    name = f"{op}_{float(c):g}^{n}({f.name})"
+    name = f"{op}_{c:g}^{n}({f.name})"
     # tau moves 0 into the domain; theta and rho took closed handles only
     open_at_zero = f.open_at_zero and op != "tau"
     return FunctionHandle(fn, name, open_at_zero, base=f, bounded=bounded)
@@ -244,19 +230,16 @@ def default_lambda_grid(include_zero: bool = True):
 
 
 def _probed_cs(c, n_max, bf=False):
-    """The probed c values of a limit decomposition; checks each c, n_max >= 1
-    and the far point n_max c (and n_max c + c for ``bf``) it evaluates."""
-    cs = tuple(c) if isinstance(c, (tuple, list)) else (float(c),)
-    for cj in cs:
-        _check_c(cj)
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    """The probed c values and n_max of a limit decomposition, each checked, and
+    the far point n_max c (and n_max c + c for ``bf``) it evaluates."""
+    cs = as_scales(c)
+    n_max = as_count(n_max, "n_max", least=1)
     far = "n_max * c + c" if bf else "n_max * c"
     for cj in cs:
         if not _finite_shift(n_max, cj, cj if bf else 0.0):
             raise ValueError(f"the shift {far} is beyond float range for n_max = {n_max} "
                              f"and c = {cj:g}")
-    return cs
+    return cs, n_max
 
 
 def _c_discrepancy(per_c):
@@ -289,7 +272,7 @@ def cm_limit_decompose(psi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     limit function must not depend on c; the discrepancy across the probed
     c values is reported.
     """
-    cs = _probed_cs(c, n_max)
+    cs, n_max = _probed_cs(c, n_max)
     psi.reset_budget()
     if lam_grid is None:
         lam_grid = default_lambda_grid(include_zero=not psi.open_at_zero)
@@ -338,7 +321,7 @@ def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     """
     if phi.open_at_zero:
         raise DomainError("decomposition needs the value at 0")
-    cs = _probed_cs(c, n_max, bf=True)
+    cs, n_max = _probed_cs(c, n_max, bf=True)
     phi.reset_budget()
     if lam_grid is None:
         lam_grid = default_lambda_grid()
@@ -399,13 +382,10 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
     per-alpha certificate to pass; budget exhaustion yields a partial report.
     """
     from . import classify
-    from .seqcore import _check_depth
-    depth = _check_depth(depth)
+    depth = as_count(depth, "depth", least=0)
     count, first = depth + 5, 1 if f.open_at_zero else 0
-    alphas = [float(alpha) for alpha in alphas]
+    alphas = as_scales(alphas, "alpha")
     for alpha in alphas:
-        if not 0.0 < alpha < math.inf:
-            raise ValueError(f"alpha must be positive and finite, got {alpha:g}")
         if not _finite_shift(count + first, alpha):
             raise ValueError(f"alpha {alpha:g} puts the lattice point {count + first} * alpha "
                              "beyond float range")
@@ -427,7 +407,7 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
         except BudgetExceededError:
             partial = True
             break
-    overall = bool(entries) and all(e.certificate.passed for e in entries) and not partial
+    overall = all(e.certificate.passed for e in entries) and not partial
     minimal = overall and all(e.minimality and e.minimality.minimal for e in entries)
     return LatticeReport(tuple(entries), overall, minimal, partial)
 
@@ -443,7 +423,7 @@ def subaffine_check(phi: FunctionHandle, c: float, bound: float) -> SubaffineRep
     """Real-axis surrogate of the bounded-increment condition:
     sup over the grid of |Phi(x + c) - Phi(x)| <= bound, up to the
     rounding floor of the evaluated increments."""
-    _check_c(c)
+    (c,) = as_scales(c)
     phi.reset_budget()
     sup, arg, slack = -math.inf, float("nan"), 0.0
     for x in default_lambda_grid(include_zero=not phi.open_at_zero):

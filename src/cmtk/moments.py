@@ -31,8 +31,8 @@ import sys
 from functools import cache
 
 from .errors import DomainError, NotRepresentableError
-from .scalars import (CA, CM, DEFAULT_GRID, DEFAULT_TOL, Record, json_field, nonnegative_fsum,
-                      parse_scalar)
+from .scalars import (CA, CM, DEFAULT_GRID, DEFAULT_TOL, Record, as_count, json_field,
+                      nonnegative_fsum, parse_scalar)
 
 #: residual > RESIDUAL_FACTOR * tol  =>  "not representable at this grid"
 RESIDUAL_FACTOR = 100.0
@@ -256,15 +256,16 @@ def _solve_nnls(kernel, data, tol: float, q=0.0, d=0.0):
     return w, back[0], back[1]
 
 
-def _check_fit(grid_m: int, tol: float, drift=None):
-    """Refuse, in this order, a grid without a cell, a drift that is not finite
-    (the clamp at 0 reads -inf as 0.0 and keeps NaN) and a negative or NaN tol."""
-    if grid_m < 1:
+def _check_fit(grid_m: int, tol: float, drift=None) -> int:
+    """The grid as an int.  Refuses, in order, a grid that is no integer or has no cell, a
+    drift not finite (the clamp at 0 reads -inf as 0.0 and keeps NaN) and a tol < 0 or NaN."""
+    if (grid_m := as_count(grid_m, "grid")) < 1:
         raise ValueError("grid must have at least one cell")
     if drift is not None and not math.isfinite(drift):
         raise ValueError(f"drift must be finite, not {drift!r}")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
+    return grid_m
 
 
 def _certify_or_raise(a: Sequence, kind: str, rows=None):
@@ -297,7 +298,7 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
     the residual exceeds 100*tol*2^e, e the binade of max |a_k|, and
     CertificationError when the sequence fails the CM sign check outright.
     """
-    _check_fit(grid_m, tol)
+    grid_m = _check_fit(grid_m, tol)
     _certify_or_raise(a, CM)
     u, V = _power_kernel(a.last_index, grid_m, grid_m + 1)
     w, residual, kkt = _solve_nnls(V, a.as_floats(), tol)
@@ -338,7 +339,7 @@ def invert_ca(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL,
     Returns (CATriplet, FitReport); the report's drift_gap records the
     difference between the last two first differences (positive bias scale).
     """
-    _check_fit(grid_m, tol, drift)
+    grid_m = _check_fit(grid_m, tol, drift)
     _certify_or_raise(a, CA)
     return _fit_ca(a, grid_m, tol, drift)
 

@@ -23,7 +23,7 @@ from functools import cached_property
 from fractions import Fraction
 
 from ._extrapolate import LEVIN_ORDER, levin_u
-from .scalars import EPS, EXACT, FLOAT, Record, is_exact
+from .scalars import EPS, EXACT, FLOAT, Record, as_count, is_exact, nonnegative_fsum
 from .seqcore import Sequence, difference_table
 
 
@@ -165,10 +165,7 @@ def eval_series(series: NewtonSeries, z, n_terms: int = None) -> SeriesValue:
 
 def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
     """``eval_series``'s value and the ``last`` terms it summed."""
-    try:
-        n_terms = len(series) if n_terms is None else operator.index(n_terms)
-    except TypeError:
-        raise ValueError(f"n_terms must be an integer, not {n_terms!r:.40}") from None
+    n_terms = len(series) if n_terms is None else as_count(n_terms, "n_terms")
     if not 1 <= n_terms <= len(series):
         raise ValueError(f"n_terms must lie in 1..{len(series)}, got {n_terms}")
     if isinstance(z, (float, complex)) and not cmath.isfinite(z):
@@ -198,10 +195,7 @@ def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
     if longest >= 5:
         warnings.append("divergence suspected: term magnitudes grew for 5 consecutive k")
     if noise is not None:
-        try:
-            bound = math.fsum(noise)
-        except OverflowError:
-            bound = math.inf
+        bound = nonnegative_fsum(noise)
         # a bound below the normal range carries only the inputs' 2**-1074
         # floor; an infinite or NaN one (inf - inf in the table) warns too
         if not bound < max(abs(total), sys.float_info.min):

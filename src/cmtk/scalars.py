@@ -7,13 +7,14 @@ once, at sequence construction, and recorded as a mode flag.
 
 The sequence kinds, the three verdicts and the parameter defaults that the
 CLI reads live here too, so that it reads them without importing the
-modules that compute with them; so does ``Record``, the base of every
-module's value types.
+modules that compute with them; so do ``Record``, the base of every
+module's value types, and ``as_count`` and ``as_scales``, the parameter checks.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -99,6 +100,40 @@ def nonnegative_fsum(terms) -> float:
         return math.fsum(terms)
     except OverflowError:
         return math.inf
+
+
+def as_count(value, name, least=None) -> int:
+    """The count ``value`` (a depth, iterate, number of terms or of cells) as
+    an int; a ValueError names it when it is not an integer or is below ``least``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, not {value!r:.40}") from None
+    if least is not None and count < least:
+        raise ValueError(f"{name} must be nonnegative" if least == 0
+                         else f"{name} must be at least {least}")
+    return count
+
+
+def as_scales(values, name="c") -> tuple:
+    """One scale (a c or an alpha), or a list of them, as a non-empty tuple of
+    positive, finite floats; a ValueError names ``name`` otherwise."""
+    try:
+        values = tuple(values)
+    except TypeError:  # one number
+        values = (values,)
+    try:
+        scales = tuple(map(float, values))
+    except OverflowError:  # an int or a Fraction past float range
+        raise ValueError(f"{name} must be finite, got one past float range") from None
+    if not scales:
+        raise ValueError(f"{name} needs at least one value")
+    for scale in scales:
+        if not scale > 0:  # NaN too
+            raise ValueError(f"{name} must be positive")
+        if not scale < math.inf:
+            raise ValueError(f"{name} must be finite, got {scale!r}")
+    return scales
 
 
 def parse_scalar(text):

@@ -27,7 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import compress, repeat
 
-from .scalars import EPS, EXACT, FLOAT, TINY, Record, coerce_values, parse_scalar
+from .scalars import EPS, EXACT, FLOAT, TINY, Record, as_count, coerce_values, parse_scalar
 
 
 class Sequence(Record):
@@ -157,24 +157,13 @@ class DifferenceTable(Record):
         return self.scale, zip(self.scaled, self.bounds or repeat(None))
 
 
-def _check_depth(depth) -> int:
-    """``depth`` as an int, or ValueError unless it is a nonnegative integer."""
-    try:
-        depth = operator.index(depth)
-    except TypeError:
-        raise ValueError(f"depth must be an integer, not {depth!r}") from None
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    return depth
-
-
 def _scaled_rows(a: Sequence, depth: int):
     """The table kernel: ``a``'s scale (the lcm of its denominators in exact
     mode, 1 in float mode) and an iterator over rows 0..depth of its table
     times that scale, each with its row of error bounds (None in exact
     mode).  Each row is built from the one before, when it is asked for.
     The depth is checked here, before any row is built."""
-    depth = _check_depth(depth)
+    depth = as_count(depth, "depth", least=0)
     if depth > a.last_index:
         raise ValueError(f"insufficient data: depth {depth} exceeds last index {a.last_index}")
     if a.mode == EXACT:

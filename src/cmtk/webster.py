@@ -32,7 +32,7 @@ from itertools import chain, islice, repeat
 from ._extrapolate import aitken, richardson_derivative
 from .errors import DomainError
 from .funcops import FunctionHandle
-from .scalars import DEFAULT_N, Record
+from .scalars import DEFAULT_N, Record, as_count
 
 _CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
 # Points per prepare span: a span's points and a_n quotients, 96 floats,
@@ -53,10 +53,9 @@ class WebsterProblem(Record):
     g_limit_one: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.n_terms, int) or isinstance(self.n_terms, bool):
-            raise ValueError(f"n_terms must be an integer, got {self.n_terms!r}")
-        if self.n_terms < 1:
-            raise ValueError("n_terms must be at least 1")
+        if isinstance(self.n_terms, bool):  # an int to as_count, but no count
+            raise ValueError(f"n_terms must be an integer, not {self.n_terms!r}")
+        object.__setattr__(self, "n_terms", as_count(self.n_terms, "n_terms", least=1))
         if self.acceleration not in ("aitken", "none"):
             raise ValueError(f"acceleration must be 'aitken' or 'none', got {self.acceleration!r}")
         if not isinstance(self.g_limit_one, bool):
@@ -166,9 +165,14 @@ class WebsterSolution:
 
     def result(self, x) -> WebsterResult:
         """Evaluate at x > 0 with the full convergence report."""
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:  # an int or a Fraction past float range
+            x = math.inf
         if x <= 0:
             raise DomainError("x must be positive")
+        if not x < math.inf:  # NaN too
+            raise ValueError(f"x must be finite, got {x!r}")
         self._prepare()
         p, g, N = self.problem, self.problem.g, self.problem.n_terms
         # reduce to the base interval (0, 1]: f(b + m) = f(b) prod_j g(b + j)

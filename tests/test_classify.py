@@ -618,6 +618,10 @@ class TestParametersBeforeRows:
         (lambda a: invert_ca(a, 200, -1.0, math.inf), "drift must be finite, not inf"),
         (lambda a: invert_ca(a, 200, math.nan), TOL),
         (lambda a: extend_from_integer_samples(a, CM, tol=-1.0), TOL),
+        # a TypeError from the kernel's size, or a fit on a 10.0-cell grid
+        (lambda a: invert_cm(a, 200.5), "grid must be an integer, not 200.5"),
+        (lambda a: invert_ca(a, 10.0), "grid must be an integer, not 10.0"),
+        (lambda a: extend_from_integer_samples(a, CA, 200.0), "grid must be an integer, not 200.0"),
     ])
     @pytest.mark.parametrize("values", [ALTERNATING, HARMONIC], ids=["fails", "passes"])
     def test_refused_before_the_first_row(self, monkeypatch, call, message, values):

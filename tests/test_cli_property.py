@@ -10,11 +10,22 @@ import math
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from cmtk.bernstein import check_bf_via_theta, check_selfdecomposable
+from cmtk.builtins import get_handle, get_webster_g
+from cmtk.classify import certify
 from cmtk.cli import main
+from cmtk.funcops import (apply_operator, bf_limit_decompose, cm_limit_decompose, lattice_check,
+                          subaffine_check)
+from cmtk.moments import extend_from_integer_samples, invert_ca, invert_cm
+from cmtk.newton import eval_series, series_from_samples
+from cmtk.scalars import CA, CM
+from cmtk.seqcore import Sequence
+from cmtk.webster import WebsterProblem, solve_webster
 from test_cli import assert_fits_as_scaled_copy, reject_constant
 
 # sequence entries and option values at and past the ends of float range
@@ -249,3 +260,56 @@ def test_residual_past_float_range_in_a_child(tmp_path, kind, text):
     report = assert_fits_as_scaled_copy(tmp_path, ["invert", kind], text)
     assert report["exit_code"] == 0
     assert math.isfinite(report["result"]["fit"]["residual"])
+
+
+# counts as callers pass them: ints (negative ones included), numpy ints,
+# bools, floats integral or not, and strings
+counts = (st.integers(-2, 24) | st.integers(-2, 24).map(numpy.int64) | st.booleans()
+          | st.sampled_from([2.0, 2.5, -1.0, math.nan, math.inf]) | st.sampled_from(["3", ""]))
+# c and alpha values at and past the ends of their range, exact ones included
+SCALE_VALUES = [0.0, -0.0, -1.0, math.inf, -math.inf, math.nan, 5e-324, 1e-300, 0.25, 0.5, 1.0,
+                2.0, 1e300, 1.7e308, Fraction(1, 3), 3, 10**400]
+scales = st.sampled_from(SCALE_VALUES) | st.floats()
+scale_lists = st.lists(scales, max_size=3).flatmap(lambda v: st.sampled_from([v, tuple(v)]))
+handles = st.sampled_from(["square", "log1p", "exp-decay"]).map(get_handle)
+ops = st.sampled_from(["sigma", "tau", "delta", "theta", "rho"])
+HARMONIC = Sequence.from_values([Fraction(1, k + 1) for k in range(12)])  # CM
+CA_SEQ = Sequence.from_values([1 - Fraction(1, 2**k) for k in range(12)])
+# each public function that takes a count or a c/alpha list: the strategy
+# of its arguments, and the call
+LIBRARY_CALLS = {
+    "apply_operator": (st.tuples(handles, ops, scales, counts),
+                       lambda f, op, c, n: apply_operator(f, op, c, n)(0.5)),
+    "cm_limit_decompose": (st.tuples(handles, scale_lists, counts), cm_limit_decompose),
+    "bf_limit_decompose": (st.tuples(handles, scale_lists, counts), bf_limit_decompose),
+    "lattice_check": (st.tuples(handles, kinds, scale_lists, counts), lattice_check),
+    "check_bf_via_theta": (st.tuples(handles, scale_lists, counts), check_bf_via_theta),
+    "check_selfdecomposable": (st.tuples(handles, scale_lists, counts), check_selfdecomposable),
+    "subaffine_check": (st.tuples(handles, scales), lambda f, c: subaffine_check(f, c, 1.0)),
+    "certify": (st.tuples(kinds, counts), lambda kind, d: certify(HARMONIC, kind, d)),
+    "eval_series": (st.tuples(counts), lambda n: eval_series(
+        series_from_samples(HARMONIC), Fraction(1, 2), n)),
+    "webster": (st.tuples(counts, scales), lambda n, x: solve_webster(
+        WebsterProblem(get_webster_g("identity"), n), x)),
+    "invert_cm": (st.tuples(counts), lambda m: invert_cm(HARMONIC, m, 1.0)),
+    "invert_ca": (st.tuples(counts), lambda m: invert_ca(CA_SEQ, m, 1.0)),
+    "extend_cm": (st.tuples(counts), lambda m: extend_from_integer_samples(HARMONIC, CM, m, 1.0)),
+    "extend_ca": (st.tuples(counts), lambda m: extend_from_integer_samples(CA_SEQ, CA, m, 1.0)),
+}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.parametrize("name", sorted(LIBRARY_CALLS))
+@given(data=st.data())
+def test_library_parameter_contract(name, data, default_budget):
+    """Each public function, given a count or a c/alpha list of any kind,
+    returns or refuses it with a ValueError (DomainError included): never a
+    TypeError, IndexError or OverflowError, and never a verdict from an
+    empty list."""
+    strategy, call = LIBRARY_CALLS[name]
+    args = data.draw(strategy)
+    try:
+        call(*args)
+    except ValueError:
+        return
+    assert not any(isinstance(a, (list, tuple)) and not a for a in args), args

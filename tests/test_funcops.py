@@ -220,6 +220,22 @@ class TestParametersBeforeSamples:
         # n_max c = 1e308 is a float, but the drift's second point n_max c + c is not
         (lambda f: bf_limit_decompose(f, 1e308, 1),
          "the shift n_max * c + c is beyond float range for n_max = 1 and c = 1e+308"),
+        # an empty list: theta passed x^2 with no check run, and a
+        # decomposition raised IndexError
+        (lambda f: check_bf_via_theta(f, ()), "c needs at least one value"),
+        (lambda f: check_selfdecomposable(f, []), "c needs at least one value"),
+        (lambda f: lattice_check(f, CM, []), "alpha needs at least one value"),
+        (lambda f: cm_limit_decompose(f, ()), "c needs at least one value"),
+        (lambda f: bf_limit_decompose(f, []), "c needs at least one value"),
+        (lambda f: lattice_check(f, CM, [1.0, 0.0]), "alpha must be positive"),
+        (lambda f: lattice_check(f, CA, [math.inf]), "alpha must be finite, got inf"),
+        (lambda f: check_selfdecomposable(f, (0.5, -0.25)), "c must be positive"),
+        (lambda f: check_bf_via_theta(f, [10**400]), "c must be finite, got one past float range"),
+        # a report with n_max = 2.5
+        (lambda f: cm_limit_decompose(f, 1.0, 2.5), "n_max must be an integer, not 2.5"),
+        (lambda f: bf_limit_decompose(f, 1.0, 2.5), "n_max must be an integer, not 2.5"),
+        # an identity handle named after f, whatever the operator's name
+        (lambda f: apply_operator(f, "foo", 1.0, 0), "unknown operator 'foo'"),
     ])
     @pytest.mark.parametrize("name", ["square", "log1p"])
     def test_refused_before_the_first_evaluation(self, call, message, name):

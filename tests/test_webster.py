@@ -8,6 +8,7 @@ g = (x+1)/x have closed-form solutions that pin the plumbing exactly.
 import math
 import tracemalloc
 
+import numpy
 import pytest
 
 from cmtk._extrapolate import richardson_derivative
@@ -147,6 +148,12 @@ class TestProblemChecks:
         with pytest.raises(ValueError, match="n_terms must be an integer"):
             WebsterProblem(get_webster_g("identity"), n_terms)
 
+    def test_numpy_integer_truncation_accepted(self):
+        # an integer as the depth of a table is; it was refused
+        problem = WebsterProblem(get_webster_g("identity"), numpy.int64(50))
+        assert type(problem.n_terms) is int
+        assert solve_webster(problem, 2.5) == solve_webster(gamma_problem(50), 2.5)
+
     def test_non_bool_limit_flag_rejected(self):
         # a truthy "no" once chose the lim g = 1 product for g(x) = x
         with pytest.raises(ValueError, match="g_limit_one must be a bool, got 'no'"):
@@ -277,6 +284,20 @@ class TestPastFloatRange:
         sol.problem.g.reset_budget()
         assert sol.result(1e15).value == math.inf
         assert sol.problem.g.calls < 400
+
+
+    @pytest.mark.parametrize("x, shown", [(math.inf, "inf"), (math.nan, "nan"), (10**400, "inf")],
+                             ids=["inf", "nan", "int-past-float-range"])
+    def test_non_finite_x_is_refused(self, x, shown):
+        # inf was an OverflowError from math.ceil, nan "cannot convert float
+        # NaN to integer", and an int past float range an OverflowError
+        sol = WebsterSolution(gamma_problem(1000))
+        with pytest.raises(ValueError, match=f"^x must be finite, got {shown}$") as exc:
+            sol.result(x)
+        assert not isinstance(exc.value, DomainError)
+        assert sol.problem.g.calls == 0
+        with pytest.raises(DomainError, match="^x must be positive$"):
+            sol.result(-math.inf)
 
 
 class TestBudget:
