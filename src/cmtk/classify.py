@@ -99,11 +99,12 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
         if column is not None:
             column.append((row[0], 0 if bounds is None else bounds[0], unscale(row[0])))
         m = min(row) if cm else -max(row)  # the least |entry| of a row that holds its sign
-        if bounds is None and m >= 0:  # an exact row that holds its sign is decided by it
-            if margin is None or m < margin:
-                margin = m
-            continue
-        if not m >= 0:  # the least |entry| in scan order: min passes over a NaN unless first
+        if holds := m >= 0:  # min passes over a NaN unless first; a NaN is never certified
+            if bounds is None:  # an exact row that holds its sign is decided by it
+                if margin is None or m < margin:
+                    margin = m
+                continue
+        else:  # the least |entry| in scan order: min passes over a NaN unless first
             m = min(map(abs, row)) if margin is None else min(margin, *map(abs, row))
         margin = m if margin is None else min(margin, m)
         bounds = bounds or [0] * len(row)  # int zeros keep the scaled ints out of float arithmetic
@@ -111,7 +112,9 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
         certified = sum(map(ge, signed, bounds))  # s - e >= 0 exactly when s >= e, but at s = +inf
         if not sum(bounds) < inf:  # an entry past float range has bound inf: inf - inf is NaN
             certified -= row.count(inf if cm else -inf)
-        if certified < len(row):
+        if holds:  # no entry violates a row's sign that it holds: the rest are undecidable
+            undecidable += len(row) - certified
+        elif certified < len(row):
             violating = list(map(gt, negated, bounds))  # s + e < 0 exactly when -s > e
             undecidable += len(row) - certified - sum(violating)
             if True in violating:

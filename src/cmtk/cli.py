@@ -202,7 +202,7 @@ def _cmd_subaffine(args):
     from . import builtins, funcops
     f = builtins.get_handle(args.builtin)
     rep = funcops.subaffine_check(f, args.c[0], args.bound)
-    return (PASS if rep.ok else FAIL), {"subaffine": rep}
+    return (INCONCLUSIVE if rep.ok is None else PASS if rep.ok else FAIL), {"subaffine": rep}
 
 
 def _cmd_bftheta(args):

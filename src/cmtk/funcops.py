@@ -415,21 +415,29 @@ def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
 class SubaffineReport(Record):
     supremum: float
     bound: float
-    ok: bool
+    ok: bool | None
     arg_sup: float
 
 
 def subaffine_check(phi: FunctionHandle, c: float, bound: float) -> SubaffineReport:
     """Real-axis surrogate of the bounded-increment condition:
     sup over the grid of |Phi(x + c) - Phi(x)| <= bound, up to the
-    rounding floor of the evaluated increments."""
+    rounding floor of the evaluated increments.  ``ok`` is None when the
+    supremum or that floor is not finite (a NaN increment makes the supremum
+    NaN): an increment past float range decides no bound."""
     (c,) = as_scales(c)
+    try:
+        if not math.isfinite(bound := float(bound)):
+            raise ValueError(f"bound must be finite, got {bound!r}")
+    except OverflowError:
+        raise ValueError("bound must be finite, got one past float range") from None
     phi.reset_budget()
     sup, arg, slack = -math.inf, float("nan"), 0.0
     for x in default_lambda_grid(include_zero=not phi.open_at_zero):
         hi, lo = phi(x + c), phi(x)
         inc = abs(hi - lo)
-        if inc > sup:
+        if inc > sup or inc != inc:  # once NaN, the supremum stays NaN
             sup, arg = inc, x
         slack = max(slack, 4.0 * EPS * max(abs(hi), abs(lo)))
-    return SubaffineReport(sup, float(bound), sup <= bound + slack, arg)
+    ok = sup <= bound + slack if math.isfinite(sup) and math.isfinite(slack) else None
+    return SubaffineReport(sup, bound, ok, arg)

@@ -9,6 +9,9 @@ scaling, run on the data scaled exactly by 2^-e, e the binade of max |a_k|;
 a fit is representable when that residual is at most 100 tol, so 2^j a gets
 the verdict of a, as Hausdorff's characterization does not see scale.
 Every fit reports its residual and KKT stationarity gap at the data's scale.
+The power kernel u^k is built once per (K, grid) and kept read-only in a
+4-entry cache, at most 4 (K+1)(M+1) 8 bytes of kernels; the CA kernel
+1 - u^k is formed per fit from it.
 
 The exponential picture u = e^{-x} turns a fitted measure into a sum of
 decaying exponentials (the atom at u = 0 becomes the designated infinity
@@ -28,7 +31,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from functools import cache
+from functools import cache, lru_cache
 
 from .errors import DomainError, NotRepresentableError
 from .scalars import (CA, CM, DEFAULT_GRID, DEFAULT_TOL, Record, as_count, json_field,
@@ -216,9 +219,10 @@ def _binade(data) -> int:
     return math.frexp(top)[1] - 1 if top else 0
 
 
-def _solve_nnls(kernel, data, tol: float, q=0.0, d=0.0):
+def _solve_nnls(kernel, scale, data, tol: float, q=0.0, d=0.0):
     """Column-scaled NNLS of a_k - q - d k (a the floats ``data``) against the
-    numpy array ``kernel``, solved on 2^-e a_k - 2^-e q - 2^-e d k, e the
+    numpy array ``kernel`` with column norms ``scale`` (``_column_norms``),
+    solved on 2^-e a_k - 2^-e q - 2^-e d k, e the
     data's binade: an exact scaling, so the weights, residual and KKT gap,
     scaled back by 2^e, keep an unscaled solve's bits where it stays in range.
 
@@ -231,8 +235,6 @@ def _solve_nnls(kernel, data, tol: float, q=0.0, d=0.0):
         target = np.ldexp(data, -e) - np.ldexp(q, -e) - np.ldexp(d, -e) * np.arange(len(data))
     if not np.isfinite(target).all():  # 2^-e |a_k| < 2: only a supplied drift gets here
         raise ValueError(f"drift {d!r} times k passes float range once scaled by 2^{-e}")
-    scale = np.linalg.norm(kernel, axis=0)
-    scale[scale == 0.0] = 1.0
     scaled = kernel / scale
     w_scaled = _nnls(scaled, target)
     w = w_scaled / scale
@@ -275,16 +277,40 @@ def _certify_or_raise(a: Sequence, kind: str, rows=None):
     classify._certify(a, kind, depth, rows, f"sequence is not {kind} to depth {depth}")
 
 
-def _power_kernel(K: int, grid_m: int, nodes: int):
-    """The first ``nodes`` points u_j = j / grid_m and V[k][j] = u_j^k, k <= K
-    (0^0 = 1), one power per row: the fits' NNLS bits depend on it."""
+def _column_norms(kernel):
+    """The l2 norm of each column of ``kernel``, a zero norm read as 1."""
     import numpy as np
 
-    u = np.arange(nodes) / grid_m
-    V = np.empty((K + 1, nodes))
+    scale = np.linalg.norm(kernel, axis=0)
+    scale[scale == 0.0] = 1.0
+    return scale
+
+
+@lru_cache(maxsize=4)
+def _power_kernel(K: int, grid_m: int):
+    """The grid_m + 1 points u_j = j / grid_m, V[k][j] = u_j^k, k <= K
+    (0^0 = 1), one power per row as the fits' NNLS bits need, and V's
+    ``_column_norms``.  Cached per (K, grid) and read-only, as every fit
+    shares them; the CA kernel 1 - u^k is formed per fit from V's first
+    grid_m columns."""
+    import numpy as np
+
+    u = np.arange(grid_m + 1) / grid_m
+    V = np.empty((K + 1, grid_m + 1))
     for k in range(K + 1):
         V[k, :] = u**k
-    return u, V
+    scale = _column_norms(V)
+    for array in (u, V, scale):
+        array.setflags(write=False)
+    return u, V, scale
+
+
+def _atoms(u, w, ends):
+    """The atoms (u_j, w_j) of every positive weight and of the endpoint
+    indices ``ends`` (kept at zero weight too), in grid order."""
+    keep = w > 0.0
+    keep[ends] = True
+    return tuple(zip(u[keep].tolist(), w[keep].tolist()))
 
 
 def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL):
@@ -300,11 +326,9 @@ def invert_cm(a: Sequence, grid_m: int = DEFAULT_GRID, tol: float = DEFAULT_TOL)
     """
     grid_m = _check_fit(grid_m, tol)
     _certify_or_raise(a, CM)
-    u, V = _power_kernel(a.last_index, grid_m, grid_m + 1)
-    w, residual, kkt = _solve_nnls(V, a.as_floats(), tol)
-    atoms = [(float(u[j]), float(w[j])) for j in range(grid_m + 1)
-             if w[j] > 0.0 or j in (0, grid_m)]
-    return DiscreteMeasure(tuple(atoms)), FitReport(residual, kkt, grid_m)
+    u, V, scale = _power_kernel(a.last_index, grid_m)
+    w, residual, kkt = _solve_nnls(V, scale, a.as_floats(), tol)
+    return DiscreteMeasure(_atoms(u, w, [0, grid_m])), FitReport(residual, kkt, grid_m)
 
 
 def drift_floor_estimate(a: Sequence):
@@ -350,13 +374,10 @@ def _fit_ca(a: Sequence, grid_m: int, tol: float, drift):
     d_hat, gap = drift_floor_estimate(a) if drift is None else (max(float(drift), 0.0), None)
     import numpy as np
 
-    u, B = _power_kernel(a.last_index, grid_m, grid_m)
-    np.subtract(1.0, B, out=B)  # the kernel 1 - u^k over the first M nodes
-    w, residual, kkt = _solve_nnls(B, a.as_floats(), tol, float(q), d_hat)
-    atoms = [
-        (float(u[j]), float(w[j])) for j in range(grid_m) if w[j] > 0.0 or j == 0
-    ]
-    measure = DiscreteMeasure(tuple(atoms))
+    u, V, _ = _power_kernel(a.last_index, grid_m)
+    B = np.subtract(1.0, V[:, :grid_m])  # the kernel 1 - u^k over the first M nodes
+    w, residual, kkt = _solve_nnls(B, _column_norms(B), a.as_floats(), tol, float(q), d_hat)
+    measure = DiscreteMeasure(_atoms(u[:grid_m], w, 0))
     return CATriplet(q, d_hat, measure), FitReport(residual, kkt, grid_m, gap)
 
 

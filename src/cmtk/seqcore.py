@@ -196,11 +196,12 @@ def _scale_cofactors(dens):
 
 
 def _next_rows(row, bounds, depth):
+    eps = EPS
     yield row, bounds
     for _ in range(depth):  # via a list: a tuple grown from an iterator fragments the heap
         row = tuple(list(map(operator.sub, row, row[1:])))
         if bounds is not None:  # the bounds of the two operands plus one rounding
-            bounds = tuple([x + y + EPS * abs(v) for x, y, v in zip(bounds, bounds[1:], row)])
+            bounds = tuple([x + y + eps * v for x, y, v in zip(bounds, bounds[1:], map(abs, row))])
         yield row, bounds
 
 

@@ -492,6 +492,18 @@ class TestCertifyReference:
     # CA row 3 is (nan, -inf, 0.0): a row's min loses the entries after a
     # first NaN, and min_margin is 0.0, not row 1's 2e-300
     @example(([-1.7e308, 1e308, 1.7e308, 2e-300, 0.0, 1.7e308], [math.inf] * 6), 5)
+    # rows that hold their sign with undecidable entries: CM row 0 (1e-20
+    # within 0.5) and CA row 1 (0.0 within 0.5); no violation pass runs there
+    @example(([1.0, 1e-20, 0.0], [0.0, 0.5, 0.0]), 2)
+    @example(([0.0, 1.0, 1.0], [0.0, 0.0, 0.5]), 2)
+    # row 3 is (-inf, nan) for CA and (inf, nan) for CM: max and min pass
+    # over the NaN, the row holds its sign and the NaN is undecidable
+    @example(([0.0, 1.7e308, -1.7e308, -1.7e308, 1.7e308], None), 4)
+    @example(([0.0, -1.7e308, 1.7e308, 1.7e308, -1.7e308], [math.inf] * 5), 4)
+    # row 1 is (inf,) for CM and (-inf,) for CA, with an inf bound: the row
+    # holds its sign, and its bounds do not sum to a finite value
+    @example(([1.7e308, -1.7e308], [math.inf, math.inf]), 1)
+    @example(([-1.7e308, 1.7e308], [math.inf, math.inf]), 1)
     @settings(max_examples=150, deadline=None)
     def test_float(self, case, depth):
         values, bounds = case

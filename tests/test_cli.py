@@ -217,6 +217,15 @@ class TestSubcommands:
         )
         assert code == 1
 
+    def test_subaffine_past_float_range_is_inconclusive(self, capsys):
+        # the rounding slack of (x + 1e300)^2 was inf: exit 0 with "ok": true
+        code, report, _ = run(
+            capsys, "subaffine", "--builtin", "square", "--c", "1e300",
+            "--bound", "1",
+        )
+        assert code == 2
+        assert report["result"]["subaffine"]["ok"] is None
+
     def test_bftheta_fail(self, capsys):
         code, report, _ = run(capsys, "bftheta", "--builtin", "square")
         assert code == 1

@@ -236,6 +236,11 @@ class TestParametersBeforeSamples:
         (lambda f: bf_limit_decompose(f, 1.0, 2.5), "n_max must be an integer, not 2.5"),
         # an identity handle named after f, whatever the operator's name
         (lambda f: apply_operator(f, "foo", 1.0, 0), "unknown operator 'foo'"),
+        # a NaN bound failed every check, and an infinite one passed it
+        (lambda f: subaffine_check(f, 1.0, math.nan), "bound must be finite, got nan"),
+        (lambda f: subaffine_check(f, 1.0, math.inf), "bound must be finite, got inf"),
+        (lambda f: subaffine_check(f, 1.0, -10**400),
+         "bound must be finite, got one past float range"),
     ])
     @pytest.mark.parametrize("name", ["square", "log1p"])
     def test_refused_before_the_first_evaluation(self, call, message, name):
@@ -646,6 +651,17 @@ class TestSubaffine:
         rep = subaffine_check(handle(lambda x: x * x), 1.0, 10.0)
         assert not rep.ok
         assert rep.supremum == pytest.approx(21.0)
+
+    @pytest.mark.parametrize("f, c", [
+        # (x + 1e300)^2 is inf, so was the rounding slack: ok was True for any bound
+        (get_handle("square"), 1e300),
+        # f(x + c) and f(x) both inf at x = 0: a NaN increment, passed over by the supremum
+        (handle(lambda x: 1e308 * (x + 2.0)), 1.0),
+    ])
+    def test_increment_past_float_range_decides_nothing(self, f, c):
+        rep = subaffine_check(f, c, 1.0)
+        assert rep.ok is None
+        assert not math.isfinite(rep.supremum)
 
     def test_nan_c_refused(self):
         # not a passed check with supremum -inf on no increment

@@ -440,11 +440,10 @@ def _scaled_system(K, grid, ca, rng):
     few off-grid atoms plus a little noise, so that the fit is not exact."""
     import numpy as np
 
-    u, V = moments._power_kernel(K, grid, grid if ca else grid + 1)
+    _, V, scale = moments._power_kernel(K, grid)
     if ca:
-        np.subtract(1.0, V, out=V)
-    scale = np.linalg.norm(V, axis=0)
-    scale[scale == 0.0] = 1.0
+        V = np.subtract(1.0, V[:, :grid])
+        scale = moments._column_norms(V)
     atoms, weights = rng.uniform(0.0, 1.0, 3), rng.uniform(0.0, 2.0, 3)
     powers = atoms[None, :] ** np.arange(K + 1)[:, None]
     target = ((1.0 - powers) if ca else powers) @ weights
@@ -509,3 +508,69 @@ class TestNNLSRoutine:
         monkeypatch.delenv("CMTK_MAX_EVALS", raising=False)
         _, report = run_case(CASES[name], tmp_path)
         assert report == (GOLDEN / f"{name}.json").read_bytes()
+
+
+class TestKernelCache:
+    """The power kernel, its nodes and its column norms are cached per
+    (K, grid), read-only, and shared by the CM and CA fits: a fit keeps its
+    bits whichever fit filled the cache."""
+
+    K, GRID = 20, 50
+
+    def fit(self, kind):
+        if kind == "cm":
+            return invert_cm(seq_of(lambda k: 0.5 * 0.3**k + 0.25 * 0.9**k, self.K), self.GRID)
+        a = seq_of(lambda k: 1.0 + 0.5 * (1.0 - 0.3**k) + 0.25 * (1.0 - 0.7**k), self.K)
+        return invert_ca(a, self.GRID, drift=0.0)
+
+    def test_cache_holds_four_shapes(self):
+        assert moments._power_kernel.cache_info().maxsize == 4
+
+    def test_cached_arrays_refuse_writes(self):
+        import numpy as np
+
+        u, V, scale = moments._power_kernel(self.K, self.GRID)
+        # the loop's powers, one per row, as the fits' bits need
+        assert V.tobytes() == np.array([u**k for k in range(self.K + 1)]).tobytes()
+        for array in (u, V, scale):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.subtract(1.0, V, out=V)
+
+    @pytest.mark.parametrize("order", [("ca", "cm"), ("cm", "ca")])
+    def test_fits_keep_their_bytes_whichever_fills_the_cache(self, order):
+        moments._power_kernel.cache_clear()
+        shared = [repr(self.fit(kind)) for kind in order]
+        info = moments._power_kernel.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        alone = []
+        for kind in order:
+            moments._power_kernel.cache_clear()
+            alone.append(repr(self.fit(kind)))
+        assert shared == alone
+
+
+class TestAtomRead:
+    """The fits read their atoms off one mask: every positive weight and the
+    endpoints (u = 0 and u = 1 for CM, u = 0 for CA) at zero weight too, in
+    grid order, as the per-node rule did."""
+
+    @pytest.mark.parametrize("grid", [1, 2, 200, 1000])
+    @pytest.mark.parametrize("kind", ["cm", "ca"])
+    def test_mask_matches_the_per_node_rule(self, kind, grid, monkeypatch):
+        import numpy as np
+
+        rng = np.random.default_rng(grid)
+        u = np.arange(grid + 1) / grid
+        nodes, ends = (grid + 1, (0, grid)) if kind == "cm" else (grid, (0,))
+        a = seq_of((lambda k: 0.5**k) if kind == "cm" else (lambda k: 1.0 - 0.5**k), 3)
+        fit = invert_cm if kind == "cm" else invert_ca
+        for w in (np.zeros(nodes), rng.uniform(0.5, 2.0, nodes),
+                  np.where(rng.random(nodes) < 0.9, 0.0, rng.uniform(0.0, 2.0, nodes))):
+            monkeypatch.setattr(moments, "_solve_nnls", lambda *args, w=w: (w, 0.0, 0.0))
+            model = fit(a, grid)[0]
+            atoms = (model if kind == "cm" else model.measure).atoms
+            want = tuple((float(u[j]), float(w[j])) for j in range(nodes)
+                         if w[j] > 0.0 or j in ends)
+            assert repr(atoms) == repr(want)
