@@ -24,7 +24,7 @@ from ._extrapolate import richardson_derivative
 from .errors import DomainError
 from .funcops import FunctionHandle, _sample, bounded_sequence, sampled_sequence
 from .scalars import (DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, Record, as_count, as_scales, is_exact,
-                      json_field, nonnegative_fsum)
+                      json_field, nonnegative_fsum, round_once)
 from .seqcore import Sequence, difference_table
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
@@ -325,7 +325,7 @@ def _egf_sum(vals, s, e):
     """fsum of 2^-e a_k s^k / k! (2^-e scales each term exactly); past k = 170,
     where k! leaves float range, each term is the correctly rounded quotient."""
     terms = (math.ldexp(v, -e) * s**k for k, v in enumerate(vals))
-    return math.fsum(x / math.factorial(k) if k <= 170 else float(Fraction(x) / math.factorial(k))
+    return math.fsum(x / math.factorial(k) if k <= 170 else round_once(x, 0, math.factorial(k))
                      for k, x in enumerate(terms))
 
 

@@ -3,13 +3,20 @@ sequences, atom-at-zero estimation, minimality and the degeneracy dichotomy.
 
 A sequence is certified CM when (-1)^n Delta^n a(k) >= 0 for every table
 entry with n <= depth, and CA when the same quantity is <= 0 for 1 <= n <=
-depth.  Verdicts are three-valued: in float mode an entry s with bound e is
-certified when s - e >= 0, violating when s + e < 0 and else undecidable, and a
-table with undecidable entries but no strict violation is "inconclusive".  One
-rule decides every row, by the comparisons s >= e and -s > e.  The second is
-s + e < 0 on every float, inf and NaN included; the first is s - e >= 0 except
-at s = +inf, and an entry past float range has bound inf (e >= EPS |s|), so a
-row whose bounds do not sum to a finite value certifies no s = +inf entry.
+depth.  The kernel (``seqcore``) gives each entry as the exact int s of the
+stored values at one scale, with p, the most that inputs within their bounds
+can move it (0 for exact data).  One rule decides every entry in both modes:
+s >= p certifies it (its sign holds for every input in the box), -s > p
+makes it violating (for every one), and otherwise it is undecidable; a table
+with undecidable entries but no violation is "inconclusive".
+
+Soundness against the float recurrence, which rounded each subtraction and
+carried a bound p + r (r one term EPS |s'| per subtraction, covering
+|s' - s| for its float entry s'): s' >= p + r gives s >= p, and -s' > p + r
+gives -s > p.  So every entry it decided (but for the rounding of its own
+bound, below 2**-970 in the default EPS |v| too) is decided the same way:
+a pass stays a pass, a fail a fail whose witness may move earlier, and an
+undecidable count only falls.  Entries past float range are decided too.
 
 One scan streams the kernel's rows, stops at the first witness's row and keeps
 column 0 for minimality and the atom trail.  Degeneracy and extract_triplet keep a
@@ -18,17 +25,15 @@ table on purpose: perfbench's count test needs one in its exact and float warm-u
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
-from math import inf
 from operator import ge, gt, le, neg
 
 from .errors import CertificationError
 from .scalars import CA, CM, EXACT, FAIL, FLOAT, INCONCLUSIVE, PASS, Record
-from .seqcore import Sequence, _scaled_rows, difference_table
+from .seqcore import Sequence, _enclosure, _scaled_rows, _unscale, difference_table
 
-#: In float mode deep difference rows are dominated by rounding noise; depth
-#: defaults are capped here (exact mode has no cap).
+#: In float mode deep difference rows are dominated by their input bounds;
+#: depth defaults are capped here (exact mode has no cap).
 FLOAT_DEPTH_CAP = 40
 
 def default_depth(a: Sequence, depth=None) -> int:
@@ -87,35 +92,30 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
     """The one sign scan.  Rows 0..depth come from a kept table's ``_scaled_rows()``
     if given, else from the kernel, at most two alive at once.  With a ``fail``
     message, failing raises CertificationError.  A ``column`` list gets the
-    (scaled entry, bound, entry) at column 0 of each row scanned.  Every row is decided by
-    -s > e, which is s + e < 0, and s >= e, which is s - e >= 0 but at s = e = +inf."""
+    (scaled entry, bound, entry) at column 0 of each row scanned.  Every
+    entry s with input bound p is decided by s >= p and -s > p."""
     if kind not in (CM, CA):
         raise ValueError(f"kind must be {CM!r} or {CA!r}")
     scale, pairs = rows or _scaled_rows(a, depth)
-    unscale = (lambda x: Fraction(x, scale)) if a.mode == EXACT else (lambda x: x)
+    unscale = _unscale(a.mode, scale)
 
     cm, witness, undecidable, margin = kind == CM, None, 0, None
     for n, (row, bounds) in islice(enumerate(pairs), 0 if cm else 1, depth + 1):
         if column is not None:
             column.append((row[0], 0 if bounds is None else bounds[0], unscale(row[0])))
         m = min(row) if cm else -max(row)  # the least |entry| of a row that holds its sign
-        if holds := m >= 0:  # min passes over a NaN unless first; a NaN is never certified
-            if bounds is None:  # an exact row that holds its sign is decided by it
-                if margin is None or m < margin:
-                    margin = m
-                continue
-        else:  # the least |entry| in scan order: min passes over a NaN unless first
-            m = min(map(abs, row)) if margin is None else min(margin, *map(abs, row))
+        if not (holds := m >= 0):
+            m = min(map(abs, row))
         margin = m if margin is None else min(margin, m)
-        bounds = bounds or [0] * len(row)  # int zeros keep the scaled ints out of float arithmetic
+        if holds and bounds is None:  # an exact row that holds its sign is decided by it
+            continue
+        bounds = bounds or [0] * len(row)
         signed, negated = (row, map(neg, row)) if cm else (map(neg, row), row)
-        certified = sum(map(ge, signed, bounds))  # s - e >= 0 exactly when s >= e, but at s = +inf
-        if not sum(bounds) < inf:  # an entry past float range has bound inf: inf - inf is NaN
-            certified -= row.count(inf if cm else -inf)
+        certified = sum(map(ge, signed, bounds))
         if holds:  # no entry violates a row's sign that it holds: the rest are undecidable
             undecidable += len(row) - certified
         elif certified < len(row):
-            violating = list(map(gt, negated, bounds))  # s + e < 0 exactly when -s > e
+            violating = list(map(gt, negated, bounds))
             undecidable += len(row) - certified - sum(violating)
             if True in violating:
                 k = violating.index(True)
@@ -123,7 +123,7 @@ def _certify(a: Sequence, kind: str, depth: int, rows=None, fail=None, column=No
                 break
 
     verdict = FAIL if witness else INCONCLUSIVE if undecidable else PASS
-    min_margin = None if margin is None else abs(unscale(margin))  # |-0.0| is 0.0
+    min_margin = None if margin is None else unscale(margin)
     cert = Certificate(kind, depth, verdict, witness, min_margin, a.mode, undecidable)
     if fail and cert.failed:
         raise CertificationError(fail, cert)
@@ -147,11 +147,13 @@ def _check_trail(kind: str, depth: int, tol=None, minimality=True):
 
 def _certified_column(a: Sequence, kind: str, depth: int, tol=None, minimality=True,
                       raise_failed=True):
-    """``_check_trail``, then (certificate, column) of ``_certify``; failing raises if asked."""
+    """``_check_trail``, then the certificate and column of ``_certify`` and the
+    error bound of the column's last entry; failing raises if asked."""
     column, rows = [], _scaled_rows(a, depth)  # checks the depth before the kind
     _check_trail(kind, depth, tol, minimality)
     fail = f"sequence failed {kind} certification" if raise_failed else None
-    return _certify(a, kind, depth, rows, fail, column), column
+    cert = _certify(a, kind, depth, rows, fail, column)
+    return cert, column, 0.0 if a.mode == EXACT else _enclosure(*column[-1][:2], rows[0])
 
 
 class AtomEstimate(Record):
@@ -173,16 +175,15 @@ def atom_at_zero(a: Sequence, kind: str, depth=None) -> AtomEstimate:
     The estimate is the last trail value; for a genuinely CM/CA input the
     trail is nonincreasing and converges to nu({0}) (CM) or mu({0}) (CA).
     """
-    return _atom(_certified_column(a, kind, default_depth(a, depth), minimality=False)[1], kind)
+    return _atom(*_certified_column(a, kind, default_depth(a, depth), minimality=False)[1:], kind)
 
 
-def _atom(column: list, kind: str) -> AtomEstimate:
+def _atom(column: list, error_bound: float, kind: str) -> AtomEstimate:
     """The trail off the column of a certificate that did not fail."""
     col = column if kind == CM else [(-v, e, -x) for v, e, x in column[1:]]
-    # scaled entries, and int zero bounds in exact mode: no float arithmetic
     monotone_ok = all(w <= v + e + f for (v, e, _), (w, f, _) in zip(col, col[1:]))
     trail = tuple(x for _, _, x in col)
-    return AtomEstimate(trail, trail[-1], monotone_ok, float(col[-1][1]))
+    return AtomEstimate(trail, trail[-1], monotone_ok, error_bound)
 
 
 class MinimalityReport(Record):
@@ -198,11 +199,11 @@ def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport
     Default tol is 1e-6 in exact mode and max(1e-6, 10x the accumulated
     error bound of the trail end) in float mode.
     """
-    return _minimality(_certified_column(a, kind, default_depth(a, depth), tol)[1], kind, tol)
+    return _minimality(*_certified_column(a, kind, default_depth(a, depth), tol)[1:], kind, tol)
 
 
-def _minimality(column: list, kind: str, tol) -> MinimalityReport:
-    atom = _atom(column, kind)
+def _minimality(column: list, error_bound: float, kind: str, tol) -> MinimalityReport:
+    atom = _atom(column, error_bound, kind)
     if tol is None:  # an exact trail's error bound is 0.0, so its tol is 1e-6
         tol = max(1e-6, 10.0 * atom.error_bound)
     return MinimalityReport(bool(atom.estimate <= tol and atom.monotone_ok), atom, float(tol))
@@ -211,8 +212,8 @@ def _minimality(column: list, kind: str, tol) -> MinimalityReport:
 def _certify_minimal(a: Sequence, kind: str, depth: int, tol):
     """certify, then is_minimal unless the certificate failed, from one scan;
     returns (certificate, MinimalityReport or None)."""
-    cert, column = _certified_column(a, kind, depth, tol, raise_failed=False)
-    return cert, None if cert.failed else _minimality(column, kind, tol)
+    cert, column, error_bound = _certified_column(a, kind, depth, tol, raise_failed=False)
+    return cert, None if cert.failed else _minimality(column, error_bound, kind, tol)
 
 
 STRICT = "strict"

@@ -29,7 +29,7 @@ import sys
 from .errors import BudgetExceededError, CmtkError
 from .scalars import (CA, CM, DEFAULT_C_PAIR, DEFAULT_GRID, DEFAULT_N, DEFAULT_SD_CS, DEFAULT_TOL,
                       FAIL, FLOAT, INCONCLUSIVE, PASS, Record, coerce_values, parse_scalar,
-                      scalar_to_json)
+                      round_once, scalar_to_json)
 
 EXIT_USAGE = 3
 
@@ -153,11 +153,8 @@ def _cmd_newton(args):
     if args.action == "fit":
         return PASS, {"series": series}
     out = eval_series(series, parse_scalar(args.at), args.terms)
-    try:
-        value_float = float(out.value)
-    except OverflowError:  # an exact value past float range
-        value_float = None
-    return PASS, {**vars(out), "value_float": value_float}
+    # an exact value past float range reads inf, reported as null
+    return PASS, {**vars(out), "value_float": round_once(out.value)}
 
 
 def _cmd_webster(args):

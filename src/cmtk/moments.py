@@ -35,7 +35,7 @@ from functools import cache, lru_cache
 
 from .errors import DomainError, NotRepresentableError
 from .scalars import (CA, CM, DEFAULT_GRID, DEFAULT_TOL, Record, as_count, json_field,
-                      nonnegative_fsum, parse_scalar)
+                      nonnegative_fsum, parse_scalar, round_once)
 
 #: residual > RESIDUAL_FACTOR * tol  =>  "not representable at this grid"
 RESIDUAL_FACTOR = 100.0
@@ -345,11 +345,7 @@ def drift_floor_estimate(a: Sequence):
 
 def _first_difference(a: Sequence, k: int) -> float:
     """a_k - a_{k-1} as a float; a ValueError when it passes float range."""
-    try:
-        diff = float(a.values[k] - a.values[k - 1])
-    except OverflowError:  # an exact difference
-        diff = math.inf
-    if not math.isfinite(diff):
+    if not math.isfinite(diff := round_once(a.values[k] - a.values[k - 1])):
         raise ValueError(f"first difference a_{k} - a_{k - 1} is beyond float range")
     return diff
 

@@ -23,16 +23,17 @@ from functools import cached_property
 from fractions import Fraction
 
 from ._extrapolate import LEVIN_ORDER, levin_u
-from .scalars import EPS, EXACT, FLOAT, Record, as_count, is_exact, nonnegative_fsum
+from .scalars import EPS, EXACT, FLOAT, Record, as_count, is_exact, nonnegative_fsum, round_once
 from .seqcore import Sequence, difference_table
 
 
 class NewtonSeries(Record):
     """The Gregory-Newton series of the samples f(0), ..., f(N), held as
     what evaluation reads: ``deltas``, Delta^k f(0) times one scale L
-    (``scale``: ints for exact samples, the floats themselves with L = 1
-    for float ones), and the float table's error bounds on them
-    (``bounds``, None for exact samples).  Evaluation divides by L k!
+    (``scale``: ints for exact samples, and for float ones the exact
+    differences of the stored samples rounded once, with L = 1), and the
+    float table's error bounds on them (``bounds``, which enclose the
+    rounded values; None for exact samples).  Evaluation divides by L k!
     exactly, as the rounded coefficients can underflow.  The coefficients
     c_k = Delta^k f(0) / k!, one per sample (c_0 = f(0); the partial sums
     interpolate every sample index exactly), are built on first read of
@@ -53,9 +54,8 @@ class NewtonSeries(Record):
         """c_k = ``deltas[k]`` / (``scale`` k!): reduced Fractions for an
         exact series, rounded once for a float one."""
         factorials = itertools.accumulate(range(1, len(self.deltas)), operator.mul, initial=1)
-        if self.mode == EXACT:
-            return tuple(Fraction(d, self.scale * f) for d, f in zip(self.deltas, factorials))
-        return tuple(_scaled(d, 0, f) for d, f in zip(self.deltas, factorials))
+        ratio = Fraction if self.mode == EXACT else (lambda d, q: round_once(d, 0, q))
+        return tuple(ratio(d, self.scale * f) for d, f in zip(self.deltas, factorials))
 
     def __len__(self):
         return len(self.deltas)
@@ -72,24 +72,10 @@ def series_from_samples(samples: Sequence) -> NewtonSeries:
     """Build the Newton series of f from the samples (f(0), ..., f(N))."""
     table = difference_table(samples, samples.last_index)
     deltas = tuple(-row[0] if n % 2 else row[0] for n, row in enumerate(table.scaled))
-    bounds = None if table.bounds is None else tuple(row[0] for row in table.bounds)
-    return NewtonSeries(samples.mode, deltas, table.scale, bounds)
-
-
-def _scaled(c, e: int, divisor: int = 1) -> float:
-    """c 2^e / divisor rounded once, for an int, Fraction or float c: +-inf
-    past float range, and c itself when it is inf or nan."""
-    try:
-        p, q = c.as_integer_ratio()
-    except (OverflowError, ValueError):  # inf or nan
-        return c
-    if not p:
-        return float(c)  # keeps the sign of -0.0
-    q *= divisor
-    try:
-        return (p << e) / q if e >= 0 else p / (q << -e)
-    except OverflowError:
-        return math.copysign(math.inf, p)
+    if table.bounds is None:
+        return NewtonSeries(EXACT, deltas, table.scale)
+    return NewtonSeries(FLOAT, tuple(round_once(d, 0, table.scale) for d in deltas), 1,
+                        tuple(table.error_bound(n, 0) for n in range(len(deltas))))
 
 
 class SeriesValue(Record):
@@ -116,12 +102,12 @@ def _terms(series: NewtonSeries, z, n_terms: int, start: int, window, total, noi
     divisors = itertools.accumulate(range(1, n_terms), operator.mul, initial=series.scale)  # L k!
     m, e, acc = (1.0 + 0.0j if isinstance(z, complex) else 1.0), 0, 0.0
     for k, divisor in zip(range(n_terms), divisors):
-        term = _scaled(deltas[k], e, divisor) * m
+        term = round_once(deltas[k], e, divisor) * m
         acc = acc + term
         if k >= start:
             window.append(term)
         if noise is not None:
-            noise.append(_scaled(bounds[k], e, divisor) * abs(m))
+            noise.append(round_once(bounds[k], e, divisor) * abs(m))
         yield abs(term)
         m = m * (z - k)
         s = math.frexp(max(abs(m.real), abs(m.imag)))[1]
@@ -197,7 +183,7 @@ def _partial_sum(series: NewtonSeries, z, n_terms, last=0):
     if noise is not None:
         bound = nonnegative_fsum(noise)
         # a bound below the normal range carries only the inputs' 2**-1074
-        # floor; an infinite or NaN one (inf - inf in the table) warns too
+        # floor; an infinite or NaN one warns too
         if not bound < max(abs(total), sys.float_info.min):
             warnings.append(f"rounding noise may swamp the value: the sample table's "
                             f"error bounds allow {bound:.3g}, at least |value|")

@@ -8,7 +8,8 @@ once, at sequence construction, and recorded as a mode flag.
 The sequence kinds, the three verdicts and the parameter defaults that the
 CLI reads live here too, so that it reads them without importing the
 modules that compute with them; so do ``Record``, the base of every
-module's value types, and ``as_count`` and ``as_scales``, the parameter checks.
+module's value types, ``round_once``, the one rounding of an exact value to
+a float, and ``as_count`` and ``as_scales``, the parameter checks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 EPS = 2.0 ** -52  # double-precision unit roundoff (1 ulp at 1.0)
-TINY = math.ulp(0.0)  # the smallest subnormal, 2**-1074
 
 EXACT = "exact"
 FLOAT = "float"
@@ -100,6 +100,24 @@ def nonnegative_fsum(terms) -> float:
         return math.fsum(terms)
     except OverflowError:
         return math.inf
+
+
+def round_once(c, e: int = 0, divisor: int = 1, up: bool = False) -> float:
+    """c 2^e / divisor (divisor > 0) rounded once, to nearest or, with ``up``,
+    toward +inf, for an int, Fraction or float c: +-inf past float range, and
+    c itself when it is inf or nan."""
+    try:
+        p, q = c.as_integer_ratio()
+    except (OverflowError, ValueError):  # inf or nan
+        return c
+    p, q = (p << e, q * divisor) if e >= 0 else (p, (q * divisor) << -e)
+    try:
+        x = p / q if p else float(c)  # int division rounds once; float(c) keeps -0.0
+    except OverflowError:
+        return math.inf if p > 0 else -math.inf
+    if up and Fraction(x) < Fraction(p, q):
+        x = math.nextafter(x, math.inf)
+    return x
 
 
 def as_count(value, name, least=None) -> int:

@@ -4,13 +4,14 @@ The central object is the sign-folded difference table
 
     D[n][k] = (-1)^n Delta^n a(k),   n + k <= K,
 
-built by the recurrence D[n][k] = D[n-1][k] - D[n-1][k+1].  Entries are
-exact when the sequence is exact (the recurrence runs on Python ints: the
-sequence times the lcm of its denominators); in float mode every entry
-carries a running error bound (inputs within max(EPS |v|, 2**-1074) each,
-twice the half ulp of correct rounding, plus one rounding per subtraction)
-so that sign decisions downstream can distinguish "certified" from
-"undecidable".
+built by the recurrence D[n][k] = D[n-1][k] - D[n-1][k+1] on the sequence
+as ints times one scale (the lcm of its denominators; a power of two for
+floats, which are dyadic), so every entry is exact.  A float sequence's
+input bounds (max(EPS |v|, 2**-1074) each, twice the half ulp of correct
+rounding, or ``value_bounds``) share that scale, and p[n][k] = p[n-1][k] +
+p[n-1][k+1], exactly, is the most that inputs within them move D[n][k].
+Nothing rounds or overflows; the mode selects only how entries are
+reported, as Fractions or as floats rounded once.
 
 One kernel yields the table a row at a time and checks the depth.
 ``difference_table`` keeps every row, for the readers that come back to
@@ -27,7 +28,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import compress, repeat
 
-from .scalars import EPS, EXACT, FLOAT, TINY, Record, as_count, coerce_values, parse_scalar
+from .scalars import EXACT, FLOAT, Record, as_count, coerce_values, parse_scalar, round_once
 
 
 class Sequence(Record):
@@ -36,7 +37,8 @@ class Sequence(Record):
     Float values must be finite.  ``value_bounds``, float mode only,
     carries per-entry absolute input error bounds for values that are
     noisier than correctly rounded (e.g. samples assembled from several
-    function evaluations); None means max(EPS |v|, 2**-1074) each.
+    function evaluations), inf for a value known only to be finite; None
+    means max(EPS |v|, 2**-1074) each.
     """
 
     values: tuple
@@ -128,11 +130,9 @@ def read_sequence(path, mode=None) -> Sequence:
 class DifferenceTable(Record):
     """Triangular array rows[n][k] = (-1)^n Delta^n a(k), n <= depth, n+k <= K.
 
-    ``scaled`` holds the entries times ``scale``: in exact mode Python ints
-    and L, the lcm of the input denominators (L > 0 keeps signs and order,
-    so verdicts are read off the ints, and ``rows`` gives x / L); in float
-    mode the float entries and 1, with per-entry absolute error bounds in
-    ``bounds`` (None in exact mode).
+    ``scaled`` holds the entries times ``scale`` > 0 as ints, and ``bounds``
+    their input bounds at that scale in float mode (None in exact mode).
+    ``rows`` gives the entries as Fractions, or as floats rounded once.
     """
 
     scaled: tuple
@@ -144,36 +144,59 @@ class DifferenceTable(Record):
 
     @cached_property
     def rows(self):
-        """The entries themselves: Fractions in exact mode, built on first use."""
-        if self.mode != EXACT:
-            return self.scaled
-        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.scaled)
+        return tuple(tuple(map(_unscale(self.mode, self.scale), row)) for row in self.scaled)
 
     def error_bound(self, n: int, k: int) -> float:
-        return 0.0 if self.bounds is None else self.bounds[n][k]
+        """0.0 in exact mode; else the input bound of entry (n, k) widened by
+        the rounding of ``rows[n][k]``, rounded up: rows[n][k] +- error_bound
+        holds the entry of every input within its bounds."""
+        return 0.0 if self.bounds is None else _enclosure(self.scaled[n][k], self.bounds[n][k],
+                                                          self.scale)
 
     def _scaled_rows(self):
         """The kernel's (scale, (row, bounds) pairs), read from the kept rows."""
         return self.scale, zip(self.scaled, self.bounds or repeat(None))
 
 
+def _unscale(mode: str, scale: int):
+    """The entry that a scaled int stands for: a Fraction, or in float mode the nearest float."""
+    return (lambda x: Fraction(x, scale)) if mode == EXACT else (lambda x: round_once(x, 0, scale))
+
+
+def _enclosure(s: int, p: int, scale: int) -> float:
+    """The least float e with r +- e holding (s +- p) / scale, r = s / scale rounded once."""
+    if not math.isfinite(r := round_once(s, 0, scale)):
+        return math.inf
+    n, d = r.as_integer_ratio()
+    return round_once(abs(n * scale - s * d) + p * d, 0, d * scale, up=True)
+
+
 def _scaled_rows(a: Sequence, depth: int):
-    """The table kernel: ``a``'s scale (the lcm of its denominators in exact
-    mode, 1 in float mode) and an iterator over rows 0..depth of its table
-    times that scale, each with its row of error bounds (None in exact
-    mode).  Each row is built from the one before, when it is asked for.
-    The depth is checked here, before any row is built."""
+    """The table kernel: ``a``'s scale and an iterator over rows 0..depth of
+    its table times that scale, as ints, each with its row of input bounds
+    (None in exact mode).  Each row is built from the one before, when it is
+    asked for.  The depth is checked here, before any row is built.  An
+    infinite input bound becomes an int past every entry and every finite
+    bound of the first ``depth`` rows, which rounds to inf."""
     depth = as_count(depth, "depth", least=0)
     if depth > a.last_index:
         raise ValueError(f"insufficient data: depth {depth} exceeds last index {a.last_index}")
     if a.mode == EXACT:
         nums, dens = zip(*[v.as_integer_ratio() for v in a.values])
         scale, cofactors = _scale_cofactors(dens)
-        row = tuple(list(map(operator.mul, nums, cofactors)))
-        return scale, _next_rows(row, None, depth)
-    # half an ulp each, floored at 2**-1074, the ulp of a subnormal or 0.0
-    bounds = a.value_bounds or tuple([max(EPS * abs(v), TINY) for v in a.values])
-    return 1, _next_rows(tuple(a.values), bounds, depth)
+        return scale, _next_rows(tuple(list(map(operator.mul, nums, cofactors))), None, depth)
+    # each float is m 2^(e - 53), m = int(f 2^53) for (f, e) = frexp: one power of two scales all
+    pairs = list(map(math.frexp, a.values + tuple(a.value_bounds or ())))  # frexp(inf) = (inf, 0)
+    low = min(53, *map(operator.itemgetter(1), pairs))
+    if not a.value_bounds:  # 2^52 finer, EPS |v| is |v| >> 52; 0.0's 2**-1074 needs 2^1074
+        low = min(low - 52, -1021 if 0.0 in a.values else 53)
+    scale, size = 1 << (53 - low), len(a.values)
+    huge = scale << (1025 + depth + size.bit_length())  # > 2^depth (K + 1) 2^1024 scale
+    ints = [int(f * 2.0 ** 53) << (e - low) if f < math.inf else huge for f, e in pairs]
+    # the default bound: twice the half ulp, floored at 2**-1074, the ulp of a subnormal or 0.0
+    floor = scale >> 1074
+    bounds = ints[size:] or [b if (b := abs(x) >> 52) > floor else floor for x in ints]
+    return scale, _next_rows(tuple(ints[:size]), tuple(bounds), depth)
 
 
 def _scale_cofactors(dens):
@@ -196,12 +219,13 @@ def _scale_cofactors(dens):
 
 
 def _next_rows(row, bounds, depth):
-    eps = EPS
+    """Rows 0..depth from row 0: D[n+1][k] = D[n][k] - D[n][k+1], and the
+    input bounds p[n+1][k] = p[n][k] + p[n][k+1] when there are any."""
     yield row, bounds
     for _ in range(depth):  # via a list: a tuple grown from an iterator fragments the heap
         row = tuple(list(map(operator.sub, row, row[1:])))
-        if bounds is not None:  # the bounds of the two operands plus one rounding
-            bounds = tuple([x + y + eps * v for x, y, v in zip(bounds, bounds[1:], map(abs, row))])
+        if bounds is not None:
+            bounds = tuple(list(map(operator.add, bounds, bounds[1:])))
         yield row, bounds
 
 
@@ -217,29 +241,11 @@ def difference_table(a: Sequence, depth: int) -> DifferenceTable:
     return DifferenceTable(tuple(rows), bounds, a.mode, depth, a.last_index, scale)
 
 
-def closed_form_entry(a: Sequence, n: int, k: int):
-    """(-1)^n Delta^n a(k) by the direct binomial sum (no recurrence).
-
-    Used as the independent cross-check of the table recurrence.
-    """
-    if n + k > a.last_index:
-        raise ValueError("insufficient data")
-    terms = [
-        math.comb(n, i) * a.values[k + i] * (-1 if i % 2 else 1)
-        for i in range(n + 1)
-    ]
-    if a.mode == EXACT:
-        return sum(terms, Fraction(0))
-    return math.fsum(terms)
-
-
 def _column_zero(a: Sequence) -> tuple:
     """Column 0 of ``a``'s table, (-1)^n Delta^n a(0) for n <= K, streamed
     from the kernel: each row is dropped once the next exists."""
     scale, rows = _scaled_rows(a, a.last_index)
-    if a.mode == EXACT:
-        return tuple(Fraction(row[0], scale) for row, _ in rows)
-    return tuple(row[0] for row, _ in rows)
+    return tuple(map(_unscale(a.mode, scale), [row[0] for row, _ in rows]))
 
 
 def binomial_transform(a: Sequence) -> Sequence:
@@ -253,9 +259,7 @@ def euler_transform(a: Sequence) -> Sequence:
 
 
 def inverse_euler_transform(e: Sequence) -> Sequence:
-    """Recover a from its Euler transform: a_n = sum_i C(n,i) e_i."""
-    vals = []
-    for n in range(e.last_index + 1):
-        terms = [math.comb(n, i) * e.values[i] for i in range(n + 1)]
-        vals.append(sum(terms, Fraction(0)) if e.mode == EXACT else math.fsum(terms))
-    return Sequence(tuple(vals), e.mode)
+    """Recover a from its Euler transform: a_n = sum_i C(n,i) e_i, the
+    binomial transform of ((-1)^i e_i)_i."""
+    return binomial_transform(Sequence(tuple(-v if i % 2 else v for i, v in enumerate(e.values)),
+                                       e.mode))

@@ -32,7 +32,7 @@ from itertools import chain, islice, repeat
 from ._extrapolate import aitken, richardson_derivative
 from .errors import DomainError
 from .funcops import FunctionHandle
-from .scalars import DEFAULT_N, Record, as_count
+from .scalars import DEFAULT_N, Record, as_count, round_once
 
 _CONCAVITY_GRID = tuple(0.25 * (i + 1) for i in range(32))
 # Points per prepare span: a span's points and a_n quotients, 96 floats,
@@ -165,10 +165,7 @@ class WebsterSolution:
 
     def result(self, x) -> WebsterResult:
         """Evaluate at x > 0 with the full convergence report."""
-        try:
-            x = float(x)
-        except OverflowError:  # an int or a Fraction past float range
-            x = math.inf
+        x = round_once(x) if hasattr(x, "as_integer_ratio") else float(x)  # inf past float range
         if x <= 0:
             raise DomainError("x must be positive")
         if not x < math.inf:  # NaN too

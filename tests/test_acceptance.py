@@ -31,10 +31,10 @@ from cmtk.newton import eval_series, extrapolate_series, series_from_samples
 from cmtk.seqcore import (
     Sequence,
     binomial_transform,
-    closed_form_entry,
     difference_table,
 )
 from cmtk.webster import WebsterProblem, WebsterSolution, verify_functional_equation
+from test_seqcore import closed_form_entry
 
 
 class Stopwatch:

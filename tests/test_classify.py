@@ -40,6 +40,7 @@ from cmtk.errors import CertificationError
 from cmtk.funcops import apply_operator, lattice_check
 from cmtk.moments import extend_from_integer_samples, invert_ca, invert_cm
 from cmtk.seqcore import Sequence, _scaled_rows, difference_table
+from test_seqcore import reference_float_table
 
 
 def exact(values):
@@ -351,7 +352,8 @@ class TestFloatSoundnessOracle:
 
 def _reference_status(value, bound):
     """The per-entry rule: a zero bound decides by the sign alone; otherwise
-    the entry is certified, violating, or undecidable within its bound."""
+    the entry is certified, violating, or undecidable within its bound.  On
+    floats a NaN or an inf - inf is undecidable."""
     if bound == 0.0:
         return PASS if value >= 0 else FAIL
     if value - bound >= 0:
@@ -362,13 +364,16 @@ def _reference_status(value, bound):
 
 
 def reference_certify(a, kind, depth):
-    """certify by the per-entry rule on every entry of the unscaled table."""
+    """certify by the per-entry rule on every scaled entry of a kept table and
+    its input bound (0 in exact mode), reporting the unscaled entries."""
     table = difference_table(a, depth)
+    bounds = table.bounds or [[0] * len(row) for row in table.scaled]
     witness, undecidable, margin = None, 0, None
     for n in range(0 if kind == CM else 1, depth + 1):
         for k, v in enumerate(table.rows[n]):
             margin = abs(v) if margin is None else min(margin, abs(v))
-            status = _reference_status(-v if kind == CA else v, table.error_bound(n, k))
+            s = table.scaled[n][k]
+            status = _reference_status(-s if kind == CA else s, bounds[n][k])
             if status == FAIL and witness is None:
                 witness = (n, k, v)
             elif status == INCONCLUSIVE:
@@ -480,8 +485,8 @@ class TestCertifyReference:
            st.integers(min_value=0, max_value=40))
     # the least |entry| of a signed zero is 0.0, not -0.0
     @example(([-0.0, 0.0], None), 1)
-    # CA: rows of +-inf and NaN with inf bounds, inconclusive with min_margin inf
-    # and 6 undecidable
+    # CA row 1 holds 3.4e308 exactly, past float range: a fail at (1, 0) whose
+    # value and min_margin read inf, the entry rounded once
     @example(([1.7e308, -1.7e308, 1.7e308, -1.7e308], None), 3)
     # an inf input bound
     @example(([1.0, 2.0, 0.5], [0.0, math.inf, 0.0]), 2)
@@ -489,19 +494,19 @@ class TestCertifyReference:
     @example(([0.0, -1.0, 5.0], [0.0, 0.0, 10.0]), 2)
     # signed zeros with zero bounds
     @example(([-0.0, 0.0, -0.0, 0.0], [0.0, 0.0, 0.0, 0.0]), 3)
-    # CA row 3 is (nan, -inf, 0.0): a row's min loses the entries after a
-    # first NaN, and min_margin is 0.0, not row 1's 2e-300
+    # inf input bounds: every entry is undecidable, and the CA min_margin is
+    # row 1's 2e-300 between entries past float range
     @example(([-1.7e308, 1e308, 1.7e308, 2e-300, 0.0, 1.7e308], [math.inf] * 6), 5)
     # rows that hold their sign with undecidable entries: CM row 0 (1e-20
     # within 0.5) and CA row 1 (0.0 within 0.5); no violation pass runs there
     @example(([1.0, 1e-20, 0.0], [0.0, 0.5, 0.0]), 2)
     @example(([0.0, 1.0, 1.0], [0.0, 0.0, 0.5]), 2)
-    # row 3 is (-inf, nan) for CA and (inf, nan) for CM: max and min pass
-    # over the NaN, the row holds its sign and the NaN is undecidable
+    # entries past float range are decided as ints: CM fails at (0, 2) and CA
+    # at (1, 1) with value inf; with inf input bounds none is decided
     @example(([0.0, 1.7e308, -1.7e308, -1.7e308, 1.7e308], None), 4)
     @example(([0.0, -1.7e308, 1.7e308, 1.7e308, -1.7e308], [math.inf] * 5), 4)
-    # row 1 is (inf,) for CM and (-inf,) for CA, with an inf bound: the row
-    # holds its sign, and its bounds do not sum to a finite value
+    # row 1 is -3.4e308 (CM) or 3.4e308 (CA), with an inf input bound: the
+    # row holds its sign, the entry is undecidable and min_margin reads inf
     @example(([1.7e308, -1.7e308], [math.inf, math.inf]), 1)
     @example(([-1.7e308, 1.7e308], [math.inf, math.inf]), 1)
     @settings(max_examples=150, deadline=None)
@@ -509,6 +514,73 @@ class TestCertifyReference:
         values, bounds = case
         a = Sequence.from_values(values, value_bounds=bounds)
         assert_matches_reference(a, min(depth, a.last_index))
+
+
+def float_recurrence_status(values, bounds, kind, depth):
+    """Per-entry statuses of the float recurrence that rounds each
+    subtraction and adds one rounding term to its bound
+    (``reference_float_table``), by the per-entry rule."""
+    rows, ebounds = reference_float_table(values, bounds, depth)
+    sign = 1 if kind == CM else -1
+    return [[_reference_status(sign * v, e) for v, e in zip(row, erow)]
+            for row, erow in zip(rows, ebounds)]
+
+
+def first_witness_and_undecidable(statuses, kind):
+    """(witness (n, k) or None, undecidable count) of a row-major scan that
+    stops after the row of the first violating entry."""
+    undecidable = 0
+    for n in range(0 if kind == CM else 1, len(statuses)):
+        undecidable += statuses[n].count(INCONCLUSIVE)
+        if FAIL in statuses[n]:
+            return (n, statuses[n].index(FAIL)), undecidable
+    return None, undecidable
+
+
+class TestExactRowDominance:
+    """The exact table of the stored values with its exact row of input bounds
+    decides every entry that the float recurrence decided, the same way
+    (its bound is the exact one plus rounding terms that cover its entry's
+    rounding): no verdict moves between pass and fail, a fail's witness is
+    the same entry or an earlier one, and the undecidable count never rises."""
+
+    @given(st.one_of(floats_with_bounds(), long_floats_with_bounds, overflowing_floats_with_bounds,
+                     st.tuples(exact_lists.map(lambda v: [float(x) for x in v]), st.none())),
+           st.integers(min_value=0, max_value=40))
+    # overflow.csv: the float row 1 passes float range, the exact one fails CA at (1, 0)
+    @example(([1.7e308, -1.7e308, 1.7e308, -1.7e308, 1.0, 2.0], None), 5)
+    @example(([-1.7e308, 1e308, 1.7e308, 2e-300, 0.0, 1.7e308], [math.inf] * 6), 5)
+    @settings(max_examples=300, deadline=None)
+    def test_never_less_decided(self, case, depth):
+        values, bounds = case
+        a = Sequence.from_values(values, value_bounds=bounds)
+        depth = min(depth, a.last_index)
+        table = difference_table(a, depth)
+        for kind in (CM, CA):
+            old = float_recurrence_status(values, bounds, kind, depth)
+            sign = 1 if kind == CM else -1
+            new = [[_reference_status(sign * s, p) for s, p in zip(row, prow)]
+                   for row, prow in zip(table.scaled, table.bounds)]
+            for n in range(0 if kind == CM else 1, depth + 1):
+                for k, status in enumerate(old[n]):
+                    assert status == INCONCLUSIVE or new[n][k] == status, (kind, n, k)
+            old_witness, old_undecidable = first_witness_and_undecidable(old, kind)
+            cert = certify(a, kind, depth)
+            assert (cert.witness and cert.witness[:2], cert.undecidable) == \
+                first_witness_and_undecidable(new, kind)
+            old_verdict = FAIL if old_witness else INCONCLUSIVE if old_undecidable else PASS
+            assert {cert.verdict, old_verdict} != {PASS, FAIL}, kind
+            if old_witness:
+                assert cert.witness[:2] <= old_witness, kind
+            assert cert.undecidable <= old_undecidable, kind
+
+    def test_an_inf_input_bound_leaves_its_window_undecidable(self):
+        # the entries whose window holds a_2: 1 + 2 + 3 + 2 + 1 of them
+        a = Sequence.from_values([1.0, .5, .25, .125, .0625], value_bounds=[0, 0, math.inf, 0, 0])
+        cert = certify(a, CM, 4)
+        assert (cert.verdict, cert.undecidable, cert.min_margin) == (INCONCLUSIVE, 9, 0.0625)
+        table = difference_table(a, 4)
+        assert [table.error_bound(n, 0) for n in range(5)] == [0.0, 0.0] + [math.inf] * 3
 
 
 def reference_atom(table, kind, depth):
@@ -519,8 +591,8 @@ def reference_atom(table, kind, depth):
     bounds = [table.bounds[n][0] for n in ns] if table.bounds else [0] * len(ns)
     monotone_ok = all(trail[i + 1] <= trail[i] + bounds[i] + bounds[i + 1]
                       for i in range(len(trail) - 1))
-    trail = tuple(Fraction(x, table.scale) if table.mode == "exact" else x for x in trail)
-    return AtomEstimate(trail, trail[-1], monotone_ok, float(bounds[-1]))
+    trail = tuple(table.rows[n][0] if kind == CM else -table.rows[n][0] for n in ns)
+    return AtomEstimate(trail, trail[-1], monotone_ok, table.error_bound(depth, 0))
 
 
 def outcome(call):

@@ -145,8 +145,8 @@ class TestSubcommands:
         assert Fraction(result["value"]) > Fraction(10**308)
 
     def test_newton_eval_nan_noise_bound_warns(self, capsys, tmp_path):
-        # Delta^3 f(0) is inf - inf, so the noise bound is NaN: the NaN value
-        # was reported with no warning
+        # Delta f(0) and Delta^2 f(0) pass float range, so their bounds read
+        # inf and the terms' sum is inf - inf: the NaN value warns
         p = tmp_path / "seq.csv"
         p.write_text("1.7e308\n-1.7e308\n-1.7e308\n1.7e308\n1\n2\n")
         code, report, err = run(capsys, "newton", "eval", str(p), "--mode", "float",
@@ -155,10 +155,11 @@ class TestSubcommands:
         assert report["result"]["value"] is None
         assert report["result"]["warnings"] == [
             "rounding noise may swamp the value: the sample table's error bounds "
-            "allow nan, at least |value|"]
+            "allow inf, at least |value|"]
 
     def test_newton_eval_noise_bound_past_float_range(self, capsys, tmp_path):
-        # the float noise bound's fsum overflowed into a traceback
+        # the float noise bound's fsum overflowed into a traceback; the bounds
+        # of the exact differences keep it finite, and the NaN value warns
         p = tmp_path / "noisy.csv"
         drawn = "AAACBCCBABDDCDCAACDCDDBBBBABCBBCBDDCCCDBDDBDCD"
         p.write_text("".join({"A": "1e300\n", "B": "1e150\n", "C": "3.0\n",
@@ -171,7 +172,7 @@ class TestSubcommands:
         report = json.loads(out.out, parse_constant=reject_constant)
         assert report["result"]["warnings"] == [
             "rounding noise may swamp the value: the sample table's error bounds "
-            "allow inf, at least |value|"]
+            "allow 1.03e+308, at least |value|"]
         for key in ("tail_estimate", "value", "value_float"):
             assert report["result"][key] is None, key
 

@@ -37,7 +37,7 @@ from cmtk.funcops import (
     sampled_sequence,
     subaffine_check,
 )
-from cmtk.scalars import CA, CM, EPS, TINY, is_exact
+from cmtk.scalars import CA, CM, EPS, is_exact
 from cmtk.seqcore import Sequence
 from cmtk.webster import WebsterProblem, WebsterSolution
 
@@ -704,7 +704,7 @@ class TestPlainHandleError:
             for x in (alpha * k for alpha in self.ALPHAS for k in range(31)):
                 v = float(f(x))
                 err = abs(Decimal(v) - oracle(Decimal(x)))
-                assert err <= Decimal(max(EPS * abs(v), TINY)), (x, v)
+                assert err <= Decimal(max(EPS * abs(v), math.ulp(0.0))), (x, v)
 
 
 class TestRegistry:

@@ -157,20 +157,29 @@ class TestEvalSeries:
         assert eval_series(s, Fraction(1, 2), True) == eval_series(s, Fraction(1, 2), 1)
 
     def test_noise_bound_past_float_range_warns(self):
-        # these 46 float samples' term bounds pass float range in fsum's
-        # running sum, where it raises: the bound reads as inf, warns, and
-        # the value is the left-to-right sum of the terms as before
+        # a_0's input bound 1e308 gives the terms' bounds 1e308 |C(1/2, k)|,
+        # whose sum passes float range in fsum's running sum, where it
+        # raises: the bound reads as inf, warns, and the value is exact
+        s = series_from_samples(Sequence.from_values([1.0] * 33, value_bounds=[1e308] + [0.0] * 32))
+        total, noise = [], []
+        list(newton._terms(s, 0.5, 33, 33, [], total, noise))
+        with pytest.raises(OverflowError):
+            math.fsum(noise)
+        out = eval_series(s, 0.5, 33)
+        assert out.value == total[0] == 1.0
+        assert out.warnings == ("rounding noise may swamp the value: the sample table's "
+                                "error bounds allow inf, at least |value|",)
+
+    def test_nan_value_warns(self):
+        # the terms of these 46 samples at z = 52 pass float range, and their
+        # sum is NaN: a NaN value is never below its bound
         drawn = "AAACBCCBABDDCDCAACDCDDBBBBABCBBCBDDCCCDBDDBDCD"
         s = series_from_samples(Sequence.from_values(
             [{"A": 1e300, "B": 1e150, "C": 3.0, "D": -1e-300}[c] for c in drawn]))
-        total, noise = [], []
-        list(newton._terms(s, 52.0, 33, 33, [], total, noise))
-        with pytest.raises(OverflowError):
-            math.fsum(noise)
         out = eval_series(s, 52.0, 33)
-        assert math.isnan(out.value) and math.isnan(total[0])
+        assert math.isnan(out.value)
         assert out.warnings == ("rounding noise may swamp the value: the sample table's "
-                                "error bounds allow inf, at least |value|",)
+                                "error bounds allow 1.03e+308, at least |value|",)
 
 
 class TestBeyondFactorialRange:
@@ -350,9 +359,9 @@ class TestExtrapolateSeries:
         assert out.order == 0
 
     def test_non_finite_terms_not_extrapolated(self):
-        # finite samples whose differences overflow: Delta f(0) is -inf,
-        # Delta^2 f(0) inf, and inf - inf makes the later ones NaN
-        samples = Sequence.from_values([1.7e308, -1.7e308, -1.7e308, 1.7e308] * 10)
+        # finite samples whose differences pass float range: Delta f(0)
+        # reads -inf and Delta^2 f(0) inf, each rounded once
+        samples = Sequence.from_values([1.7e308, -1.7e308, -1.7e308, 1e300])
         series = series_from_samples(samples)
         out = extrapolate_series(series, 0.5)
         assert out.order == 0

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from cmtk.seqcore import (
     Sequence,
     binomial_transform,
-    closed_form_entry,
     difference_table,
     euler_transform,
     inverse_euler_transform,
@@ -28,6 +27,15 @@ from cmtk.seqcore import (
 def brute_entry(values, n, k):
     """Independent oracle: direct alternating binomial sum."""
     return sum(math.comb(n, i) * (-1) ** i * values[k + i] for i in range(n + 1))
+
+
+def closed_form_entry(a, n, k):
+    """(-1)^n Delta^n a(k) of an exact sequence by the direct binomial sum
+    (no recurrence): the independent cross-check of the table recurrence."""
+    if n + k > a.last_index:
+        raise ValueError("insufficient data")
+    return sum((math.comb(n, i) * a.values[k + i] * (-1 if i % 2 else 1) for i in range(n + 1)),
+               Fraction(0))
 
 
 def rational_seq(values):
@@ -189,16 +197,28 @@ class TestTransforms:
         a = rational_seq(vals)
         assert inverse_euler_transform(euler_transform(a)).values == a.values
 
-    @pytest.mark.parametrize("transform, entry", [
-        (binomial_transform, "entry 1 is not finite: inf"),
-        (euler_transform, "entry 1 is not finite: -inf"),
-        (inverse_euler_transform, "entry 2 is not finite: -inf"),
+    @pytest.mark.parametrize("transform, values, entry", [
+        (binomial_transform, [1.7e308, -1.7e308, 1.7e308], "entry 1 is not finite: inf"),
+        (euler_transform, [1.7e308, -1.7e308, 1.7e308], "entry 1 is not finite: -inf"),
+        (inverse_euler_transform, [1.7e308, 1.7e308, 1.7e308], "entry 1 is not finite: inf"),
+        (inverse_euler_transform, [1e308] * 5, "entry 1 is not finite: inf"),
+        (inverse_euler_transform, [-1e308] * 3, "entry 1 is not finite: -inf"),
     ])
-    def test_float_transform_past_float_range_refused(self, transform, entry):
+    def test_float_transform_past_float_range_refused(self, transform, values, entry):
         # a Sequence holds finite floats only, and these entries overflow
-        a = Sequence.from_values([1.7e308, -1.7e308, 1.7e308])
+        a = Sequence.from_values(values, mode="float")
         with pytest.raises(ValueError, match=f"^{entry}$"):
             transform(a)
+
+    def test_float_transforms_round_the_exact_sums_once(self):
+        # a_2 = e_0 + 2 e_1 + e_2 is exactly 0 here, though 2 e_1 alone is
+        # past float range; the float column is the exact one rounded once
+        e = Sequence.from_values([1.7e308, -1.7e308, 1.7e308])
+        assert inverse_euler_transform(e).values == (1.7e308, 0.0, 0.0)
+        a = Sequence.from_values([0.1, 0.7, 0.3, 1e-17])
+        column = [sum(math.comb(n, i) * (-1) ** i * Fraction(v) for i, v in enumerate(a.values[:n + 1]))
+                  for n in range(4)]
+        assert binomial_transform(a).values == tuple(map(float, column))
 
 
 class TestIO:
@@ -247,12 +267,14 @@ class TestIO:
 
 # -- the integer-scaled exact kernel against plain Fraction arithmetic ---------
 
-def fraction_rows(values, depth):
-    """Plain Fraction recurrence D[n][k] = D[n-1][k] - D[n-1][k+1]."""
+def fraction_rows(values, depth, add=False):
+    """Plain Fraction recurrence D[n][k] = D[n-1][k] - D[n-1][k+1], or with
+    ``add`` the input-bound recurrence p[n][k] = p[n-1][k] + p[n-1][k+1]."""
     rows = [list(values)]
     for _ in range(depth):
         prev = rows[-1]
-        rows.append([prev[k] - prev[k + 1] for k in range(len(prev) - 1)])
+        rows.append([prev[k] + prev[k + 1] if add else prev[k] - prev[k + 1]
+                     for k in range(len(prev) - 1)])
     return rows
 
 
@@ -423,24 +445,49 @@ def bits(rows):
     return [[x.hex() for x in row] for row in rows]
 
 
+def nearest_float(x):
+    """The Fraction x rounded once: +-inf past float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("with_bounds", [False, True], ids=["ulp-bounds", "value-bounds"])
-def test_float_table_is_bit_identical_to_the_loop(seed, with_bounds):
+def test_float_table_is_the_exact_table_rounded_once(seed, with_bounds):
+    """A float table holds the exact differences of the stored values on one
+    power-of-two scale; its rows are those rounded once, and each error bound
+    is the least float that encloses, around the rounded entry, the exact
+    entry widened by its input bound sum_i C(n, i) b_{k+i}."""
     rng = random.Random(seed)
     size = rng.randint(1, 40)
     pick = [lambda: rng.uniform(-2.0, 2.0), lambda: rng.uniform(-1e300, 1e300),
-            lambda: rng.uniform(-1e-310, 1e-310), lambda: 0.0, lambda: -0.0,
-            lambda: 1.0 / (rng.randint(1, 10**6))]
+            lambda: rng.uniform(-1e-310, 1e-310), lambda: rng.uniform(-1e-300, 1e-300),
+            lambda: 0.0, lambda: -0.0, lambda: 1.0 / (rng.randint(1, 10**6))]
     values = [rng.choice(pick)() for _ in range(size)]
     bounds = [abs(rng.gauss(0.0, 1e-12)) for _ in range(size)] if with_bounds else None
     a = Sequence.from_values(values, value_bounds=bounds)
     assert a.mode == "float"
     depth = rng.randint(0, size - 1)
     table = difference_table(a, depth)
-    rows, ebounds = reference_float_table(values, bounds, depth)
-    assert bits(table.rows) == bits(rows)
-    assert bits(table.bounds) == bits(ebounds)
-    assert table.scale == 1 and table.scaled is table.rows
+    assert table.scale & (table.scale - 1) == 0
+    exact = fraction_rows([Fraction(v) for v in values], depth)
+    if bounds is None:  # EPS |v| exactly, also where the float product would round
+        bounds = [max(Fraction(abs(v)) / 2 ** 52, Fraction(1, 2 ** 1074)) for v in values]
+    input_bounds = fraction_rows([Fraction(b) for b in bounds], depth, add=True)
+    assert [[Fraction(x, table.scale) for x in row] for row in table.scaled] == exact
+    assert [[Fraction(x, table.scale) for x in row] for row in table.bounds] == input_bounds
+    assert bits(table.rows) == bits([[nearest_float(x) for x in row] for row in exact])
+    for n in range(depth + 1):
+        for k, (x, p) in enumerate(zip(exact[n], input_bounds[n])):
+            e = table.error_bound(n, k)
+            if math.isinf(table.rows[n][k]):
+                assert e == math.inf
+                continue
+            need = abs(Fraction(table.rows[n][k]) - x) + p
+            assert Fraction(e) >= need
+            assert e == 0.0 or Fraction(math.nextafter(e, 0.0)) < need
 
 
 def bits_or_ints(values):

@@ -299,6 +299,13 @@ class TestPastFloatRange:
         with pytest.raises(DomainError, match="^x must be positive$"):
             sol.result(-math.inf)
 
+    def test_x_of_any_type_float_takes(self):
+        # a numpy int or a str has no as_integer_ratio; float(x) reads it as before
+        sol = WebsterSolution(gamma_problem(1000))
+        want = sol.result(2.5).value
+        assert [sol.result(x).value for x in (numpy.float64(2.5), "2.5", 2.5)] == [want] * 3
+        assert sol.result(numpy.int64(3)).value == sol.result(3).value
+
 
 class TestBudget:
     """Prepare charges its whole pass, 1 + 4 evaluations per n when g' is
