@@ -19,8 +19,11 @@ a pass stays a pass, a fail a fail whose witness may move earlier, and an
 undecidable count only falls.  Entries past float range are decided too.
 
 One scan streams the kernel's rows, stops at the first witness's row and keeps
-column 0 for minimality and the atom trail.  Degeneracy and extract_triplet keep a
-table on purpose: perfbench's count test needs one in its exact and float warm-ups.
+column 0 for minimality and the atom trail.  Three readers keep a table on
+purpose, and perfbench's count test needs one in every workload: with seed 7,
+warm-up plus the first cycle, exact-certify builds 1 (``degenerate_classify``),
+float-fit 2 (``bernstein.extract_triplet``), and series 12 and cli 2 (both
+``newton.series_from_samples``).
 """
 
 from __future__ import annotations

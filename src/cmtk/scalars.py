@@ -154,6 +154,27 @@ def as_scales(values, name="c") -> tuple:
     return scales
 
 
+def _integer(text) -> int:
+    """int(text), past Python's int/str digit limit too: Decimal reads a
+    string of decimal digits with no limit."""
+    try:
+        return int(text)
+    except ValueError:
+        s = text.strip()
+        if not (s[1:] if s[:1] in ("+", "-") else s).isdecimal():
+            raise
+        return int(Decimal(s))
+
+
+def _digits(n: int) -> str:
+    """str(n), past Python's int/str digit limit too: Decimal writes an int
+    with no limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return format(Decimal(n), "f")
+
+
 def parse_scalar(text):
     """Parse one scalar token: "p/q", integer or decimal literal, always as
     an exact Fraction (decimal literals include exponent notation).
@@ -166,9 +187,10 @@ def parse_scalar(text):
         raise ValueError("empty scalar token")
     if "/" in s:
         num, _, den = s.partition("/")
-        if int(den) == 0:
+        den = _integer(den)
+        if den == 0:
             raise ValueError(f"zero denominator: {s!r}")
-        return Fraction(int(num), int(den))
+        return Fraction(_integer(num), den)
     try:
         value = Decimal(s)
     except InvalidOperation:
@@ -217,7 +239,7 @@ def coerce_values(values, mode=None):
 def scalar_to_json(value):
     """JSON-friendly form: Fractions as "p/q" strings, floats as floats."""
     if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
     if isinstance(value, int):
         return value
     return float(value)
