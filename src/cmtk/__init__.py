@@ -27,8 +27,7 @@ _EXPORTS = {
                "series_from_samples"),
     "seqcore": ("DifferenceTable", "Sequence", "binomial_transform", "difference_table",
                 "euler_transform", "inverse_euler_transform", "read_sequence"),
-    "webster": ("WebsterProblem", "WebsterSolution", "solve_webster",
-                "verify_functional_equation"),
+    "webster": ("WebsterProblem", "WebsterSolution", "verify_functional_equation"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -24,7 +24,7 @@ from ._extrapolate import richardson_derivative
 from .errors import DomainError
 from .funcops import FunctionHandle, _sample, bounded_sequence, sampled_sequence
 from .scalars import (DEFAULT_C_PAIR, DEFAULT_SD_CS, EPS, Record, as_count, as_scales, is_exact,
-                      json_field, nonnegative_fsum, round_once)
+                      json_field, nonnegative_fsum, round_once, verdict_of)
 from .seqcore import Sequence, difference_table
 
 #: atoms beyond the u-grid horizon (x > ln M) are parked here: at integer
@@ -165,6 +165,10 @@ class ThetaReport(Record):
     entries: tuple
     overall_pass: bool
 
+    @property
+    def verdict(self) -> str:
+        return verdict_of(self.overall_pass, any(e.certificate.failed for e in self.entries))
+
 
 def _difference_sequence(a, b, theta=False):
     """head + (a_k - b_k) for handle samples (values, magnitudes) a and b from
@@ -184,8 +188,8 @@ def _difference_sequence(a, b, theta=False):
 
 def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
                        depth: int = 15) -> ThetaReport:
-    """Bernstein membership via the theta operator: for each c,
-    theta_c Phi(0) must vanish, its samples at 0..depth + 10 must certify
+    """Bernstein membership via the theta operator: for each c, the samples
+    of theta_c Phi at 0..depth + 10 (exactly 0 at 0) must certify
     CA, and the sequence must look bounded (sup approached: the last
     increment at most half the largest; increments of a CA sequence are
     already nonincreasing)."""
@@ -207,7 +211,7 @@ def check_bf_via_theta(phi: FunctionHandle, cs=DEFAULT_C_PAIR,
         cert = classify.certify(seq, classify.CA, depth)
         bounded = incs[-1] <= 0.5 * max(incs) + 4 * EPS * abs(sup)
         entries.append(ThetaCheckEntry(c, theta_0, cert, bounded, sup, incs[-1],
-                                       theta_0 == 0.0 and cert.passed and bounded))
+                                       cert.passed and bounded))
     return ThetaReport(tuple(entries), all(e.passed for e in entries))
 
 
@@ -224,10 +228,6 @@ class SDReport(Record):
     derivative_error: float | None
     verdict: str                # pass | fail | inconclusive
     caveats: tuple = (HOLOMORPHY_CAVEAT,)
-
-    @property
-    def sd_pass(self):
-        return self.verdict == classify.PASS
 
 
 def _default_sd_tol(depth: int, last_value) -> float:
@@ -311,14 +311,10 @@ def check_selfdecomposable(phi: FunctionHandle, cs=DEFAULT_SD_CS,
         deriv_entry = _sd_entry("k*phi'(k)", bseq, depth, tol)
 
     tests = entries if deriv_entry is None else [*entries, deriv_entry]
-    if any(e.certificate.failed or (e.certificate.passed and not e.minimality.minimal)
-           for e in tests):
-        verdict = classify.FAIL
-    elif deriv_entry is not None and all(e.passed for e in tests):
-        verdict = classify.PASS
-    else:
-        verdict = classify.INCONCLUSIVE
-    return SDReport(tuple(entries), deriv_entry, deriv_err, verdict)
+    failed = any(e.certificate.failed or (e.certificate.passed and not e.minimality.minimal)
+                 for e in tests)
+    passed = deriv_entry is not None and all(e.passed for e in tests)
+    return SDReport(tuple(entries), deriv_entry, deriv_err, verdict_of(passed, failed))
 
 
 def _egf_sum(vals, s, e):

@@ -32,7 +32,7 @@ from itertools import islice
 from operator import ge, gt, le, neg
 
 from .errors import CertificationError
-from .scalars import CA, CM, EXACT, FAIL, FLOAT, INCONCLUSIVE, PASS, Record
+from .scalars import CA, CM, EXACT, FAIL, FLOAT, INCONCLUSIVE, PASS, Record, verdict_of
 from .seqcore import Sequence, _enclosure, _scaled_rows, _unscale, difference_table
 
 #: In float mode deep difference rows are dominated by their input bounds;
@@ -148,17 +148,6 @@ def _check_trail(kind: str, depth: int, tol=None, minimality=True):
         raise ValueError("depth too small: CA atom trail needs depth >= 2")
 
 
-def _certified_column(a: Sequence, kind: str, depth: int, tol=None, minimality=True,
-                      raise_failed=True):
-    """``_check_trail``, then the certificate and column of ``_certify`` and the
-    error bound of the column's last entry; failing raises if asked."""
-    column, rows = [], _scaled_rows(a, depth)  # checks the depth before the kind
-    _check_trail(kind, depth, tol, minimality)
-    fail = f"sequence failed {kind} certification" if raise_failed else None
-    cert = _certify(a, kind, depth, rows, fail, column)
-    return cert, column, 0.0 if a.mode == EXACT else _enclosure(*column[-1][:2], rows[0])
-
-
 class AtomEstimate(Record):
     """Trail of k = 0 column entries converging down to the mass at zero.
 
@@ -178,21 +167,17 @@ def atom_at_zero(a: Sequence, kind: str, depth=None) -> AtomEstimate:
     The estimate is the last trail value; for a genuinely CM/CA input the
     trail is nonincreasing and converges to nu({0}) (CM) or mu({0}) (CA).
     """
-    return _atom(*_certified_column(a, kind, default_depth(a, depth), minimality=False)[1:], kind)
-
-
-def _atom(column: list, error_bound: float, kind: str) -> AtomEstimate:
-    """The trail off the column of a certificate that did not fail."""
-    col = column if kind == CM else [(-v, e, -x) for v, e, x in column[1:]]
-    monotone_ok = all(w <= v + e + f for (v, e, _), (w, f, _) in zip(col, col[1:]))
-    trail = tuple(x for _, _, x in col)
-    return AtomEstimate(trail, trail[-1], monotone_ok, error_bound)
+    return _passed(*_certify_minimal(a, kind, default_depth(a, depth), None, False)).atom
 
 
 class MinimalityReport(Record):
     minimal: bool
     atom: AtomEstimate
     tol: float
+
+    @property
+    def verdict(self) -> str:
+        return verdict_of(self.minimal, not self.minimal)
 
 
 def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport:
@@ -202,21 +187,34 @@ def is_minimal(a: Sequence, kind: str, depth=None, tol=None) -> MinimalityReport
     Default tol is 1e-6 in exact mode and max(1e-6, 10x the accumulated
     error bound of the trail end) in float mode.
     """
-    return _minimality(*_certified_column(a, kind, default_depth(a, depth), tol)[1:], kind, tol)
+    return _passed(*_certify_minimal(a, kind, default_depth(a, depth), tol))
 
 
-def _minimality(column: list, error_bound: float, kind: str, tol) -> MinimalityReport:
-    atom = _atom(column, error_bound, kind)
+def _passed(cert: Certificate, report):
+    """``report``, or the CertificationError of a failed certificate."""
+    if cert.failed:
+        raise CertificationError(f"sequence failed {cert.kind} certification", cert)
+    return report
+
+
+def _certify_minimal(a: Sequence, kind: str, depth: int, tol, minimality=True):
+    """The one trail scan: ``_check_trail`` (after the kernel's depth check),
+    then ``_certify`` keeping column 0, and unless the certificate failed the
+    atom trail off that column with its minimality decision; returns
+    (certificate, MinimalityReport or None)."""
+    column, rows = [], _scaled_rows(a, depth)  # checks the depth before the kind
+    _check_trail(kind, depth, tol, minimality)
+    cert = _certify(a, kind, depth, rows, column=column)
+    if cert.failed:
+        return cert, None
+    error_bound = 0.0 if a.mode == EXACT else _enclosure(*column[-1][:2], rows[0])
+    col = column if kind == CM else [(-v, e, -x) for v, e, x in column[1:]]
+    monotone_ok = all(w <= v + e + f for (v, e, _), (w, f, _) in zip(col, col[1:]))
+    trail = tuple(x for _, _, x in col)
+    atom = AtomEstimate(trail, trail[-1], monotone_ok, error_bound)
     if tol is None:  # an exact trail's error bound is 0.0, so its tol is 1e-6
-        tol = max(1e-6, 10.0 * atom.error_bound)
-    return MinimalityReport(bool(atom.estimate <= tol and atom.monotone_ok), atom, float(tol))
-
-
-def _certify_minimal(a: Sequence, kind: str, depth: int, tol):
-    """certify, then is_minimal unless the certificate failed, from one scan;
-    returns (certificate, MinimalityReport or None)."""
-    cert, column, error_bound = _certified_column(a, kind, depth, tol, raise_failed=False)
-    return cert, None if cert.failed else _minimality(column, error_bound, kind, tol)
+        tol = max(1e-6, 10.0 * error_bound)
+    return cert, MinimalityReport(bool(atom.estimate <= tol and monotone_ok), atom, float(tol))
 
 
 STRICT = "strict"

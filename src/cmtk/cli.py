@@ -59,15 +59,6 @@ def _floats(text):
     return values
 
 
-def _check_verdict(passed, entries):
-    """Verdict of a lattice or theta check: pass when it passed, fail only
-    when one of ``entries`` has a failed certificate, inconclusive otherwise
-    (a partial lattice passes no entries)."""
-    if passed:
-        return PASS
-    return FAIL if any(e.certificate.failed for e in entries) else INCONCLUSIVE
-
-
 def _load_sequence(args):
     from .seqcore import read_sequence
     return read_sequence(args.input, mode=args.mode)
@@ -106,7 +97,7 @@ def _cmd_minimal(args):
     from . import classify
     seq = _load_sequence(args)
     rep = classify.is_minimal(seq, args.kind, args.depth, args.tol)
-    return (PASS if rep.minimal else FAIL), {"minimality": rep}
+    return rep.verdict, {"minimality": rep}
 
 
 def _cmd_invert(args):
@@ -192,21 +183,21 @@ def _cmd_lattice(args):
     from . import builtins, funcops
     f = builtins.get_handle(args.builtin)
     rep = funcops.lattice_check(f, args.kind, args.alpha, args.depth, args.tol)
-    return _check_verdict(rep.overall_pass, () if rep.partial else rep.entries), {"lattice": rep}
+    return rep.verdict, {"lattice": rep}
 
 
 def _cmd_subaffine(args):
     from . import builtins, funcops
     f = builtins.get_handle(args.builtin)
     rep = funcops.subaffine_check(f, args.c[0], args.bound)
-    return (INCONCLUSIVE if rep.ok is None else PASS if rep.ok else FAIL), {"subaffine": rep}
+    return rep.verdict, {"subaffine": rep}
 
 
 def _cmd_bftheta(args):
     from . import bernstein, builtins
     f = builtins.get_handle(args.builtin)
     rep = bernstein.check_bf_via_theta(f, tuple(args.c), args.depth)
-    return _check_verdict(rep.overall_pass, rep.entries), {"theta_check": rep}
+    return rep.verdict, {"theta_check": rep}
 
 
 def _cmd_selfdec(args):

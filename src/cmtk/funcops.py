@@ -23,7 +23,8 @@ import math
 import os
 
 from .errors import BudgetExceededError, DomainError
-from .scalars import DEFAULT_C_PAIR, EPS, Record, as_count, as_scales, nonnegative_fsum
+from .scalars import (DEFAULT_C_PAIR, EPS, Record, as_count, as_scales, nonnegative_fsum,
+                      verdict_of)
 
 DEFAULT_BUDGET = 10**6
 
@@ -264,8 +265,7 @@ class CMDecomposition(Record):
     n_max: int
 
 
-def cm_limit_decompose(psi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
-                       lam_grid=None) -> CMDecomposition:
+def cm_limit_decompose(psi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64) -> CMDecomposition:
     """Estimate Psi(inf) and the limit of (-delta_{nc}) Psi on a grid.
 
     Requires Psi nonnegative and nonincreasing on the grid (checked).  The
@@ -274,8 +274,7 @@ def cm_limit_decompose(psi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
     """
     cs, n_max = _probed_cs(c, n_max)
     psi.reset_budget()
-    if lam_grid is None:
-        lam_grid = default_lambda_grid(include_zero=not psi.open_at_zero)
+    lam_grid = default_lambda_grid(include_zero=not psi.open_at_zero)
     vals = psi.sample(lam_grid)
     if any(v < 0 for v in vals):
         raise DomainError("not CM-like on grid: negative value")
@@ -311,8 +310,7 @@ class BFDecomposition(Record):
     n_max: int
 
 
-def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
-                       lam_grid=None) -> BFDecomposition:
+def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64) -> BFDecomposition:
     """Read off q = Phi(0), the drift d as the far first difference
     (Phi((n+1)c) - Phi(nc))/c, and theta_{nc} Phi samples; verify the
     reconstruction and the telescoping identity
@@ -323,8 +321,7 @@ def bf_limit_decompose(phi: FunctionHandle, c=DEFAULT_C_PAIR, n_max: int = 64,
         raise DomainError("decomposition needs the value at 0")
     cs, n_max = _probed_cs(c, n_max, bf=True)
     phi.reset_budget()
-    if lam_grid is None:
-        lam_grid = default_lambda_grid()
+    lam_grid = default_lambda_grid()
     vals = phi.sample(lam_grid)
     if any(v < 0 for v in vals):
         raise DomainError("not Bernstein-like on grid: negative value")
@@ -372,6 +369,12 @@ class LatticeReport(Record):
     all_minimal: bool
     partial: bool = False  # budget ran out before all alphas were checked
 
+    @property
+    def verdict(self) -> str:
+        """Fail only when a certificate failed and no alpha went unchecked."""
+        failed = not self.partial and any(e.certificate.failed for e in self.entries)
+        return verdict_of(self.overall_pass, failed)
+
 
 def lattice_check(f: FunctionHandle, kind: str, alphas, depth: int = 20,
                   tol=None) -> LatticeReport:
@@ -417,6 +420,10 @@ class SubaffineReport(Record):
     bound: float
     ok: bool | None
     arg_sup: float
+
+    @property
+    def verdict(self) -> str:
+        return verdict_of(self.ok, self.ok is False)
 
 
 def subaffine_check(phi: FunctionHandle, c: float, bound: float) -> SubaffineReport:

@@ -7,9 +7,10 @@ once, at sequence construction, and recorded as a mode flag.
 
 The sequence kinds, the three verdicts and the parameter defaults that the
 CLI reads live here too, so that it reads them without importing the
-modules that compute with them; so do ``Record``, the base of every
-module's value types, ``round_once``, the one rounding of an exact value to
-a float, and ``as_count`` and ``as_scales``, the parameter checks.
+modules that compute with them; so do ``verdict_of``, the one rule behind
+every check's verdict, ``Record``, the base of every module's value types,
+``round_once``, the one rounding of an exact value to a float, and
+``as_count`` and ``as_scales``, the parameter checks.
 """
 
 from __future__ import annotations
@@ -30,6 +31,13 @@ CA = "ca"  # completely alternating
 PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+
+
+def verdict_of(passed, failed) -> str:
+    """The three-valued verdict of a check: fail when it failed, pass when
+    it passed, inconclusive otherwise."""
+    return FAIL if failed else PASS if passed else INCONCLUSIVE
+
 
 DEFAULT_GRID = 200  # moment-inversion grid size M (moments)
 DEFAULT_TOL = 1e-10  # NNLS fit tolerance (moments)
@@ -166,13 +174,14 @@ def _integer(text) -> int:
         return int(Decimal(s))
 
 
-def _digits(n: int) -> str:
-    """str(n), past Python's int/str digit limit too: Decimal writes an int
-    with no limit."""
+def _digits(n) -> str:
+    """str(n) of an int or a Fraction, past Python's int/str digit limit too:
+    Decimal writes an int with no limit."""
     try:
         return str(n)
     except ValueError:
-        return format(Decimal(n), "f")
+        p, q = n.as_integer_ratio()
+        return format(Decimal(p), "f") + (f"/{_digits(q)}" if q != 1 else "")
 
 
 def parse_scalar(text):
@@ -230,7 +239,7 @@ def coerce_values(values, mode=None):
             try:
                 x = float(v)
             except OverflowError:
-                raise ValueError(f"entry {k} is beyond float range: {v!s:.40}") from None
+                raise ValueError(f"entry {k} is beyond float range: {_digits(v):.40}") from None
             out.append(x)
         return tuple(out), FLOAT
     raise ValueError(f"unknown mode {mode!r}")

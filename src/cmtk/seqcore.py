@@ -28,7 +28,8 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import compress, repeat
 
-from .scalars import EXACT, FLOAT, Record, as_count, coerce_values, parse_scalar, round_once
+from .scalars import (EXACT, FLOAT, Record, _integer, as_count, coerce_values, parse_scalar,
+                      round_once)
 
 
 class Sequence(Record):
@@ -72,17 +73,6 @@ class Sequence(Record):
     def last_index(self) -> int:
         return len(self.values) - 1
 
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, k):
-        return self.values[k]
-
-    def shift(self, j: int = 1) -> "Sequence":
-        """Drop the first j terms: (a_{k+j})_k."""
-        bounds = self.value_bounds[j:] if self.value_bounds else None
-        return Sequence(self.values[j:], self.mode, bounds)
-
     def as_floats(self):
         """The values as floats; a ValueError names an entry past float range."""
         return list(coerce_values(self.values, FLOAT)[0])
@@ -99,7 +89,7 @@ def read_sequence(path, mode=None) -> Sequence:
     stripped = text.lstrip()
     values = []
     if stripped.startswith("["):
-        for i, item in enumerate(json.loads(stripped)):
+        for i, item in enumerate(json.loads(stripped, parse_int=_integer)):
             if isinstance(item, str):
                 values.append(parse_scalar(item))
             elif isinstance(item, bool):

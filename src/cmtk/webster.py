@@ -196,11 +196,6 @@ class WebsterSolution:
         return self.result(x).value
 
 
-def solve_webster(problem: WebsterProblem, x) -> WebsterResult:
-    """One-shot solve; build a WebsterSolution directly to evaluate at many x."""
-    return WebsterSolution(problem).result(x)
-
-
 def verify_functional_equation(f, g, x_grid) -> float:
     """max over the grid of |f(x+1) - g(x) f(x)| / (1 + |f(x+1)|)."""
     worst = 0.0

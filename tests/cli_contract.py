@@ -188,6 +188,10 @@ ROWS = [
     _refused("invert cm seq.txt", "entry 1: cannot parse inf", "[1.0, Infinity]"),
     _refused("certify --kind cm --mode float seq.txt", f"entry 1 is beyond float range: {_CUT}",
              "1\n1e400\n"),
+    # an integer past Python's 4300-digit int/str limit, as a CSV cell and in a JSON array
+    *(_refused("certify --kind cm --mode float seq.txt", f"entry 0 is beyond float range: {_CUT}",
+               seq, name) for name, seq in (("csv-past-digit-limit", f"1{'0' * 4400}\n1\n"),
+                                            ("json-past-digit-limit", f"[1{'0' * 4400}, 1]"))),
     *(_refused(f"newton eval --at {at} seq.txt", f"argument --at: invalid _scalar value: '{at}'",
                _THIRDS) for at in ("inf", "nan", "1e400")),
     _refused("newton eval --at 1e200 seq.txt", f"term 2 at z = {_CUT} is beyond float range",

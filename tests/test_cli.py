@@ -280,6 +280,80 @@ class TestCheckExitCodes:
         assert code == 2
 
 
+def _lattice(name, kind):
+    from cmtk.builtins import get_handle
+    from cmtk.funcops import lattice_check
+    return lambda: lattice_check(get_handle(name), kind, (1.0, 0.5))
+
+
+def _theta(name, depth=15):
+    from cmtk.bernstein import check_bf_via_theta
+    from cmtk.builtins import get_handle
+    return lambda: check_bf_via_theta(get_handle(name), depth=depth)
+
+
+def _subaffine(name, c=1.0):
+    from cmtk.builtins import get_handle
+    from cmtk.funcops import subaffine_check
+    return lambda: subaffine_check(get_handle(name), c, 1.0)
+
+
+def _minimal(name, tol):
+    from cmtk.classify import is_minimal
+    from cmtk.seqcore import read_sequence
+    return lambda: is_minimal(read_sequence(TESTS / "data" / "cli" / name), "cm", None, tol)
+
+
+class TestLibraryVerdicts:
+    """lattice_check, check_bf_via_theta, subaffine_check and is_minimal each
+    answer ``verdict``, and README's exit rule (0 pass, 1 fail, 2
+    inconclusive) reads the CLI's exit code off it."""
+
+    @pytest.mark.parametrize("argv, check, verdict", [
+        ("lattice --kind cm --builtin exp-decay", _lattice("exp-decay", "cm"), "pass"),
+        ("lattice --kind ca --builtin exp-decay", _lattice("exp-decay", "ca"), "fail"),
+        # the certificates are inconclusive, and none failed
+        ("lattice --kind ca --builtin linear", _lattice("linear", "ca"), "inconclusive"),
+        ("bftheta --builtin log1p", _theta("log1p"), "pass"),
+        ("bftheta --builtin square", _theta("square"), "fail"),
+        ("bftheta --builtin sqrt --depth 20", _theta("sqrt", 20), "inconclusive"),
+        ("subaffine --builtin log1p --bound 1", _subaffine("log1p"), "pass"),
+        ("subaffine --builtin square --bound 1", _subaffine("square"), "fail"),
+        # the increments pass float range: "ok" is null
+        ("subaffine --builtin square --c 1e300 --bound 1", _subaffine("square", 1e300),
+         "inconclusive"),
+        # a minimality report is pass or fail; a failed certificate raises
+        (f"minimal --kind cm --tol 0.02 {TESTS}/data/cli/dyadic.csv",
+         _minimal("dyadic.csv", 0.02), "pass"),
+        (f"minimal --kind cm --tol 0.02 {TESTS}/data/cli/harmonic.csv",
+         _minimal("harmonic.csv", 0.02), "fail"),
+    ])
+    def test_verdict_is_the_exit_rule(self, capsys, argv, check, verdict):
+        assert check().verdict == verdict
+        code, report, _ = run(capsys, *argv.split())
+        assert code == report["exit_code"] == {"pass": 0, "fail": 1, "inconclusive": 2}[verdict]
+
+    def test_unbounded_theta_with_passed_certificates_is_inconclusive(self):
+        # theta_c(-x^2) = 2cx is exactly CA, but its increments never fall
+        from cmtk.bernstein import check_bf_via_theta
+        from cmtk.funcops import FunctionHandle
+        rep = check_bf_via_theta(FunctionHandle(lambda x: -x * x, "neg-square"))
+        assert [(e.certificate.verdict, e.bounded_ok) for e in rep.entries] \
+            == [("pass", False)] * 2
+        assert rep.verdict == "inconclusive"
+
+    def test_partial_lattice_whose_first_alpha_fails_is_inconclusive(self, capsys, monkeypatch):
+        # the budget covers the first alpha's 26 samples, whose certificate
+        # fails, and runs out on the second
+        monkeypatch.setenv("CMTK_MAX_EVALS", "26")
+        rep = _lattice("linear", "cm")()
+        assert rep.partial
+        assert [e.certificate.verdict for e in rep.entries] == ["fail"]
+        assert rep.verdict == "inconclusive"
+        code, _, _ = run(capsys, "lattice", "--kind", "cm", "--builtin", "linear")
+        assert code == 2
+
+
 class TestNewtonFloatSeries:
     def test_200_float_samples(self, capsys, tmp_path):
         # 200! is beyond float range; the series builds and evaluates anyway
@@ -373,6 +447,14 @@ class TestPastTheDigitLimit:
                    for text in (f"1/{big}\n{big}/1\n", f"1e-4300\n{big}\n")]
         assert results[0] == results[1]
         assert results[0][0] == 0
+
+    def test_json_array_reads_as_its_csv_twin(self, capsys, tmp_path):
+        big = format(Decimal(10**4400), "f")  # 4401 digits, past json's own int
+        results = [self._run(capsys, tmp_path, text, "certify", "--kind", "cm")
+                   for text in (f"[{big}, 1]", f"{big}\n1\n")]
+        assert results[0] == results[1]
+        assert results[0][0] == 0
+        assert results[0][1]["certificate"]["verdict"] == "pass"
 
 
 class TestOneSampleMinimality:

@@ -25,7 +25,7 @@ from cmtk.moments import extend_from_integer_samples, invert_ca, invert_cm
 from cmtk.newton import eval_series, series_from_samples
 from cmtk.scalars import CA, CM
 from cmtk.seqcore import Sequence
-from cmtk.webster import WebsterProblem, solve_webster
+from cmtk.webster import WebsterProblem, WebsterSolution
 from test_cli import assert_fits_as_scaled_copy, reject_constant
 
 # sequence entries and option values at and past the ends of float range
@@ -289,8 +289,8 @@ LIBRARY_CALLS = {
     "certify": (st.tuples(kinds, counts), lambda kind, d: certify(HARMONIC, kind, d)),
     "eval_series": (st.tuples(counts), lambda n: eval_series(
         series_from_samples(HARMONIC), Fraction(1, 2), n)),
-    "webster": (st.tuples(counts, scales), lambda n, x: solve_webster(
-        WebsterProblem(get_webster_g("identity"), n), x)),
+    "webster": (st.tuples(counts, scales), lambda n, x: WebsterSolution(
+        WebsterProblem(get_webster_g("identity"), n)).result(x)),
     "invert_cm": (st.tuples(counts), lambda m: invert_cm(HARMONIC, m, 1.0)),
     "invert_ca": (st.tuples(counts), lambda m: invert_ca(CA_SEQ, m, 1.0)),
     "extend_cm": (st.tuples(counts), lambda m: extend_from_integer_samples(HARMONIC, CM, m, 1.0)),

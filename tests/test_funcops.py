@@ -478,8 +478,7 @@ class TestOperatorReference:
 class TestCMDecompose:
     def test_exponential(self):
         f = handle(lambda x: math.exp(-x))
-        grid = [0.1 * i for i in range(51)]
-        rep = cm_limit_decompose(f, c=1.0, n_max=40, lam_grid=grid)
+        rep = cm_limit_decompose(f, c=1.0, n_max=40)
         assert rep.psi_inf <= 1e-17
         assert rep.residual <= 1e-15
 
@@ -520,8 +519,7 @@ class TestCMDecompose:
 class TestBFDecompose:
     def test_triplet_readoff(self):
         f = handle(lambda x: 2.0 + 3.0 * x - math.expm1(-x))
-        grid = [0.1 * i for i in range(51)]
-        rep = bf_limit_decompose(f, c=1.0, n_max=50, lam_grid=grid)
+        rep = bf_limit_decompose(f, c=1.0, n_max=50)
         assert rep.q == 2.0
         assert rep.d == pytest.approx(3.0, abs=1e-12)
         for lam, s in rep.theta_samples:

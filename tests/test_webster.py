@@ -19,7 +19,6 @@ from cmtk.webster import (
     _SPAN,
     WebsterProblem,
     WebsterSolution,
-    solve_webster,
     verify_functional_equation,
 )
 
@@ -30,12 +29,12 @@ def gamma_problem(n_terms, accel="aitken"):
 
 class TestGammaInstance:
     def test_half_integer_value(self):
-        res = solve_webster(gamma_problem(10**5), 0.5)
+        res = WebsterSolution(gamma_problem(10**5)).result(0.5)
         assert abs(res.value - math.sqrt(math.pi)) <= 1e-5
 
     def test_truncation_monotonicity(self):
         errors = [
-            abs(solve_webster(gamma_problem(n), 0.5).value - math.sqrt(math.pi))
+            abs(WebsterSolution(gamma_problem(n)).result(0.5).value - math.sqrt(math.pi))
             for n in (10**3, 10**4, 10**5)
         ]
         assert errors[0] > errors[1] > errors[2]
@@ -72,13 +71,13 @@ class TestGammaInstance:
 
     def test_uniqueness_surrogate(self):
         # solutions from N and 2N agree within twice the tail estimate
-        r1 = solve_webster(gamma_problem(2000), 0.5)
-        r2 = solve_webster(gamma_problem(4000), 0.5)
+        r1 = WebsterSolution(gamma_problem(2000)).result(0.5)
+        r2 = WebsterSolution(gamma_problem(4000)).result(0.5)
         assert abs(r1.value - r2.value) <= 2.0 * r1.tail_estimate
 
     def test_rejects_nonpositive_x(self):
         with pytest.raises(DomainError):
-            solve_webster(gamma_problem(100), 0.0)
+            WebsterSolution(gamma_problem(100)).result(0.0)
 
 
 class TestClosedForms:
@@ -127,14 +126,14 @@ class TestHypothesisChecks:
         # log(1 + x^2) is convex near zero, so the midpoint spot-check trips
         g = FunctionHandle(lambda x: 1.0 + x * x, "logconvex")
         problem = WebsterProblem(g, n_terms=50)
-        res = solve_webster(problem, 0.5)
+        res = WebsterSolution(problem).result(0.5)
         assert not res.log_concave_ok
         assert any("log-concavity" in w for w in res.warnings)
 
     def test_positivity_required(self):
         g = FunctionHandle(lambda x: x - 10.0, "signed")
         with pytest.raises(DomainError):
-            solve_webster(WebsterProblem(g, n_terms=50), 0.5)
+            WebsterSolution(WebsterProblem(g, n_terms=50)).result(0.5)
 
 
 class TestProblemChecks:
@@ -152,7 +151,8 @@ class TestProblemChecks:
         # an integer as the depth of a table is; it was refused
         problem = WebsterProblem(get_webster_g("identity"), numpy.int64(50))
         assert type(problem.n_terms) is int
-        assert solve_webster(problem, 2.5) == solve_webster(gamma_problem(50), 2.5)
+        assert (WebsterSolution(problem).result(2.5)
+                == WebsterSolution(gamma_problem(50)).result(2.5))
 
     def test_non_bool_limit_flag_rejected(self):
         # a truthy "no" once chose the lim g = 1 product for g(x) = x
@@ -274,7 +274,7 @@ class TestPastFloatRange:
     def test_huge_x_is_inf(self, x):
         # past 2**53, x - (ceil(x) - 1) rounds to 2.0, or to 0.0, which read
         # as a domain error; the base point is 1.0 for every integer x
-        assert solve_webster(gamma_problem(1000), x).value == math.inf
+        assert WebsterSolution(gamma_problem(1000)).result(x).value == math.inf
 
     def test_recursion_stops_at_inf(self):
         # past x ~ 172 the product is inf, and the recursion to 1e15 once
@@ -324,7 +324,7 @@ class TestBudget:
         # 96 + 5 * 2e5 > 1e6: only the concavity grid's 96 evaluations run
         g, calls = self.counted_sqrt()
         with pytest.raises(BudgetExceededError, match="evaluation budget 1000000 exhausted for sqrt"):
-            solve_webster(WebsterProblem(g, n_terms=200_000), 0.5)
+            WebsterSolution(WebsterProblem(g, n_terms=200_000)).result(0.5)
         assert calls[0] == 96
 
     def test_estimated_derivative_evaluations(self):
